@@ -14,9 +14,7 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
@@ -65,25 +63,6 @@ def round4(x: float) -> str:
     if x == math.inf:
         return "inf"
     return str(Decimal(repr(float(x))).quantize(Decimal("0.0001"), rounding=ROUND_HALF_EVEN))
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("GP_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError as exc:
-            raise CliInputError(f"invalid GP_THREADS value {raw!r}") from exc
-    return os.cpu_count() or 1
-
-
-def parallel_map(fn, items):
-    cap = thread_cap()
-    items = list(items)
-    if cap == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
 
 
 def config_dict(args: argparse.Namespace) -> dict:
@@ -266,11 +245,13 @@ def cmd_decay(args) -> int:
     shells = dist.from_source(source[0])
     deltas = sorted({int(x) for x in shells if x > 0})
 
-    def one(delta):
-        members = [dist.ids[i] for i in range(dist.n) if shells[i] == delta]
-        return measure_decay(ops, dist, members, source, trials=args.trials, seed=args.seed + delta)
-
-    rows = parallel_map(one, deltas)
+    rows = [
+        measure_decay(
+            ops, dist, [dist.ids[i] for i in range(dist.n) if shells[i] == delta], source,
+            trials=args.trials, seed=args.seed + delta,
+        )
+        for delta in deltas
+    ]
     tols = effective_tolerances(args)
     out = Path(args.out) / "decay.tsv"
     out.parent.mkdir(parents=True, exist_ok=True)

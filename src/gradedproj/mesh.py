@@ -114,7 +114,7 @@ class SimplicialMesh:
         d = self.dim
         p0 = self.coords[verts[0]]
         rows = [[self.coords[v][i] - p0[i] for i in range(d)] for v in verts[1:]]
-        det = _fraction_det(rows)
+        det, _ = fraction_solve(rows, [()] * d)
         fact = 1
         for i in range(2, d + 1):
             fact *= i
@@ -355,18 +355,56 @@ class SimplicialMesh:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimplicialMesh":
-        if data.get("version") != 1:
-            raise MeshError(f"unsupported mesh file version {data.get('version')!r}")
-        mesh = cls(int(data["dim"]))
-        for coord in data["vertices"]:
-            mesh.add_vertex(tuple(Fraction(num, 1 << k) for num, k in coord))
-        for cell in data["simplices"]:
-            s = TaggedSimplex(mesh._next_simplex, tuple(cell["v"]), int(cell["tag"]), int(cell["level"]), None)
+        """Mesh from its JSON form.  Malformed or nonconforming input (bad
+        indices, tags or faces, a face owned by more than two simplices, a
+        hanging vertex) raises MeshError."""
+        version = data.get("version") if isinstance(data, dict) else None
+        if version != 1:
+            raise MeshError(f"unsupported mesh file version {version!r}")
+        try:
+            mesh = cls(int(data["dim"]))
+            vertices = data["vertices"]
+            for coord in vertices:
+                if len(coord) != mesh.dim:
+                    raise MeshError(f"vertex {coord} does not have {mesh.dim} coordinates")
+                mesh.add_vertex(tuple(Fraction(num, 1 << k) for num, k in coord))
+            cells = [(tuple(map(int, c["v"])), int(c["tag"]), int(c["level"])) for c in data["simplices"]]
+            gamma = [tuple(map(int, face)) for face in data.get("gamma_faces", [])]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MeshError(f"malformed mesh file: {type(exc).__name__}: {exc}") from exc
+        n_vertices = len(mesh.coords)
+        if n_vertices != len(vertices):
+            raise MeshError("mesh file repeats a vertex")
+        if not cells:
+            raise MeshError("mesh file has no simplices")
+
+        def check_ids(ids, size, what):
+            if len(set(ids)) != size or not all(0 <= v < n_vertices for v in ids):
+                raise MeshError(f"{what} {list(ids)} needs {size} distinct vertices in 0..{n_vertices - 1}")
+
+        for verts, tag, level in cells:
+            check_ids(verts, mesh.dim + 1, "simplex")
+            if not 1 <= tag <= mesh.dim:
+                raise MeshError(f"simplex {list(verts)} has tag {tag}, not in 1..{mesh.dim}")
+            if level < 0:
+                raise MeshError(f"simplex {list(verts)} has negative level {level}")
+            if mesh._det_volume(verts) == 0:
+                raise MeshError(f"degenerate simplex {verts}")
+            mesh._register(TaggedSimplex(mesh._next_simplex, verts, tag, level, None))
             mesh._next_simplex += 1
-            if mesh._det_volume(s.vertices) == 0:
-                raise MeshError(f"degenerate simplex {s.vertices}")
-            mesh._register(s)
-        mesh.gamma_faces = {frozenset(face) for face in data.get("gamma_faces", [])}
+        owners = face_owners(mesh)
+        crowded = next((face for face, count in owners.items() if count > 2), None)
+        if crowded is not None:
+            raise MeshError(f"face {sorted(crowded)} is owned by more than two simplices")
+        for face in gamma:
+            check_ids(face, mesh.dim, "gamma face")
+            if owners.get(frozenset(face)) != 1:
+                raise MeshError(f"gamma face {list(face)} is not a boundary face of the mesh")
+        mesh.gamma_faces = {frozenset(face) for face in gamma}
+        hanging = hanging_vertex_violations(mesh)
+        if hanging:
+            sid, (a, b) = hanging[0]
+            raise MeshError(f"simplex {list(mesh.simplices[sid].vertices)} has a hanging vertex on its edge {[a, b]}")
         return mesh
 
     @classmethod
@@ -375,26 +413,28 @@ class SimplicialMesh:
             return cls.from_json_dict(json.load(fh))
 
 
-def _fraction_det(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(rows)
-    m = [list(map(Fraction, r)) for r in rows]
+def fraction_solve(matrix: Sequence[Sequence], rhs: Sequence[Sequence]) -> tuple[Fraction, list[list[Fraction]] | None]:
+    """Exact Gauss-Jordan elimination: solves matrix @ X = rhs for an n x k
+    block rhs (k may be 0) and returns (det(matrix), X), with X None when the
+    matrix is singular."""
+    n = len(matrix)
+    m = [list(map(Fraction, row)) + list(map(Fraction, b)) for row, b in zip(matrix, rhs)]
     det = Fraction(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col] != 0), None)
         if piv is None:
-            return Fraction(0)
+            return Fraction(0), None
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             det = -det
         det *= m[col][col]
         inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return det, [row[n:] for row in m]
 
 
 def _dist2(p: Coord, q: Coord) -> Fraction:
@@ -452,15 +492,20 @@ def reference_simplex_mesh(dim: int, mark_boundary: bool = False) -> SimplicialM
     return mesh
 
 
-def boundary_faces(mesh: SimplicialMesh) -> set[frozenset[int]]:
-    """Faces owned by exactly one active simplex."""
+def face_owners(mesh: SimplicialMesh) -> dict[frozenset[int], int]:
+    """Number of active simplices owning each (d-1)-face."""
     owners: dict[frozenset[int], int] = {}
     for sid in mesh.active_ids():
         verts = mesh.simplices[sid].vertices
         for drop in verts:
             face = frozenset(v for v in verts if v != drop)
             owners[face] = owners.get(face, 0) + 1
-    return {face for face, count in owners.items() if count == 1}
+    return owners
+
+
+def boundary_faces(mesh: SimplicialMesh) -> set[frozenset[int]]:
+    """Faces owned by exactly one active simplex."""
+    return {face for face, count in face_owners(mesh).items() if count == 1}
 
 
 # -- element distances -------------------------------------------------------
@@ -740,32 +785,9 @@ def _contains(mesh: SimplicialMesh, verts: Sequence[int], point: Coord) -> bool:
 def barycentric_coordinates(mesh: SimplicialMesh, verts: Sequence[int], point: Coord) -> list[Fraction] | None:
     """Exact barycentric coordinates of a point w.r.t. a simplex, or None if
     the defining system is singular."""
-    d = mesh.dim
-    n = d + 1
-    m = [[Fraction(mesh.coords[v][i]) for v in verts] for i in range(d)]
-    m.append([Fraction(1)] * n)
-    rhs = list(point) + [Fraction(1)]
-    try:
-        return _fraction_solve(m, rhs)
-    except ZeroDivisionError:
-        return None
-
-
-def _fraction_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(rhs)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular system")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+    m = [[mesh.coords[v][i] for v in verts] for i in range(mesh.dim)] + [[1] * len(verts)]
+    _, x = fraction_solve(m, [[b] for b in point] + [[1]])
+    return None if x is None else [row[0] for row in x]
 
 
 def similarity_classes(mesh: SimplicialMesh) -> set[tuple]:

@@ -20,8 +20,9 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
-from .mesh import SimplicialMesh
+from .mesh import SimplicialMesh, fraction_solve
 
 MultiIndex = tuple[int, ...]
 
@@ -207,19 +208,10 @@ def decomposition_apply(j: int, poly: BarycentricPoly, degree: int) -> Barycentr
 
 def frac_mat_inv(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     n = len(matrix)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise PolySpaceError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    _, inv = fraction_solve(matrix, [[int(i == j) for j in range(n)] for i in range(n)])
+    if inv is None:
+        raise PolySpaceError("singular matrix")
+    return inv
 
 
 def frac_mat_mul(a, b):
@@ -430,10 +422,75 @@ def verify_s_consistency(degree: int, dim: int, trials: int = 20, seed: int = 0)
 # -- finite element spaces --------------------------------------------------------
 
 
-class LagrangeSpace:
+def node_key(verts: Sequence[int], alpha: MultiIndex) -> tuple:
+    """Topological identity of the Lagrange node with multi-index alpha on the
+    simplex with vertex ids verts: its (vertex, weight) pairs of nonzero
+    weight, sorted.  On a conforming mesh two nodes are the same point exactly
+    when their keys are equal (a point lies inside exactly one face)."""
+    return tuple(sorted((v, k) for v, k in zip(verts, alpha) if k))
+
+
+def scatter_matrix(row_dofs: np.ndarray, col_dofs: np.ndarray, blocks: np.ndarray, shape) -> sp.csr_matrix:
+    """Global sparse matrix from element blocks: blocks[e, a, b] adds to entry
+    (row_dofs[e, a], col_dofs[e, b]); negative dofs (removed trace dofs) are
+    skipped.  Triplets are laid out element by element, then by a, then by b,
+    so duplicates are summed in that order."""
+    rows = np.broadcast_to(row_dofs[:, :, None], blocks.shape)
+    cols = np.broadcast_to(col_dofs[:, None, :], blocks.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.csr_matrix((blocks[keep], (rows[keep], cols[keep])), shape=shape)
+
+
+@lru_cache(maxsize=None)
+def float_local_mass(dim: int, degree) -> np.ndarray:
+    """Element mass on the unit-volume simplex in floating point, for Lagrange
+    degree K or degree "CR"; read-only, shared by all callers."""
+    exact = cr_local_mass(dim) if degree == "CR" else reference_element(dim, degree).nodal_mass
+    out = np.array([[float(x) for x in row] for row in exact])
+    out.setflags(write=False)
+    return out
+
+
+class _ElementSpace:
+    """Dof table of an element space: dofs[r] holds the global dof of each
+    local basis function on element element_ids[r], -1 for a removed trace
+    dof."""
+
+    def _set_dofs(self, table) -> None:
+        self.dofs = np.array(table, dtype=np.int64).reshape(len(self.element_ids), -1)
+        self.dofs.setflags(write=False)
+        self._row = {sid: r for r, sid in enumerate(self.element_ids)}
+        self._mass = None
+
+    def cell_dofs(self, sid: int) -> np.ndarray:
+        """Global dof per local basis function; -1 marks a removed trace dof."""
+        return self.dofs[self._row[sid]]
+
+    def dof_rows(self, element_ids: Sequence[int]) -> np.ndarray:
+        """Rows of the dof table for the given elements, in the given order."""
+        return self.dofs[[self._row[sid] for sid in element_ids]]
+
+    def element_mass(self, element_ids: Sequence[int], weights: dict | None = None) -> sp.csr_matrix:
+        """Mass matrix integrated over the given elements only, each scaled by
+        weights[sid] when weights are given."""
+        element_ids = list(element_ids)
+        scale = np.array([float(self.mesh.volume(sid)) for sid in element_ids])
+        if weights is not None:
+            scale = scale * np.array([weights[sid] for sid in element_ids], dtype=float)
+        dofs = self.dof_rows(element_ids)
+        return scatter_matrix(dofs, dofs, scale[:, None, None] * self.local_mass(), (self.n_dofs, self.n_dofs))
+
+    def mass_matrix(self) -> sp.csr_matrix:
+        if self._mass is None:
+            self._mass = self.element_mass(self.element_ids)
+        return self._mass
+
+
+class LagrangeSpace(_ElementSpace):
     """Continuous piecewise polynomials of one degree on a conforming mesh.
 
-    Global dofs are Lagrange nodes, glued across elements by their exact
+    Global dofs are Lagrange nodes, glued across elements by their
+    topological identity (node_key); node_coords keeps each dof's exact
     rational coordinates.  With zero_trace=True the dofs on the marked
     boundary part of the mesh are removed from the space.
     """
@@ -449,81 +506,42 @@ class LagrangeSpace:
         self.ref = reference_element(mesh.dim, degree)
         self.element_ids = mesh.active_ids()
         self._enumerate_dofs()
-        self._mass = None
 
     def _enumerate_dofs(self):
-        mesh, ref, K = self.mesh, self.ref, self.degree
+        mesh, K = self.mesh, self.degree
         node_ids: dict[tuple, int] = {}
         coords: list[tuple] = []
         on_gamma: set[int] = set()
-        cell_nodes: dict[int, list[int]] = {}
+        table: list[int] = []
         gamma = mesh.gamma_faces if self.zero_trace else set()
         for sid in self.element_ids:
             verts = mesh.simplices[sid].vertices
-            vcoords = [mesh.coords[v] for v in verts]
             gamma_locals = []
             if gamma:
                 vset = set(verts)
-                for local_j, drop in enumerate(verts):
-                    if frozenset(vset - {drop}) in gamma:
-                        gamma_locals.append(local_j)
-            locs = []
-            for alpha in ref.monos:
-                coord = tuple(
-                    sum(Fraction(alpha[j], K) * vcoords[j][i] for j in range(len(verts)))
-                    for i in range(mesh.dim)
-                )
-                nid = node_ids.get(coord)
+                gamma_locals = [j for j, drop in enumerate(verts) if frozenset(vset - {drop}) in gamma]
+            for alpha in self.ref.monos:
+                key = node_key(verts, alpha)
+                nid = node_ids.get(key)
                 if nid is None:
-                    nid = len(coords)
-                    node_ids[coord] = nid
-                    coords.append(coord)
-                locs.append(nid)
-                for local_j in gamma_locals:
-                    if alpha[local_j] == 0:
-                        on_gamma.add(nid)
-            cell_nodes[sid] = locs
-        if self.zero_trace:
-            keep = [i for i in range(len(coords)) if i not in on_gamma]
-            remap = {old: new for new, old in enumerate(keep)}
-            self.n_dofs = len(keep)
-            self.node_coords = [coords[i] for i in keep]
-            self._cell_dofs = {
-                sid: [remap.get(n, -1) for n in locs] for sid, locs in cell_nodes.items()
-            }
-        else:
-            self.n_dofs = len(coords)
-            self.node_coords = coords
-            self._cell_dofs = cell_nodes
+                    nid = node_ids[key] = len(coords)
+                    coords.append(
+                        tuple(sum(Fraction(k, K) * mesh.coords[v][i] for v, k in key) for i in range(mesh.dim))
+                    )
+                table.append(nid)
+                if any(alpha[j] == 0 for j in gamma_locals):
+                    on_gamma.add(nid)
+        self.n_dofs = len(coords) - len(on_gamma)
+        self.node_coords = [c for i, c in enumerate(coords) if i not in on_gamma]
+        if on_gamma:
+            keep = np.ones(len(coords), dtype=bool)
+            keep[list(on_gamma)] = False
+            remap = np.where(keep, np.cumsum(keep) - 1, -1)
+            table = remap[table]
+        self._set_dofs(table)
 
-    def cell_dofs(self, sid: int) -> list[int]:
-        """Global dof per local Lagrange node; -1 marks a removed trace dof."""
-        return self._cell_dofs[sid]
-
-    def mass_matrix(self):
-        if self._mass is None:
-            import scipy.sparse as sp
-
-            local = np.array([[float(x) for x in row] for row in self.ref.nodal_mass])
-            n_loc = local.shape[0]
-            rows, cols, vals = [], [], []
-            for sid in self.element_ids:
-                dofs = self._cell_dofs[sid]
-                vol = float(self.mesh.volume(sid))
-                for a in range(n_loc):
-                    if dofs[a] < 0:
-                        continue
-                    for b in range(n_loc):
-                        if dofs[b] < 0:
-                            continue
-                        rows.append(dofs[a])
-                        cols.append(dofs[b])
-                        vals.append(vol * local[a, b])
-            self._mass = sp.csr_matrix((vals, (rows, cols)), shape=(self.n_dofs, self.n_dofs))
-        return self._mass
-
-    def element_volumes(self) -> dict[int, float]:
-        return {sid: float(self.mesh.volume(sid)) for sid in self.element_ids}
+    def local_mass(self) -> np.ndarray:
+        return float_local_mass(self.mesh.dim, self.degree)
 
 
 def cr_local_mass(dim: int, volume=Fraction(1)) -> list[list[Fraction]]:
@@ -540,7 +558,7 @@ def cr_local_mass(dim: int, volume=Fraction(1)) -> list[list[Fraction]]:
     ]
 
 
-class CRSpace:
+class CRSpace(_ElementSpace):
     """Crouzeix-Raviart space: one dof per (d-1)-face, basis 1 - d*lambda_j."""
 
     kind = "cr"
@@ -552,41 +570,18 @@ class CRSpace:
         self.degree = 1
         self.element_ids = mesh.active_ids()
         face_ids: dict[frozenset[int], int] = {}
-        cell_faces: dict[int, list[int]] = {}
+        table: list[int] = []
         for sid in self.element_ids:
             verts = mesh.simplices[sid].vertices
             vset = set(verts)
-            locs = []
             for drop in verts:  # local face j is opposite local vertex j
-                key = frozenset(vset - {drop})
-                fid = face_ids.setdefault(key, len(face_ids))
-                locs.append(fid)
-            cell_faces[sid] = locs
+                table.append(face_ids.setdefault(frozenset(vset - {drop}), len(face_ids)))
         self.n_dofs = len(face_ids)
-        self._cell_dofs = cell_faces
         self.face_keys = sorted(face_ids, key=face_ids.get)
-        self._mass = None
+        self._set_dofs(table)
 
-    def cell_dofs(self, sid: int) -> list[int]:
-        return self._cell_dofs[sid]
-
-    def mass_matrix(self):
-        if self._mass is None:
-            import scipy.sparse as sp
-
-            d = self.mesh.dim
-            local = np.array([[float(x) for x in row] for row in cr_local_mass(d)])
-            rows, cols, vals = [], [], []
-            for sid in self.element_ids:
-                dofs = self._cell_dofs[sid]
-                vol = float(self.mesh.volume(sid))
-                for a in range(d + 1):
-                    for b in range(d + 1):
-                        rows.append(dofs[a])
-                        cols.append(dofs[b])
-                        vals.append(vol * local[a, b])
-            self._mass = sp.csr_matrix((vals, (rows, cols)), shape=(self.n_dofs, self.n_dofs))
-        return self._mass
+    def local_mass(self) -> np.ndarray:
+        return float_local_mass(self.mesh.dim, "CR")
 
     @staticmethod
     def local_basis_poly(dim: int, j: int) -> BarycentricPoly:

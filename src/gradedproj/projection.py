@@ -38,7 +38,9 @@ from .polyspace import (
     CRSpace,
     lambda_nodal_product_table,
     multi_indices,
+    node_key,
     reference_element,
+    scatter_matrix,
     simplex_quadrature,
 )
 
@@ -138,14 +140,17 @@ def _poly_values(poly: BarycentricPoly, bary: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _nodal_values_at_quad(dim: int, degree: int, quad_degree: int) -> np.ndarray:
     """(n_quad, n_nodes) values of the reference nodal basis at GM points."""
-    ref = reference_element(dim, degree)
-    pts, _ = simplex_quadrature(dim, quad_degree)
+    return _lagrange_values(reference_element(dim, degree), simplex_quadrature(dim, quad_degree)[0])
+
+
+def _lagrange_values(ref, bary: np.ndarray) -> np.ndarray:
+    """(n_points, n_nodes) values of the nodal basis of ref at barycentric points."""
     vinv = np.array([[float(x) for x in row] for row in ref.vandermonde_inv])
-    mono_vals = np.ones((len(pts), ref.n))
+    mono_vals = np.ones((len(bary), ref.n))
     for col, mono in enumerate(ref.monos):
         for j, e in enumerate(mono):
             if e:
-                mono_vals[:, col] *= pts[:, j] ** e
+                mono_vals[:, col] *= bary[:, j] ** e
     return mono_vals @ vinv
 
 
@@ -247,23 +252,14 @@ class Operators:
             banned_keys: set = set()
             for sid, local_j in patch:
                 verts = mesh.simplices[sid].vertices
-                vcoords = [mesh.coords[v] for v in verts]
                 banned_locals = []
                 if gamma:
                     vset = set(verts)
                     for jf, drop in enumerate(verts):
                         if jf != local_j and frozenset(vset - {drop}) in gamma:
                             banned_locals.append(jf)
-                keys = []
-                for alpha, node in zip(low.monos, low.node_coords):
-                    if K == 1:
-                        key = "const"
-                    else:
-                        key = tuple(
-                            sum(Fraction(node[j]) * vcoords[j][i] for j in range(d + 1))
-                            for i in range(d)
-                        )
-                    keys.append(key)
+                keys = [node_key(verts, alpha) for alpha in low.monos]
+                for key, alpha in zip(keys, low.monos):
                     if any(alpha[jf] == 0 for jf in banned_locals):
                         banned_keys.add(key)
                 member_keys.append(keys)
@@ -279,7 +275,7 @@ class Operators:
                     if pid is None:
                         pid = dof_index[key] = len(dof_index)
                     local_ids.append(pid)
-                rows.append((sid, local_j, local_ids, space.cell_dofs(sid)))
+                rows.append((sid, local_j, local_ids, space.cell_dofs(sid).tolist()))
             m_patch = len(dof_index)
             if m_patch == 0:
                 continue
@@ -403,28 +399,30 @@ class Operators:
             raise ProjectionError("ElementwisePoly must live on the operator mesh")
         deg = self.space.degree + u.degree()
         pts, wts, basis = self._quad(deg)
-        out = np.zeros(self.space.n_dofs)
-        for sid in u.support():
-            vals = u.values(sid, pts)
-            contrib = float(self.mesh.volume(sid)) * (basis.T * wts) @ vals
-            for local, g in enumerate(self.space.cell_dofs(sid)):
-                if g >= 0:
-                    out[g] += contrib[local]
-        return out
+        sids = u.support()
+        contribs = [float(self.mesh.volume(sid)) * (basis.T * wts) @ u.values(sid, pts) for sid in sids]
+        return self._scatter_vector(sids, contribs)
 
     def _rhs_callable(self, u: Callable, quad_degree: int | None) -> np.ndarray:
         deg = quad_degree if quad_degree is not None else 2 * self.space.degree + 2
         pts, wts, basis = self._quad(deg)
-        out = np.zeros(self.space.n_dofs)
+        contribs = []
         for sid in self.space.element_ids:
             verts = self.mesh.simplices[sid].vertices
             vcoords = np.array([[float(x) for x in self.mesh.coords[v]] for v in verts])
             phys = pts @ vcoords
             vals = np.array([u(x) for x in phys])
-            contrib = float(self.mesh.volume(sid)) * (basis.T * wts) @ vals
-            for local, g in enumerate(self.space.cell_dofs(sid)):
-                if g >= 0:
-                    out[g] += contrib[local]
+            contribs.append(float(self.mesh.volume(sid)) * (basis.T * wts) @ vals)
+        return self._scatter_vector(self.space.element_ids, contribs)
+
+    def _scatter_vector(self, element_ids: Sequence[int], contribs: Sequence[np.ndarray]) -> np.ndarray:
+        """Sum per-element moment vectors into the global vector, element by
+        element (np.add.at applies repeated indices in order)."""
+        dofs = self.space.dof_rows(element_ids)
+        local = np.array(contribs).reshape(dofs.shape)
+        keep = dofs >= 0
+        out = np.zeros(self.space.n_dofs)
+        np.add.at(out, dofs[keep], local[keep])
         return out
 
     def _rhs_refined(self, u: FeFunction) -> np.ndarray:
@@ -544,31 +542,7 @@ class Operators:
 
     def masked_mass(self, element_ids: Iterable[int]) -> sp.csr_matrix:
         """Mass restricted to integration over a collection of elements."""
-        if isinstance(self.space, CRSpace):
-            local = np.array([[float(x) for x in row] for row in _cr_local_mass_f(self.dim)])
-        else:
-            local = np.array([[float(x) for x in row] for row in self.space.ref.nodal_mass])
-        n = self.space.n_dofs
-        rows, cols, vals = [], [], []
-        for sid in element_ids:
-            dofs = self.space.cell_dofs(sid)
-            vol = float(self.mesh.volume(sid))
-            for a, ga in enumerate(dofs):
-                if ga < 0:
-                    continue
-                for b, gb in enumerate(dofs):
-                    if gb >= 0:
-                        rows.append(ga)
-                        cols.append(gb)
-                        vals.append(vol * local[a, b])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-@lru_cache(maxsize=None)
-def _cr_local_mass_f(dim: int):
-    from .polyspace import cr_local_mass
-
-    return tuple(tuple(row) for row in cr_local_mass(dim))
+        return self.space.element_mass(element_ids)
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -630,7 +604,7 @@ class TwoMeshLink:
         fine_is_cr = isinstance(self.fine, CRSpace)
         coarse_is_cr = isinstance(self.coarse, CRSpace)
         fine_vals = _cr_values_at(pts, d) if fine_is_cr else _nodal_values_at_quad(d, self.fine.degree, deg)
-        rows, cols, vals = [], [], []
+        blocks = []
         for sid in self.fine.element_ids:
             bmap = self.barycentric_map(sid)
             cbary = pts @ bmap.T
@@ -638,29 +612,11 @@ class TwoMeshLink:
                 cvals = _cr_values_at(cbary, d)
             else:
                 cvals = _lagrange_values(self.coarse.ref, cbary)
-            block = float(self.fine.mesh.volume(sid)) * (cvals.T * wts) @ fine_vals
-            cdofs = self.coarse.cell_dofs(self.ancestors[sid])
-            fdofs = self.fine.cell_dofs(sid)
-            for a_loc, ga in enumerate(cdofs):
-                if ga < 0:
-                    continue
-                for b_loc, gb in enumerate(fdofs):
-                    if gb >= 0:
-                        rows.append(ga)
-                        cols.append(gb)
-                        vals.append(block[a_loc, b_loc])
-        self._mixed = sp.csr_matrix((vals, (rows, cols)), shape=(self.coarse.n_dofs, self.fine.n_dofs))
+            blocks.append(float(self.fine.mesh.volume(sid)) * (cvals.T * wts) @ fine_vals)
+        coarse_dofs = self.coarse.dof_rows([self.ancestors[sid] for sid in self.fine.element_ids])
+        shape = (self.coarse.n_dofs, self.fine.n_dofs)
+        self._mixed = scatter_matrix(coarse_dofs, self.fine.dofs, np.array(blocks), shape)
         return self._mixed
-
-
-def _lagrange_values(ref, bary: np.ndarray) -> np.ndarray:
-    vinv = np.array([[float(x) for x in row] for row in ref.vandermonde_inv])
-    mono_vals = np.ones((len(bary), ref.n))
-    for col, mono in enumerate(ref.monos):
-        for j, e in enumerate(mono):
-            if e:
-                mono_vals[:, col] *= bary[:, j] ** e
-    return mono_vals @ vinv
 
 
 # -- iteration toward the projection ----------------------------------------------------------
@@ -815,32 +771,13 @@ def write_decay_tsv(path, rows: Sequence[DecayMeasurement], header_lines: Sequen
 
 def weighted_mass(space, weights: dict[int, float]) -> sp.csr_matrix:
     """Mass matrix with a constant multiplier per element (e.g. rho^2)."""
-    if isinstance(space, CRSpace):
-        local = np.array([[float(x) for x in row] for row in _cr_local_mass_f(space.mesh.dim)])
-    else:
-        local = np.array([[float(x) for x in row] for row in space.ref.nodal_mass])
-    n = space.n_dofs
-    rows, cols, vals = [], [], []
-    for sid in space.element_ids:
-        w = weights[sid]
-        if w == 0:
-            continue
-        dofs = space.cell_dofs(sid)
-        vol = float(space.mesh.volume(sid)) * w
-        for a, ga in enumerate(dofs):
-            if ga < 0:
-                continue
-            for b, gb in enumerate(dofs):
-                if gb >= 0:
-                    rows.append(ga)
-                    cols.append(gb)
-                    vals.append(vol * local[a, b])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return space.element_mass([sid for sid in space.element_ids if weights[sid] != 0], weights)
 
 
 @lru_cache(maxsize=None)
 def _grad_product_table(dim: int, degree: int):
-    """Exact tensor W[j][l][a][b] = mean of (d N_a / d lambda_j)(d N_b / d lambda_l)."""
+    """Tensor W[j, l, a, b] = mean of (d N_a / d lambda_j)(d N_b / d lambda_l),
+    integrated exactly and returned in floating point (read-only)."""
     ref = reference_element(dim, degree)
     polys = [ref.nodal_poly(a) for a in range(ref.n)]
     partials = []
@@ -854,13 +791,14 @@ def _grad_product_table(dim: int, degree: int):
                     coeffs[key] = coeffs.get(key, 0) + c * mono[j]
             row.append(BarycentricPoly(dim, coeffs))
         partials.append(row)
-    table = [
+    table = np.array([
         [
-            [[(partials[a][j] * partials[b][l]).integral(Fraction(1)) for b in range(ref.n)] for a in range(ref.n)]
+            [[float((partials[a][j] * partials[b][l]).integral(Fraction(1))) for b in range(ref.n)] for a in range(ref.n)]
             for l in range(dim + 1)
         ]
         for j in range(dim + 1)
-    ]
+    ])
+    table.setflags(write=False)
     return table
 
 
@@ -880,36 +818,16 @@ def barycentric_gradients(mesh: SimplicialMesh, sid: int) -> np.ndarray:
 def weighted_stiffness(space, weights: dict[int, float]) -> sp.csr_matrix:
     """Broken weighted stiffness: sum_T w_T int_T grad u . grad v."""
     dim = space.mesh.dim
+    sids = space.element_ids
+    scale = np.array([float(space.mesh.volume(sid)) * weights[sid] for sid in sids])
+    gdot = np.array([g @ g.T for g in (barycentric_gradients(space.mesh, sid) for sid in sids)])
     if isinstance(space, CRSpace):
-        n_loc = dim + 1
-        tab = None
+        blocks = ((dim * dim) * scale)[:, None, None] * gdot  # grad psi_j = -d grad lambda_j
     else:
         tab = _grad_product_table(dim, space.degree)
-        n_loc = space.ref.n
-    n = space.n_dofs
-    rows, cols, vals = [], [], []
-    for sid in space.element_ids:
-        w = weights[sid]
-        grads = barycentric_gradients(space.mesh, sid)
-        gdot = grads @ grads.T
-        vol = float(space.mesh.volume(sid)) * w
-        if isinstance(space, CRSpace):
-            local = (dim * dim) * vol * gdot  # grad psi_j = -d grad lambda_j
-        else:
-            local = np.zeros((n_loc, n_loc))
-            for j in range(dim + 1):
-                for l in range(dim + 1):
-                    if gdot[j, l] != 0:
-                        local += vol * gdot[j, l] * np.array(
-                            [[float(tab[j][l][a][b]) for b in range(n_loc)] for a in range(n_loc)]
-                        )
-        dofs = space.cell_dofs(sid)
-        for a, ga in enumerate(dofs):
-            if ga < 0:
-                continue
-            for b, gb in enumerate(dofs):
-                if gb >= 0:
-                    rows.append(ga)
-                    cols.append(gb)
-                    vals.append(local[a, b])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        blocks = np.zeros((len(sids),) + tab.shape[2:])
+        for j in range(dim + 1):
+            for l in range(dim + 1):
+                # a zero gdot term adds +-0.0 and leaves every sum bit-identical
+                blocks += (scale * gdot[:, j, l])[:, None, None] * tab[j, l]
+    return scatter_matrix(space.dofs, space.dofs, blocks, (space.n_dofs, space.n_dofs))

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from gradedproj.cli import main, round4, thread_cap
+from gradedproj.cli import main, round4
 
 
 def run(tmp_path, *argv):
@@ -198,26 +198,50 @@ def test_tolerance_overrides(tmp_path):
                "--tolerance", "nope=1", "--out", "x") == 3
 
 
-def test_gp_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("GP_THREADS", "1")
-    assert thread_cap() == 1
-    code = run(tmp_path, "decay", "--dim", "2", "--degree", "1", "--rounds", "3",
-               "--policy", "corner", "--trials", "1", "--out", "dthr")
-    assert code == 0
-    monkeypatch.setenv("GP_THREADS", "zebra")
-    assert run(tmp_path, "decay", "--dim", "2", "--degree", "1", "--rounds", "2",
-               "--policy", "corner", "--trials", "1", "--out", "dz") == 3
-
-
-def test_decay_deterministic_across_thread_counts(tmp_path, monkeypatch):
+def test_decay_byte_identical(tmp_path):
     argv = ["decay", "--dim", "2", "--degree", "1", "--rounds", "4",
             "--policy", "corner", "--trials", "2", "--out", "dd"]
-    monkeypatch.setenv("GP_THREADS", "1")
-    run(tmp_path, *argv)
+    assert run(tmp_path, *argv) == 0
     first = (tmp_path / "dd" / "decay.tsv").read_bytes()
-    monkeypatch.setenv("GP_THREADS", "4")
-    run(tmp_path, *argv)
+    assert run(tmp_path, *argv) == 0
     assert (tmp_path / "dd" / "decay.tsv").read_bytes() == first
+
+
+def _mesh_file(vertices, simplices, gamma_faces=(), dim=2):
+    return {
+        "version": 1,
+        "dim": dim,
+        "vertices": [[[x, 0] for x in c] for c in vertices],
+        "simplices": [{"v": list(v), "tag": tag, "level": 0} for v, tag in simplices],
+        "gamma_faces": [list(f) for f in gamma_faces],
+    }
+
+
+_TRIANGLE = [(0, 0), (1, 0), (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _mesh_file(_TRIANGLE, [((0, 1, 3), 2)]),  # vertex index out of range
+        _mesh_file(_TRIANGLE, [((0, 1, 2), 9)]),  # tag outside 1..d
+        _mesh_file(_TRIANGLE, []),  # no simplices
+        _mesh_file(_TRIANGLE, [((0, 1, 2), 2)], gamma_faces=[(0, 5)]),  # gamma face names a missing vertex
+        _mesh_file(_TRIANGLE + [(1, 1), (0, -1)], [((0, 1, 2), 2), ((0, 1, 3), 2), ((0, 1, 4), 2)]),  # edge in three triangles
+        _mesh_file([(0, 0), (2, 0), (0, 2), (1, 0), (0, -1)], [((0, 1, 2), 2), ((0, 3, 4), 2)]),  # hanging vertex
+        _mesh_file(_TRIANGLE + [(0, 0)], [((0, 1, 2), 2)]),  # repeated vertex
+        {"version": 1, "dim": 2, "vertices": [[[0, -1], [0, 0]]], "simplices": []},  # negative exponent
+        {"version": 1, "dim": 2, "vertices": []},  # no simplices key
+        [],  # not a mesh object
+    ],
+    ids=["vertex-range", "tag", "empty", "gamma-vertex", "face-owners", "hanging", "repeat", "exponent", "keys", "list"],
+)
+def test_malformed_mesh_exits_3(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(tmp_path, "certify", "--mesh", str(path), "--degree", "1", "--out", "x") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
 
 
 def test_cr_rejects_zero_trace(tmp_path):

@@ -1,0 +1,270 @@
+"""Differential tests of the topological dof map and the scatter assembly
+kernel against the coordinate-keyed numbering and the element-by-element
+COO loops they replaced.  The kernel reproduces the loops' triplet order and
+float operations, so every comparison is exact (array for array), not to a
+tolerance."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from gradedproj.mesh import SimplicialMesh, kuhn_initial_mesh
+from gradedproj.polyspace import CRSpace, LagrangeSpace, cr_local_mass, simplex_quadrature
+from gradedproj.projection import (
+    ElementwisePoly,
+    Operators,
+    TwoMeshLink,
+    _cr_values_at,
+    _grad_product_table,
+    _lagrange_values,
+    _random_poly,
+    barycentric_gradients,
+    weighted_mass,
+    weighted_stiffness,
+)
+from conftest import randomly_refined
+
+# -- the replaced implementations, kept as oracles --------------------------------
+
+
+def coordinate_keyed_dofs(mesh, degree, zero_trace):
+    """Lagrange numbering that glues nodes by their exact rational coordinates:
+    returns (n_dofs, node_coords, {sid: dofs})."""
+    from gradedproj.polyspace import reference_element
+
+    ref, K = reference_element(mesh.dim, degree), degree
+    node_ids, coords, on_gamma, cell_nodes = {}, [], set(), {}
+    gamma = mesh.gamma_faces if zero_trace else set()
+    for sid in mesh.active_ids():
+        verts = mesh.simplices[sid].vertices
+        vcoords = [mesh.coords[v] for v in verts]
+        gamma_locals = []
+        if gamma:
+            vset = set(verts)
+            gamma_locals = [j for j, drop in enumerate(verts) if frozenset(vset - {drop}) in gamma]
+        locs = []
+        for alpha in ref.monos:
+            coord = tuple(
+                sum(Fraction(alpha[j], K) * vcoords[j][i] for j in range(len(verts))) for i in range(mesh.dim)
+            )
+            nid = node_ids.get(coord)
+            if nid is None:
+                nid = node_ids[coord] = len(coords)
+                coords.append(coord)
+            locs.append(nid)
+            if any(alpha[j] == 0 for j in gamma_locals):
+                on_gamma.add(nid)
+        cell_nodes[sid] = locs
+    keep = [i for i in range(len(coords)) if i not in on_gamma]
+    remap = {old: new for new, old in enumerate(keep)}
+    cells = {sid: [remap.get(n, -1) for n in locs] for sid, locs in cell_nodes.items()}
+    return len(keep), [coords[i] for i in keep], cells
+
+
+def _local_mass(space):
+    exact = cr_local_mass(space.mesh.dim) if isinstance(space, CRSpace) else space.ref.nodal_mass
+    return np.array([[float(x) for x in row] for row in exact])
+
+
+def loop_mass(space, element_ids, weights=None):
+    """The mass, masked-mass and weighted-mass loop (elements of weight 0 skipped)."""
+    local = _local_mass(space)
+    rows, cols, vals = [], [], []
+    for sid in element_ids:
+        vol = float(space.mesh.volume(sid))
+        if weights is not None:
+            if weights[sid] == 0:
+                continue
+            vol = vol * weights[sid]
+        dofs = space.cell_dofs(sid).tolist()
+        for a, ga in enumerate(dofs):
+            if ga < 0:
+                continue
+            for b, gb in enumerate(dofs):
+                if gb >= 0:
+                    rows.append(ga)
+                    cols.append(gb)
+                    vals.append(vol * local[a, b])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(space.n_dofs, space.n_dofs))
+
+
+def loop_weighted_stiffness(space, weights):
+    dim = space.mesh.dim
+    rows, cols, vals = [], [], []
+    for sid in space.element_ids:
+        grads = barycentric_gradients(space.mesh, sid)
+        gdot = grads @ grads.T
+        vol = float(space.mesh.volume(sid)) * weights[sid]
+        if isinstance(space, CRSpace):
+            local = (dim * dim) * vol * gdot
+        else:
+            tab = _grad_product_table(dim, space.degree)
+            local = np.zeros((space.ref.n, space.ref.n))
+            for j in range(dim + 1):
+                for l in range(dim + 1):
+                    if gdot[j, l] != 0:
+                        local += vol * gdot[j, l] * np.array(tab[j][l])
+        dofs = space.cell_dofs(sid).tolist()
+        for a, ga in enumerate(dofs):
+            if ga < 0:
+                continue
+            for b, gb in enumerate(dofs):
+                if gb >= 0:
+                    rows.append(ga)
+                    cols.append(gb)
+                    vals.append(local[a, b])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(space.n_dofs, space.n_dofs))
+
+
+def loop_mixed_mass(link):
+    coarse, fine = link.coarse, link.fine
+    d = coarse.mesh.dim
+    deg = coarse.degree + fine.degree
+    pts, wts = simplex_quadrature(d, deg)
+    fine_vals = _cr_values_at(pts, d) if isinstance(fine, CRSpace) else _lagrange_values(fine.ref, pts)
+    rows, cols, vals = [], [], []
+    for sid in fine.element_ids:
+        cbary = pts @ link.barycentric_map(sid).T
+        cvals = _cr_values_at(cbary, d) if isinstance(coarse, CRSpace) else _lagrange_values(coarse.ref, cbary)
+        block = float(fine.mesh.volume(sid)) * (cvals.T * wts) @ fine_vals
+        for a_loc, ga in enumerate(coarse.cell_dofs(link.ancestors[sid]).tolist()):
+            if ga < 0:
+                continue
+            for b_loc, gb in enumerate(fine.cell_dofs(sid).tolist()):
+                if gb >= 0:
+                    rows.append(ga)
+                    cols.append(gb)
+                    vals.append(block[a_loc, b_loc])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(coarse.n_dofs, fine.n_dofs))
+
+
+def loop_rhs(ops, element_ids, contrib):
+    out = np.zeros(ops.space.n_dofs)
+    for sid in element_ids:
+        c = contrib(sid)
+        for local, g in enumerate(ops.space.cell_dofs(sid).tolist()):
+            if g >= 0:
+                out[g] += c[local]
+    return out
+
+
+def assert_same_csr(got, want):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+# -- meshes ------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def meshes():
+    return {
+        2: randomly_refined(2, 5, seed=3),
+        3: randomly_refined(3, 2, seed=5, fraction=0.2),
+        4: randomly_refined(4, 1, seed=2, fraction=0.1),
+    }
+
+
+def _shuffled(mesh, seed):
+    """The same mesh with each simplex's vertices in random order, so that
+    neighbours disagree on the local order of their shared vertices (meshes
+    made by bisection of the Kuhn mesh never do)."""
+    rng = np.random.default_rng(seed)
+    data = mesh.to_json_dict()
+    for cell in data["simplices"]:
+        cell["v"] = [int(v) for v in rng.permutation(cell["v"])]
+    return SimplicialMesh.from_json_dict(data)
+
+
+def _space(mesh, kind):
+    if kind == "CR":
+        return CRSpace(mesh)
+    return LagrangeSpace(mesh, int(kind[1]), zero_trace=kind.endswith("z"))
+
+
+# -- dof numbering ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "dim,degree",
+    [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)],
+)
+@pytest.mark.parametrize("zero_trace", [False, True])
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_vertex_keyed_dofs_match_coordinate_keys(meshes, dim, degree, zero_trace, shuffle):
+    mesh = _shuffled(meshes[dim], seed=dim) if shuffle else meshes[dim]
+    space = LagrangeSpace(mesh, degree, zero_trace=zero_trace)
+    n_dofs, node_coords, cells = coordinate_keyed_dofs(mesh, degree, zero_trace)
+    assert space.n_dofs == n_dofs
+    assert space.node_coords == node_coords
+    assert space.element_ids == sorted(cells)
+    assert all(space.cell_dofs(sid).tolist() == cells[sid] for sid in space.element_ids)
+    assert space.dofs.shape == (mesh.n_active, space.ref.n) and not space.dofs.flags.writeable
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_patch_keys_on_shuffled_mesh_match_exact_oracle(degree):
+    # patch dofs are keyed by vertex ids too; the all-Fraction oracle keys them by coordinates
+    from test_projection import _exact_operator_matrices
+
+    mesh = kuhn_initial_mesh(2, 1)
+    mesh.refine_closure([mesh.active_ids()[0]])
+    space = LagrangeSpace(_shuffled(mesh, seed=degree), degree)
+    ops = Operators(space)
+    form_x, apply_x = _exact_operator_matrices(space)
+    assert np.abs(ops.form_matrix.toarray() - np.array(form_x, dtype=float)).max() < 1e-14
+    assert np.abs(ops.apply_matrix.toarray() - np.array(apply_x, dtype=float)).max() < 1e-14
+
+
+# -- global matrices -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ["P1", "P2", "P3", "CR", "P2z"])
+def test_kernel_matrices_match_element_loops(meshes, dim, kind):
+    mesh = meshes[dim]
+    space = _space(mesh, kind)
+    rng = np.random.default_rng(dim)
+    ids = space.element_ids
+    subset = [sid for sid in ids if rng.random() < 0.4]
+    weights = {sid: float(rng.choice([0.0, 0.5, 3.0])) for sid in ids}
+    assert_same_csr(space.mass_matrix(), loop_mass(space, ids))
+    assert_same_csr(space.element_mass(subset), loop_mass(space, subset))
+    assert_same_csr(weighted_mass(space, weights), loop_mass(space, ids, weights))
+    assert_same_csr(weighted_stiffness(space, weights), loop_weighted_stiffness(space, weights))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kinds", [("P1", "P1"), ("P2", "P1"), ("P1z", "P2"), ("CR", "CR"), ("P1", "CR")])
+def test_mixed_mass_matches_element_loop(meshes, dim, kinds):
+    coarse = meshes[dim]
+    fine = coarse.copy()
+    fine.refine_lg(fine.active_ids()[::3], 1)
+    link = TwoMeshLink(_space(coarse, kinds[0]), _space(fine, kinds[1]))
+    assert_same_csr(link.mixed_mass(), loop_mixed_mass(link))
+
+
+@pytest.mark.parametrize("kind", ["P1", "P2z", "CR"])
+def test_rhs_scatter_matches_element_loop(meshes, kind):
+    mesh = meshes[2]
+    ops = Operators(_space(mesh, kind))
+    pts, wts, basis = ops._quad(2 * ops.space.degree + 2)
+
+    def f(x):
+        return np.sin(3 * x[0]) + x[1] ** 2
+
+    def callable_contrib(sid):
+        verts = mesh.simplices[sid].vertices
+        vcoords = np.array([[float(x) for x in mesh.coords[v]] for v in verts])
+        vals = np.array([f(x) for x in pts @ vcoords])
+        return float(mesh.volume(sid)) * (basis.T * wts) @ vals
+
+    assert np.array_equal(ops.rhs(f), loop_rhs(ops, ops.space.element_ids, callable_contrib))
+    u = _random_poly(mesh, mesh.active_ids()[::2], 2, np.random.default_rng(1))
+    pts, wts, basis = ops._quad(ops.space.degree + u.degree())
+    want = loop_rhs(ops, u.support(), lambda sid: float(mesh.volume(sid)) * (basis.T * wts) @ u.values(sid, pts))
+    assert np.array_equal(ops.rhs(u), want)
+    assert np.array_equal(ops.rhs(ElementwisePoly(mesh, {})), np.zeros(ops.space.n_dofs))
