@@ -127,8 +127,9 @@ def write_tsv(path: Path, header: list[str], columns: list[str], rows: list[list
 
 def build_mesh(args) -> SimplicialMesh:
     if getattr(args, "mesh", None):
-        return SimplicialMesh.load(args.mesh)
-    mesh = kuhn_initial_mesh(args.dim, getattr(args, "cells", 1))
+        mesh = SimplicialMesh.load(args.mesh)
+    else:
+        mesh = kuhn_initial_mesh(args.dim, getattr(args, "cells", 1))
     rounds = getattr(args, "rounds", 0)
     if rounds:
         pick = marking_policy(args.policy)
@@ -481,7 +482,7 @@ def _add_mesh_options(p, rounds_default=4):
     p.add_argument("--rounds", type=int, default=rounds_default, help="marking rounds")
     p.add_argument("--alpha", type=int, default=1, help="limited-grading parameter (0: plain closure)")
     p.add_argument("--policy", default="corner", help="marking policy: uniform | corner | random:<fraction>")
-    p.add_argument("--mesh", default=None, help="load a mesh JSON instead of generating one")
+    p.add_argument("--mesh", default=None, help="initial mesh JSON instead of the Kuhn mesh; --rounds refine it")
     p.add_argument("--seed", type=int, default=0, help="seed fixing all randomness")
     p.add_argument("--tolerance", action="append", default=None, metavar="NAME=VALUE",
                    help="override a named tolerance (repeatable)")

@@ -9,9 +9,10 @@ midpoint z of (x_0, x_k) into
     child_2 = (x_1, ..., x_k,     z, x_{k+1}, ..., x_d)
 
 both with tag k-1 (or d when k = 1) and level incremented by one.  Conforming
-closure is a worklist loop that bisects any simplex owning a hanging vertex
-(an existing mesh vertex sitting at one of its edge midpoints) until none
-remain.  The limited-grading variant additionally bisects simplices whose
+closure is a worklist loop that bisects the owners of already-split edges
+(found through an edge -> midpoint vertex id map) until none remain; both
+ways to gain a split edge, creation and a neighbor's bisection, queue the
+simplex.  The limited-grading variant additionally bisects simplices whose
 level lags more than alpha behind a touching neighbor.
 """
 
@@ -80,8 +81,7 @@ class SimplicialMesh:
         self.gamma_faces: set[frozenset[int]] = set()
         self._edge_elems: dict[frozenset[int], set[int]] = {}
         self._volumes: dict[int, Fraction] = {}
-        self._midpoints: dict[frozenset[int], Coord] = {}
-        self.generation = 0
+        self._edge_mid: dict[frozenset[int], int] = {}
         self._next_simplex = 0
 
     # -- basic structure ---------------------------------------------------
@@ -173,8 +173,7 @@ class SimplicialMesh:
         other.gamma_faces = set(self.gamma_faces)
         other._edge_elems = {k: set(v) for k, v in self._edge_elems.items()}
         other._volumes = dict(self._volumes)
-        other._midpoints = dict(self._midpoints)
-        other.generation = self.generation
+        other._edge_mid = dict(self._edge_mid)
         other._next_simplex = self._next_simplex
         return other
 
@@ -196,7 +195,10 @@ class SimplicialMesh:
         k = s.tag
         v = s.vertices
         a, b = v[0], v[k]
-        zid = self.add_vertex(self.midpoint(a, b))
+        key = frozenset((a, b))
+        zid = self._edge_mid.get(key)
+        if zid is None:
+            zid = self._edge_mid[key] = self.add_vertex(_midpoint(self.coords[a], self.coords[b]))
         new_tag = k - 1 if k > 1 else self.dim
         c1 = TaggedSimplex(self._next_simplex, v[:k] + (zid,) + v[k + 1 :], new_tag, s.level + 1, sid)
         c2 = TaggedSimplex(self._next_simplex + 1, v[1 : k + 1] + (zid,) + v[k + 1 :], new_tag, s.level + 1, sid)
@@ -208,7 +210,6 @@ class SimplicialMesh:
         self._register(c2)
         self._volumes[c1.index] = half
         self._volumes[c2.index] = half
-        self.generation += 1
         return c1.index, c2.index, zid
 
     def _split_gamma(self, s: TaggedSimplex, a: int, b: int, zid: int) -> None:
@@ -222,20 +223,12 @@ class SimplicialMesh:
                 self.gamma_faces.add(face - {a} | {zid})
                 self.gamma_faces.add(face - {b} | {zid})
 
-    def midpoint(self, a: int, b: int) -> Coord:
-        key = frozenset((a, b))
-        mid = self._midpoints.get(key)
-        if mid is None:
-            pa, pb = self.coords[a], self.coords[b]
-            mid = self._midpoints[key] = tuple((x + y) / 2 for x, y in zip(pa, pb))
-        return mid
-
     def hanging_edge(self, sid: int) -> tuple[int, int] | None:
-        """First edge of an active simplex whose midpoint already is a mesh vertex."""
-        verts = self.simplices[sid].vertices
-        ids = self._coord_ids
-        for a, b in combinations(verts, 2):
-            if self.midpoint(a, b) in ids:
+        """First already-split edge of a simplex (its midpoint vertex exists);
+        closure bisects the owners of such edges."""
+        split = self._edge_mid
+        for a, b in combinations(self.simplices[sid].vertices, 2):
+            if frozenset((a, b)) in split:
                 return a, b
         return None
 
@@ -252,26 +245,15 @@ class SimplicialMesh:
         for sid in marked:
             self._bisect_and_queue(sid, work)
             budget -= 1
-        sweeps = 0
-        while True:
-            while work:
-                sid = work.popleft()
-                if sid not in self._active:
-                    continue
-                if self.hanging_edge(sid) is None:
-                    continue
-                self._bisect_and_queue(sid, work)
-                budget -= 1
-                if budget < 0:
-                    raise ClosureError("closure iteration cap exceeded; tag configuration invalid")
-            # verification sweep; also the literal cap of the sweep formulation
-            stray = [sid for sid in self.active_ids() if self.hanging_edge(sid) is not None]
-            if not stray:
-                return self
-            sweeps += 1
-            if sweeps > 64 * (self.max_level() + 1):
-                raise ClosureError("closure sweep cap exceeded; tag configuration invalid")
-            work.extend(stray)
+        while work:
+            sid = work.popleft()
+            if sid not in self._active or self.hanging_edge(sid) is None:
+                continue
+            self._bisect_and_queue(sid, work)
+            budget -= 1
+            if budget < 0:
+                raise ClosureError("closure iteration cap exceeded; tag configuration invalid")
+        return self
 
     def _bisect_and_queue(self, sid: int, work: deque) -> None:
         a, b = self.refinement_edge(sid)
@@ -435,6 +417,10 @@ def fraction_solve(matrix: Sequence[Sequence], rhs: Sequence[Sequence]) -> tuple
                 factor = m[r][col]
                 m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
     return det, [row[n:] for row in m]
+
+
+def _midpoint(p: Coord, q: Coord) -> Coord:
+    return tuple((x + y) / 2 for x, y in zip(p, q))
 
 
 def _dist2(p: Coord, q: Coord) -> Fraction:
@@ -739,13 +725,16 @@ def closure_benchmark(
 
 
 def hanging_vertex_violations(mesh: SimplicialMesh, limit: int = 1) -> list[tuple[int, tuple[int, int]]]:
-    """Active simplices owning an edge whose midpoint is an existing vertex."""
+    """Coordinate scan: active simplices owning an edge whose exact midpoint is
+    an existing vertex.  Independent of the edge -> midpoint map, so it also
+    validates loaded meshes, whose map starts empty."""
     out = []
     for sid in mesh.active_ids():
-        edge = mesh.hanging_edge(sid)
-        if edge is not None:
-            out.append((sid, edge))
-            if len(out) >= limit:
+        for a, b in combinations(mesh.simplices[sid].vertices, 2):
+            if _midpoint(mesh.coords[a], mesh.coords[b]) in mesh._coord_ids:
+                out.append((sid, (a, b)))
+                if len(out) >= limit:
+                    return out
                 break
     return out
 

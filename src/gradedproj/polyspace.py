@@ -445,7 +445,17 @@ def scatter_matrix(row_dofs: np.ndarray, col_dofs: np.ndarray, blocks: np.ndarra
 def float_local_mass(dim: int, degree) -> np.ndarray:
     """Element mass on the unit-volume simplex in floating point, for Lagrange
     degree K or degree "CR"; read-only, shared by all callers."""
-    exact = cr_local_mass(dim) if degree == "CR" else reference_element(dim, degree).nodal_mass
+    return _readonly_floats(cr_local_mass(dim) if degree == "CR" else reference_element(dim, degree).nodal_mass)
+
+
+@lru_cache(maxsize=None)
+def float_vandermonde_inv(dim: int, degree: int) -> np.ndarray:
+    """Inverse Vandermonde matrix (nodal basis in monomial coefficients) in
+    floating point; read-only, shared by all callers."""
+    return _readonly_floats(reference_element(dim, degree).vandermonde_inv)
+
+
+def _readonly_floats(exact) -> np.ndarray:
     out = np.array([[float(x) for x in row] for row in exact])
     out.setflags(write=False)
     return out

@@ -36,6 +36,7 @@ from .mesh import ElementDistance, SimplicialMesh
 from .polyspace import (
     BarycentricPoly,
     CRSpace,
+    float_vandermonde_inv,
     lambda_nodal_product_table,
     multi_indices,
     node_key,
@@ -145,13 +146,12 @@ def _nodal_values_at_quad(dim: int, degree: int, quad_degree: int) -> np.ndarray
 
 def _lagrange_values(ref, bary: np.ndarray) -> np.ndarray:
     """(n_points, n_nodes) values of the nodal basis of ref at barycentric points."""
-    vinv = np.array([[float(x) for x in row] for row in ref.vandermonde_inv])
     mono_vals = np.ones((len(bary), ref.n))
     for col, mono in enumerate(ref.monos):
         for j, e in enumerate(mono):
             if e:
                 mono_vals[:, col] *= bary[:, j] ** e
-    return mono_vals @ vinv
+    return mono_vals @ float_vandermonde_inv(ref.dim, ref.degree)
 
 
 def _cr_values_at(bary: np.ndarray, dim: int) -> np.ndarray:

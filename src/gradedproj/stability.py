@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .mesh import ElementDistance, GradingError, SimplicialMesh, grading_of, level_gap
-from .polyspace import CRSpace, LagrangeSpace, simplex_quadrature
+from .polyspace import CRSpace, LagrangeSpace, float_vandermonde_inv, simplex_quadrature
 from .projection import (
     FeFunction,
     Operators,
@@ -554,8 +554,7 @@ def _weighted_p_norm(space, coeffs, wvals, p, kind) -> float:
 def _gradient_values(space, sid, loc, pts, grads):
     ref = space.ref
     d = space.mesh.dim
-    vinv = np.array([[float(x) for x in row] for row in ref.vandermonde_inv])
-    mono_coeffs = vinv @ loc  # monomial coefficients of the local function
+    mono_coeffs = float_vandermonde_inv(ref.dim, ref.degree) @ loc  # monomial coefficients of the local function
     out = np.zeros((len(pts), d))
     for col, mono in enumerate(ref.monos):
         c = mono_coeffs[col]

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gradedproj.mesh import kuhn_initial_mesh
+
+# property tests without their own settings: same examples on every run, no
+# per-example time limit (the suite shares slow hosts)
+settings.register_profile("deterministic", derandomize=True, deadline=None, max_examples=40)
+settings.load_profile("deterministic")
 
 
 def randomly_refined(dim, rounds, alpha=1, seed=0, fraction=0.3, cells=1):

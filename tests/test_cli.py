@@ -115,6 +115,20 @@ def test_mesh_roundtrip_through_cli(tmp_path):
     assert code == 0
 
 
+def test_mesh_file_is_refined_by_rounds(tmp_path):
+    # --mesh replaces the initial Kuhn mesh; --rounds and --policy refine it
+    run(tmp_path, "refine", "--rounds", "4", "--policy", "random:0.4", "--seed", "2", "--out", "m")
+    mesh = str(tmp_path / "m" / "mesh.json")
+    dofs = {}
+    for rounds in ("0", "3"):
+        assert run(tmp_path, "certify", "--mesh", mesh, "--rounds", rounds, "--policy", "uniform",
+                   "--degree", "1", "--out", "c" + rounds) == 0
+        cert = json.loads((tmp_path / ("c" + rounds) / "certificate.json").read_text())
+        assert cert["meta"]["config"]["rounds"] == int(rounds)
+        dofs[rounds] = cert["n_dofs"]
+    assert dofs["3"] > dofs["0"]
+
+
 def test_stability_command(tmp_path):
     code = run(tmp_path, "stability", "--dim", "2", "--degree", "1", "--gamma-h", "2",
                "--kind", "W1p", "--p", "3", "--out", "s")

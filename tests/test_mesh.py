@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedproj.mesh import (
+    ClosureError,
     GradingError,
     MeshError,
     SimplicialMesh,
@@ -25,6 +27,62 @@ from gradedproj.mesh import (
     similarity_classes,
 )
 from conftest import randomly_refined
+
+
+class CoordinateClosureMesh(SimplicialMesh):
+    """Reference closure without the edge -> midpoint map: a simplex hangs
+    when the exact midpoint of one of its edges is a vertex (Fraction
+    coordinates hashed), and every worklist pass ends with a sweep over all
+    active simplices.  strays counts the simplices a sweep found, i.e. those
+    the worklist missed."""
+
+    strays = 0
+
+    @classmethod
+    def of(cls, mesh: SimplicialMesh) -> "CoordinateClosureMesh":
+        other = mesh.copy()
+        other.__class__ = cls
+        return other
+
+    def midpoint(self, a, b):
+        return tuple((x + y) / 2 for x, y in zip(self.coords[a], self.coords[b]))
+
+    def hanging_edge(self, sid):
+        for a, b in itertools.combinations(self.simplices[sid].vertices, 2):
+            if self.midpoint(a, b) in self._coord_ids:
+                return a, b
+        return None
+
+    def refine_closure(self, marked):
+        marked = sorted(set(marked))
+        for sid in marked:
+            if sid not in self._active:
+                raise MeshError(f"marked simplex {sid} is not active")
+        budget = 64 * (self.max_level() + self.dim + 1) * (self.n_active + len(marked) + 1)
+        work = deque()
+        for sid in marked:
+            self._bisect_and_queue(sid, work)
+            budget -= 1
+        sweeps = 0
+        while True:
+            while work:
+                sid = work.popleft()
+                if sid not in self._active:
+                    continue
+                if self.hanging_edge(sid) is None:
+                    continue
+                self._bisect_and_queue(sid, work)
+                budget -= 1
+                if budget < 0:
+                    raise ClosureError("closure iteration cap exceeded; tag configuration invalid")
+            stray = [sid for sid in self.active_ids() if self.hanging_edge(sid) is not None]
+            if not stray:
+                return self
+            self.strays += len(stray)
+            sweeps += 1
+            if sweeps > 64 * (self.max_level() + 1):
+                raise ClosureError("closure sweep cap exceeded; tag configuration invalid")
+            work.extend(stray)
 
 
 def test_kuhn_counts():
@@ -119,8 +177,6 @@ def _brute_force_minimal_closure(mesh, marked, max_depth=8, max_states=60_000):
     """Breadth-first search over arbitrary bisection sequences: the smallest
     conforming mesh in which every marked simplex is bisected.  Independent of
     the closure routine (no hanging-vertex pruning)."""
-    from collections import deque
-
     marked_geo = {
         tuple(sorted(mesh.coords[v] for v in mesh.simplices[s].vertices)) for s in marked
     }
@@ -503,3 +559,78 @@ def test_new_simplices_stay_near_marked():
                 gap = math.sqrt(_euclid_dist2(m, target, sid))
                 worst = max(worst, gap * 2.0 ** (level / d))
         assert worst < 40.0, worst
+
+
+def _reload(mesh: SimplicialMesh, cls=SimplicialMesh) -> SimplicialMesh:
+    return cls.from_json_dict(json.loads(json.dumps(mesh.to_json_dict())))
+
+
+@pytest.mark.parametrize("policy", ["random-count:3", "random:0.3", "corner"])
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_closure_matches_coordinate_oracle(dim, alpha, policy):
+    # plain closure (alpha 0) and BiSecLG(alpha): the edge-map closure gives
+    # the same mesh, vertex ids and simplex order as the coordinate-hashed,
+    # sweeping closure, also after a JSON round trip empties the edge map
+    target = {2: 400, 3: 400, 4: 300}[dim]
+    ours = kuhn_initial_mesh(dim, 1)
+    oracle = CoordinateClosureMesh.of(ours)
+    pick = marking_policy(policy)
+    rng_ours = np.random.default_rng(100 * dim + alpha)
+    rng_oracle = np.random.default_rng(100 * dim + alpha)
+    for round_ in range(30):
+        if ours.n_active >= target:
+            break
+        if round_ == 3:
+            ours, oracle = _reload(ours), _reload(oracle, CoordinateClosureMesh)
+            assert not ours._edge_mid
+        for mesh, rng in ((ours, rng_ours), (oracle, rng_oracle)):
+            marked = pick(mesh, rng)
+            if alpha:
+                mesh.refine_lg(marked, alpha)
+            else:
+                mesh.refine_closure(marked)
+        assert ours.to_json_dict() == oracle.to_json_dict()
+        assert hanging_vertex_violations(ours, limit=10**9) == []
+        assert oracle.strays == 0
+    assert round_ > 3
+
+
+def test_hanging_checker_reads_coordinates():
+    # a bisection without closure leaves a hanging vertex that both the edge
+    # map and the coordinate scan see; a reload forgets the map, not the scan
+    m = kuhn_initial_mesh(2, 1)
+    a, b = m.active_ids()
+    m.bisect(a)
+    assert m.hanging_edge(b) is not None
+    found = hanging_vertex_violations(m, limit=10**9)
+    assert [sid for sid, _ in found] == [b]
+    m._edge_mid.clear()
+    assert m.hanging_edge(b) is None
+    assert hanging_vertex_violations(m, limit=10**9) == found
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@given(
+    alpha=st.sampled_from([1, 2]),
+    rounds=st.lists(st.tuples(st.integers(1, 8), st.integers(0, 2**16)), min_size=1, max_size=10),
+)
+def test_random_marking_properties(dim, alpha, rounds):
+    # BiSecLG(alpha) marking `count` random simplices per round, until the
+    # mesh has a few hundred simplices (the geometric scan is O(V * N), and
+    # costly in d=4): limited grading and exact volume after every round,
+    # then conformity and a byte-identical JSON round trip
+    m = kuhn_initial_mesh(dim, 1)
+    volume = m.total_volume()
+    for count, seed in rounds:
+        if m.n_active > {2: 200, 3: 200, 4: 100}[dim]:
+            break
+        ids = m.active_ids()
+        m.refine_lg(np.random.default_rng(seed).choice(ids, size=min(count, len(ids)), replace=False).tolist(), alpha)
+        assert m.lg_violation(alpha) is None
+        assert m.total_volume() == volume
+    assert not conformity_violations(m)
+    text = json.dumps(m.to_json_dict(), sort_keys=True)
+    loaded = SimplicialMesh.from_json_dict(json.loads(text))
+    assert json.dumps(loaded.to_json_dict(), sort_keys=True) == text
+    assert loaded.total_volume() == volume  # recomputed from coordinates
