@@ -195,13 +195,9 @@ def cmd_refine(args) -> int:
     write_tsv(out_dir / "grading_report.tsv", tsv_header_lines(cfg), ["key", "value"], rows)
     write_element_report(mesh, out_dir / "elements.tsv")
 
-    if args.alpha > 0:
-        if mesh.lg_violation(args.alpha) is not None:
-            print("limited grading violated after refinement", file=sys.stderr)
-            return 2
-        if gap_v > args.alpha:
-            print(f"vertex level gap {gap_v} exceeds alpha={args.alpha}", file=sys.stderr)
-            return 2
+    if args.alpha > 0 and gap_v > args.alpha:
+        print(f"vertex level gap {gap_v} exceeds alpha={args.alpha}", file=sys.stderr)
+        return 2
     print(f"wrote {out_dir}/mesh.json ({mesh.n_active} elements, gamma_h={2.0**(gap_v/mesh.dim):.4f})")
     return 0
 

@@ -14,6 +14,16 @@ closure is a worklist loop that bisects the owners of already-split edges
 ways to gain a split edge, creation and a neighbor's bisection, queue the
 simplex.  The limited-grading variant additionally bisects simplices whose
 level lags more than alpha behind a touching neighbor.
+
+The mesh keeps one incidence map, the star of each vertex (the active
+simplices containing it): the owners of a split edge (a, b) are the
+intersection of the stars of a and b, and touching simplices are those in a
+common star.  After each closure round the limited-grading loop reads only
+the stars of the simplices that round created.  That is enough: the mesh is
+limited-graded on entry (checked by a full scan), and a steep pair of two
+older simplices would have been steep before the round, so its lagging
+member was marked and bisected in it; every steep star thus holds a new
+simplex.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,7 +89,7 @@ class SimplicialMesh:
         self.simplices: dict[int, TaggedSimplex] = {}
         self._active: set[int] = set()
         self.gamma_faces: set[frozenset[int]] = set()
-        self._edge_elems: dict[frozenset[int], set[int]] = {}
+        self._stars: list[set[int]] = []  # vertex id -> active simplices containing it
         self._volumes: dict[int, Fraction] = {}
         self._edge_mid: dict[frozenset[int], int] = {}
         self._next_simplex = 0
@@ -92,6 +102,7 @@ class SimplicialMesh:
             vid = len(self.coords)
             self.coords.append(coord)
             self._coord_ids[coord] = vid
+            self._stars.append(set())
         return vid
 
     def active_ids(self) -> list[int]:
@@ -146,20 +157,15 @@ class SimplicialMesh:
     def _register(self, simplex: TaggedSimplex) -> None:
         self.simplices[simplex.index] = simplex
         self._active.add(simplex.index)
-        for edge in combinations(simplex.vertices, 2):
-            self._edge_elems.setdefault(frozenset(edge), set()).add(simplex.index)
+        for v in simplex.vertices:
+            self._stars[v].add(simplex.index)
 
     def _deactivate(self, sid: int) -> None:
         simplex = self.simplices[sid]
         simplex.active = False
         self._active.discard(sid)
-        for edge in combinations(simplex.vertices, 2):
-            key = frozenset(edge)
-            owners = self._edge_elems.get(key)
-            if owners is not None:
-                owners.discard(sid)
-                if not owners:
-                    del self._edge_elems[key]
+        for v in simplex.vertices:
+            self._stars[v].discard(sid)
 
     def copy(self) -> "SimplicialMesh":
         other = SimplicialMesh(self.dim)
@@ -171,7 +177,7 @@ class SimplicialMesh:
         }
         other._active = set(self._active)
         other.gamma_faces = set(self.gamma_faces)
-        other._edge_elems = {k: set(v) for k, v in self._edge_elems.items()}
+        other._stars = [set(star) for star in self._stars]
         other._volumes = dict(self._volumes)
         other._edge_mid = dict(self._edge_mid)
         other._next_simplex = self._next_simplex
@@ -261,9 +267,7 @@ class SimplicialMesh:
         work.append(c1)
         work.append(c2)
         # every remaining owner of the split edge now has a hanging vertex
-        owners = self._edge_elems.get(frozenset((a, b)))
-        if owners:
-            work.extend(sorted(owners))
+        work.extend(sorted(self._stars[a] & self._stars[b]))
 
     def refine_uniform(self, sweeps: int = 1) -> "SimplicialMesh":
         for _ in range(sweeps):
@@ -272,20 +276,24 @@ class SimplicialMesh:
 
     # -- limited grading ---------------------------------------------------
 
-    def vertex_stars(self) -> dict[int, list[int]]:
-        stars: dict[int, list[int]] = {}
-        for sid in self.active_ids():
-            for v in self.simplices[sid].vertices:
-                stars.setdefault(v, []).append(sid)
-        return stars
+    def _steep_stars(self, alpha: int, vertices: Iterable[int]) -> Iterator[tuple[int, list[int]]]:
+        """(top, lagging) for each star of the given vertices whose levels span
+        more than alpha: top is its lowest-id member of highest level, lagging
+        its members more than alpha levels below top, in id order."""
+        simplices = self.simplices
+        for v in vertices:
+            star = self._stars[v]
+            top_level = max((simplices[s].level for s in star), default=0)
+            lagging = sorted(s for s in star if simplices[s].level < top_level - alpha)
+            if lagging:
+                yield min(s for s in star if simplices[s].level == top_level), lagging
 
     def lg_violation(self, alpha: int) -> tuple[int, int] | None:
-        """A pair of touching simplices with level gap exceeding alpha, if any."""
-        for star in self.vertex_stars().values():
-            lo = min(star, key=lambda s: self.simplices[s].level)
-            hi = max(star, key=lambda s: self.simplices[s].level)
-            if self.simplices[hi].level - self.simplices[lo].level > alpha:
-                return lo, hi
+        """A pair (lo, hi) of touching simplices with level gap exceeding alpha,
+        if any: from the first steep star in vertex-id order, its lowest-level
+        and its highest-level member (lowest ids on ties)."""
+        for top, lagging in self._steep_stars(alpha, range(len(self._stars))):
+            return min(lagging, key=lambda s: self.simplices[s].level), top
         return None
 
     def refine_lg(self, marked: Iterable[int], alpha: int) -> "SimplicialMesh":
@@ -305,19 +313,13 @@ class SimplicialMesh:
             rounds += 1
             if rounds > max_rounds:
                 raise ClosureError("limited-grading loop exceeded its round bound")
+            first_new = self._next_simplex
             self.refine_closure(current)
-            current = self._lg_marked(alpha)
+            # every steep star now holds a simplex this closure created
+            new = range(first_new, self._next_simplex)
+            touched = {v for sid in new if sid in self._active for v in self.simplices[sid].vertices}
+            current = sorted({s for _, lagging in self._steep_stars(alpha, touched) for s in lagging})
         return self
-
-    def _lg_marked(self, alpha: int) -> list[int]:
-        levels = self.simplices
-        lagging: set[int] = set()
-        for star in self.vertex_stars().values():
-            top = max(levels[s].level for s in star)
-            for s in star:
-                if levels[s].level < top - alpha:
-                    lagging.add(s)
-        return sorted(lagging)
 
     # -- serialization -----------------------------------------------------
 
@@ -375,12 +377,12 @@ class SimplicialMesh:
             mesh._register(TaggedSimplex(mesh._next_simplex, verts, tag, level, None))
             mesh._next_simplex += 1
         owners = face_owners(mesh)
-        crowded = next((face for face, count in owners.items() if count > 2), None)
+        crowded = next((face for face, sids in owners.items() if len(sids) > 2), None)
         if crowded is not None:
             raise MeshError(f"face {sorted(crowded)} is owned by more than two simplices")
         for face in gamma:
             check_ids(face, mesh.dim, "gamma face")
-            if owners.get(frozenset(face)) != 1:
+            if len(owners.get(frozenset(face), ())) != 1:
                 raise MeshError(f"gamma face {list(face)} is not a boundary face of the mesh")
         mesh.gamma_faces = {frozenset(face) for face in gamma}
         hanging = hanging_vertex_violations(mesh)
@@ -478,20 +480,19 @@ def reference_simplex_mesh(dim: int, mark_boundary: bool = False) -> SimplicialM
     return mesh
 
 
-def face_owners(mesh: SimplicialMesh) -> dict[frozenset[int], int]:
-    """Number of active simplices owning each (d-1)-face."""
-    owners: dict[frozenset[int], int] = {}
+def face_owners(mesh: SimplicialMesh) -> dict[frozenset[int], list[int]]:
+    """Active simplices owning each (d-1)-face, in id order."""
+    owners: dict[frozenset[int], list[int]] = {}
     for sid in mesh.active_ids():
         verts = mesh.simplices[sid].vertices
         for drop in verts:
-            face = frozenset(v for v in verts if v != drop)
-            owners[face] = owners.get(face, 0) + 1
+            owners.setdefault(frozenset(v for v in verts if v != drop), []).append(sid)
     return owners
 
 
 def boundary_faces(mesh: SimplicialMesh) -> set[frozenset[int]]:
     """Faces owned by exactly one active simplex."""
-    return {face for face, count in face_owners(mesh).items() if count == 1}
+    return {face for face, sids in face_owners(mesh).items() if len(sids) == 1}
 
 
 # -- element distances -------------------------------------------------------
@@ -519,15 +520,7 @@ class ElementDistance:
     def _build_adjacency(self, mesh: SimplicialMesh) -> list[list[int]]:
         n = len(self.ids)
         nbr: list[set[int]] = [set() for _ in range(n)]
-        if self.kind == "vertex":
-            groups = mesh.vertex_stars().values()
-        else:
-            faces: dict[frozenset[int], list[int]] = {}
-            for sid in self.ids:
-                verts = mesh.simplices[sid].vertices
-                for drop in verts:
-                    faces.setdefault(frozenset(v for v in verts if v != drop), []).append(sid)
-            groups = faces.values()
+        groups = mesh._stars if self.kind == "vertex" else face_owners(mesh).values()
         for group in groups:
             idx = [self.pos[s] for s in group]
             for i, j in combinations(idx, 2):
@@ -644,7 +637,7 @@ def marking_policy(name: str) -> Callable[[SimplicialMesh, np.random.Generator],
             vid = mesh._coord_ids.get(origin)
             if vid is None:
                 raise MeshError("corner policy expects the origin to be a mesh vertex")
-            return sorted(s for s in mesh._active if vid in mesh.simplices[s].vertices)
+            return sorted(mesh._stars[vid])
         return corner
     if name.startswith("random:"):
         fraction = float(name.split(":", 1)[1])

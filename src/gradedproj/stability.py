@@ -102,36 +102,17 @@ class Weight:
 # -- graded maximal operator -------------------------------------------------------
 
 
-def max_operator(values: dict[int, object], gamma, dist: ElementDistance, method: str = "auto") -> dict[int, object]:
+def max_operator(values: dict[int, object], gamma, dist: ElementDistance) -> dict[int, object]:
     """Smallest gamma-graded majorant: (M_gamma v)|_T = max_T' gamma^(-delta(T,T')) |v_T'|.
 
-    Exact when values and gamma are rational.  The propagation method is a
-    max-product Dijkstra relaxation (every hop multiplies by 1/gamma); the
-    brute-force method sums over the full distance matrix.
+    Exact when values and gamma are rational.  Computed by one max-product
+    Dijkstra relaxation from all sources (every hop multiplies by 1/gamma),
+    O(E log N) on the element graph.
     """
     if gamma <= 1:
         raise StabilityError("max_operator requires gamma > 1")
     ids = dist.ids
-    if method == "auto":
-        method = "brute" if dist.n <= 2000 else "dijkstra"
-    absvals = [abs(values[s]) for s in ids]
-    if method == "brute":
-        mat = dist.matrix()
-        out = []
-        for i in range(dist.n):
-            best = absvals[i]
-            row = mat[i]
-            for j in range(dist.n):
-                dd = int(row[j])
-                if dd <= 0:
-                    continue
-                cand = absvals[j] / gamma**dd
-                if cand > best:
-                    best = cand
-            out.append(best)
-        return dict(zip(ids, out))
-    # max-product Dijkstra from all sources
-    best = list(absvals)
+    best = [abs(values[s]) for s in ids]
     heap = [(-v, i) for i, v in enumerate(best)]
     heapq.heapify(heap)
     settled = [False] * dist.n

@@ -1,9 +1,13 @@
 import json
 import os
+import runpy
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gradedproj.cli import main, round4
+from gradedproj.mesh import kuhn_initial_mesh, marking_policy
 
 
 def run(tmp_path, *argv):
@@ -127,6 +131,18 @@ def test_mesh_file_is_refined_by_rounds(tmp_path):
         assert cert["meta"]["config"]["rounds"] == int(rounds)
         dofs[rounds] = cert["n_dofs"]
     assert dofs["3"] > dofs["0"]
+
+
+def test_refine_rejects_steep_mesh_file(tmp_path, capsys):
+    # plain-closure corner rounds leave a vertex level gap above 1; with no
+    # further rounds the grading check of `refine` is what reports it
+    mesh = kuhn_initial_mesh(2, 1)
+    for _ in range(6):
+        mesh.refine_closure(marking_policy("corner")(mesh, np.random.default_rng(0)))
+    path = tmp_path / "steep.json"
+    mesh.save(path)
+    assert run(tmp_path, "refine", "--mesh", str(path), "--rounds", "0", "--alpha", "1", "--out", "s") == 2
+    assert "vertex level gap" in capsys.readouterr().err
 
 
 def test_stability_command(tmp_path):
@@ -261,3 +277,10 @@ def test_malformed_mesh_exits_3(tmp_path, capsys, data):
 def test_cr_rejects_zero_trace(tmp_path):
     assert run(tmp_path, "certify", "--dim", "2", "--degree", "CR", "--zero-trace",
                "--rounds", "0", "--out", "x") == 3
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (Path(__file__).parents[1] / "scripts").glob("*.py")))
+def test_experiment_scripts_import(script):
+    # each script does its work under `if __name__ == "__main__"`, so this
+    # runs only its imports: an API the scripts use must still exist
+    runpy.run_path(str(Path(__file__).parents[1] / "scripts" / script), run_name="not_main")

@@ -85,6 +85,62 @@ class CoordinateClosureMesh(SimplicialMesh):
             work.extend(stray)
 
 
+class StarRebuildMesh(SimplicialMesh):
+    """Reference limited grading without maintained vertex stars: stars are
+    rebuilt from the active simplices on every query, every LG round scans
+    all of them, and the owners of a split edge are found by a scan of the
+    active simplices.  Reads no incidence map of the mesh."""
+
+    @classmethod
+    def of(cls, mesh: SimplicialMesh) -> "StarRebuildMesh":
+        other = mesh.copy()
+        other.__class__ = cls
+        return other
+
+    def vertex_stars(self):
+        stars = {}
+        for sid in self.active_ids():
+            for v in self.simplices[sid].vertices:
+                stars.setdefault(v, []).append(sid)
+        return stars
+
+    def corner(self):
+        origin = self._coord_ids[tuple(Fraction(0) for _ in range(self.dim))]
+        return sorted(s for s in self.active_ids() if origin in self.simplices[s].vertices)
+
+    def _bisect_and_queue(self, sid, work):
+        a, b = self.refinement_edge(sid)
+        c1, c2, _ = self.bisect(sid)
+        work.append(c1)
+        work.append(c2)
+        work.extend(s for s in self.active_ids() if {a, b} <= set(self.simplices[s].vertices))
+
+    def lg_violation(self, alpha):
+        for star in self.vertex_stars().values():
+            lo = min(star, key=lambda s: self.simplices[s].level)
+            hi = max(star, key=lambda s: self.simplices[s].level)
+            if self.simplices[hi].level - self.simplices[lo].level > alpha:
+                return lo, hi
+        return None
+
+    def refine_lg(self, marked, alpha):
+        pair = self.lg_violation(alpha)
+        if pair is not None:
+            raise GradingError(f"input mesh violates limited grading: simplices {pair}", pair)
+        current = sorted(set(marked))
+        while current:
+            self.refine_closure(current)
+            current = self._lg_marked(alpha)
+        return self
+
+    def _lg_marked(self, alpha):
+        lagging = set()
+        for star in self.vertex_stars().values():
+            top = max(self.simplices[s].level for s in star)
+            lagging.update(s for s in star if self.simplices[s].level < top - alpha)
+        return sorted(lagging)
+
+
 def test_kuhn_counts():
     m = kuhn_initial_mesh(2, 1)
     assert m.n_active == 2 and len(m.coords) == 4
@@ -634,3 +690,82 @@ def test_random_marking_properties(dim, alpha, rounds):
     loaded = SimplicialMesh.from_json_dict(json.loads(text))
     assert json.dumps(loaded.to_json_dict(), sort_keys=True) == text
     assert loaded.total_volume() == volume  # recomputed from coordinates
+
+
+def _scanned_stars(mesh: SimplicialMesh) -> list[set[int]]:
+    stars = [set() for _ in mesh.coords]
+    for sid in mesh.active_ids():
+        for v in mesh.simplices[sid].vertices:
+            stars[v].add(sid)
+    return stars
+
+
+def _scanned_neighbors(mesh: SimplicialMesh, kind: str) -> list[list[int]]:
+    # element graph from pairwise vertex intersections of the active simplices
+    ids = mesh.active_ids()
+    shared = mesh.dim if kind == "face" else 1
+    verts = [set(mesh.simplices[s].vertices) for s in ids]
+    return [[j for j in range(len(ids)) if j != i and len(verts[i] & verts[j]) >= shared] for i in range(len(ids))]
+
+
+@pytest.mark.parametrize("policy", ["random-count:3", "random:0.3", "corner"])
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_lg_matches_star_rebuild_oracle(dim, alpha, policy):
+    # BiSecLG(alpha) with maintained stars, new-simplex LG rounds and star
+    # intersections as edge owners gives the same mesh as full rebuilds and
+    # scans, also after a JSON round trip; the stars equal a scan
+    target = {2: 300, 3: 300, 4: 200}[dim]
+    ours = kuhn_initial_mesh(dim, 1)
+    oracle = StarRebuildMesh.of(ours)
+    pick = marking_policy(policy)
+    rng_ours = np.random.default_rng(10 * dim + alpha)
+    rng_oracle = np.random.default_rng(10 * dim + alpha)
+    for round_ in range(30):
+        if ours.n_active >= target:
+            break
+        if round_ == 3:
+            ours, oracle = _reload(ours), _reload(oracle, StarRebuildMesh)
+        marked = pick(ours, rng_ours)
+        assert marked == (oracle.corner() if policy == "corner" else pick(oracle, rng_oracle))
+        ours.refine_lg(marked, alpha)
+        oracle.refine_lg(marked, alpha)
+        assert ours.to_json_dict() == oracle.to_json_dict()
+        assert ours._stars == _scanned_stars(ours)
+        assert ours.lg_violation(alpha) is None and oracle.lg_violation(alpha) is None
+    assert round_ > 3
+    for kind in ("vertex", "face"):
+        assert element_distance(ours, kind).neighbors == _scanned_neighbors(ours, kind)
+
+
+def test_unused_vertex_has_empty_star():
+    # a mesh file may list a vertex no simplex uses: its star is empty and
+    # the grading scans skip it
+    data = kuhn_initial_mesh(2, 1).to_json_dict()
+    data["vertices"].append([[3, 0], [3, 0]])
+    m = SimplicialMesh.from_json_dict(data)
+    assert m._stars[-1] == set()
+    assert m.lg_violation(1) is None
+    m.refine_lg(m.active_ids(), 1)
+    m.refine_lg(marking_policy("corner")(m, np.random.default_rng(0)), 1)
+    assert m.lg_violation(1) is None and m.n_active > 4 and m.total_volume() == 1
+    assert m._stars == _scanned_stars(m) and m._stars[4] == set()
+    assert not conformity_violations(m)
+
+
+def test_lg_violation_tie_rule():
+    # steep mesh from plain-closure corner rounds: the pair comes from the
+    # first steep star in vertex-id order, its lowest-level and its
+    # highest-level member, lowest id on ties
+    m = kuhn_initial_mesh(2, 1)
+    for _ in range(6):
+        m.refine_closure(marking_policy("corner")(m, np.random.default_rng(0)))
+    level = lambda s: m.simplices[s].level
+    steep = [star for star in _scanned_stars(m) if star and max(map(level, star)) - min(map(level, star)) > 1]
+    assert len(steep) > 1
+    star = sorted(steep[0])
+    expected = (min(star, key=lambda s: (level(s), s)), min(star, key=lambda s: (-level(s), s)))
+    assert m.lg_violation(1) == expected
+    with pytest.raises(GradingError) as err:
+        m.refine_lg([m.active_ids()[0]], alpha=1)
+    assert err.value.pair == expected

@@ -35,22 +35,45 @@ def test_max_operator_constant(dist2d):
     assert all(v == 5 for v in out.values())
 
 
+def brute_max_operator(values, gamma, dist):
+    """Test oracle: max over the full distance matrix of |v_T'| / gamma^delta(T, T'),
+    O(N^2) (the former brute-force path of max_operator)."""
+    absvals = [abs(values[s]) for s in dist.ids]
+    mat = dist.matrix()
+    out = []
+    for i in range(dist.n):
+        best = absvals[i]
+        for j in range(dist.n):
+            dd = int(mat[i, j])
+            if dd > 0 and absvals[j] / gamma**dd > best:
+                best = absvals[j] / gamma**dd
+        out.append(best)
+    return dict(zip(dist.ids, out))
+
+
 def test_max_operator_indicator(dist2d):
     src = dist2d.ids[0]
     vals = {s: Fraction(1) if s == src else Fraction(0) for s in dist2d.ids}
-    out = max_operator(vals, Fraction(2), dist2d, method="brute")
     shells = dist2d.from_source(src)
-    for i, s in enumerate(dist2d.ids):
-        assert out[s] == Fraction(1, 2 ** int(shells[i]))
+    for out in (brute_max_operator(vals, Fraction(2), dist2d), max_operator(vals, Fraction(2), dist2d)):
+        for i, s in enumerate(dist2d.ids):
+            assert out[s] == Fraction(1, 2 ** int(shells[i]))
 
 
 def test_max_operator_methods_agree(dist2d):
     rng = np.random.default_rng(0)
     vals = {s: Fraction(int(rng.integers(1, 50)), int(rng.integers(1, 7))) for s in dist2d.ids}
     gamma = Fraction(3, 2)
-    assert max_operator(vals, gamma, dist2d, method="brute") == max_operator(
-        vals, gamma, dist2d, method="dijkstra"
-    )
+    assert brute_max_operator(vals, gamma, dist2d) == max_operator(vals, gamma, dist2d)
+
+
+def test_max_operator_float_matches_oracle(dist2d):
+    # in floats the hop-by-hop division and gamma**delta round differently
+    rng = np.random.default_rng(1)
+    vals = {s: float(rng.random()) * 10.0 ** -int(rng.integers(0, 6)) for s in dist2d.ids}
+    oracle = brute_max_operator(vals, 1.7, dist2d)
+    out = max_operator(vals, 1.7, dist2d)
+    assert max(abs(out[s] - oracle[s]) / oracle[s] for s in dist2d.ids) <= 1e-15
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
