@@ -506,8 +506,6 @@ class ElementDistance:
     a full (d-1)-face.  Distances to unreachable elements are UNREACHABLE.
     """
 
-    MATRIX_LIMIT = 20_000
-
     def __init__(self, mesh: SimplicialMesh, kind: str = "vertex"):
         if kind not in ("vertex", "face"):
             raise MeshError(f"unknown distance kind {kind!r}")
@@ -515,7 +513,6 @@ class ElementDistance:
         self.ids = mesh.active_ids()
         self.pos = {sid: i for i, sid in enumerate(self.ids)}
         self.neighbors = self._build_adjacency(mesh)
-        self._matrix: np.ndarray | None = None
 
     def _build_adjacency(self, mesh: SimplicialMesh) -> list[list[int]]:
         n = len(self.ids)
@@ -551,16 +548,7 @@ class ElementDistance:
                     queue.append(j)
         return dist
 
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            if self.n > self.MATRIX_LIMIT:
-                raise MeshError(f"distance matrix limited to {self.MATRIX_LIMIT} elements; use from_source")
-            self._matrix = np.vstack([self._bfs([i]) for i in range(self.n)])
-        return self._matrix
-
     def dist(self, a: int, b: int) -> int:
-        if self._matrix is not None:
-            return int(self._matrix[self.pos[a], self.pos[b]])
         return int(self.from_source(a)[self.pos[b]])
 
     def dist_sets(self, left: Iterable[int], right: Iterable[int]) -> int:
@@ -577,14 +565,6 @@ class ElementDistance:
     @property
     def connected(self) -> bool:
         return bool(np.all(self._bfs([0]) != UNREACHABLE)) if self.n else True
-
-    def write_tsv(self, path) -> None:
-        mat = self.matrix()
-        with open(path, "w") as fh:
-            fh.write("# element distance matrix, kind=%s, unreachable=%d\n" % (self.kind, UNREACHABLE))
-            fh.write("id\t" + "\t".join(str(s) for s in self.ids) + "\n")
-            for sid, row in zip(self.ids, mat):
-                fh.write(str(sid) + "\t" + "\t".join(str(int(x)) for x in row) + "\n")
 
 
 def element_distance(mesh: SimplicialMesh, kind: str = "vertex") -> ElementDistance:

@@ -272,12 +272,7 @@ def reference_element(dim: int, degree: int) -> ReferenceElement:
         nodes = (tuple(Fraction(1, dim + 1) for _ in range(dim + 1)),)
     else:
         nodes = tuple(tuple(Fraction(a, degree) for a in alpha) for alpha in monos)
-    vand = tuple(
-        tuple(
-            _eval_mono(node, mono) for mono in monos
-        )
-        for node in nodes
-    )
+    vand = tuple(tuple(BarycentricPoly.monomial(mono).evaluate(node) for mono in monos) for node in nodes)
     vinv = tuple(tuple(row) for row in frac_mat_inv([list(r) for r in vand]))
     nodal_mass = tuple(
         tuple(row)
@@ -286,14 +281,6 @@ def reference_element(dim: int, degree: int) -> ReferenceElement:
         )
     )
     return ReferenceElement(dim, degree, monos, gram, nodes, vand, vinv, nodal_mass)
-
-
-def _eval_mono(node, mono) -> Fraction:
-    out = Fraction(1)
-    for b, e in zip(node, mono):
-        if e:
-            out *= b ** e
-    return out
 
 
 def _transpose(m):
@@ -433,8 +420,10 @@ def node_key(verts: Sequence[int], alpha: MultiIndex) -> tuple:
 def scatter_matrix(row_dofs: np.ndarray, col_dofs: np.ndarray, blocks: np.ndarray, shape) -> sp.csr_matrix:
     """Global sparse matrix from element blocks: blocks[e, a, b] adds to entry
     (row_dofs[e, a], col_dofs[e, b]); negative dofs (removed trace dofs) are
-    skipped.  Triplets are laid out element by element, then by a, then by b,
-    so duplicates are summed in that order."""
+    skipped.  Triplets are laid out element by element, then by a, then by b.
+    scipy's COO->CSR conversion, not that layout, decides the order in which
+    duplicates are summed; since the layout is fixed the result is still
+    reproducible byte for byte, but it need not equal a sum in triplet order."""
     rows = np.broadcast_to(row_dofs[:, :, None], blocks.shape)
     cols = np.broadcast_to(col_dofs[:, None, :], blocks.shape)
     keep = (rows >= 0) & (cols >= 0)

@@ -16,6 +16,14 @@ number at most d^2/(d+2).  Those condition numbers drive the decay parameter
 
 used by the accelerated (Chebyshev) iteration and the masked-norm decay
 bounds.
+
+Operators keeps one patch table for C: per vertex, in vertex order, the
+patch members (element row, local vertex), their patch dof ids, the Cholesky
+factor of the patch Gram matrix, the touched global dofs and the nodal
+weights.  Assembly fills each patch system from it with np.add.at, and
+apply_C accumulates its moments through the same ids.  The global form and
+apply matrices are summed in patch order, so their bits do not depend on how
+scipy orders duplicate triplets.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -222,114 +230,67 @@ class Operators:
         space = self.space
         mesh, K, d = self.mesh, space.degree, self.dim
         low = reference_element(d, K - 1)
-        t_gram = lambda_nodal_product_table(d, K - 1, K - 1)
-        t_cross = lambda_nodal_product_table(d, K - 1, K)
-        gram_f = np.array([[[float(x) for x in row] for row in t_gram[j]] for j in range(d + 1)])
-        cross_f = np.array([[[float(x) for x in row] for row in t_cross[j]] for j in range(d + 1)])
-        ref_hi = space.ref
-        # values of the low basis at the high nodes, and lambda_j there
-        eval_low = np.array(
-            [[float(low.nodal_poly(a).evaluate(node)) for a in range(low.n)] for node in ref_hi.node_coords]
+        # float tables indexed by the patch vertex's local number j
+        gram_f = np.array(lambda_nodal_product_table(d, K - 1, K - 1), dtype=float)
+        cross_f = np.array(lambda_nodal_product_table(d, K - 1, K), dtype=float)
+        hi_nodes = space.ref.node_coords
+        low_at_hi = np.array([[low.nodal_poly(a).evaluate(x) for a in range(low.n)] for x in hi_nodes], dtype=float)
+        # nodal[j, m, a]: value of lambda_j psi_a at high node m
+        nodal = np.array(hi_nodes, dtype=float).T[:, :, None] * low_at_hi
+
+        # per element row: patch-dof key ids, and the low nodes that a trace
+        # face of the element bans in the patch of each of its vertices j
+        # (face jf != j bans the nodes on it, alpha[jf] == 0)
+        verts = np.array([mesh.simplices[sid].vertices for sid in space.element_ids])
+        key_ids: dict[tuple, int] = {}
+        keys = np.array(
+            [[key_ids.setdefault(node_key(vs, alpha), len(key_ids)) for alpha in low.monos] for vs in verts.tolist()]
         )
-        lam_at_hi = np.array([[float(x) for x in node] for node in ref_hi.node_coords])
-
-        members: dict[int, list[tuple[int, int]]] = {}
-        for sid in space.element_ids:
-            for local_j, v in enumerate(mesh.simplices[sid].vertices):
-                members.setdefault(v, []).append((sid, local_j))
-
         gamma = mesh.gamma_faces if getattr(space, "zero_trace", False) else set()
-        n = space.n_dofs
-        form = sp.lil_matrix((n, n))
-        apply_m = sp.lil_matrix((n, n))
+        on_gamma = np.array([[frozenset(vs) - {v} in gamma for v in vs] for vs in verts.tolist()], dtype=bool)
+        banned = (on_gamma[:, None, :] & ~np.eye(d + 1, dtype=bool)) @ (np.array(low.monos) == 0).T
+        self._vols = np.array([float(mesh.volume(sid)) for sid in space.element_ids])
+
+        # patches in vertex order; members (element row, local j) in row order
+        flat = verts.ravel()
+        order = np.argsort(flat, kind="stable")
+        cuts = np.flatnonzero(np.diff(flat[order])) + 1
         self._patches = []
-        for vertex in sorted(members):
-            patch = members[vertex]
-            # first pass: dof keys per member, and the keys forced to zero by
-            # the trace condition (a banned node is banned for the whole
-            # patch: continuity pins its nodal value everywhere)
-            member_keys = []
-            banned_keys: set = set()
-            for sid, local_j in patch:
-                verts = mesh.simplices[sid].vertices
-                banned_locals = []
-                if gamma:
-                    vset = set(verts)
-                    for jf, drop in enumerate(verts):
-                        if jf != local_j and frozenset(vset - {drop}) in gamma:
-                            banned_locals.append(jf)
-                keys = [node_key(verts, alpha) for alpha in low.monos]
-                for key, alpha in zip(keys, low.monos):
-                    if any(alpha[jf] == 0 for jf in banned_locals):
-                        banned_keys.add(key)
-                member_keys.append(keys)
-            dof_index: dict[object, int] = {}
-            rows = []  # per member: (sid, local_j, patch dof ids per low node, global dofs)
-            for (sid, local_j), keys in zip(patch, member_keys):
-                local_ids = []
-                for key in keys:
-                    if key in banned_keys:
-                        local_ids.append(-1)
-                        continue
-                    pid = dof_index.get(key)
-                    if pid is None:
-                        pid = dof_index[key] = len(dof_index)
-                    local_ids.append(pid)
-                rows.append((sid, local_j, local_ids, space.cell_dofs(sid).tolist()))
-            m_patch = len(dof_index)
+        # global (row, col, form, apply) triplets, patch by patch; the empty
+        # first entry serves a space without patches (no dofs)
+        triplets = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),) * 2]
+        for members in np.split(order, cuts):
+            rows, js = np.divmod(members, d + 1)
+            # a banned node is banned for the whole patch: continuity pins its
+            # nodal value everywhere
+            member_keys = keys[rows]
+            pids, _ = _first_appearance(np.where(np.isin(member_keys, member_keys[banned[rows, js]]), -1, member_keys))
+            m_patch = int(pids.max()) + 1
             if m_patch == 0:
                 continue
-            gmat = np.zeros((m_patch, m_patch))
-            touched: dict[int, int] = {}
-            for sid, local_j, local_ids, gdofs in rows:
-                vol = float(mesh.volume(sid))
-                for a, pa in enumerate(local_ids):
-                    if pa < 0:
-                        continue
-                    for b, pb in enumerate(local_ids):
-                        if pb >= 0:
-                            gmat[pa, pb] += vol * gram_f[local_j, a, b]
-                for g in gdofs:
-                    if g >= 0 and g not in touched:
-                        touched[g] = len(touched)
-            gcols = sorted(touched, key=touched.get)
-            gpos = {g: c for c, g in enumerate(gcols)}
-            rmat = np.zeros((m_patch, len(gcols)))
-            wmat = np.zeros((len(gcols), m_patch))
-            for sid, local_j, local_ids, gdofs in rows:
-                vol = float(mesh.volume(sid))
-                for a, pa in enumerate(local_ids):
-                    if pa < 0:
-                        continue
-                    for mloc, g in enumerate(gdofs):
-                        if g >= 0:
-                            rmat[pa, gpos[g]] += vol * cross_f[local_j, a, mloc]
-                for mloc, g in enumerate(gdofs):
-                    if g >= 0:
-                        # nodal value of phi_i * psi_a at the high node
-                        for a, pa in enumerate(local_ids):
-                            if pa >= 0:
-                                wmat[gpos[g], pa] = lam_at_hi[mloc, local_j] * eval_low[mloc, a]
+            cpos, gcols = _first_appearance(space.dofs[rows])
+            n_g = len(gcols)
+            # index -1 (banned patch dof, removed trace dof) lands in a scratch
+            # row or column past the end; np.add.at adds in (member, a, b)
+            # order, and every member writes the same nodal value of a pair
+            vols = self._vols[rows, None, None]
+            gmat = np.zeros((m_patch + 1, m_patch + 1))
+            np.add.at(gmat, (pids[:, :, None], pids[:, None, :]), vols * gram_f[js])
+            rmat = np.zeros((m_patch + 1, n_g + 1))
+            np.add.at(rmat, (pids[:, :, None], cpos[:, None, :]), vols * cross_f[js])
+            wmat = np.zeros((n_g + 1, m_patch + 1))
+            wmat[cpos[:, :, None], pids[:, None, :]] = nodal[js]
+            gmat, rmat, wmat = (np.ascontiguousarray(a[:-1, :-1]) for a in (gmat, rmat, wmat))
             try:
                 gchol = scipy.linalg.cho_factor(gmat)
             except scipy.linalg.LinAlgError as exc:
-                raise ProjectionError(f"singular patch system at vertex {vertex}") from exc
+                raise ProjectionError(f"singular patch system at vertex {flat[members[0]]}") from exc
             ginv_r = scipy.linalg.cho_solve(gchol, rmat)
-            cols = np.array(gcols)
-            form[np.ix_(cols, cols)] += rmat.T @ ginv_r
-            apply_m[np.ix_(cols, cols)] += wmat @ ginv_r
-            self._patches.append(
-                {
-                    "vertex": vertex,
-                    "rows": rows,
-                    "chol": gchol,
-                    "gcols": cols,
-                    "wmat": wmat,
-                    "m_patch": m_patch,
-                }
-            )
-        self.form_matrix = form.tocsr()
-        self.apply_matrix = apply_m.tocsr()
+            triplets.append((np.repeat(gcols, n_g), np.tile(gcols, n_g), rmat.T @ ginv_r, wmat @ ginv_r))
+            self._patches.append(_Patch(rows, js, pids, gchol, gcols, wmat))
+        rows, cols, form, apply_m = (np.concatenate([np.ravel(t[i]) for t in triplets]) for i in range(4))
+        self.form_matrix = _csr_in_order(rows, cols, form, space.n_dofs)
+        self.apply_matrix = _csr_in_order(rows, cols, apply_m, space.n_dofs)
 
     # solves --------------------------------------------------------------------
 
@@ -381,9 +342,12 @@ class Operators:
                 raise ProjectionError("same-mesh cross-space rhs not supported")
             return self._rhs_refined(u)
         if isinstance(u, ElementwisePoly):
-            return self._rhs_polys(u)
+            if u.mesh is not self.mesh:
+                raise ProjectionError("ElementwisePoly must live on the operator mesh")
+            return self._element_rhs(u.support(), u, self.space.degree + u.degree())
         if callable(u):
-            return self._rhs_callable(u, quad_degree)
+            deg = quad_degree if quad_degree is not None else 2 * self.space.degree + 2
+            return self._element_rhs(self.space.element_ids, u, deg)
         raise ProjectionError(f"unresolvable integrand kind {type(u)!r}")
 
     def _quad(self, degree: int):
@@ -394,26 +358,12 @@ class Operators:
             basis = _nodal_values_at_quad(self.dim, self.space.degree, degree)
         return pts, wts, basis
 
-    def _rhs_polys(self, u: ElementwisePoly) -> np.ndarray:
-        if u.mesh is not self.mesh:
-            raise ProjectionError("ElementwisePoly must live on the operator mesh")
-        deg = self.space.degree + u.degree()
+    def _element_rhs(self, element_ids: Sequence[int], u, deg: int) -> np.ndarray:
+        """<u, b_m> by a rule of the given degree over the given elements."""
         pts, wts, basis = self._quad(deg)
-        sids = u.support()
-        contribs = [float(self.mesh.volume(sid)) * (basis.T * wts) @ u.values(sid, pts) for sid in sids]
-        return self._scatter_vector(sids, contribs)
-
-    def _rhs_callable(self, u: Callable, quad_degree: int | None) -> np.ndarray:
-        deg = quad_degree if quad_degree is not None else 2 * self.space.degree + 2
-        pts, wts, basis = self._quad(deg)
-        contribs = []
-        for sid in self.space.element_ids:
-            verts = self.mesh.simplices[sid].vertices
-            vcoords = np.array([[float(x) for x in self.mesh.coords[v]] for v in verts])
-            phys = pts @ vcoords
-            vals = np.array([u(x) for x in phys])
-            contribs.append(float(self.mesh.volume(sid)) * (basis.T * wts) @ vals)
-        return self._scatter_vector(self.space.element_ids, contribs)
+        weighted = basis.T * wts
+        contribs = [float(self.mesh.volume(sid)) * weighted @ self._values_at(u, sid, pts) for sid in element_ids]
+        return self._scatter_vector(element_ids, contribs)
 
     def _scatter_vector(self, element_ids: Sequence[int], contribs: Sequence[np.ndarray]) -> np.ndarray:
         """Sum per-element moment vectors into the global vector, element by
@@ -449,38 +399,37 @@ class Operators:
         if isinstance(u, FeFunction):
             # function on a refinement: exact via the two-sided identity C = CQ
             return self.apply_matrix @ self.project(u)
-        out = np.zeros(self.space.n_dofs)
-        for patch in self._patches:
-            r = np.zeros(patch["m_patch"])
-            for sid, local_j, local_ids, _ in patch["rows"]:
-                r_loc = self._patch_moments(u, sid, local_j, quad_degree)
-                for a, pa in enumerate(local_ids):
-                    if pa >= 0:
-                        r[pa] += r_loc[a]
-            c = scipy.linalg.cho_solve(patch["chol"], r)
-            out[patch["gcols"]] += patch["wmat"] @ c
-        return out
-
-    def _patch_moments(self, u, sid: int, local_j: int, quad_degree: int | None) -> np.ndarray:
-        """<phi_i psi_a, u> on one element, phi_i = lambda_{local_j}."""
         K = self.space.degree
-        low = reference_element(self.dim, K - 1)
         if isinstance(u, ElementwisePoly):
             deg = K + u.degree()
         else:
             deg = quad_degree if quad_degree is not None else 2 * K + 2
         pts, wts = simplex_quadrature(self.dim, deg)
         basis_low = _nodal_values_at_quad(self.dim, K - 1, deg)
-        lam = pts[:, local_j]
+        vals = np.array([self._values_at(u, sid, pts) for sid in self.space.element_ids])[:, :, None]
+        # moments[r, j, a] = <lambda_j psi_a, u> on element row r; the stacked
+        # matmul makes one BLAS call per (r, j), with the bits of a separate
+        # (vol * (basis_low.T * (wts * lambda_j))) @ vals
+        moments = np.stack(
+            [np.matmul(self._vols[:, None, None] * (basis_low.T * (wts * lam)), vals)[:, :, 0] for lam in pts.T],
+            axis=1,
+        )
+        out = np.zeros(self.space.n_dofs)
+        for patch in self._patches:
+            r = np.zeros(patch.wmat.shape[1] + 1)  # r[-1]: scratch slot for banned patch dofs
+            np.add.at(r, patch.pids, moments[patch.rows, patch.js])
+            out[patch.gcols] += patch.wmat @ scipy.linalg.cho_solve(patch.chol, r[:-1])
+        return out
+
+    def _values_at(self, u, sid: int, pts: np.ndarray) -> np.ndarray:
+        """Values of a polynomial or callable integrand at barycentric points of one element."""
         if isinstance(u, ElementwisePoly):
-            vals = u.values(sid, pts)
-        elif callable(u):
+            return u.values(sid, pts)
+        if callable(u):
             verts = self.mesh.simplices[sid].vertices
             vcoords = np.array([[float(x) for x in self.mesh.coords[v]] for v in verts])
-            vals = np.array([u(x) for x in (pts @ vcoords)])
-        else:
-            raise ProjectionError("patch moments support polys and callables")
-        return float(self.mesh.volume(sid)) * (basis_low.T * (wts * lam)) @ vals
+            return np.array([u(x) for x in pts @ vcoords])
+        raise ProjectionError(f"unresolvable integrand kind {type(u)!r}")
 
     # spectra ---------------------------------------------------------------------------
 
@@ -547,6 +496,51 @@ class Operators:
 
 def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
+
+
+class _Patch(NamedTuple):
+    """One vertex patch of the approximating operator: members (element row
+    rows[k] of space.dofs, local vertex js[k]), their patch dof ids pids[k, a]
+    (-1 where banned by the trace), the Cholesky factor of the patch Gram
+    matrix, the touched global dofs gcols and the nodal weights wmat."""
+
+    rows: np.ndarray
+    js: np.ndarray
+    pids: np.ndarray
+    chol: tuple
+    gcols: np.ndarray
+    wmat: np.ndarray
+
+
+def _first_appearance(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct nonnegative values of ids 0, 1, ... in order of
+    first appearance (C order); negative entries become -1.  Returns the
+    numbering, shaped like ids, and the distinct values in that order."""
+    flat = ids.ravel()
+    keep = flat >= 0
+    values, first, inverse = np.unique(flat[keep], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[order] = np.arange(len(values))
+    out = np.full(flat.shape, -1, dtype=np.int64)
+    out[keep] = rank[inverse]
+    return out.reshape(ids.shape), values[order]
+
+
+def _csr_in_order(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_matrix:
+    """n x n CSR matrix with duplicate (row, col) triplets summed in the order
+    given, with np.add.at into the distinct pattern; exact zeros are dropped.
+
+    The patch operator sums its blocks in patch order, as its former
+    row-list sparse assembly did.  scatter_matrix cannot give that: scipy's
+    COO->CSR conversion sums duplicates in an order of its own choosing, which
+    gives the form matrix other last bits."""
+    keys, inverse = np.unique(rows * n + cols, return_inverse=True)
+    data = np.zeros(len(keys))
+    np.add.at(data, inverse, vals)
+    out = sp.csr_matrix((data, np.divmod(keys, n)), shape=(n, n))
+    out.eliminate_zeros()
+    return out
 
 
 # -- two-mesh coupling ---------------------------------------------------------------------

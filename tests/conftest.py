@@ -21,6 +21,12 @@ def randomly_refined(dim, rounds, alpha=1, seed=0, fraction=0.3, cells=1):
     return mesh
 
 
+def distance_matrix(dist):
+    """Dense N x N element distance matrix, one breadth-first search per row
+    (a test oracle: O(N^2) memory)."""
+    return np.vstack([dist.from_source(s) for s in dist.ids])
+
+
 @pytest.fixture(scope="session")
 def mesh2d():
     return randomly_refined(2, 6, alpha=1, seed=11)

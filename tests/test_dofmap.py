@@ -1,17 +1,29 @@
-"""Differential tests of the topological dof map and the scatter assembly
-kernel against the coordinate-keyed numbering and the element-by-element
-COO loops they replaced.  The kernel reproduces the loops' triplet order and
-float operations, so every comparison is exact (array for array), not to a
-tolerance."""
+"""Differential tests of the topological dof map, the scatter assembly
+kernel and the patch table of the approximating operator against the
+coordinate-keyed numbering, the element-by-element COO loops and the
+per-member lil_matrix loops they replaced.  The kernel builds the loops'
+triplets with the same float operations, and scipy sums the duplicates of
+both the same way; the patch table adds in the loops' order (np.add.at, and
+one ordered sum in patch order).  So every comparison is exact (array for
+array), not to a tolerance."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from gradedproj.mesh import SimplicialMesh, kuhn_initial_mesh
-from gradedproj.polyspace import CRSpace, LagrangeSpace, cr_local_mass, simplex_quadrature
+from gradedproj.polyspace import (
+    CRSpace,
+    LagrangeSpace,
+    cr_local_mass,
+    lambda_nodal_product_table,
+    node_key,
+    reference_element,
+    simplex_quadrature,
+)
 from gradedproj.projection import (
     ElementwisePoly,
     Operators,
@@ -19,6 +31,7 @@ from gradedproj.projection import (
     _cr_values_at,
     _grad_product_table,
     _lagrange_values,
+    _nodal_values_at_quad,
     _random_poly,
     barycentric_gradients,
     weighted_mass,
@@ -32,8 +45,6 @@ from conftest import randomly_refined
 def coordinate_keyed_dofs(mesh, degree, zero_trace):
     """Lagrange numbering that glues nodes by their exact rational coordinates:
     returns (n_dofs, node_coords, {sid: dofs})."""
-    from gradedproj.polyspace import reference_element
-
     ref, K = reference_element(mesh.dim, degree), degree
     node_ids, coords, on_gamma, cell_nodes = {}, [], set(), {}
     gamma = mesh.gamma_faces if zero_trace else set()
@@ -147,6 +158,125 @@ def loop_rhs(ops, element_ids, contrib):
         for local, g in enumerate(ops.space.cell_dofs(sid).tolist()):
             if g >= 0:
                 out[g] += c[local]
+    return out
+
+
+def loop_patch_operator(space):
+    """The patch assembly with per-member loops and lil_matrix sums: returns
+    (form, apply, patches) with patches as (rows, chol, gcols, wmat, m_patch)."""
+    mesh, K, d = space.mesh, space.degree, space.mesh.dim
+    low = reference_element(d, K - 1)
+    t_gram = lambda_nodal_product_table(d, K - 1, K - 1)
+    t_cross = lambda_nodal_product_table(d, K - 1, K)
+    gram_f = np.array([[[float(x) for x in row] for row in t_gram[j]] for j in range(d + 1)])
+    cross_f = np.array([[[float(x) for x in row] for row in t_cross[j]] for j in range(d + 1)])
+    eval_low = np.array(
+        [[float(low.nodal_poly(a).evaluate(node)) for a in range(low.n)] for node in space.ref.node_coords]
+    )
+    lam_at_hi = np.array([[float(x) for x in node] for node in space.ref.node_coords])
+    members = {}
+    for sid in space.element_ids:
+        for local_j, v in enumerate(mesh.simplices[sid].vertices):
+            members.setdefault(v, []).append((sid, local_j))
+    gamma = mesh.gamma_faces if getattr(space, "zero_trace", False) else set()
+    n = space.n_dofs
+    form = sp.lil_matrix((n, n))
+    apply_m = sp.lil_matrix((n, n))
+    patches = []
+    for vertex in sorted(members):
+        patch = members[vertex]
+        member_keys, banned_keys = [], set()
+        for sid, local_j in patch:
+            verts = mesh.simplices[sid].vertices
+            banned_locals = []
+            if gamma:
+                vset = set(verts)
+                for jf, drop in enumerate(verts):
+                    if jf != local_j and frozenset(vset - {drop}) in gamma:
+                        banned_locals.append(jf)
+            keys = [node_key(verts, alpha) for alpha in low.monos]
+            for key, alpha in zip(keys, low.monos):
+                if any(alpha[jf] == 0 for jf in banned_locals):
+                    banned_keys.add(key)
+            member_keys.append(keys)
+        dof_index, rows = {}, []
+        for (sid, local_j), keys in zip(patch, member_keys):
+            local_ids = []
+            for key in keys:
+                if key in banned_keys:
+                    local_ids.append(-1)
+                    continue
+                pid = dof_index.get(key)
+                if pid is None:
+                    pid = dof_index[key] = len(dof_index)
+                local_ids.append(pid)
+            rows.append((sid, local_j, local_ids, space.cell_dofs(sid).tolist()))
+        m_patch = len(dof_index)
+        if m_patch == 0:
+            continue
+        gmat = np.zeros((m_patch, m_patch))
+        touched = {}
+        for sid, local_j, local_ids, gdofs in rows:
+            vol = float(mesh.volume(sid))
+            for a, pa in enumerate(local_ids):
+                if pa < 0:
+                    continue
+                for b, pb in enumerate(local_ids):
+                    if pb >= 0:
+                        gmat[pa, pb] += vol * gram_f[local_j, a, b]
+            for g in gdofs:
+                if g >= 0 and g not in touched:
+                    touched[g] = len(touched)
+        gcols = sorted(touched, key=touched.get)
+        gpos = {g: c for c, g in enumerate(gcols)}
+        rmat = np.zeros((m_patch, len(gcols)))
+        wmat = np.zeros((len(gcols), m_patch))
+        for sid, local_j, local_ids, gdofs in rows:
+            vol = float(mesh.volume(sid))
+            for a, pa in enumerate(local_ids):
+                if pa < 0:
+                    continue
+                for mloc, g in enumerate(gdofs):
+                    if g >= 0:
+                        rmat[pa, gpos[g]] += vol * cross_f[local_j, a, mloc]
+            for mloc, g in enumerate(gdofs):
+                if g >= 0:
+                    for a, pa in enumerate(local_ids):
+                        if pa >= 0:
+                            wmat[gpos[g], pa] = lam_at_hi[mloc, local_j] * eval_low[mloc, a]
+        gchol = scipy.linalg.cho_factor(gmat)
+        ginv_r = scipy.linalg.cho_solve(gchol, rmat)
+        cols = np.array(gcols)
+        form[np.ix_(cols, cols)] += rmat.T @ ginv_r
+        apply_m[np.ix_(cols, cols)] += wmat @ ginv_r
+        patches.append((rows, gchol, cols, wmat, m_patch))
+    return form.tocsr(), apply_m.tocsr(), patches
+
+
+def loop_apply_C(space, patches, u, quad_degree=None):
+    """C u with the patch moments integrated member by member."""
+    mesh, K, d = space.mesh, space.degree, space.mesh.dim
+
+    def moments(sid, local_j):
+        deg = K + u.degree() if isinstance(u, ElementwisePoly) else (quad_degree or 2 * K + 2)
+        pts, wts = simplex_quadrature(d, deg)
+        basis_low = _nodal_values_at_quad(d, K - 1, deg)
+        if isinstance(u, ElementwisePoly):
+            vals = u.values(sid, pts)
+        else:
+            vcoords = np.array([[float(x) for x in mesh.coords[v]] for v in mesh.simplices[sid].vertices])
+            vals = np.array([u(x) for x in (pts @ vcoords)])
+        return float(mesh.volume(sid)) * (basis_low.T * (wts * pts[:, local_j])) @ vals
+
+    out = np.zeros(space.n_dofs)
+    for rows, chol, gcols, wmat, m_patch in patches:
+        r = np.zeros(m_patch)
+        for sid, local_j, local_ids, _ in rows:
+            r_loc = moments(sid, local_j)
+            for a, pa in enumerate(local_ids):
+                if pa >= 0:
+                    r[pa] += r_loc[a]
+        out[gcols] += wmat @ scipy.linalg.cho_solve(chol, r)
     return out
 
 
@@ -268,3 +398,43 @@ def test_rhs_scatter_matches_element_loop(meshes, kind):
     want = loop_rhs(ops, u.support(), lambda sid: float(mesh.volume(sid)) * (basis.T * wts) @ u.values(sid, pts))
     assert np.array_equal(ops.rhs(u), want)
     assert np.array_equal(ops.rhs(ElementwisePoly(mesh, {})), np.zeros(ops.space.n_dofs))
+
+
+# -- the approximating operator -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "dim,degree",
+    [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)],
+)
+@pytest.mark.parametrize("zero_trace", [False, True])
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_patch_table_matches_member_loops(meshes, dim, degree, zero_trace, shuffle):
+    mesh = _shuffled(meshes[dim], seed=dim) if shuffle else meshes[dim]
+    space = LagrangeSpace(mesh, degree, zero_trace=zero_trace)
+    ops = Operators(space)
+    form, apply_m, patches = loop_patch_operator(space)
+    assert_same_csr(ops.form_matrix, form)
+    assert_same_csr(ops.apply_matrix, apply_m)
+    u = _random_poly(mesh, mesh.active_ids()[::2], degree + 1, np.random.default_rng(degree))
+    assert np.array_equal(ops.apply_C(u), loop_apply_C(space, patches, u))
+
+    def f(x):
+        return np.cos(2 * x[0]) + x[-1] ** 3
+
+    assert np.array_equal(ops.apply_C(f), loop_apply_C(space, patches, f))
+    assert np.array_equal(ops.apply_C(f, quad_degree=3), loop_apply_C(space, patches, f, quad_degree=3))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_patch_table_on_trace_dominated_cells(dim, degree):
+    # one Kuhn cube with zero trace: P1 has no dof and no patch, P2 one dof
+    space = LagrangeSpace(kuhn_initial_mesh(dim, 1), degree, zero_trace=True)
+    ops = Operators(space)
+    form, apply_m, patches = loop_patch_operator(space)
+    assert space.n_dofs == degree - 1 and len(ops._patches) == len(patches)
+    assert_same_csr(ops.form_matrix, form)
+    assert_same_csr(ops.apply_matrix, apply_m)
+    u = _random_poly(space.mesh, space.element_ids, 2, np.random.default_rng(0))
+    assert np.array_equal(ops.apply_C(u), loop_apply_C(space, patches, u))

@@ -26,7 +26,7 @@ from gradedproj.mesh import (
     reference_simplex_mesh,
     similarity_classes,
 )
-from conftest import randomly_refined
+from conftest import distance_matrix, randomly_refined
 
 
 class CoordinateClosureMesh(SimplicialMesh):
@@ -398,7 +398,7 @@ def test_element_distance_basics(mesh2d):
     dist = element_distance(mesh2d, "vertex")
     ids = dist.ids
     assert dist.dist(ids[0], ids[0]) == 0
-    mat = dist.matrix()
+    mat = distance_matrix(dist)
     assert np.all(mat == mat.T)
     assert np.all(np.diag(mat) == 0)
     assert dist.connected
@@ -448,7 +448,7 @@ def test_face_distance_on_strip():
     }
     strip = SimplicialMesh.from_json_dict(data)
     df = element_distance(strip, "face")
-    assert df.matrix().max() == 2 * n - 1
+    assert distance_matrix(df).max() == 2 * n - 1
 
 
 def test_disconnected_distance_sentinel():
@@ -575,16 +575,6 @@ def test_dimension_four_closure():
         assert not hanging_vertex_violations(m)
     assert m.total_volume() == 1
     assert level_gap(m, element_distance(m, "face")) <= 1
-
-
-def test_distance_matrix_tsv(tmp_path, mesh2d):
-    dist = element_distance(mesh2d, "face")
-    path = tmp_path / "dist.tsv"
-    dist.write_tsv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# element distance matrix")
-    body = [l for l in lines if not l.startswith("#")]
-    assert len(body) == dist.n + 1  # header row plus one row per element
 
 
 def _euclid_dist2(mesh, a, b) -> float:

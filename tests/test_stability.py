@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedproj.mesh import element_distance, grading_of, kuhn_initial_mesh, level_gap, reference_simplex_mesh
+from gradedproj.mesh import (
+    SimplicialMesh,
+    element_distance,
+    grading_of,
+    kuhn_initial_mesh,
+    level_gap,
+    reference_simplex_mesh,
+)
 from gradedproj.polyspace import LagrangeSpace
 from gradedproj.projection import Operators, masked_projection_norm
 from gradedproj.stability import (
@@ -23,6 +30,8 @@ from gradedproj.stability import (
     stability_table,
     volume_decay_constant,
 )
+from conftest import distance_matrix
+
 
 @pytest.fixture(scope="module")
 def dist2d(mesh2d):
@@ -39,7 +48,7 @@ def brute_max_operator(values, gamma, dist):
     """Test oracle: max over the full distance matrix of |v_T'| / gamma^delta(T, T'),
     O(N^2) (the former brute-force path of max_operator)."""
     absvals = [abs(values[s]) for s in dist.ids]
-    mat = dist.matrix()
+    mat = distance_matrix(dist)
     out = []
     for i in range(dist.n):
         best = absvals[i]
@@ -251,6 +260,19 @@ def test_volume_decay_single_simplex_and_uniform():
     m = kuhn_initial_mesh(2, 2)
     rep = volume_decay_constant(m, 2.0, element_distance(m, "vertex"))
     assert rep.uniform_caveat and rep.factor is None
+
+
+def test_volume_decay_rejects_disconnected_mesh():
+    data = {
+        "version": 1,
+        "dim": 2,
+        "vertices": [[[x, 0], [y, 0]] for x, y in ((0, 0), (1, 0), (0, 1), (5, 0), (6, 0), (5, 1))],
+        "simplices": [{"v": [0, 1, 2], "tag": 2, "level": 0}, {"v": [3, 4, 5], "tag": 2, "level": 0}],
+        "gamma_faces": [],
+    }
+    m = SimplicialMesh.from_json_dict(data)
+    with pytest.raises(StabilityError, match="disconnected"):
+        volume_decay_constant(m, 2.0, element_distance(m, "vertex"))
 
 
 def test_volume_decay_bounded_over_corner_rounds():
