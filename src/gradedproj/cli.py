@@ -17,34 +17,25 @@ import math
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__
-from .mesh import (
-    SimplicialMesh,
-    closure_benchmark,
-    element_distance,
-    grading_of,
-    kuhn_initial_mesh,
-    level_gap,
-    marking_policy,
-    write_element_report,
-)
-from .polyspace import CRSpace, LagrangeSpace
-from .projection import Operators, measure_decay, write_decay_tsv
-from .stability import (
-    Weight,
+from . import GradedProjError, __version__
+from .analytic import (
     cr_dimension_thresholds,
     grading_value,
-    max_operator,
-    measure_weighted_stability,
     published_gradings,
     qnew_table,
-    regularized_h_grading,
     stability_range,
     stability_table,
+    w12_table,
 )
+
+if TYPE_CHECKING:
+    from .mesh import SimplicialMesh
+
+# The numeric layers are imported inside the commands that use them: numpy
+# and scipy take most of a short command's run time, and `tables` and
+# `stability` without --measure need neither.
 
 TOLERANCES = {
     "eigen_residual": 1e-9,
@@ -54,8 +45,8 @@ TOLERANCES = {
 }
 
 
-class CliInputError(Exception):
-    pass
+class CliInputError(GradedProjError):
+    """Invalid command-line input."""
 
 
 def round4(x: float) -> str:
@@ -126,6 +117,10 @@ def write_tsv(path: Path, header: list[str], columns: list[str], rows: list[list
 
 
 def build_mesh(args) -> SimplicialMesh:
+    import numpy as np
+
+    from .mesh import SimplicialMesh, kuhn_initial_mesh, marking_policy
+
     if getattr(args, "mesh", None):
         mesh = SimplicialMesh.load(args.mesh)
     else:
@@ -160,6 +155,8 @@ def parse_degree(text: str):
 
 
 def make_space(mesh: SimplicialMesh, degree, zero_trace: bool):
+    from .polyspace import CRSpace, LagrangeSpace
+
     if degree == "CR":
         if zero_trace:
             raise CliInputError("zero-trace variant is only available for Lagrange spaces")
@@ -171,6 +168,8 @@ def make_space(mesh: SimplicialMesh, degree, zero_trace: bool):
 
 
 def cmd_refine(args) -> int:
+    from .mesh import element_distance, level_gap, write_element_report
+
     cfg = config_dict(args)
     mesh = build_mesh(args)
     out_dir = Path(args.out)
@@ -203,6 +202,8 @@ def cmd_refine(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .projection import Operators
+
     cfg = config_dict(args)
     tols = effective_tolerances(args)
     degree = parse_degree(args.degree)
@@ -230,6 +231,11 @@ def cmd_certify(args) -> int:
 
 
 def cmd_decay(args) -> int:
+    import numpy as np
+
+    from .mesh import element_distance
+    from .projection import Operators, measure_decay, write_decay_tsv
+
     cfg = config_dict(args)
     degree = parse_degree(args.degree)
     mesh = build_mesh(args)
@@ -295,8 +301,6 @@ def cmd_tables(args) -> int:
     ]
     write_tsv(out_dir / "table3_stability_3d.tsv", header, ["gamma_h", "K", "Lp", "W1p"], rows)
 
-    from .stability import w12_table
-
     rows = [[r["gamma_h"], r["K_range"]] for r in w12_table(2, grid_2d)]
     write_tsv(out_dir / "table5_w12_ranges_2d.tsv", header, ["gamma_h", "K_range"], rows)
     rows = [[r["gamma_h"], r["K_range"]] for r in w12_table(3, grid_3d)]
@@ -312,6 +316,8 @@ def cmd_tables(args) -> int:
 
 def cmd_stability(args) -> int:
     cfg = config_dict(args)
+    if args.dim < 1:
+        raise CliInputError("--dim must be >= 1")
     degree = parse_degree(args.degree)
     gamma_h = args.gamma_h
     if args.preset:
@@ -323,7 +329,10 @@ def cmd_stability(args) -> int:
             raise CliInputError(f"unknown grading preset {args.preset!r}") from exc
     if gamma_h is None and degree != "CR":
         gamma_h = 2.0 ** (args.alpha / args.dim)
-    p = math.inf if args.p.lower() in ("inf", "infinity") else float(args.p)
+    try:
+        p = float(args.p)
+    except ValueError as exc:
+        raise CliInputError(f"invalid exponent --p {args.p!r}") from exc
     verdict = stability_range(args.dim, degree, gamma_h, args.gamma_rho, args.kind, p)
     payload = verdict.to_json_dict()
     payload["meta"] = output_meta(cfg)
@@ -331,6 +340,12 @@ def cmd_stability(args) -> int:
     if args.measure:
         if degree == math.inf:
             raise CliInputError("measurement needs a finite degree or CR")
+        import numpy as np
+
+        from .mesh import element_distance, max_operator
+        from .projection import Operators
+        from .stability import Weight, measure_weighted_stability
+
         mesh = build_mesh(args)
         space = make_space(mesh, degree, False)
         ops = Operators(space)
@@ -360,6 +375,12 @@ def cmd_stability(args) -> int:
 
 
 def cmd_cr_check(args) -> int:
+    import numpy as np
+
+    from .mesh import kuhn_initial_mesh
+    from .polyspace import CRSpace
+    from .projection import Operators, _random_poly
+
     cfg = config_dict(args)
     tols = effective_tolerances(args)
     out_dir = Path(args.out)
@@ -379,8 +400,6 @@ def cmd_cr_check(args) -> int:
         if cert.kappa > cert.bound_kappa + tols["kappa_slack"]:
             failures.append(f"d={d}: kappa {cert.kappa} exceeds {cert.bound_kappa}")
         if d == 2:
-            from .projection import _random_poly
-
             u = _random_poly(mesh, mesh.active_ids(), 1, np.random.default_rng(args.seed))
             diff = float(np.max(np.abs(ops.apply_C(u) - ops.project(u))))
             entry["c_equals_q_maxdiff"] = diff
@@ -399,6 +418,8 @@ def cmd_cr_check(args) -> int:
 
 
 def cmd_closure_bench(args) -> int:
+    from .mesh import closure_benchmark, kuhn_initial_mesh
+
     cfg = config_dict(args)
     mesh = kuhn_initial_mesh(args.dim, args.cells)
     report = closure_benchmark(mesh, args.policy, args.rounds, alpha=args.alpha, seed=args.seed)
@@ -433,6 +454,8 @@ def cmd_closure_bench(args) -> int:
 
 
 def cmd_grading(args) -> int:
+    from .mesh import element_distance, grading_of, level_gap, regularized_h_grading, write_element_report
+
     cfg = config_dict(args)
     mesh = build_mesh(args)
     out_dir = Path(args.out)
@@ -554,24 +577,11 @@ def build_parser() -> Parser:
 
 
 def main(argv=None) -> int:
-    from .mesh import MeshError
-    from .polyspace import PolySpaceError
-    from .projection import ProjectionError
-    from .stability import StabilityError
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        CliInputError,
-        MeshError,
-        PolySpaceError,
-        ProjectionError,
-        StabilityError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (GradedProjError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
 

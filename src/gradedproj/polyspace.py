@@ -22,12 +22,13 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from . import GradedProjError
 from .mesh import SimplicialMesh, fraction_solve
 
 MultiIndex = tuple[int, ...]
 
 
-class PolySpaceError(Exception):
+class PolySpaceError(GradedProjError):
     """Invalid polynomial-space operation."""
 
 
@@ -256,9 +257,6 @@ class ReferenceElement:
             c = sum(self.vandermonde_inv[m][a] * values[a] for a in range(self.n))
             coeffs[mono] = c
         return BarycentricPoly(self.dim, coeffs)
-
-    def nodal_values(self, poly: BarycentricPoly) -> list[Fraction]:
-        return [poly.evaluate(node) for node in self.node_coords]
 
 
 @lru_cache(maxsize=None)

@@ -40,6 +40,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .analytic import ProjectionError, q_new
 from .mesh import ElementDistance, SimplicialMesh
 from .polyspace import (
     BarycentricPoly,
@@ -54,22 +55,6 @@ from .polyspace import (
 )
 
 DENSE_SOLVE_LIMIT = 5000
-
-
-class ProjectionError(Exception):
-    """Operator assembly or solve failure."""
-
-
-def q_new(dim: int, degree) -> float:
-    """Decay parameter (sqrt(2K+d) - sqrt(K)) / (sqrt(2K+d) + sqrt(K));
-    degree may be math.inf for the limit (sqrt(2)-1)/(sqrt(2)+1)."""
-    if degree == math.inf or degree is None:
-        return (math.sqrt(2.0) - 1.0) / (math.sqrt(2.0) + 1.0)
-    if dim < 1 or degree < 1:
-        raise ProjectionError("q_new requires d, K >= 1")
-    a = math.sqrt(2.0 * degree + dim)
-    b = math.sqrt(float(degree))
-    return (a - b) / (a + b)
 
 
 def cr_q_bound(dim: int) -> float:

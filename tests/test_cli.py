@@ -1,11 +1,14 @@
 import json
 import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gradedproj
 from gradedproj.cli import main, round4
 from gradedproj.mesh import kuhn_initial_mesh, marking_policy
 
@@ -154,6 +157,13 @@ def test_stability_command(tmp_path):
     assert verdict["admissible"] is True
 
 
+def test_stability_limit_degree(tmp_path):
+    # K = inf is the limit verdict; it is written as "inf", as the tables write K
+    assert run(tmp_path, "stability", "--dim", "2", "--degree", "inf", "--out", "si") == 0
+    verdict = json.loads((tmp_path / "si" / "stability_verdict.json").read_text())
+    assert verdict["degree"] == "inf" and verdict["interval"] == "[1,inf]"
+
+
 def test_stability_preset(tmp_path):
     code = run(tmp_path, "stability", "--dim", "2", "--degree", "1", "--preset", "2D-NVB+",
                "--kind", "W1p", "--out", "sp")
@@ -272,6 +282,68 @@ def test_malformed_mesh_exits_3(tmp_path, capsys, data):
     assert run(tmp_path, "certify", "--mesh", str(path), "--degree", "1", "--out", "x") == 3
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stability", "--dim", "0"],
+        ["stability", "--dim", "0", "--degree", "CR"],
+        ["stability", "--p", "0"],
+        ["stability", "--p", "abc"],
+        ["stability", "--p", "0.5"],
+        ["stability", "--p", "-1"],
+        ["stability", "--p", "nan"],
+        ["stability", "--gamma-h", "nan"],
+        ["stability", "--gamma-h", "inf"],
+        ["stability", "--gamma-rho", "nan"],
+        ["refine", "--policy", "random:abc"],
+        ["refine", "--policy", "random-count:x"],
+    ],
+    ids=lambda argv: " ".join(argv[1:]),
+)
+def test_malformed_option_exits_3(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv, "--out", "x") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+
+def _modules_loaded(tmp_path, statement):
+    """Run `statement` in a fresh interpreter; return the value it leaves in
+    `code` and the top-level packages it loaded."""
+    script = f"import json, sys\n{statement}\nprint(json.dumps([code, sorted(sys.modules)]))\n"
+    src = str(Path(gradedproj.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    code, modules = json.loads(done.stdout.strip().splitlines()[-1])
+    return code, {m.split(".")[0] for m in modules}
+
+
+def test_import_loads_no_numeric_stack(tmp_path):
+    for module in ("gradedproj.cli", "gradedproj.analytic"):
+        _, loaded = _modules_loaded(tmp_path, f"import {module}\ncode = None")
+        assert not loaded & {"numpy", "scipy"}, (module, sorted(loaded))
+
+
+@pytest.mark.parametrize(
+    "line, unwanted",
+    [
+        ("tables --out out/tables", {"numpy", "scipy"}),
+        ("stability --dim 2 --degree 1 --preset 2D-NVB+ --kind W1p --p 3 --out out/stab", {"numpy", "scipy"}),
+        ("refine --dim 2 --alpha 1 --policy corner --rounds 8 --out out/refine", {"scipy"}),
+        ("grading --dim 3 --rounds 4 --policy random:0.25 --out out/grading", {"scipy"}),
+        ("closure-bench --dim 2 --rounds 40 --policy random-count:4 --out out/bench", {"scipy"}),
+    ],
+    ids=["tables", "stability", "refine", "grading", "closure-bench"],
+)
+def test_command_import_layers(tmp_path, line, unwanted):
+    # the README command lines, each in a fresh interpreter, run to the end:
+    # exit 0, or 2 where a gate fires (the closure-bench example trips its
+    # trend gate)
+    code, loaded = _modules_loaded(tmp_path, f"from gradedproj.cli import main\ncode = main({line.split()!r})")
+    assert code in (0, 2)
+    assert not loaded & unwanted, sorted(loaded & unwanted)
 
 
 def test_cr_rejects_zero_trace(tmp_path):
