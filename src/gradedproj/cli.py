@@ -576,10 +576,23 @@ def build_parser() -> Parser:
     return parser
 
 
+# smallest accepted value of each count option; cr_dimension_thresholds
+# scans d = 2..probe_limit
+COUNT_MINIMUM = {"rounds": 0, "trials": 0, "probe_limit": 2}
+
+
+def check_counts(args) -> None:
+    for name, low in COUNT_MINIMUM.items():
+        value = getattr(args, name, low)
+        if value < low:
+            raise CliInputError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_counts(args)
         return args.func(args)
     except (GradedProjError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

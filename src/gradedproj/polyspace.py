@@ -1,13 +1,20 @@
 """Exact polynomial algebra on simplices in the barycentric monomial basis,
-Lagrange and Crouzeix-Raviart element spaces, and the local spectral operator
-behind the projection condition bounds.
+the local basis of the Lagrange and Crouzeix-Raviart elements, their element
+spaces, and the local spectral operator behind the projection condition
+bounds.
 
 Everything on a single element is exact rational arithmetic.  Monomials are
 lambda^sigma = lambda_0^s0 * ... * lambda_d^sd with the integration formula
 
     mean_T lambda^sigma = sigma! d! / (|sigma| + d)!
 
-Spectra are computed only after conversion to floating point.
+Every exact element table (nodal mass, the lambda_j-weighted product tables
+of the patch operator, the gradient product tables) is a mean of products of
+nodal basis functions, Vinv_A^T G Vinv_B with G a monomial moment matrix
+from that formula; one kernel forms it in integers over common denominators.
+One float evaluator gives the values and barycentric partials of the local
+basis, Lagrange degree K or "CR", at any barycentric points.  Spectra are
+computed only after conversion to floating point.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 from typing import Sequence
 
 import numpy as np
@@ -135,6 +142,14 @@ class BarycentricPoly:
             total += term
         return total
 
+    def values(self, bary: np.ndarray) -> np.ndarray:
+        """Float values at the rows of bary: the monomial terms, each formed as
+        in monomial_values, summed one after another in coefficient order."""
+        out = np.zeros(len(bary))
+        for term in monomial_values(tuple(self.coeffs), bary, tuple(self.coeffs.values())).T:
+            out += term
+        return out
+
     def homogenize(self, degree: int) -> "BarycentricPoly":
         """Rewrite with all monomials of exactly the given total degree using
         (sum_j lambda_j)^m = 1."""
@@ -239,11 +254,14 @@ class ReferenceElement:
     node_coords: tuple  # barycentric coordinates of Lagrange nodes
     vandermonde: tuple  # V[node, mono] = lambda^mono(x_node)
     vandermonde_inv: tuple
-    nodal_mass: tuple
 
     @property
     def n(self) -> int:
         return len(self.monos)
+
+    @property
+    def nodal_mass(self) -> tuple:
+        return nodal_mass_table(self.dim, self.degree)
 
     def nodal_poly(self, a: int) -> BarycentricPoly:
         """Lagrange basis function number a as a monomial-basis polynomial."""
@@ -262,7 +280,6 @@ class ReferenceElement:
 @lru_cache(maxsize=None)
 def reference_element(dim: int, degree: int) -> ReferenceElement:
     monos = multi_indices(dim, degree)
-    n = len(monos)
     gram = tuple(
         tuple(mono_mean(tuple(a + b for a, b in zip(ma, mb))) for mb in monos) for ma in monos
     )
@@ -272,35 +289,96 @@ def reference_element(dim: int, degree: int) -> ReferenceElement:
         nodes = tuple(tuple(Fraction(a, degree) for a in alpha) for alpha in monos)
     vand = tuple(tuple(BarycentricPoly.monomial(mono).evaluate(node) for mono in monos) for node in nodes)
     vinv = tuple(tuple(row) for row in frac_mat_inv([list(r) for r in vand]))
-    nodal_mass = tuple(
-        tuple(row)
-        for row in frac_mat_mul(
-            _transpose(vinv), frac_mat_mul([list(r) for r in gram], [list(r) for r in vinv])
-        )
-    )
-    return ReferenceElement(dim, degree, monos, gram, nodes, vand, vinv, nodal_mass)
+    return ReferenceElement(dim, degree, monos, gram, nodes, vand, vinv)
 
 
-def _transpose(m):
-    return [list(row) for row in zip(*m)]
+# -- exact reference tables: one integer kernel ------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _integer_vinv(dim: int, degree: int) -> tuple[np.ndarray, int]:
+    """Vinv = ints / den, with ints an object array of Python ints and den
+    the lcm of the denominators of Vinv."""
+    vinv = reference_element(dim, degree).vandermonde_inv
+    den = lcm(*(x.denominator for row in vinv for x in row))
+    return np.array([[x.numerator * (den // x.denominator) for x in row] for row in vinv], dtype=object), den
+
+
+def _nodal_form(dim: int, degree_a: int, degree_b: int, moment) -> tuple:
+    """Exact table T = Vinv_A^T G Vinv_B as rows of Fractions, for the moment
+    matrix G[m][n] = c * mean(lambda^sigma) over the monomials m of degree_a
+    and n of degree_b, with (c, sigma) = moment(m, n); c = 0 marks a zero
+    entry.  G scaled by (max |sigma| + d)! and Vinv scaled by the lcm of its
+    denominators are integers, so T is an integer product with one division
+    per entry."""
+    pairs = [[moment(m, n) for n in multi_indices(dim, degree_b)] for m in multi_indices(dim, degree_a)]
+    scale = factorial(max((sum(s) for row in pairs for c, s in row if c), default=0) + dim)
+
+    def scaled_mean(sigma):  # scale * sigma! d! / (|sigma| + d)!
+        out = factorial(dim) * (scale // factorial(sum(sigma) + dim))
+        for s in sigma:
+            out *= factorial(s)
+        return out
+
+    g = np.array([[c * scaled_mean(s) if c else 0 for c, s in row] for row in pairs], dtype=object)
+    va, la = _integer_vinv(dim, degree_a)
+    vb, lb = _integer_vinv(dim, degree_b)
+    return _fraction_rows(va.T @ g @ vb, la * scale * lb)
+
+
+def _fraction_rows(ints: np.ndarray, den: int) -> tuple:
+    return tuple(tuple(Fraction(int(x), den) for x in row) for row in ints)
+
+
+def _index_sum(*indices) -> MultiIndex:
+    return tuple(map(sum, zip(*indices)))
+
+
+def _unit(dim: int, j: int, step: int) -> MultiIndex:
+    return tuple(step if i == j else 0 for i in range(dim + 1))
+
+
+@lru_cache(maxsize=None)
+def nodal_mass_table(dim: int, degree: int):
+    """Exact mass M[a][b] = mean of N_a * N_b over the simplex."""
+    return _nodal_form(dim, degree, degree, lambda m, n: (1, _index_sum(m, n)))
 
 
 @lru_cache(maxsize=None)
 def lambda_nodal_product_table(dim: int, degree_a: int, degree_b: int):
     """Exact tensor P[j][a][b] = mean of lambda_j * N^A_a * N^B_b over the
     simplex, with N^A, N^B the nodal bases of the two degrees."""
-    ra = reference_element(dim, degree_a)
-    rb = reference_element(dim, degree_b)
-    polys_a = [ra.nodal_poly(a) for a in range(ra.n)]
-    polys_b = [rb.nodal_poly(b) for b in range(rb.n)]
-    table = []
-    for j in range(dim + 1):
-        rows = []
-        for pa in polys_a:
-            paj = pa.mul_lambda(j)
-            rows.append(tuple((paj * pb).integral(Fraction(1)) for pb in polys_b))
-        table.append(tuple(rows))
-    return tuple(table)
+    def table(e_j):
+        return _nodal_form(dim, degree_a, degree_b, lambda m, n: (1, _index_sum(m, n, e_j)))
+
+    return tuple(table(_unit(dim, j, 1)) for j in range(dim + 1))
+
+
+@lru_cache(maxsize=None)
+def gradient_product_table(dim: int, degree: int):
+    """Exact tensor W[j][l][a][b] = mean of (dN_a / dlambda_j)(dN_b / dlambda_l)
+    over the simplex, for the degree-K nodal basis."""
+    def table(j, l):
+        down = _index_sum(_unit(dim, j, -1), _unit(dim, l, -1))
+        return _nodal_form(dim, degree, degree, lambda m, n: (m[j] * n[l], _index_sum(m, n, down)))
+
+    return tuple(tuple(table(j, l) for l in range(dim + 1)) for j in range(dim + 1))
+
+
+@lru_cache(maxsize=None)
+def nodal_values_at_nodes(dim: int, degree: int, node_degree: int):
+    """Exact values V[m][a] of the degree-K nodal basis N_a at the Lagrange
+    nodes x_m = alpha_m / K' of degree K' = node_degree >= 1: the monomial
+    Vandermonde at those nodes, prod_j alpha_j^sigma_j / K'^K, times Vinv."""
+    powers = np.array(
+        [
+            [prod(a**s for a, s in zip(alpha, sigma)) for sigma in multi_indices(dim, degree)]
+            for alpha in multi_indices(dim, node_degree)
+        ],
+        dtype=object,
+    )
+    vinv, den = _integer_vinv(dim, degree)
+    return _fraction_rows(powers @ vinv, node_degree**degree * den)
 
 
 # -- the spectral operator of the decomposition ----------------------------------
@@ -432,7 +510,7 @@ def scatter_matrix(row_dofs: np.ndarray, col_dofs: np.ndarray, blocks: np.ndarra
 def float_local_mass(dim: int, degree) -> np.ndarray:
     """Element mass on the unit-volume simplex in floating point, for Lagrange
     degree K or degree "CR"; read-only, shared by all callers."""
-    return _readonly_floats(cr_local_mass(dim) if degree == "CR" else reference_element(dim, degree).nodal_mass)
+    return _readonly_floats(cr_local_mass(dim) if degree == "CR" else nodal_mass_table(dim, degree))
 
 
 @lru_cache(maxsize=None)
@@ -448,16 +526,65 @@ def _readonly_floats(exact) -> np.ndarray:
     return out
 
 
+# -- float evaluation of the local basis --------------------------------------------
+
+
+def monomial_values(monos: Sequence[MultiIndex], bary: np.ndarray, coeffs: Sequence | None = None) -> np.ndarray:
+    """(n_points, n_monos) values of coeff * lambda^mono at the rows of bary,
+    each formed as the coefficient (1.0 without coeffs) times the factors
+    bary_j ** e in j order."""
+    out = np.empty((len(bary), len(monos)))
+    for col, mono in enumerate(monos):
+        term = np.full(len(bary), 1.0 if coeffs is None else float(coeffs[col]))
+        for j, e in enumerate(mono):
+            if e:
+                term *= bary[:, j] ** e
+        out[:, col] = term
+    return out
+
+
+def basis_values(dim: int, degree, bary: np.ndarray, partials: bool = False) -> np.ndarray:
+    """The local basis at the rows of bary (barycentric points), for Lagrange
+    degree K (the nodal basis, from its monomial coefficients) or degree "CR"
+    (1 - d lambda_j): values, shape (n_points, n_basis), or with partials=True
+    the partial derivatives in lambda_j, shape (n_points, d+1, n_basis)."""
+    if degree == "CR":
+        if partials:
+            return np.broadcast_to(-dim * np.eye(dim + 1), (len(bary), dim + 1, dim + 1))
+        return 1.0 - dim * bary
+    monos = multi_indices(dim, degree)
+    if not partials:
+        return monomial_values(monos, bary) @ float_vandermonde_inv(dim, degree)
+    out = np.zeros((len(bary), dim + 1, len(monos)))
+    for j in range(dim + 1):
+        cols = [col for col, mono in enumerate(monos) if mono[j]]
+        out[:, j, cols] = monomial_values([multi_index_sub(monos[c], j) for c in cols], bary, [monos[c][j] for c in cols])
+    return out @ float_vandermonde_inv(dim, degree)
+
+
+@lru_cache(maxsize=None)
+def quadrature_basis(dim: int, degree, quad_degree: int, partials: bool = False) -> np.ndarray:
+    """basis_values at the points of simplex_quadrature(dim, quad_degree);
+    read-only, shared by all callers."""
+    out = basis_values(dim, degree, simplex_quadrature(dim, quad_degree)[0], partials)
+    out.setflags(write=False)
+    return out
+
+
 class _ElementSpace:
     """Dof table of an element space: dofs[r] holds the global dof of each
     local basis function on element element_ids[r], -1 for a removed trace
-    dof."""
+    dof.  local_degree names the local basis as the tables and evaluators of
+    this module take it: the Lagrange degree K, or "CR"."""
 
     def _set_dofs(self, table) -> None:
         self.dofs = np.array(table, dtype=np.int64).reshape(len(self.element_ids), -1)
         self.dofs.setflags(write=False)
         self._row = {sid: r for r, sid in enumerate(self.element_ids)}
         self._mass = None
+
+    def local_mass(self) -> np.ndarray:
+        return float_local_mass(self.mesh.dim, self.local_degree)
 
     def cell_dofs(self, sid: int) -> np.ndarray:
         """Global dof per local basis function; -1 marks a removed trace dof."""
@@ -498,7 +625,7 @@ class LagrangeSpace(_ElementSpace):
         if degree < 1:
             raise PolySpaceError("Lagrange degree must be >= 1")
         self.mesh = mesh
-        self.degree = degree
+        self.degree = self.local_degree = degree
         self.zero_trace = zero_trace
         self.ref = reference_element(mesh.dim, degree)
         self.element_ids = mesh.active_ids()
@@ -537,9 +664,6 @@ class LagrangeSpace(_ElementSpace):
             table = remap[table]
         self._set_dofs(table)
 
-    def local_mass(self) -> np.ndarray:
-        return float_local_mass(self.mesh.dim, self.degree)
-
 
 def cr_local_mass(dim: int, volume=Fraction(1)) -> list[list[Fraction]]:
     """Exact Crouzeix-Raviart element mass matrix
@@ -559,6 +683,7 @@ class CRSpace(_ElementSpace):
     """Crouzeix-Raviart space: one dof per (d-1)-face, basis 1 - d*lambda_j."""
 
     kind = "cr"
+    local_degree = "CR"
 
     def __init__(self, mesh: SimplicialMesh):
         if mesh.dim < 2:
@@ -576,9 +701,6 @@ class CRSpace(_ElementSpace):
         self.n_dofs = len(face_ids)
         self.face_keys = sorted(face_ids, key=face_ids.get)
         self._set_dofs(table)
-
-    def local_mass(self) -> np.ndarray:
-        return float_local_mass(self.mesh.dim, "CR")
 
     @staticmethod
     def local_basis_poly(dim: int, j: int) -> BarycentricPoly:

@@ -24,6 +24,12 @@ weights.  Assembly fills each patch system from it with np.add.at, and
 apply_C accumulates its moments through the same ids.  The global form and
 apply matrices are summed in patch order, so their bits do not depend on how
 scipy orders duplicate triplets.
+
+Reference tables and local basis values come from gradedproj.polyspace: the
+exact product tables of the patch Gram and cross matrices, the nodal values
+of the low-degree basis at the high nodes, the gradient products of the
+weighted stiffness, and the one float evaluator of the Lagrange and
+Crouzeix-Raviart bases.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -45,11 +50,13 @@ from .mesh import ElementDistance, SimplicialMesh
 from .polyspace import (
     BarycentricPoly,
     CRSpace,
-    float_vandermonde_inv,
+    basis_values,
+    gradient_product_table,
     lambda_nodal_product_table,
     multi_indices,
+    nodal_values_at_nodes,
     node_key,
-    reference_element,
+    quadrature_basis,
     scatter_matrix,
     simplex_quadrature,
 )
@@ -98,7 +105,7 @@ class ElementwisePoly:
         poly = self.polys.get(sid)
         if poly is None:
             return np.zeros(len(bary))
-        return _poly_values(poly, bary)
+        return poly.values(bary)
 
     def norm2(self) -> float:
         total = 0.0
@@ -118,38 +125,6 @@ class FeFunction:
     def norm2(self) -> float:
         m = self.space.mass_matrix()
         return math.sqrt(max(float(self.coeffs @ (m @ self.coeffs)), 0.0))
-
-
-def _poly_values(poly: BarycentricPoly, bary: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(bary))
-    for mono, coeff in poly.coeffs.items():
-        term = np.full(len(bary), float(coeff))
-        for j, e in enumerate(mono):
-            if e:
-                term *= bary[:, j] ** e
-        out += term
-    return out
-
-
-@lru_cache(maxsize=None)
-def _nodal_values_at_quad(dim: int, degree: int, quad_degree: int) -> np.ndarray:
-    """(n_quad, n_nodes) values of the reference nodal basis at GM points."""
-    return _lagrange_values(reference_element(dim, degree), simplex_quadrature(dim, quad_degree)[0])
-
-
-def _lagrange_values(ref, bary: np.ndarray) -> np.ndarray:
-    """(n_points, n_nodes) values of the nodal basis of ref at barycentric points."""
-    mono_vals = np.ones((len(bary), ref.n))
-    for col, mono in enumerate(ref.monos):
-        for j, e in enumerate(mono):
-            if e:
-                mono_vals[:, col] *= bary[:, j] ** e
-    return mono_vals @ float_vandermonde_inv(ref.dim, ref.degree)
-
-
-def _cr_values_at(bary: np.ndarray, dim: int) -> np.ndarray:
-    """(n_quad, d+1) values of the Crouzeix-Raviart basis 1 - d lambda_j."""
-    return 1.0 - dim * bary
 
 
 # -- assembled operators --------------------------------------------------------
@@ -214,14 +189,13 @@ class Operators:
     def _assemble_patches(self):
         space = self.space
         mesh, K, d = self.mesh, space.degree, self.dim
-        low = reference_element(d, K - 1)
+        low_monos = multi_indices(d, K - 1)
         # float tables indexed by the patch vertex's local number j
         gram_f = np.array(lambda_nodal_product_table(d, K - 1, K - 1), dtype=float)
         cross_f = np.array(lambda_nodal_product_table(d, K - 1, K), dtype=float)
-        hi_nodes = space.ref.node_coords
-        low_at_hi = np.array([[low.nodal_poly(a).evaluate(x) for a in range(low.n)] for x in hi_nodes], dtype=float)
+        low_at_hi = np.array(nodal_values_at_nodes(d, K - 1, K), dtype=float)
         # nodal[j, m, a]: value of lambda_j psi_a at high node m
-        nodal = np.array(hi_nodes, dtype=float).T[:, :, None] * low_at_hi
+        nodal = np.array(space.ref.node_coords, dtype=float).T[:, :, None] * low_at_hi
 
         # per element row: patch-dof key ids, and the low nodes that a trace
         # face of the element bans in the patch of each of its vertices j
@@ -229,11 +203,11 @@ class Operators:
         verts = np.array([mesh.simplices[sid].vertices for sid in space.element_ids])
         key_ids: dict[tuple, int] = {}
         keys = np.array(
-            [[key_ids.setdefault(node_key(vs, alpha), len(key_ids)) for alpha in low.monos] for vs in verts.tolist()]
+            [[key_ids.setdefault(node_key(vs, alpha), len(key_ids)) for alpha in low_monos] for vs in verts.tolist()]
         )
         gamma = mesh.gamma_faces if getattr(space, "zero_trace", False) else set()
         on_gamma = np.array([[frozenset(vs) - {v} in gamma for v in vs] for vs in verts.tolist()], dtype=bool)
-        banned = (on_gamma[:, None, :] & ~np.eye(d + 1, dtype=bool)) @ (np.array(low.monos) == 0).T
+        banned = (on_gamma[:, None, :] & ~np.eye(d + 1, dtype=bool)) @ (np.array(low_monos) == 0).T
         self._vols = np.array([float(mesh.volume(sid)) for sid in space.element_ids])
 
         # patches in vertex order; members (element row, local j) in row order
@@ -337,11 +311,7 @@ class Operators:
 
     def _quad(self, degree: int):
         pts, wts = simplex_quadrature(self.dim, degree)
-        if isinstance(self.space, CRSpace):
-            basis = _cr_values_at(pts, self.dim)
-        else:
-            basis = _nodal_values_at_quad(self.dim, self.space.degree, degree)
-        return pts, wts, basis
+        return pts, wts, quadrature_basis(self.dim, self.space.local_degree, degree)
 
     def _element_rhs(self, element_ids: Sequence[int], u, deg: int) -> np.ndarray:
         """<u, b_m> by a rule of the given degree over the given elements."""
@@ -390,7 +360,7 @@ class Operators:
         else:
             deg = quad_degree if quad_degree is not None else 2 * K + 2
         pts, wts = simplex_quadrature(self.dim, deg)
-        basis_low = _nodal_values_at_quad(self.dim, K - 1, deg)
+        basis_low = quadrature_basis(self.dim, K - 1, deg)
         vals = np.array([self._values_at(u, sid, pts) for sid in self.space.element_ids])[:, :, None]
         # moments[r, j, a] = <lambda_j psi_a, u> on element row r; the stacked
         # matmul makes one BLAS call per (r, j), with the bits of a separate
@@ -455,13 +425,12 @@ class Operators:
             raise ProjectionError(f"operator not elliptic: lambda_min={lam_min}")
         kappa = lam_max / lam_min
         rk = math.sqrt(kappa)
-        degree = "CR" if isinstance(self.space, CRSpace) else self.space.degree
         name = "CR" if isinstance(self.space, CRSpace) else (
             f"P{self.space.degree}" + ("_zero_trace" if getattr(self.space, "zero_trace", False) else "")
         )
         return SpectralCertificate(
             dim=self.dim,
-            degree=degree,
+            degree=self.space.local_degree,
             space=name,
             n_dofs=n,
             lambda_min=lam_min,
@@ -580,17 +549,10 @@ class TwoMeshLink:
         d = self.coarse.mesh.dim
         deg = self.coarse.degree + self.fine.degree
         pts, wts = simplex_quadrature(d, deg)
-        fine_is_cr = isinstance(self.fine, CRSpace)
-        coarse_is_cr = isinstance(self.coarse, CRSpace)
-        fine_vals = _cr_values_at(pts, d) if fine_is_cr else _nodal_values_at_quad(d, self.fine.degree, deg)
+        fine_vals = quadrature_basis(d, self.fine.local_degree, deg)
         blocks = []
         for sid in self.fine.element_ids:
-            bmap = self.barycentric_map(sid)
-            cbary = pts @ bmap.T
-            if coarse_is_cr:
-                cvals = _cr_values_at(cbary, d)
-            else:
-                cvals = _lagrange_values(self.coarse.ref, cbary)
+            cvals = basis_values(d, self.coarse.local_degree, pts @ self.barycentric_map(sid).T)
             blocks.append(float(self.fine.mesh.volume(sid)) * (cvals.T * wts) @ fine_vals)
         coarse_dofs = self.coarse.dof_rows([self.ancestors[sid] for sid in self.fine.element_ids])
         shape = (self.coarse.n_dofs, self.fine.n_dofs)
@@ -753,34 +715,6 @@ def weighted_mass(space, weights: dict[int, float]) -> sp.csr_matrix:
     return space.element_mass([sid for sid in space.element_ids if weights[sid] != 0], weights)
 
 
-@lru_cache(maxsize=None)
-def _grad_product_table(dim: int, degree: int):
-    """Tensor W[j, l, a, b] = mean of (d N_a / d lambda_j)(d N_b / d lambda_l),
-    integrated exactly and returned in floating point (read-only)."""
-    ref = reference_element(dim, degree)
-    polys = [ref.nodal_poly(a) for a in range(ref.n)]
-    partials = []
-    for a, poly in enumerate(polys):
-        row = []
-        for j in range(dim + 1):
-            coeffs = {}
-            for mono, c in poly.coeffs.items():
-                if mono[j] > 0:
-                    key = mono[:j] + (mono[j] - 1,) + mono[j + 1 :]
-                    coeffs[key] = coeffs.get(key, 0) + c * mono[j]
-            row.append(BarycentricPoly(dim, coeffs))
-        partials.append(row)
-    table = np.array([
-        [
-            [[float((partials[a][j] * partials[b][l]).integral(Fraction(1))) for b in range(ref.n)] for a in range(ref.n)]
-            for l in range(dim + 1)
-        ]
-        for j in range(dim + 1)
-    ])
-    table.setflags(write=False)
-    return table
-
-
 def barycentric_gradients(mesh: SimplicialMesh, sid: int) -> np.ndarray:
     """(d+1, d) gradients of the barycentric coordinates of one element."""
     verts = mesh.simplices[sid].vertices
@@ -803,7 +737,7 @@ def weighted_stiffness(space, weights: dict[int, float]) -> sp.csr_matrix:
     if isinstance(space, CRSpace):
         blocks = ((dim * dim) * scale)[:, None, None] * gdot  # grad psi_j = -d grad lambda_j
     else:
-        tab = _grad_product_table(dim, space.degree)
+        tab = np.array(gradient_product_table(dim, space.degree), dtype=float)
         blocks = np.zeros((len(sids),) + tab.shape[2:])
         for j in range(dim + 1):
             for l in range(dim + 1):

@@ -38,13 +38,12 @@ from .mesh import (  # noqa: F401  (max_operator and the regularized grading are
     max_operator,
     regularized_h_grading,
 )
-from .polyspace import CRSpace, LagrangeSpace, float_vandermonde_inv, simplex_quadrature
+from .polyspace import CRSpace, LagrangeSpace, quadrature_basis, simplex_quadrature
 from .projection import (
     FeFunction,
     Operators,
     TwoMeshLink,
-    _nodal_values_at_quad,
-    _cr_values_at,
+    barycentric_gradients,
     weighted_mass,
     weighted_stiffness,
 )
@@ -271,28 +270,18 @@ def _weighted_p_norm(space, coeffs, wvals, p, kind) -> float:
     """||rho u||_p or ||rho grad u||_p of an FE function via quadrature."""
     d = space.mesh.dim
     deg = 2 * space.degree + 2
-    pts, wts = simplex_quadrature(d, deg)
-    if isinstance(space, CRSpace):
-        basis = _cr_values_at(pts, d)
-    else:
-        basis = _nodal_values_at_quad(d, space.degree, deg)
+    wts = simplex_quadrature(d, deg)[1]
+    basis = quadrature_basis(d, space.local_degree, deg, partials=kind == "W1p")
     total = 0.0
     sup = 0.0
-    from .projection import barycentric_gradients
-
     for sid in space.element_ids:
         dofs = space.cell_dofs(sid)
         loc = np.array([coeffs[g] if g >= 0 else 0.0 for g in dofs])
         w = wvals[sid]
         vol = float(space.mesh.volume(sid))
         if kind == "W1p":
-            grads = barycentric_gradients(space.mesh, sid)
-            if isinstance(space, CRSpace):
-                gval = np.linalg.norm((-d) * (loc @ grads))
-                vals = np.full(len(wts), gval)
-            else:
-                gv = _gradient_values(space, sid, loc, pts, grads)
-                vals = np.linalg.norm(gv, axis=1)
+            # grad u = sum_j (du / dlambda_j) grad lambda_j at each point
+            vals = np.linalg.norm((basis @ loc) @ barycentric_gradients(space.mesh, sid), axis=1)
         else:
             vals = np.abs(basis @ loc)
         if p == math.inf:
@@ -300,66 +289,3 @@ def _weighted_p_norm(space, coeffs, wvals, p, kind) -> float:
         else:
             total += vol * float(wts @ (w * vals) ** p)
     return sup if p == math.inf else total ** (1.0 / p)
-
-
-def _gradient_values(space, sid, loc, pts, grads):
-    ref = space.ref
-    d = space.mesh.dim
-    mono_coeffs = float_vandermonde_inv(ref.dim, ref.degree) @ loc  # monomial coefficients of the local function
-    out = np.zeros((len(pts), d))
-    for col, mono in enumerate(ref.monos):
-        c = mono_coeffs[col]
-        if c == 0:
-            continue
-        for j, e in enumerate(mono):
-            if e == 0:
-                continue
-            term = np.full(len(pts), float(c) * e)
-            for jj, ee in enumerate(mono):
-                pw = ee - 1 if jj == j else ee
-                if pw:
-                    term = term * pts[:, jj] ** pw
-            out += term[:, None] * grads[j][None, :]
-    return out
-
-
-@dataclass
-class StabilityTrend:
-    """Measured ratios across a refinement sequence with the no-blow-up rule
-    (each ratio after round 3 at most 1.05 times the running maximum)."""
-
-    p: float
-    kind: str
-    ratios: list[float]
-    passed: bool
-    first_violation: int | None
-
-
-def measure_stability_trend(
-    make_ops,
-    refine_step,
-    weight_of,
-    p: float,
-    kind: str,
-    rounds: int,
-    fine_sweeps: int = 1,
-    samples: int = 10,
-    seed: int = 0,
-) -> StabilityTrend:
-    """Drive `refine_step` repeatedly, measuring the weighted ratio each
-    round; this is the pass criterion for exponents without explicit
-    constants."""
-    ratios: list[float] = []
-    first_violation = None
-    for r in range(rounds):
-        refine_step(r)
-        ops = make_ops()
-        weight = weight_of(ops)
-        res = measure_weighted_stability(
-            ops, weight, p=p, kind=kind, fine_sweeps=fine_sweeps, samples=samples, seed=seed + r
-        )
-        ratios.append(res.measured)
-        if r >= 3 and ratios[r] > 1.05 * max(ratios[:r]):
-            if first_violation is None:
-                first_violation = r
-    return StabilityTrend(p, kind, ratios, first_violation is None, first_violation)

@@ -299,6 +299,15 @@ def test_malformed_mesh_exits_3(tmp_path, capsys, data):
         ["stability", "--gamma-rho", "nan"],
         ["refine", "--policy", "random:abc"],
         ["refine", "--policy", "random-count:x"],
+        ["refine", "--rounds", "-1"],
+        ["grading", "--rounds", "-2"],
+        ["closure-bench", "--rounds", "-3"],
+        ["cr-check", "--rounds", "-4"],
+        ["certify", "--rounds", "-5"],
+        ["decay", "--trials", "-1"],
+        ["tables", "--probe-limit", "-5"],
+        ["tables", "--probe-limit", "1"],
+        ["cr-check", "--probe-limit", "0"],
     ],
     ids=lambda argv: " ".join(argv[1:]),
 )

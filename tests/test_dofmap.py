@@ -19,7 +19,6 @@ from gradedproj.polyspace import (
     CRSpace,
     LagrangeSpace,
     cr_local_mass,
-    lambda_nodal_product_table,
     node_key,
     reference_element,
     simplex_quadrature,
@@ -28,16 +27,20 @@ from gradedproj.projection import (
     ElementwisePoly,
     Operators,
     TwoMeshLink,
-    _cr_values_at,
-    _grad_product_table,
-    _lagrange_values,
-    _nodal_values_at_quad,
     _random_poly,
     barycentric_gradients,
     weighted_mass,
     weighted_stiffness,
 )
 from conftest import randomly_refined
+from test_local_basis import (
+    cr_values_at,
+    lagrange_values,
+    poly_values,
+    product_gradient_table,
+    product_lambda_table,
+    product_nodal_mass,
+)
 
 # -- the replaced implementations, kept as oracles --------------------------------
 
@@ -75,7 +78,7 @@ def coordinate_keyed_dofs(mesh, degree, zero_trace):
 
 
 def _local_mass(space):
-    exact = cr_local_mass(space.mesh.dim) if isinstance(space, CRSpace) else space.ref.nodal_mass
+    exact = cr_local_mass(space.mesh.dim) if isinstance(space, CRSpace) else product_nodal_mass(space.mesh.dim, space.degree)
     return np.array([[float(x) for x in row] for row in exact])
 
 
@@ -103,6 +106,8 @@ def loop_mass(space, element_ids, weights=None):
 
 def loop_weighted_stiffness(space, weights):
     dim = space.mesh.dim
+    if not isinstance(space, CRSpace):
+        tab = np.array(product_gradient_table(dim, space.degree), dtype=float)
     rows, cols, vals = [], [], []
     for sid in space.element_ids:
         grads = barycentric_gradients(space.mesh, sid)
@@ -111,7 +116,6 @@ def loop_weighted_stiffness(space, weights):
         if isinstance(space, CRSpace):
             local = (dim * dim) * vol * gdot
         else:
-            tab = _grad_product_table(dim, space.degree)
             local = np.zeros((space.ref.n, space.ref.n))
             for j in range(dim + 1):
                 for l in range(dim + 1):
@@ -134,11 +138,11 @@ def loop_mixed_mass(link):
     d = coarse.mesh.dim
     deg = coarse.degree + fine.degree
     pts, wts = simplex_quadrature(d, deg)
-    fine_vals = _cr_values_at(pts, d) if isinstance(fine, CRSpace) else _lagrange_values(fine.ref, pts)
+    fine_vals = cr_values_at(pts, d) if isinstance(fine, CRSpace) else lagrange_values(fine.ref, pts)
     rows, cols, vals = [], [], []
     for sid in fine.element_ids:
         cbary = pts @ link.barycentric_map(sid).T
-        cvals = _cr_values_at(cbary, d) if isinstance(coarse, CRSpace) else _lagrange_values(coarse.ref, cbary)
+        cvals = cr_values_at(cbary, d) if isinstance(coarse, CRSpace) else lagrange_values(coarse.ref, cbary)
         block = float(fine.mesh.volume(sid)) * (cvals.T * wts) @ fine_vals
         for a_loc, ga in enumerate(coarse.cell_dofs(link.ancestors[sid]).tolist()):
             if ga < 0:
@@ -166,8 +170,8 @@ def loop_patch_operator(space):
     (form, apply, patches) with patches as (rows, chol, gcols, wmat, m_patch)."""
     mesh, K, d = space.mesh, space.degree, space.mesh.dim
     low = reference_element(d, K - 1)
-    t_gram = lambda_nodal_product_table(d, K - 1, K - 1)
-    t_cross = lambda_nodal_product_table(d, K - 1, K)
+    t_gram = product_lambda_table(d, K - 1, K - 1)
+    t_cross = product_lambda_table(d, K - 1, K)
     gram_f = np.array([[[float(x) for x in row] for row in t_gram[j]] for j in range(d + 1)])
     cross_f = np.array([[[float(x) for x in row] for row in t_cross[j]] for j in range(d + 1)])
     eval_low = np.array(
@@ -260,9 +264,9 @@ def loop_apply_C(space, patches, u, quad_degree=None):
     def moments(sid, local_j):
         deg = K + u.degree() if isinstance(u, ElementwisePoly) else (quad_degree or 2 * K + 2)
         pts, wts = simplex_quadrature(d, deg)
-        basis_low = _nodal_values_at_quad(d, K - 1, deg)
+        basis_low = lagrange_values(reference_element(d, K - 1), pts)
         if isinstance(u, ElementwisePoly):
-            vals = u.values(sid, pts)
+            vals = poly_values(u.polys[sid], pts) if sid in u.polys else np.zeros(len(pts))
         else:
             vcoords = np.array([[float(x) for x in mesh.coords[v]] for v in mesh.simplices[sid].vertices])
             vals = np.array([u(x) for x in (pts @ vcoords)])
@@ -395,7 +399,7 @@ def test_rhs_scatter_matches_element_loop(meshes, kind):
     assert np.array_equal(ops.rhs(f), loop_rhs(ops, ops.space.element_ids, callable_contrib))
     u = _random_poly(mesh, mesh.active_ids()[::2], 2, np.random.default_rng(1))
     pts, wts, basis = ops._quad(ops.space.degree + u.degree())
-    want = loop_rhs(ops, u.support(), lambda sid: float(mesh.volume(sid)) * (basis.T * wts) @ u.values(sid, pts))
+    want = loop_rhs(ops, u.support(), lambda sid: float(mesh.volume(sid)) * (basis.T * wts) @ poly_values(u.polys[sid], pts))
     assert np.array_equal(ops.rhs(u), want)
     assert np.array_equal(ops.rhs(ElementwisePoly(mesh, {})), np.zeros(ops.space.n_dofs))
 

@@ -13,7 +13,7 @@ from gradedproj.mesh import (
     level_gap,
     reference_simplex_mesh,
 )
-from gradedproj.polyspace import LagrangeSpace
+from gradedproj.polyspace import CRSpace, LagrangeSpace
 from gradedproj.projection import Operators, masked_projection_norm
 from gradedproj.stability import (
     StabilityError,
@@ -30,7 +30,8 @@ from gradedproj.stability import (
     stability_table,
     volume_decay_constant,
 )
-from conftest import distance_matrix
+from gradedproj.stability import _weighted_p_norm
+from conftest import distance_matrix, randomly_refined
 
 
 @pytest.fixture(scope="module")
@@ -451,29 +452,36 @@ def test_w12_degree_ranges():
     assert w12_admissible_degrees(7, 2.0)["k_min"] == 2  # K=1 fails exactly at d=7
 
 
-def test_measure_stability_trend():
-    from gradedproj.stability import measure_stability_trend
+def _linear_interpolant(space, a):
+    """Coefficients of the interpolant of u(x) = a . x: nodal values for
+    Lagrange, values at the face barycenters for Crouzeix-Raviart (both
+    reproduce linear functions exactly)."""
+    if isinstance(space, CRSpace):
+        coords = space.mesh.coords
+        points = [np.mean([[float(x) for x in coords[v]] for v in face], axis=0) for face in space.face_keys]
+    else:
+        points = [[float(x) for x in c] for c in space.node_coords]
+    return np.array(points) @ a
 
-    mesh = kuhn_initial_mesh(2, 1)
-    rng = np.random.default_rng(13)
-    state = {}
 
-    def refine_step(r):
-        ids = mesh.active_ids()
-        marked = [s for s in ids if rng.random() < 0.3] or ids[:1]
-        mesh.refine_lg(marked, 2)
-
-    def make_ops():
-        state["ops"] = Operators(LagrangeSpace(mesh, 1))
-        return state["ops"]
-
-    def weight_of(ops):
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ["P1", "P2", "CR"])
+def test_w1p_norm_of_linear_function(dim, kind):
+    # |grad u| = |a| everywhere on the unit square or cube, so with weight 1
+    # every gradient p-norm of u(x) = a . x is |a|
+    mesh = randomly_refined(dim, 2, seed=dim, fraction=0.4)
+    space = CRSpace(mesh) if kind == "CR" else LagrangeSpace(mesh, int(kind[1]))
+    a = np.array([0.75, -1.25, 0.5][:dim])
+    coeffs = _linear_interpolant(space, a)
+    ones = {sid: 1.0 for sid in space.element_ids}
+    for p in (3.0, math.inf):
+        assert abs(_weighted_p_norm(space, coeffs, ones, p, "W1p") - np.linalg.norm(a)) < 1e-12
+    if dim == 2:
         dist = element_distance(mesh, "vertex")
-        return Weight({s: 1.0 for s in dist.ids}, dist)
-
-    trend = measure_stability_trend(make_ops, refine_step, weight_of, p=4.0, kind="Lp", rounds=6, samples=4, seed=3)
-    assert len(trend.ratios) == 6
-    assert trend.passed, trend.ratios
+        weight = Weight(max_operator({s: 1.0 if s == dist.ids[0] else 1e-3 for s in dist.ids}, 2.0, dist), dist)
+        res = measure_weighted_stability(Operators(space), weight, p=3.0, kind="W1p", samples=4, seed=1)
+        assert res.p == 3.0 and res.kind == "W1p" and res.bound is None and res.passed is None
+        assert 0 < res.measured < math.inf
 
 
 def test_cr_weighted_l2_bound(mesh3d):
