@@ -13,17 +13,21 @@ of the patch operator, the gradient product tables) is a mean of products of
 nodal basis functions, Vinv_A^T G Vinv_B with G a monomial moment matrix
 from that formula; one kernel forms it in integers over common denominators.
 One float evaluator gives the values and barycentric partials of the local
-basis, Lagrange degree K or "CR", at any barycentric points.  Spectra are
-computed only after conversion to floating point.
+basis, Lagrange degree K or "CR", at any stack of barycentric points.  Spectra
+are computed only after conversion to floating point.
+Each element space has one float geometry table (ElementGeometry, built on
+first use): vertex coordinates, volumes and barycentric gradients.  Its
+readers stack element rows, so each element keeps the BLAS and LAPACK calls,
+and the bits, of a separate evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial, lcm, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -530,35 +534,38 @@ def _readonly_floats(exact) -> np.ndarray:
 
 
 def monomial_values(monos: Sequence[MultiIndex], bary: np.ndarray, coeffs: Sequence | None = None) -> np.ndarray:
-    """(n_points, n_monos) values of coeff * lambda^mono at the rows of bary,
-    each formed as the coefficient (1.0 without coeffs) times the factors
-    bary_j ** e in j order."""
-    out = np.empty((len(bary), len(monos)))
+    """(..., n_monos) values of coeff * lambda^mono at the barycentric points
+    bary[..., :], each formed as the coefficient (1.0 without coeffs) times
+    the factors bary_j ** e in j order."""
+    points = bary.shape[:-1]
+    out = np.empty(points + (len(monos),))
     for col, mono in enumerate(monos):
-        term = np.full(len(bary), 1.0 if coeffs is None else float(coeffs[col]))
+        term = np.full(points, 1.0 if coeffs is None else float(coeffs[col]))
         for j, e in enumerate(mono):
             if e:
-                term *= bary[:, j] ** e
-        out[:, col] = term
+                term *= bary[..., j] ** e
+        out[..., col] = term
     return out
 
 
 def basis_values(dim: int, degree, bary: np.ndarray, partials: bool = False) -> np.ndarray:
-    """The local basis at the rows of bary (barycentric points), for Lagrange
-    degree K (the nodal basis, from its monomial coefficients) or degree "CR"
-    (1 - d lambda_j): values, shape (n_points, n_basis), or with partials=True
-    the partial derivatives in lambda_j, shape (n_points, d+1, n_basis)."""
+    """The local basis at the barycentric points bary[..., :] (a list of
+    points, or a stack of lists), for Lagrange degree K (the nodal basis, from
+    its monomial coefficients) or degree "CR" (1 - d lambda_j): values, shape
+    (..., n_basis), or with partials=True the partials in lambda_j, shape
+    (..., d+1, n_basis)."""
+    points = bary.shape[:-1]
     if degree == "CR":
         if partials:
-            return np.broadcast_to(-dim * np.eye(dim + 1), (len(bary), dim + 1, dim + 1))
+            return np.broadcast_to(-dim * np.eye(dim + 1), points + (dim + 1, dim + 1))
         return 1.0 - dim * bary
     monos = multi_indices(dim, degree)
     if not partials:
         return monomial_values(monos, bary) @ float_vandermonde_inv(dim, degree)
-    out = np.zeros((len(bary), dim + 1, len(monos)))
+    out = np.zeros(points + (dim + 1, len(monos)))
     for j in range(dim + 1):
         cols = [col for col, mono in enumerate(monos) if mono[j]]
-        out[:, j, cols] = monomial_values([multi_index_sub(monos[c], j) for c in cols], bary, [monos[c][j] for c in cols])
+        out[..., j, cols] = monomial_values([multi_index_sub(monos[c], j) for c in cols], bary, [monos[c][j] for c in cols])
     return out @ float_vandermonde_inv(dim, degree)
 
 
@@ -569,6 +576,16 @@ def quadrature_basis(dim: int, degree, quad_degree: int, partials: bool = False)
     out = basis_values(dim, degree, simplex_quadrature(dim, quad_degree)[0], partials)
     out.setflags(write=False)
     return out
+
+
+class ElementGeometry(NamedTuple):
+    """Read-only float geometry of a space's elements, row r for element_ids[r]:
+    vertex coordinates (n, d+1, d) in local order, the exact volumes as floats
+    (n,), and the gradients of the barycentric coordinates (n, d+1, d)."""
+
+    vertices: np.ndarray
+    volumes: np.ndarray
+    gradients: np.ndarray
 
 
 class _ElementSpace:
@@ -583,6 +600,20 @@ class _ElementSpace:
         self._row = {sid: r for r, sid in enumerate(self.element_ids)}
         self._mass = None
 
+    @cached_property
+    def geometry(self) -> ElementGeometry:
+        """The geometry table of element_ids (not of the mesh's current active
+        set), built on first use; the gradients from one stacked inverse."""
+        mesh = self.mesh
+        coords = np.array([[float(x) for x in c] for c in mesh.coords])
+        vertices = coords[[mesh.simplices[sid].vertices for sid in self.element_ids]]
+        volumes = np.array([float(mesh.volume(sid)) for sid in self.element_ids])
+        inv = np.linalg.inv(np.swapaxes(vertices[:, 1:] - vertices[:, :1], 1, 2))
+        gradients = np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
+        for table in (vertices, volumes, gradients):
+            table.setflags(write=False)
+        return ElementGeometry(vertices, volumes, gradients)
+
     def local_mass(self) -> np.ndarray:
         return float_local_mass(self.mesh.dim, self.local_degree)
 
@@ -590,18 +621,23 @@ class _ElementSpace:
         """Global dof per local basis function; -1 marks a removed trace dof."""
         return self.dofs[self._row[sid]]
 
+    def rows(self, element_ids: Sequence[int]) -> list[int]:
+        """Table rows (of dofs and geometry) of the given elements, in the given order."""
+        return [self._row[sid] for sid in element_ids]
+
     def dof_rows(self, element_ids: Sequence[int]) -> np.ndarray:
         """Rows of the dof table for the given elements, in the given order."""
-        return self.dofs[[self._row[sid] for sid in element_ids]]
+        return self.dofs[self.rows(element_ids)]
 
     def element_mass(self, element_ids: Sequence[int], weights: dict | None = None) -> sp.csr_matrix:
         """Mass matrix integrated over the given elements only, each scaled by
         weights[sid] when weights are given."""
         element_ids = list(element_ids)
-        scale = np.array([float(self.mesh.volume(sid)) for sid in element_ids])
+        rows = self.rows(element_ids)
+        scale = self.geometry.volumes[rows]
         if weights is not None:
             scale = scale * np.array([weights[sid] for sid in element_ids], dtype=float)
-        dofs = self.dof_rows(element_ids)
+        dofs = self.dofs[rows]
         return scatter_matrix(dofs, dofs, scale[:, None, None] * self.local_mass(), (self.n_dofs, self.n_dofs))
 
     def mass_matrix(self) -> sp.csr_matrix:
@@ -614,9 +650,10 @@ class LagrangeSpace(_ElementSpace):
     """Continuous piecewise polynomials of one degree on a conforming mesh.
 
     Global dofs are Lagrange nodes, glued across elements by their
-    topological identity (node_key); node_coords keeps each dof's exact
-    rational coordinates.  With zero_trace=True the dofs on the marked
-    boundary part of the mesh are removed from the space.
+    topological identity (node_key); node_coords gives each dof's exact
+    rational coordinates, computed from the node keys on first read.  With
+    zero_trace=True the dofs on the marked boundary part of the mesh are
+    removed from the space.
     """
 
     kind = "lagrange"
@@ -632,9 +669,8 @@ class LagrangeSpace(_ElementSpace):
         self._enumerate_dofs()
 
     def _enumerate_dofs(self):
-        mesh, K = self.mesh, self.degree
+        mesh = self.mesh
         node_ids: dict[tuple, int] = {}
-        coords: list[tuple] = []
         on_gamma: set[int] = set()
         table: list[int] = []
         gamma = mesh.gamma_faces if self.zero_trace else set()
@@ -645,24 +681,23 @@ class LagrangeSpace(_ElementSpace):
                 vset = set(verts)
                 gamma_locals = [j for j, drop in enumerate(verts) if frozenset(vset - {drop}) in gamma]
             for alpha in self.ref.monos:
-                key = node_key(verts, alpha)
-                nid = node_ids.get(key)
-                if nid is None:
-                    nid = node_ids[key] = len(coords)
-                    coords.append(
-                        tuple(sum(Fraction(k, K) * mesh.coords[v][i] for v, k in key) for i in range(mesh.dim))
-                    )
+                nid = node_ids.setdefault(node_key(verts, alpha), len(node_ids))
                 table.append(nid)
                 if any(alpha[j] == 0 for j in gamma_locals):
                     on_gamma.add(nid)
-        self.n_dofs = len(coords) - len(on_gamma)
-        self.node_coords = [c for i, c in enumerate(coords) if i not in on_gamma]
+        self.n_dofs = len(node_ids) - len(on_gamma)
+        self._node_keys = [key for i, key in enumerate(node_ids) if i not in on_gamma]
         if on_gamma:
-            keep = np.ones(len(coords), dtype=bool)
+            keep = np.ones(len(node_ids), dtype=bool)
             keep[list(on_gamma)] = False
             remap = np.where(keep, np.cumsum(keep) - 1, -1)
             table = remap[table]
         self._set_dofs(table)
+
+    @cached_property
+    def node_coords(self) -> list[tuple]:
+        coords, K, dims = self.mesh.coords, self.degree, range(self.mesh.dim)
+        return [tuple(sum(Fraction(k, K) * coords[v][i] for v, k in key) for i in dims) for key in self._node_keys]
 
 
 def cr_local_mass(dim: int, volume=Fraction(1)) -> list[list[Fraction]]:

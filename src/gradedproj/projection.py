@@ -29,7 +29,9 @@ Reference tables and local basis values come from gradedproj.polyspace: the
 exact product tables of the patch Gram and cross matrices, the nodal values
 of the low-degree basis at the high nodes, the gradient products of the
 weighted stiffness, and the one float evaluator of the Lagrange and
-Crouzeix-Raviart bases.
+Crouzeix-Raviart bases; element geometry from the space's float geometry
+table, whose stacked rows make the two-mesh coupling one stacked solve and
+matmul, and the weighted stiffness one stacked Gram product.
 """
 
 from __future__ import annotations
@@ -208,7 +210,6 @@ class Operators:
         gamma = mesh.gamma_faces if getattr(space, "zero_trace", False) else set()
         on_gamma = np.array([[frozenset(vs) - {v} in gamma for v in vs] for vs in verts.tolist()], dtype=bool)
         banned = (on_gamma[:, None, :] & ~np.eye(d + 1, dtype=bool)) @ (np.array(low_monos) == 0).T
-        self._vols = np.array([float(mesh.volume(sid)) for sid in space.element_ids])
 
         # patches in vertex order; members (element row, local j) in row order
         flat = verts.ravel()
@@ -232,7 +233,7 @@ class Operators:
             # index -1 (banned patch dof, removed trace dof) lands in a scratch
             # row or column past the end; np.add.at adds in (member, a, b)
             # order, and every member writes the same nodal value of a pair
-            vols = self._vols[rows, None, None]
+            vols = space.geometry.volumes[rows, None, None]
             gmat = np.zeros((m_patch + 1, m_patch + 1))
             np.add.at(gmat, (pids[:, :, None], pids[:, None, :]), vols * gram_f[js])
             rmat = np.zeros((m_patch + 1, n_g + 1))
@@ -317,7 +318,8 @@ class Operators:
         """<u, b_m> by a rule of the given degree over the given elements."""
         pts, wts, basis = self._quad(deg)
         weighted = basis.T * wts
-        contribs = [float(self.mesh.volume(sid)) * weighted @ self._values_at(u, sid, pts) for sid in element_ids]
+        vols = self.space.geometry.volumes[self.space.rows(element_ids)]
+        contribs = [vol * weighted @ vals for vol, vals in zip(vols, self._values_at(u, element_ids, pts))]
         return self._scatter_vector(element_ids, contribs)
 
     def _scatter_vector(self, element_ids: Sequence[int], contribs: Sequence[np.ndarray]) -> np.ndarray:
@@ -361,12 +363,13 @@ class Operators:
             deg = quad_degree if quad_degree is not None else 2 * K + 2
         pts, wts = simplex_quadrature(self.dim, deg)
         basis_low = quadrature_basis(self.dim, K - 1, deg)
-        vals = np.array([self._values_at(u, sid, pts) for sid in self.space.element_ids])[:, :, None]
+        vals = np.array(self._values_at(u, self.space.element_ids, pts))[:, :, None]
         # moments[r, j, a] = <lambda_j psi_a, u> on element row r; the stacked
         # matmul makes one BLAS call per (r, j), with the bits of a separate
         # (vol * (basis_low.T * (wts * lambda_j))) @ vals
+        vols = self.space.geometry.volumes[:, None, None]
         moments = np.stack(
-            [np.matmul(self._vols[:, None, None] * (basis_low.T * (wts * lam)), vals)[:, :, 0] for lam in pts.T],
+            [np.matmul(vols * (basis_low.T * (wts * lam)), vals)[:, :, 0] for lam in pts.T],
             axis=1,
         )
         out = np.zeros(self.space.n_dofs)
@@ -376,14 +379,13 @@ class Operators:
             out[patch.gcols] += patch.wmat @ scipy.linalg.cho_solve(patch.chol, r[:-1])
         return out
 
-    def _values_at(self, u, sid: int, pts: np.ndarray) -> np.ndarray:
-        """Values of a polynomial or callable integrand at barycentric points of one element."""
+    def _values_at(self, u, element_ids: Sequence[int], pts: np.ndarray) -> list[np.ndarray]:
+        """Values of a polynomial or callable integrand at barycentric points, per element."""
         if isinstance(u, ElementwisePoly):
-            return u.values(sid, pts)
+            return [u.values(sid, pts) for sid in element_ids]
         if callable(u):
-            verts = self.mesh.simplices[sid].vertices
-            vcoords = np.array([[float(x) for x in self.mesh.coords[v]] for v in verts])
-            return np.array([u(x) for x in pts @ vcoords])
+            vertices = self.space.geometry.vertices[self.space.rows(element_ids)]
+            return [np.array([u(x) for x in pts @ vcoords]) for vcoords in vertices]
         raise ProjectionError(f"unresolvable integrand kind {type(u)!r}")
 
     # spectra ---------------------------------------------------------------------------
@@ -504,7 +506,8 @@ class TwoMeshLink:
     """Exact integration coupling between a space and one on a refinement.
 
     The fine mesh must have been produced by refining a copy() of the coarse
-    mesh, so simplex indices are shared and ancestry is the parent chain.
+    mesh, so simplex indices are shared and ancestry is the parent chain up
+    to an element of the coarse space.
     """
 
     def __init__(self, coarse_space, fine_space):
@@ -514,49 +517,36 @@ class TwoMeshLink:
         self._mixed = None
 
     def _ancestor_map(self) -> dict[int, int]:
-        coarse_active = set(self.coarse.mesh._active)
+        coarse_ids = set(self.coarse.element_ids)
         out = {}
         for sid in self.fine.element_ids:
             cur = sid
-            while cur is not None and cur not in coarse_active:
+            while cur is not None and cur not in coarse_ids:
                 cur = self.fine.mesh.simplices[cur].parent
             if cur is None:
                 raise ProjectionError(f"fine element {sid} has no ancestor in the coarse mesh")
             out[sid] = cur
         return out
 
-    def barycentric_map(self, fine_sid: int) -> np.ndarray:
-        """B[j, l]: coarse barycentric coordinate j of fine vertex l."""
-        coarse_sid = self.ancestors[fine_sid]
-        cmesh, fmesh = self.coarse.mesh, self.fine.mesh
-        cverts = cmesh.simplices[coarse_sid].vertices
-        fverts = fmesh.simplices[fine_sid].vertices
-        d = cmesh.dim
-        a = np.empty((d + 1, d + 1))
-        for col, v in enumerate(cverts):
-            a[:d, col] = [float(x) for x in cmesh.coords[v]]
-        a[d, :] = 1.0
-        rhs = np.empty((d + 1, d + 1))
-        for col, v in enumerate(fverts):
-            rhs[:d, col] = [float(x) for x in fmesh.coords[v]]
-        rhs[d, :] = 1.0
-        return np.linalg.solve(a, rhs)
-
     def mixed_mass(self) -> sp.csr_matrix:
         """M_cf[m, n] = <coarse basis m, fine basis n> (polynomial-exact rule)."""
         if self._mixed is not None:
             return self._mixed
-        d = self.coarse.mesh.dim
-        deg = self.coarse.degree + self.fine.degree
+        coarse, fine = self.coarse, self.fine
+        d = coarse.mesh.dim
+        deg = coarse.degree + fine.degree
         pts, wts = simplex_quadrature(d, deg)
-        fine_vals = quadrature_basis(d, self.fine.local_degree, deg)
-        blocks = []
-        for sid in self.fine.element_ids:
-            cvals = basis_values(d, self.coarse.local_degree, pts @ self.barycentric_map(sid).T)
-            blocks.append(float(self.fine.mesh.volume(sid)) * (cvals.T * wts) @ fine_vals)
-        coarse_dofs = self.coarse.dof_rows([self.ancestors[sid] for sid in self.fine.element_ids])
-        shape = (self.coarse.n_dofs, self.fine.n_dofs)
-        self._mixed = scatter_matrix(coarse_dofs, self.fine.dofs, np.array(blocks), shape)
+        fine_vals = quadrature_basis(d, fine.local_degree, deg)
+        up = coarse.rows([self.ancestors[sid] for sid in fine.element_ids])
+
+        def affine(vertices):  # stacked matrices with columns (vertex; 1)
+            return np.concatenate([np.swapaxes(vertices, 1, 2), np.ones((len(vertices), 1, d + 1))], axis=1)
+
+        # bary[r, j, l]: coarse barycentric coordinate j of vertex l of fine row r
+        bary = np.linalg.solve(affine(coarse.geometry.vertices[up]), affine(fine.geometry.vertices))
+        cvals = basis_values(d, coarse.local_degree, pts @ np.swapaxes(bary, 1, 2))
+        blocks = (fine.geometry.volumes[:, None, None] * (np.swapaxes(cvals, 1, 2) * wts)) @ fine_vals
+        self._mixed = scatter_matrix(coarse.dofs[up], fine.dofs, blocks, (coarse.n_dofs, fine.n_dofs))
         return self._mixed
 
 
@@ -636,7 +626,10 @@ class DecayMeasurement:
 def masked_projection_norm(ops: Operators, left: Sequence[int], right: Sequence[int]) -> float:
     """Exact operator norm of u |-> 1_L Q (1_{L'} u) on L2, via the low-rank
     symmetric eigenproblem over the dofs supported near L'."""
-    m_left = ops.masked_mass(left)
+    return _masked_norm(ops, ops.masked_mass(left), right)
+
+
+def _masked_norm(ops: Operators, m_left: sp.csr_matrix, right: Sequence[int]) -> float:
     m_right = ops.masked_mass(right)
     sub = sorted({g for sid in right for g in ops.space.cell_dofs(sid) if g >= 0})
     if not sub:
@@ -674,10 +667,10 @@ def measure_decay(
     delta = dist.dist_sets(left, right)
     qq = q if q is not None else ops.q_bound()
     bound = min(2.0 * qq ** max(delta - 1, 0), 1.0) if delta >= 1 else 1.0
-    exact = masked_projection_norm(ops, left, right)
+    m_left = ops.masked_mass(left)
+    exact = _masked_norm(ops, m_left, right)
     sampled = 0.0
     rng = np.random.default_rng(seed)
-    m_left = ops.masked_mass(left)
     for _ in range(trials):
         u = _random_poly(ops.mesh, right, ops.space.degree + 1, rng)
         norm_u = u.norm2()
@@ -715,25 +708,13 @@ def weighted_mass(space, weights: dict[int, float]) -> sp.csr_matrix:
     return space.element_mass([sid for sid in space.element_ids if weights[sid] != 0], weights)
 
 
-def barycentric_gradients(mesh: SimplicialMesh, sid: int) -> np.ndarray:
-    """(d+1, d) gradients of the barycentric coordinates of one element."""
-    verts = mesh.simplices[sid].vertices
-    d = mesh.dim
-    pts = np.array([[float(x) for x in mesh.coords[v]] for v in verts])
-    edges = (pts[1:] - pts[0]).T  # d x d
-    inv = np.linalg.inv(edges)
-    grads = np.zeros((d + 1, d))
-    grads[1:, :] = inv
-    grads[0, :] = -inv.sum(axis=0)
-    return grads
-
-
 def weighted_stiffness(space, weights: dict[int, float]) -> sp.csr_matrix:
     """Broken weighted stiffness: sum_T w_T int_T grad u . grad v."""
     dim = space.mesh.dim
     sids = space.element_ids
-    scale = np.array([float(space.mesh.volume(sid)) * weights[sid] for sid in sids])
-    gdot = np.array([g @ g.T for g in (barycentric_gradients(space.mesh, sid) for sid in sids)])
+    geo = space.geometry
+    scale = geo.volumes * np.array([weights[sid] for sid in sids], dtype=float)
+    gdot = geo.gradients @ np.swapaxes(geo.gradients, 1, 2)
     if isinstance(space, CRSpace):
         blocks = ((dim * dim) * scale)[:, None, None] * gdot  # grad psi_j = -d grad lambda_j
     else:

@@ -1,12 +1,15 @@
 """Differential tests of the topological dof map, the scatter assembly
-kernel and the patch table of the approximating operator against the
-coordinate-keyed numbering, the element-by-element COO loops and the
-per-member lil_matrix loops they replaced.  The kernel builds the loops'
+kernel, the patch table of the approximating operator and the float
+geometry table of a space against the coordinate-keyed numbering, the
+element-by-element COO loops, the per-member lil_matrix loops and the
+per-element geometry loops they replaced.  The kernel builds the loops'
 triplets with the same float operations, and scipy sums the duplicates of
 both the same way; the patch table adds in the loops' order (np.add.at, and
-one ordered sum in patch order).  So every comparison is exact (array for
+one ordered sum in patch order); the geometry readers stack the loops'
+per-element BLAS and LAPACK calls.  So every comparison is exact (array for
 array), not to a tolerance."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +23,7 @@ from gradedproj.polyspace import (
     LagrangeSpace,
     cr_local_mass,
     node_key,
+    quadrature_basis,
     reference_element,
     simplex_quadrature,
 )
@@ -28,10 +32,10 @@ from gradedproj.projection import (
     Operators,
     TwoMeshLink,
     _random_poly,
-    barycentric_gradients,
     weighted_mass,
     weighted_stiffness,
 )
+from gradedproj.stability import _weighted_p_norm
 from conftest import randomly_refined
 from test_local_basis import (
     cr_values_at,
@@ -75,6 +79,84 @@ def coordinate_keyed_dofs(mesh, degree, zero_trace):
     remap = {old: new for new, old in enumerate(keep)}
     cells = {sid: [remap.get(n, -1) for n in locs] for sid, locs in cell_nodes.items()}
     return len(keep), [coords[i] for i in keep], cells
+
+
+def eager_node_coords(space):
+    """The exact node coordinates as the dof enumeration computed them, one
+    per new node key, with the trace dofs removed afterwards."""
+    mesh, K = space.mesh, space.degree
+    gamma = mesh.gamma_faces if space.zero_trace else set()
+    node_ids, coords, on_gamma = {}, [], set()
+    for sid in space.element_ids:
+        verts = mesh.simplices[sid].vertices
+        gamma_locals = [j for j, drop in enumerate(verts) if frozenset(set(verts) - {drop}) in gamma]
+        for alpha in space.ref.monos:
+            key = node_key(verts, alpha)
+            nid = node_ids.get(key)
+            if nid is None:
+                nid = node_ids[key] = len(coords)
+                coords.append(tuple(sum(Fraction(k, K) * mesh.coords[v][i] for v, k in key) for i in range(mesh.dim)))
+            if any(alpha[j] == 0 for j in gamma_locals):
+                on_gamma.add(nid)
+    return [c for i, c in enumerate(coords) if i not in on_gamma]
+
+
+def element_coords(mesh, sid):
+    return np.array([[float(x) for x in mesh.coords[v]] for v in mesh.simplices[sid].vertices])
+
+
+def barycentric_gradients(mesh, sid):
+    """(d+1, d) gradients of the barycentric coordinates of one element."""
+    d = mesh.dim
+    pts = element_coords(mesh, sid)
+    edges = (pts[1:] - pts[0]).T  # d x d
+    inv = np.linalg.inv(edges)
+    grads = np.zeros((d + 1, d))
+    grads[1:, :] = inv
+    grads[0, :] = -inv.sum(axis=0)
+    return grads
+
+
+def barycentric_map(link, fine_sid):
+    """B[j, l]: coarse barycentric coordinate j of fine vertex l."""
+    coarse_sid = link.ancestors[fine_sid]
+    cmesh, fmesh = link.coarse.mesh, link.fine.mesh
+    cverts = cmesh.simplices[coarse_sid].vertices
+    fverts = fmesh.simplices[fine_sid].vertices
+    d = cmesh.dim
+    a = np.empty((d + 1, d + 1))
+    for col, v in enumerate(cverts):
+        a[:d, col] = [float(x) for x in cmesh.coords[v]]
+    a[d, :] = 1.0
+    rhs = np.empty((d + 1, d + 1))
+    for col, v in enumerate(fverts):
+        rhs[:d, col] = [float(x) for x in fmesh.coords[v]]
+    rhs[d, :] = 1.0
+    return np.linalg.solve(a, rhs)
+
+
+def loop_weighted_p_norm(space, coeffs, wvals, p, kind):
+    """||rho u||_p or ||rho grad u||_p, element by element."""
+    d = space.mesh.dim
+    deg = 2 * space.degree + 2
+    wts = simplex_quadrature(d, deg)[1]
+    basis = quadrature_basis(d, space.local_degree, deg, partials=kind == "W1p")
+    total = 0.0
+    sup = 0.0
+    for sid in space.element_ids:
+        dofs = space.cell_dofs(sid)
+        loc = np.array([coeffs[g] if g >= 0 else 0.0 for g in dofs])
+        w = wvals[sid]
+        vol = float(space.mesh.volume(sid))
+        if kind == "W1p":
+            vals = np.linalg.norm((basis @ loc) @ barycentric_gradients(space.mesh, sid), axis=1)
+        else:
+            vals = np.abs(basis @ loc)
+        if p == math.inf:
+            sup = max(sup, w * vals.max())
+        else:
+            total += vol * float(wts @ (w * vals) ** p)
+    return sup if p == math.inf else total ** (1.0 / p)
 
 
 def _local_mass(space):
@@ -141,7 +223,7 @@ def loop_mixed_mass(link):
     fine_vals = cr_values_at(pts, d) if isinstance(fine, CRSpace) else lagrange_values(fine.ref, pts)
     rows, cols, vals = [], [], []
     for sid in fine.element_ids:
-        cbary = pts @ link.barycentric_map(sid).T
+        cbary = pts @ barycentric_map(link, sid).T
         cvals = cr_values_at(cbary, d) if isinstance(coarse, CRSpace) else lagrange_values(coarse.ref, cbary)
         block = float(fine.mesh.volume(sid)) * (cvals.T * wts) @ fine_vals
         for a_loc, ga in enumerate(coarse.cell_dofs(link.ancestors[sid]).tolist()):
@@ -356,8 +438,38 @@ def test_patch_keys_on_shuffled_mesh_match_exact_oracle(degree):
 # -- global matrices -----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("dim,degree", [(2, 1), (2, 3), (3, 2), (4, 1), (4, 2)])
+@pytest.mark.parametrize("zero_trace", [False, True])
+def test_lazy_node_coords_match_eager_list(meshes, dim, degree, zero_trace):
+    space = LagrangeSpace(meshes[dim], degree, zero_trace=zero_trace)
+    assert "node_coords" not in vars(space)
+    assert space.node_coords == eager_node_coords(space)
+    assert len(space.node_coords) == space.n_dofs
+
+
+# -- the float geometry table ---------------------------------------------------------------
+
+
+def assert_geometry_matches_loops(space):
+    geo = space.geometry
+    mesh, ids = space.mesh, space.element_ids
+    assert np.array_equal(geo.vertices, np.array([element_coords(mesh, sid) for sid in ids]))
+    assert np.array_equal(geo.volumes, np.array([float(mesh.volume(sid)) for sid in ids]))
+    assert np.array_equal(geo.gradients, np.array([barycentric_gradients(mesh, sid) for sid in ids]))
+    assert not any(a.flags.writeable for a in geo)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["P1", "P3", "CR"])
+def test_geometry_table_matches_element_loops(meshes, dim, kind):
+    space = _space(_shuffled(meshes[dim], seed=dim), kind)
+    assert "geometry" not in vars(space)
+    assert_geometry_matches_loops(space)
+    assert space.geometry is space.geometry
+
+
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("kind", ["P1", "P2", "P3", "CR", "P2z"])
+@pytest.mark.parametrize("kind", ["P1", "P2", "P3", "CR", "P1z", "P2z"])
 def test_kernel_matrices_match_element_loops(meshes, dim, kind):
     mesh = meshes[dim]
     space = _space(mesh, kind)
@@ -372,12 +484,50 @@ def test_kernel_matrices_match_element_loops(meshes, dim, kind):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("kinds", [("P1", "P1"), ("P2", "P1"), ("P1z", "P2"), ("CR", "CR"), ("P1", "CR")])
+@pytest.mark.parametrize("kind", ["P1", "P2", "P3", "CR", "P2z"])
+@pytest.mark.parametrize("norm", ["Lp", "W1p"])
+def test_weighted_p_norm_matches_element_loop(meshes, dim, kind, norm):
+    space = _space(meshes[dim], kind)
+    rng = np.random.default_rng(dim)
+    coeffs = rng.standard_normal(space.n_dofs)
+    weights = {sid: float(rng.choice([0.25, 1.0, 3.0])) for sid in space.element_ids}
+    for p in (1.0, 3.0, math.inf):
+        got = _weighted_p_norm(space, coeffs, weights, p, norm)
+        assert got == loop_weighted_p_norm(space, coeffs, weights, p, norm) and got > 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize(
+    "kinds", [("P1", "P1"), ("P2", "P1"), ("P1z", "P2"), ("CR", "CR"), ("P1", "CR"), ("CR", "P1"), ("P3", "P3"), ("P3", "P1")]
+)
 def test_mixed_mass_matches_element_loop(meshes, dim, kinds):
     coarse = meshes[dim]
     fine = coarse.copy()
     fine.refine_lg(fine.active_ids()[::3], 1)
     link = TwoMeshLink(_space(coarse, kinds[0]), _space(fine, kinds[1]))
+    assert_same_csr(link.mixed_mass(), loop_mixed_mass(link))
+
+
+@pytest.mark.parametrize("kind", ["P2", "CR", "P1z"])
+def test_geometry_follows_space_after_mesh_refinement(meshes, kind):
+    # the table is built on first use, after the mesh has moved on: it must
+    # describe the space's elements, now partly inactive, not the mesh's
+    mesh = meshes[2].copy()
+    space = _space(mesh, kind)
+    fine = mesh.copy()
+    fine.refine_uniform(1)
+    fine_space = _space(fine, kind)
+    mesh.refine_closure(mesh.active_ids()[::4])
+    assert set(space.element_ids) - set(mesh.active_ids())
+    assert_geometry_matches_loops(space)
+    weights = {sid: 1.0 + (sid % 3) for sid in space.element_ids}
+    assert_same_csr(space.mass_matrix(), loop_mass(space, space.element_ids))
+    assert_same_csr(weighted_mass(space, weights), loop_mass(space, space.element_ids, weights))
+    assert_same_csr(weighted_stiffness(space, weights), loop_weighted_stiffness(space, weights))
+    coeffs = np.random.default_rng(0).standard_normal(space.n_dofs)
+    assert _weighted_p_norm(space, coeffs, weights, 3.0, "W1p") == loop_weighted_p_norm(space, coeffs, weights, 3.0, "W1p")
+    link = TwoMeshLink(space, fine_space)
+    assert set(link.ancestors.values()) == set(space.element_ids)
     assert_same_csr(link.mixed_mass(), loop_mixed_mass(link))
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedproj.mesh import (
+    GradingError,
     SimplicialMesh,
     element_distance,
     grading_of,
@@ -138,6 +139,18 @@ def test_weight_invariants(dist2d):
     assert w.product(w2).gamma <= w.gamma * w2.gamma
     with pytest.raises(Exception):
         Weight({s: 0 for s in dist2d.ids}, dist2d)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0, 0.0, -1, Fraction(-1, 3)])
+def test_weight_rejects_values_not_finite_and_positive(dist2d, bad):
+    # NaN passes a "v <= 0" test, and an all-inf weight used to report grading 1
+    values = {s: 1.0 for s in dist2d.ids}
+    values[dist2d.ids[-1]] = bad
+    with pytest.raises(GradingError, match="not finite and positive"):
+        Weight(values, dist2d)
+    with pytest.raises(GradingError):
+        Weight({s: bad for s in dist2d.ids}, dist2d)
+    assert Weight({s: Fraction(10) ** 400 for s in dist2d.ids}, dist2d).gamma == 1
 
 
 def test_layer_decomposition_shells(dist2d):
@@ -540,7 +553,8 @@ def test_nc_interpolant_estimates(mesh2d):
     # the two local estimates behind the broken-gradient stability argument:
     # ||w - I w||_{2,T} <= 2 h_T ||grad w||_{2,T} and ||grad I w|| <= ||grad w||
     from gradedproj.polyspace import CRSpace, LagrangeSpace as LS
-    from gradedproj.projection import weighted_mass, weighted_stiffness, barycentric_gradients
+    from gradedproj.projection import weighted_mass, weighted_stiffness
+    from test_dofmap import barycentric_gradients
 
     mesh = mesh2d
     cr = CRSpace(mesh)
