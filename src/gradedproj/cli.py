@@ -576,13 +576,13 @@ def build_parser() -> Parser:
     return parser
 
 
-# smallest accepted value of each count option; cr_dimension_thresholds
-# scans d = 2..probe_limit
-COUNT_MINIMUM = {"rounds": 0, "trials": 0, "probe_limit": 2}
+# smallest accepted value of each integer option; cr_dimension_thresholds
+# scans d = 2..probe_limit, and --alpha 0 means plain closure
+OPTION_MINIMUM = {"rounds": 0, "trials": 0, "probe_limit": 2, "alpha": 0}
 
 
-def check_counts(args) -> None:
-    for name, low in COUNT_MINIMUM.items():
+def check_minimums(args) -> None:
+    for name, low in OPTION_MINIMUM.items():
         value = getattr(args, name, low)
         if value < low:
             raise CliInputError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
@@ -592,7 +592,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        check_counts(args)
+        check_minimums(args)
         return args.func(args)
     except (GradedProjError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

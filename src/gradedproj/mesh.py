@@ -18,22 +18,27 @@ level lags more than alpha behind a touching neighbor.
 The mesh keeps one incidence map, the star of each vertex (the active
 simplices containing it): the owners of a split edge (a, b) are the
 intersection of the stars of a and b, and touching simplices are those in a
-common star.  After each closure round the limited-grading loop reads only
-the stars of the simplices that round created.  That is enough: the mesh is
-limited-graded on entry (checked by a full scan), and a steep pair of two
-older simplices would have been steep before the round, so its lagging
-member was marked and bisected in it; every steep star thus holds a new
-simplex.
+common star.  Beside each star it keeps the star's level histogram (level ->
+count), the number of vertices by star level span, and one histogram of the
+levels of all active simplices, all updated where the stars are; so the
+grading questions (is some star steeper than alpha, which star, the maximal
+level) read counts and never scan the mesh.  After each closure round the
+limited-grading loop reads only the stars of the simplices that round
+created.  That is enough: the mesh is limited-graded on entry (checked by
+the span counts), and a steep pair of two older simplices would have been
+steep before the round, so its lagging member was marked and bisected in
+it; every steep star thus holds a new simplex.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -94,6 +99,9 @@ class SimplicialMesh:
         self._active: set[int] = set()
         self.gamma_faces: set[frozenset[int]] = set()
         self._stars: list[set[int]] = []  # vertex id -> active simplices containing it
+        self._star_levels: list[dict[int, int]] = []  # vertex id -> {level: count} over its star
+        self._span_counts: dict[int, int] = {}  # star level span > 0 -> number of vertices
+        self._level_counts: dict[int, int] = {}  # level -> number of active simplices
         self._volumes: dict[int, Fraction] = {}
         self._edge_mid: dict[frozenset[int], int] = {}
         self._next_simplex = 0
@@ -107,6 +115,7 @@ class SimplicialMesh:
             self.coords.append(coord)
             self._coord_ids[coord] = vid
             self._stars.append(set())
+            self._star_levels.append({})
         return vid
 
     def active_ids(self) -> list[int]:
@@ -139,7 +148,9 @@ class SimplicialMesh:
         return sum((self.volume(s) for s in self._active), Fraction(0))
 
     def max_level(self) -> int:
-        return max((self.simplices[s].level for s in self._active), default=0)
+        """Highest level of an active simplex (0 on an empty mesh), read from
+        the mesh-wide level histogram."""
+        return max(self._level_counts, default=0)
 
     def levels(self) -> dict[int, int]:
         return {s: self.simplices[s].level for s in self._active}
@@ -161,15 +172,33 @@ class SimplicialMesh:
     def _register(self, simplex: TaggedSimplex) -> None:
         self.simplices[simplex.index] = simplex
         self._active.add(simplex.index)
+        _count(self._level_counts, simplex.level, 1)
         for v in simplex.vertices:
             self._stars[v].add(simplex.index)
+            self._count_star_level(v, simplex.level, 1)
 
     def _deactivate(self, sid: int) -> None:
         simplex = self.simplices[sid]
         simplex.active = False
         self._active.discard(sid)
+        _count(self._level_counts, simplex.level, -1)
         for v in simplex.vertices:
             self._stars[v].discard(sid)
+            self._count_star_level(v, simplex.level, -1)
+
+    def _count_star_level(self, v: int, level: int, step: int) -> None:
+        """Add step to the count of level in the star histogram of v; when a
+        level appears or vanishes, move v to its new span in the span counts."""
+        hist = self._star_levels[v]
+        count = hist.get(level, 0)
+        if count and count + step:
+            hist[level] = count + step
+            return
+        if len(hist) > 1:
+            _count(self._span_counts, max(hist) - min(hist), -1)
+        _count(hist, level, step)
+        if len(hist) > 1:
+            _count(self._span_counts, max(hist) - min(hist), 1)
 
     def copy(self) -> "SimplicialMesh":
         other = SimplicialMesh(self.dim)
@@ -182,6 +211,9 @@ class SimplicialMesh:
         other._active = set(self._active)
         other.gamma_faces = set(self.gamma_faces)
         other._stars = [set(star) for star in self._stars]
+        other._star_levels = [dict(hist) for hist in self._star_levels]
+        other._span_counts = dict(self._span_counts)
+        other._level_counts = dict(self._level_counts)
         other._volumes = dict(self._volumes)
         other._edge_mid = dict(self._edge_mid)
         other._next_simplex = self._next_simplex
@@ -283,22 +315,29 @@ class SimplicialMesh:
     def _steep_stars(self, alpha: int, vertices: Iterable[int]) -> Iterator[tuple[int, list[int]]]:
         """(top, lagging) for each star of the given vertices whose levels span
         more than alpha: top is its lowest-id member of highest level, lagging
-        its members more than alpha levels below top, in id order."""
+        its members more than alpha levels below top, in id order.  A star is
+        judged steep by its level histogram; only steep stars list members."""
         simplices = self.simplices
         for v in vertices:
+            hist = self._star_levels[v]
+            if not hist or max(hist) - min(hist) <= alpha:
+                continue
+            top_level = max(hist)
             star = self._stars[v]
-            top_level = max((simplices[s].level for s in star), default=0)
             lagging = sorted(s for s in star if simplices[s].level < top_level - alpha)
-            if lagging:
-                yield min(s for s in star if simplices[s].level == top_level), lagging
+            yield min(s for s in star if simplices[s].level == top_level), lagging
 
     def lg_violation(self, alpha: int) -> tuple[int, int] | None:
         """A pair (lo, hi) of touching simplices with level gap exceeding alpha,
         if any: from the first steep star in vertex-id order, its lowest-level
-        and its highest-level member (lowest ids on ties)."""
+        and its highest-level member (lowest ids on ties).  None as soon as the
+        span counts show no star spanning more than alpha levels; otherwise
+        the walk skips the stars whose histogram spans at most alpha."""
+        if max(self._span_counts, default=0) <= alpha:
+            return None
         for top, lagging in self._steep_stars(alpha, range(len(self._stars))):
             return min(lagging, key=lambda s: self.simplices[s].level), top
-        return None
+        raise MeshError("span counts disagree with the star level histograms")
 
     def refine_lg(self, marked: Iterable[int], alpha: int) -> "SimplicialMesh":
         """Closure refinement that in addition enforces the limited grading
@@ -423,6 +462,15 @@ def fraction_solve(matrix: Sequence[Sequence], rhs: Sequence[Sequence]) -> tuple
                 factor = m[r][col]
                 m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
     return det, [row[n:] for row in m]
+
+
+def _count(counts: dict[int, int], key: int, step: int) -> None:
+    """Add step to counts[key], dropping the key when its count reaches 0."""
+    n = counts.get(key, 0) + step
+    if n:
+        counts[key] = n
+    else:
+        del counts[key]
 
 
 def _midpoint(p: Coord, q: Coord) -> Coord:
@@ -580,10 +628,11 @@ def element_distance(mesh: SimplicialMesh, kind: str = "vertex") -> ElementDista
 
 def grading_of(values: dict[int, object], dist: ElementDistance):
     """Smallest gamma making the piecewise-constant weight graded, i.e. the
-    largest ratio of values across any distance-1 pair (at least 1)."""
+    largest ratio of values across any distance-1 pair (at least 1).  Every
+    value must be finite and positive."""
     for sid, val in values.items():
-        if val <= 0:
-            raise GradingError(f"nonpositive value {val} on simplex {sid}")
+        if not 0 < val < math.inf:  # false for NaN too
+            raise GradingError(f"value {val} on simplex {sid} is not finite and positive")
     gamma = 1
     vals = [values[sid] for sid in dist.ids]
     for i, nbrs in enumerate(dist.neighbors):
@@ -598,14 +647,16 @@ def grading_of(values: dict[int, object], dist: ElementDistance):
 
 
 def level_gap(mesh: SimplicialMesh, dist: ElementDistance) -> int:
-    """Largest level difference across distance-1 pairs (exact h-grading:
-    the grading of h = 2**(-level/d) equals 2**(gap/d))."""
-    levels = [mesh.simplices[sid].level for sid in dist.ids]
-    gap = 0
-    for i, nbrs in enumerate(dist.neighbors):
-        for j in nbrs:
-            gap = max(gap, abs(levels[i] - levels[j]))
-    return gap
+    """Largest level difference across distance-1 pairs, 0 when there are
+    none (exact h-grading: the grading of h = 2**(-level/d) equals
+    2**(gap/d)).  One array pass over the flattened neighbor lists."""
+    levels = np.array([mesh.simplices[sid].level for sid in dist.ids], dtype=np.int64)
+    sizes = [len(nbrs) for nbrs in dist.neighbors]
+    total = sum(sizes)
+    if not total:
+        return 0
+    nbrs = np.fromiter(chain.from_iterable(dist.neighbors), dtype=np.intp, count=total)
+    return int(np.abs(np.repeat(levels, sizes) - levels[nbrs]).max())
 
 
 def max_operator(values: dict[int, object], gamma, dist: ElementDistance) -> dict[int, object]:
@@ -613,10 +664,13 @@ def max_operator(values: dict[int, object], gamma, dist: ElementDistance) -> dic
 
     Exact when values and gamma are rational.  Computed by one max-product
     Dijkstra relaxation from all sources (every hop multiplies by 1/gamma),
-    O(E log N) on the element graph.
+    O(E log N) on the element graph.  Every value must be finite.
     """
-    if gamma <= 1:
-        raise StabilityError("max_operator requires gamma > 1")
+    if not 1 < gamma < math.inf:  # false for NaN too
+        raise StabilityError(f"max_operator requires a finite gamma > 1, got {gamma}")
+    for sid, val in values.items():
+        if not abs(val) < math.inf:  # false for NaN too
+            raise StabilityError(f"value {val} on simplex {sid} is not finite")
     ids = dist.ids
     best = [abs(values[s]) for s in ids]
     heap = [(-v, i) for i, v in enumerate(best)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import runpy
@@ -114,6 +115,27 @@ def test_refine_byte_identical(tmp_path):
     first = (tmp_path / "m1" / "mesh.json").read_bytes()
     run(tmp_path, "refine", "--rounds", "6", "--policy", "random:0.3", "--seed", "9", "--out", "m1")
     assert (tmp_path / "m1" / "mesh.json").read_bytes() == first
+
+
+# sha256 of README outputs that the grading layer writes, as listed in CHANGES.md
+README_DIGESTS = {
+    "out/refine/mesh.json": "cdc81591bbbc556726b54fc7af7436b2225a19c4ae6b4bd035161f6dca80e8af",
+    "out/refine/elements.tsv": "1837fe448dd2ddb2ac0887b346533d06f866e87b8b5e82988599b7feb079282a",
+    "out/refine/grading_report.tsv": "19e25a20baa9b4baf6732692346d9e432a4efcbdc8efac868ca2fcf75a19c35e",
+    "out/grading/grading.json": "0e97d3c114d47e31dabfb529f347d6ad2f781c92bd0894db65273e2da5f1fe65",
+    "out/grading/elements.tsv": "6cde48d781d2540cac63e47501974372eefce2290ccb74f677c1a6ff6d4bdff7",
+    "out/bench/closure_bench.tsv": "df7b4a50faea04a6f6f43b2cfb7e9c3a5bb9d0938239258f250fa49af18a46e1",
+}
+
+
+def test_readme_grading_outputs_match_pinned_digests(tmp_path):
+    # the README refine, grading and closure-bench lines write these files
+    # byte for byte; closure-bench's exit code is not part of the pin
+    assert run(tmp_path, *"refine --dim 2 --alpha 1 --policy corner --rounds 8 --out out/refine".split()) == 0
+    assert run(tmp_path, *"grading --dim 3 --rounds 4 --policy random:0.25 --out out/grading".split()) == 0
+    run(tmp_path, *"closure-bench --dim 2 --rounds 40 --policy random-count:4 --out out/bench".split())
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in README_DIGESTS}
+    assert digests == README_DIGESTS
 
 
 def test_mesh_roundtrip_through_cli(tmp_path):
@@ -308,6 +330,11 @@ def test_malformed_mesh_exits_3(tmp_path, capsys, data):
         ["tables", "--probe-limit", "-5"],
         ["tables", "--probe-limit", "1"],
         ["cr-check", "--probe-limit", "0"],
+        ["refine", "--alpha", "-1"],
+        ["certify", "--alpha", "-2"],
+        ["decay", "--alpha", "-3"],
+        ["stability", "--alpha", "-4"],
+        ["grading", "--alpha", "-5"],
     ],
     ids=lambda argv: " ".join(argv[1:]),
 )

@@ -1,13 +1,14 @@
 import itertools
 import json
 import math
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradedproj.analytic import StabilityError
 from gradedproj.mesh import (
     ClosureError,
     GradingError,
@@ -23,6 +24,7 @@ from gradedproj.mesh import (
     kuhn_initial_mesh,
     level_gap,
     marking_policy,
+    max_operator,
     reference_simplex_mesh,
     similarity_classes,
 )
@@ -690,6 +692,30 @@ def _scanned_stars(mesh: SimplicialMesh) -> list[set[int]]:
     return stars
 
 
+def _scanned_lg_violation(mesh: SimplicialMesh, stars: list[set[int]], alpha: int):
+    # the first star in vertex-id order whose levels span more than alpha:
+    # its lowest-level and its highest-level member, lowest ids on ties
+    level = lambda s: mesh.simplices[s].level
+    for star in stars:
+        if star and max(map(level, star)) - min(map(level, star)) > alpha:
+            return min(star, key=lambda s: (level(s), s)), min(star, key=lambda s: (-level(s), s))
+    return None
+
+
+def _assert_level_counts(mesh: SimplicialMesh) -> None:
+    # the star level histograms, span counts and mesh-wide level histogram,
+    # and the answers read from them, against full scans of the active simplices
+    level = lambda s: mesh.simplices[s].level
+    stars = _scanned_stars(mesh)
+    hists = [dict(Counter(map(level, star))) for star in stars]
+    assert mesh._star_levels == hists
+    assert mesh._span_counts == dict(Counter(max(h) - min(h) for h in hists if len(h) > 1))
+    assert mesh._level_counts == dict(Counter(map(level, mesh.active_ids())))
+    assert mesh.max_level() == max(map(level, mesh.active_ids()), default=0)
+    for alpha in (1, 2, 3):
+        assert mesh.lg_violation(alpha) == _scanned_lg_violation(mesh, stars, alpha)
+
+
 def _scanned_neighbors(mesh: SimplicialMesh, kind: str) -> list[list[int]]:
     # element graph from pairwise vertex intersections of the active simplices
     ids = mesh.active_ids()
@@ -704,7 +730,8 @@ def _scanned_neighbors(mesh: SimplicialMesh, kind: str) -> list[list[int]]:
 def test_lg_matches_star_rebuild_oracle(dim, alpha, policy):
     # BiSecLG(alpha) with maintained stars, new-simplex LG rounds and star
     # intersections as edge owners gives the same mesh as full rebuilds and
-    # scans, also after a JSON round trip; the stars equal a scan
+    # scans, also after a JSON round trip; the stars and their level counts
+    # equal a scan after every round, after copy() and after the round trip
     target = {2: 300, 3: 300, 4: 200}[dim]
     ours = kuhn_initial_mesh(dim, 1)
     oracle = StarRebuildMesh.of(ours)
@@ -716,12 +743,15 @@ def test_lg_matches_star_rebuild_oracle(dim, alpha, policy):
             break
         if round_ == 3:
             ours, oracle = _reload(ours), _reload(oracle, StarRebuildMesh)
+            _assert_level_counts(ours)
         marked = pick(ours, rng_ours)
         assert marked == (oracle.corner() if policy == "corner" else pick(oracle, rng_oracle))
         ours.refine_lg(marked, alpha)
         oracle.refine_lg(marked, alpha)
         assert ours.to_json_dict() == oracle.to_json_dict()
         assert ours._stars == _scanned_stars(ours)
+        _assert_level_counts(ours)
+        _assert_level_counts(ours.copy())
         assert ours.lg_violation(alpha) is None and oracle.lg_violation(alpha) is None
     assert round_ > 3
     for kind in ("vertex", "face"):
@@ -759,3 +789,74 @@ def test_lg_violation_tie_rule():
     with pytest.raises(GradingError) as err:
         m.refine_lg([m.active_ids()[0]], alpha=1)
     assert err.value.pair == expected
+
+
+def _pair_loop_level_gap(mesh: SimplicialMesh, dist) -> int:
+    # the former level_gap: every neighbor pair in a Python loop
+    levels = [mesh.simplices[sid].level for sid in dist.ids]
+    gap = 0
+    for i, nbrs in enumerate(dist.neighbors):
+        for j in nbrs:
+            gap = max(gap, abs(levels[i] - levels[j]))
+    return gap
+
+
+def _steep_closure_mesh(dim: int, rounds: int) -> SimplicialMesh:
+    m = kuhn_initial_mesh(dim, 1)
+    for _ in range(rounds):
+        m.refine_closure(marking_policy("corner")(m, np.random.default_rng(0)))
+    return m
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_level_gap_matches_pair_loop(dim):
+    # the array level_gap equals the pair loop for both kinds: on BiSecLG
+    # meshes, on steep plain-closure meshes (gap > 1) and on one simplex (gap 0)
+    meshes = {
+        "lg": randomly_refined(dim, 3, alpha=2, seed=5, fraction=0.2),
+        "steep": _steep_closure_mesh(dim, {2: 6, 3: 6, 4: 5}[dim]),
+        "single": reference_simplex_mesh(dim),
+    }
+    gaps = {}
+    for name, m in meshes.items():
+        _assert_level_counts(m)
+        for kind in ("vertex", "face"):
+            dist = element_distance(m, kind)
+            gap = level_gap(m, dist)
+            assert type(gap) is int and gap == _pair_loop_level_gap(m, dist), (name, kind)
+            gaps[name, kind] = gap
+    assert gaps["steep", "vertex"] > 1
+    assert gaps["single", "vertex"] == gaps["single", "face"] == 0
+
+
+def test_span_counts_follow_plain_closure():
+    # plain closure makes stars steeper than alpha = 1, 2 (corner rounds) and
+    # random rounds bisect inside them: after every round the counts and
+    # lg_violation match a scan
+    m = kuhn_initial_mesh(2, 1)
+    rng = np.random.default_rng(3)
+    seen = set()
+    for round_ in range(12):
+        pick = "corner" if round_ < 6 else "random:0.3"
+        m.refine_closure(marking_policy(pick)(m, rng))
+        _assert_level_counts(m)
+        seen.update(m._span_counts)
+    assert max(seen) > 2
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0, -1])
+def test_grading_of_and_max_operator_reject_bad_values(value):
+    # grading_of needs finite positive values, max_operator finite ones (its
+    # majorant is of |v|, so 0 and -1 pass), on a 2D Kuhn mesh
+    m = kuhn_initial_mesh(2, 1)
+    dist = element_distance(m, "vertex")
+    a, b = dist.ids
+    with pytest.raises(GradingError):
+        grading_of({a: 1.0, b: value}, dist)
+    if math.isfinite(value):
+        assert max_operator({a: 1.0, b: value}, 2.0, dist) == {a: 1.0, b: max(abs(value), 0.5)}
+    else:
+        with pytest.raises(StabilityError):
+            max_operator({a: 1.0, b: value}, 2.0, dist)
+    with pytest.raises(StabilityError):
+        max_operator({a: 1.0, b: 1.0}, value, dist)
