@@ -154,8 +154,8 @@ def stability_range(
         raise StabilityError("dim must be >= 1")
     if kind not in ("Lp", "W1p"):
         raise StabilityError(f"unknown stability kind {kind!r}")
-    if not gamma_rho >= 1:
-        raise StabilityError("gamma_rho must be >= 1")
+    if not 1 <= gamma_rho < math.inf:
+        raise StabilityError("gamma_rho must be finite and >= 1")
     is_cr = degree == "CR"
     if gamma_h is None:
         if not is_cr:

@@ -192,7 +192,7 @@ def cmd_refine(args) -> int:
         ["total_volume", round4(float(mesh.total_volume()))],
     ]
     write_tsv(out_dir / "grading_report.tsv", tsv_header_lines(cfg), ["key", "value"], rows)
-    write_element_report(mesh, out_dir / "elements.tsv")
+    write_element_report(mesh, dist_v, out_dir / "elements.tsv")
 
     if args.alpha > 0 and gap_v > args.alpha:
         print(f"vertex level gap {gap_v} exceeds alpha={args.alpha}", file=sys.stderr)
@@ -479,7 +479,7 @@ def cmd_grading(args) -> int:
         "meta": output_meta(cfg),
     }
     write_json(out_dir / "grading.json", payload)
-    write_element_report(mesh, out_dir / "elements.tsv")
+    write_element_report(mesh, dist_v, out_dir / "elements.tsv")
     print(
         f"gamma_h vertex={payload['gamma_h_vertex']:.6f} face={payload['gamma_h_face']:.6f}; wrote {out_dir}/grading.json"
     )
@@ -577,8 +577,9 @@ def build_parser() -> Parser:
 
 
 # smallest accepted value of each integer option; cr_dimension_thresholds
-# scans d = 2..probe_limit, and --alpha 0 means plain closure
-OPTION_MINIMUM = {"rounds": 0, "trials": 0, "probe_limit": 2, "alpha": 0}
+# scans d = 2..probe_limit, --alpha 0 means plain closure, and numpy's
+# generators take no negative seed
+OPTION_MINIMUM = {"rounds": 0, "trials": 0, "probe_limit": 2, "alpha": 0, "seed": 0}
 
 
 def check_minimums(args) -> None:
@@ -594,7 +595,7 @@ def main(argv=None) -> int:
     try:
         check_minimums(args)
         return args.func(args)
-    except (GradedProjError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (GradedProjError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
 

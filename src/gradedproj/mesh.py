@@ -28,17 +28,23 @@ created.  That is enough: the mesh is limited-graded on entry (checked by
 the span counts), and a steep pair of two older simplices would have been
 steep before the round, so its lagging member was marked and bisected in
 it; every steep star thus holds a new simplex.
+
+Topological identity has one kernel, first_appearance, which numbers the
+rows of an integer key table by one stable lexsort.  node_table keys the
+nodes of the element vertex table by vertex ids and weights (Lagrange and
+patch dofs); the weights 1 - e_j key the faces (Crouzeix-Raviart dofs,
+boundary and marked faces).  ElementDistance is one CSR adjacency of the
+elements that share a vertex id or a face number.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, permutations, product
+from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -139,10 +145,7 @@ class SimplicialMesh:
         p0 = self.coords[verts[0]]
         rows = [[self.coords[v][i] - p0[i] for i in range(d)] for v in verts[1:]]
         det, _ = fraction_solve(rows, [()] * d)
-        fact = 1
-        for i in range(2, d + 1):
-            fact *= i
-        return abs(det) / fact
+        return abs(det) / math.factorial(d)
 
     def total_volume(self) -> Fraction:
         return sum((self.volume(s) for s in self._active), Fraction(0))
@@ -161,13 +164,7 @@ class SimplicialMesh:
         return {s: 2.0 ** (-self.simplices[s].level / d) for s in self._active}
 
     def diameter2(self, sid: int) -> Fraction:
-        verts = self.simplices[sid].vertices
-        best = Fraction(0)
-        for a, b in combinations(verts, 2):
-            d2 = _dist2(self.coords[a], self.coords[b])
-            if d2 > best:
-                best = d2
-        return best
+        return max(_dist2(self.coords[a], self.coords[b]) for a, b in combinations(self.simplices[sid].vertices, 2))
 
     def _register(self, simplex: TaggedSimplex) -> None:
         self.simplices[simplex.index] = simplex
@@ -419,13 +416,14 @@ class SimplicialMesh:
                 raise MeshError(f"degenerate simplex {verts}")
             mesh._register(TaggedSimplex(mesh._next_simplex, verts, tag, level, None))
             mesh._next_simplex += 1
-        owners = face_owners(mesh)
-        crowded = next((face for face, sids in owners.items() if len(sids) > 2), None)
-        if crowded is not None:
-            raise MeshError(f"face {sorted(crowded)} is owned by more than two simplices")
+        faces, face_vertices = element_faces(vertex_table(mesh, mesh.active_ids()))
+        owners = np.bincount(faces.ravel())
+        if owners.max() > 2:
+            raise MeshError(f"face {face_vertices[np.argmax(owners > 2)].tolist()} is owned by more than two simplices")
+        boundary = set(map(tuple, face_vertices[owners == 1].tolist()))
         for face in gamma:
             check_ids(face, mesh.dim, "gamma face")
-            if len(owners.get(frozenset(face), ())) != 1:
+            if tuple(sorted(face)) not in boundary:
                 raise MeshError(f"gamma face {list(face)} is not a boundary face of the mesh")
         mesh.gamma_faces = {frozenset(face) for face in gamma}
         hanging = hanging_vertex_violations(mesh)
@@ -507,17 +505,10 @@ def kuhn_initial_mesh(dim: int, cells_per_axis: int = 1, mark_boundary: bool = T
             s = TaggedSimplex(mesh._next_simplex, verts, dim, 0, None)
             mesh._next_simplex += 1
             mesh._register(s)
-            mesh._volumes[s.index] = Fraction(1, _factorial(dim))
+            mesh._volumes[s.index] = Fraction(1, math.factorial(dim))
     if mark_boundary:
         mesh.gamma_faces = boundary_faces(mesh)
     return mesh
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def reference_simplex_mesh(dim: int, mark_boundary: bool = False) -> SimplicialMesh:
@@ -532,26 +523,87 @@ def reference_simplex_mesh(dim: int, mark_boundary: bool = False) -> SimplicialM
     return mesh
 
 
-def face_owners(mesh: SimplicialMesh) -> dict[frozenset[int], list[int]]:
-    """Active simplices owning each (d-1)-face, in id order."""
-    owners: dict[frozenset[int], list[int]] = {}
-    for sid in mesh.active_ids():
-        verts = mesh.simplices[sid].vertices
-        for drop in verts:
-            owners.setdefault(frozenset(v for v in verts if v != drop), []).append(sid)
-    return owners
-
-
 def boundary_faces(mesh: SimplicialMesh) -> set[frozenset[int]]:
     """Faces owned by exactly one active simplex."""
-    return {face for face, sids in face_owners(mesh).items() if len(sids) == 1}
+    faces, face_vertices = element_faces(vertex_table(mesh, mesh.active_ids()))
+    return set(map(frozenset, face_vertices[np.bincount(faces.ravel()) == 1].tolist()))
+
+
+# -- topology: one sorted numbering of keyed rows ------------------------------
+
+
+def vertex_table(mesh: SimplicialMesh, element_ids: Sequence[int]) -> np.ndarray:
+    """(n, d+1) vertex ids of the given simplices, in their local order."""
+    return np.array([mesh.simplices[sid].vertices for sid in element_ids], dtype=np.int64).reshape(-1, mesh.dim + 1)
+
+
+def first_appearance(keys: np.ndarray, banned: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Number the rows of an integer key table 0, 1, ... in order of first
+    appearance, equal rows alike; rows equal to a banned row are -1 and take
+    no number.  Returns the numbers and the first row of each number.  One
+    stable lexsort puts equal rows side by side, the earliest first."""
+    order = np.lexsort(keys.T[::-1])
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    group = np.empty(len(keys), dtype=np.int64)
+    group[order] = np.cumsum(new) - 1  # groups in key order
+    kept = np.ones(int(new.sum()), dtype=bool)
+    if banned is not None:
+        kept[group[banned]] = False
+    first = np.zeros(len(keys), dtype=bool)
+    first[order[new][kept]] = True
+    return np.where(kept[group], (np.cumsum(first) - 1)[order[new]][group], -1), np.flatnonzero(first)
+
+
+def node_table(vertices: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Key rows of the nodes (element row r, multi index alphas[a]), in that
+    C order: the row's vertex ids beside their weights, sorted by id, with
+    id -1 for weight 0.  On a conforming mesh two nodes are the same point
+    exactly when their keys are equal (a point lies inside exactly one face)."""
+    ids = np.where(alphas > 0, vertices[:, None, :], -1)
+    order = np.argsort(ids, axis=-1)
+    weights = np.broadcast_to(alphas, ids.shape)
+    keys = np.concatenate([np.take_along_axis(ids, order, -1), np.take_along_axis(weights, order, -1)], axis=-1)
+    return keys.reshape(-1, 2 * vertices.shape[1])
+
+
+def element_faces(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Face numbers (n, d+1) of the rows of a vertex table, local face j
+    opposite local vertex j (the node of weights 1 - e_j), in order of first
+    appearance, and the sorted vertex ids (n_faces, d) of each face."""
+    d1 = vertices.shape[1]
+    keys = node_table(vertices, 1 - np.eye(d1, dtype=np.int64))
+    numbers, first = first_appearance(keys)
+    return numbers.reshape(-1, d1), keys[first, 1:d1]
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The ranges starts[i]:stops[i], concatenated."""
+    lengths = stops - starts
+    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+
+
+def _shared_id_graph(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR adjacency (indptr, indices) of the rows of an id table: two rows
+    are neighbors when they share an id; each neighbor list ascends."""
+    n, width = table.shape
+    order = np.argsort(table.ravel(), kind="stable")
+    ids, members = table.ravel()[order], order // width  # rows, grouped by id
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    sizes = np.diff(starts, append=len(ids))
+    group_start, group_size = np.repeat(starts, sizes), np.repeat(sizes, sizes)
+    src, dst = np.repeat(members, group_size), members[_ranges(group_start, group_start + group_size)]
+    pairs = np.sort((src * n + dst)[src != dst])
+    src, dst = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], n)
+    return np.r_[0, np.cumsum(np.bincount(src, minlength=n))], dst
 
 
 # -- element distances -------------------------------------------------------
 
 
 class ElementDistance:
-    """Integer geodesic distance on the element graph.
+    """Integer geodesic distance on the element graph, one CSR adjacency
+    (indptr, indices) over the rows of ids.
 
     kind "vertex": neighbors share at least a vertex (so distance 1 means a
     nonempty intersection on a conforming mesh).  kind "face": neighbors share
@@ -561,21 +613,10 @@ class ElementDistance:
     def __init__(self, mesh: SimplicialMesh, kind: str = "vertex"):
         if kind not in ("vertex", "face"):
             raise MeshError(f"unknown distance kind {kind!r}")
-        self.kind = kind
         self.ids = mesh.active_ids()
         self.pos = {sid: i for i, sid in enumerate(self.ids)}
-        self.neighbors = self._build_adjacency(mesh)
-
-    def _build_adjacency(self, mesh: SimplicialMesh) -> list[list[int]]:
-        n = len(self.ids)
-        nbr: list[set[int]] = [set() for _ in range(n)]
-        groups = mesh._stars if self.kind == "vertex" else face_owners(mesh).values()
-        for group in groups:
-            idx = [self.pos[s] for s in group]
-            for i, j in combinations(idx, 2):
-                nbr[i].add(j)
-                nbr[j].add(i)
-        return [sorted(s) for s in nbr]
+        table = vertex_table(mesh, self.ids)
+        self.indptr, self.indices = _shared_id_graph(element_faces(table)[0] if kind == "face" else table)
 
     @property
     def n(self) -> int:
@@ -585,19 +626,15 @@ class ElementDistance:
         return self._bfs([self.pos[sid]])
 
     def _bfs(self, sources: list[int]) -> np.ndarray:
+        """Distances from the nearest source, one frontier array per level."""
         dist = np.full(self.n, UNREACHABLE, dtype=np.int32)
-        queue = deque()
-        for s in sources:
-            if dist[s] != 0:
-                dist[s] = 0
-                queue.append(s)
-        while queue:
-            i = queue.popleft()
-            base = dist[i] + 1
-            for j in self.neighbors[i]:
-                if dist[j] == UNREACHABLE:
-                    dist[j] = base
-                    queue.append(j)
+        dist[sources] = 0
+        frontier, level = np.flatnonzero(dist == 0), 0
+        while len(frontier):
+            level += 1
+            nbrs = self.indices[_ranges(self.indptr[frontier], self.indptr[frontier + 1])]
+            dist[nbrs[dist[nbrs] == UNREACHABLE]] = level
+            frontier = np.flatnonzero(dist == level)
         return dist
 
     def dist(self, a: int, b: int) -> int:
@@ -608,11 +645,8 @@ class ElementDistance:
         right = [self.pos[s] for s in right]
         if not left or not right:
             raise MeshError("element sets must be nonempty")
-        dist = self._bfs(left)
-        vals = dist[right]
-        if np.any(vals == UNREACHABLE):
-            return UNREACHABLE
-        return int(vals.min())
+        vals = self._bfs(left)[right]
+        return UNREACHABLE if np.any(vals == UNREACHABLE) else int(vals.min())
 
     @property
     def connected(self) -> bool:
@@ -629,65 +663,58 @@ def element_distance(mesh: SimplicialMesh, kind: str = "vertex") -> ElementDista
 def grading_of(values: dict[int, object], dist: ElementDistance):
     """Smallest gamma making the piecewise-constant weight graded, i.e. the
     largest ratio of values across any distance-1 pair (at least 1).  Every
-    value must be finite and positive."""
+    value must be finite and positive; exact values (Fractions) give an
+    exact ratio."""
     for sid, val in values.items():
         if not 0 < val < math.inf:  # false for NaN too
             raise GradingError(f"value {val} on simplex {sid} is not finite and positive")
-    gamma = 1
-    vals = [values[sid] for sid in dist.ids]
-    for i, nbrs in enumerate(dist.neighbors):
-        vi = vals[i]
-        for j in nbrs:
-            if j < i:
-                continue
-            ratio = vals[j] / vi if vals[j] >= vi else vi / vals[j]
-            if ratio > gamma:
-                gamma = ratio
-    return gamma
+    vals = np.array([values[sid] for sid in dist.ids])
+    left, right = vals[_rows(dist)], vals[dist.indices]
+    ratios = np.maximum(left, right) / np.minimum(left, right)
+    top = np.asarray(ratios.max(initial=1)).tolist()  # a Python float, or an exact Fraction
+    return top if top > 1 else 1
+
+
+def _rows(dist: ElementDistance) -> np.ndarray:
+    """The row of each entry of dist.indices."""
+    return np.repeat(np.arange(dist.n), np.diff(dist.indptr))
 
 
 def level_gap(mesh: SimplicialMesh, dist: ElementDistance) -> int:
     """Largest level difference across distance-1 pairs, 0 when there are
     none (exact h-grading: the grading of h = 2**(-level/d) equals
-    2**(gap/d)).  One array pass over the flattened neighbor lists."""
+    2**(gap/d)).  One array pass over the CSR graph."""
     levels = np.array([mesh.simplices[sid].level for sid in dist.ids], dtype=np.int64)
-    sizes = [len(nbrs) for nbrs in dist.neighbors]
-    total = sum(sizes)
-    if not total:
-        return 0
-    nbrs = np.fromiter(chain.from_iterable(dist.neighbors), dtype=np.intp, count=total)
-    return int(np.abs(np.repeat(levels, sizes) - levels[nbrs]).max())
+    return int(np.abs(levels[_rows(dist)] - levels[dist.indices]).max(initial=0))
 
 
 def max_operator(values: dict[int, object], gamma, dist: ElementDistance) -> dict[int, object]:
     """Smallest gamma-graded majorant: (M_gamma v)|_T = max_T' gamma^(-delta(T,T')) |v_T'|.
 
-    Exact when values and gamma are rational.  Computed by one max-product
-    Dijkstra relaxation from all sources (every hop multiplies by 1/gamma),
-    O(E log N) on the element graph.  Every value must be finite.
+    Exact when values and gamma are rational.  Computed as the least
+    solution of b_T = max(|v_T|, b_T' / gamma over the neighbors T'): each
+    round relaxes, in one array pass, the edges out of the elements whose
+    value grew in the previous round, until none grows.  Every value is then
+    the largest chain of divisions along a walk, as a Dijkstra relaxation
+    would give, bit for bit.  Every value must be finite.
     """
     if not 1 < gamma < math.inf:  # false for NaN too
         raise StabilityError(f"max_operator requires a finite gamma > 1, got {gamma}")
     for sid, val in values.items():
         if not abs(val) < math.inf:  # false for NaN too
             raise StabilityError(f"value {val} on simplex {sid} is not finite")
-    ids = dist.ids
-    best = [abs(values[s]) for s in ids]
-    heap = [(-v, i) for i, v in enumerate(best)]
-    heapq.heapify(heap)
-    settled = [False] * dist.n
-    while heap:
-        negv, i = heapq.heappop(heap)
-        if settled[i]:
-            continue
-        settled[i] = True
-        v = -negv
-        relaxed = v / gamma
-        for j in dist.neighbors[i]:
-            if not settled[j] and relaxed > best[j]:
-                best[j] = relaxed
-                heapq.heappush(heap, (-relaxed, j))
-    return dict(zip(ids, best))
+    best = np.array([abs(values[s]) for s in dist.ids])
+    if best.dtype.kind != "f":
+        best = best.astype(object)  # ints and Fractions stay exact
+    grown = np.arange(dist.n)
+    while len(grown):
+        starts, stops = dist.indptr[grown], dist.indptr[grown + 1]
+        relaxed = best[np.repeat(grown, stops - starts)] / gamma
+        targets = dist.indices[_ranges(starts, stops)]
+        up = relaxed > best[targets]
+        np.maximum.at(best, targets[up], relaxed[up])
+        grown = np.flatnonzero(np.bincount(targets[up], minlength=dist.n))
+    return dict(zip(dist.ids, best.tolist()))
 
 
 @dataclass
@@ -878,15 +905,13 @@ def similarity_classes(mesh: SimplicialMesh) -> set[tuple]:
     return classes
 
 
-def write_element_report(mesh: SimplicialMesh, path) -> None:
-    """TSV per-element report: id, level, volume, h, min neighbor level."""
-    dist = element_distance(mesh, "vertex")
-    levels = mesh.levels()
+def write_element_report(mesh: SimplicialMesh, dist: ElementDistance, path) -> None:
+    """TSV per-element report of the elements of a vertex-kind graph: id,
+    level, volume, h, min neighbor level (its own level without neighbors)."""
+    levels = np.array([mesh.simplices[sid].level for sid in dist.ids], dtype=np.int64)
+    lowest = np.where(np.diff(dist.indptr) > 0, np.iinfo(np.int64).max, levels)
+    np.minimum.at(lowest, _rows(dist), levels[dist.indices])
     with open(path, "w") as fh:
         fh.write("id\tlevel\tvolume\th\tmin_neighbor_level\n")
-        for i, sid in enumerate(dist.ids):
-            nbr_levels = [levels[dist.ids[j]] for j in dist.neighbors[i]] or [levels[sid]]
-            fh.write(
-                "%d\t%d\t%.12g\t%.12g\t%d\n"
-                % (sid, levels[sid], float(mesh.volume(sid)), 2.0 ** (-levels[sid] / mesh.dim), min(nbr_levels))
-            )
+        for sid, level, low in zip(dist.ids, levels.tolist(), lowest.tolist()):
+            fh.write("%d\t%d\t%.12g\t%.12g\t%d\n" % (sid, level, float(mesh.volume(sid)), 2.0 ** (-level / mesh.dim), low))

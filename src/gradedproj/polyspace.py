@@ -15,10 +15,12 @@ from that formula; one kernel forms it in integers over common denominators.
 One float evaluator gives the values and barycentric partials of the local
 basis, Lagrange degree K or "CR", at any stack of barycentric points.  Spectra
 are computed only after conversion to floating point.
-Each element space has one float geometry table (ElementGeometry, built on
-first use): vertex coordinates, volumes and barycentric gradients.  Its
-readers stack element rows, so each element keeps the BLAS and LAPACK calls,
-and the bits, of a separate evaluation.
+Each element space keeps its element vertex table and numbers its dofs from
+node keys (Lagrange) or face keys (Crouzeix-Raviart) of that table with the
+one topology kernel, mesh.first_appearance.  It has one float geometry table
+(ElementGeometry, built on first use): vertex coordinates, volumes and
+barycentric gradients.  Its readers stack element rows, so each element
+keeps the BLAS and LAPACK calls, and the bits, of a separate evaluation.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import GradedProjError
-from .mesh import SimplicialMesh, fraction_solve
+from .mesh import SimplicialMesh, element_faces, first_appearance, fraction_solve, node_table, vertex_table
 
 MultiIndex = tuple[int, ...]
 
@@ -489,14 +491,6 @@ def verify_s_consistency(degree: int, dim: int, trials: int = 20, seed: int = 0)
 # -- finite element spaces --------------------------------------------------------
 
 
-def node_key(verts: Sequence[int], alpha: MultiIndex) -> tuple:
-    """Topological identity of the Lagrange node with multi-index alpha on the
-    simplex with vertex ids verts: its (vertex, weight) pairs of nonzero
-    weight, sorted.  On a conforming mesh two nodes are the same point exactly
-    when their keys are equal (a point lies inside exactly one face)."""
-    return tuple(sorted((v, k) for v, k in zip(verts, alpha) if k))
-
-
 def scatter_matrix(row_dofs: np.ndarray, col_dofs: np.ndarray, blocks: np.ndarray, shape) -> sp.csr_matrix:
     """Global sparse matrix from element blocks: blocks[e, a, b] adds to entry
     (row_dofs[e, a], col_dofs[e, b]); negative dofs (removed trace dofs) are
@@ -591,12 +585,15 @@ class ElementGeometry(NamedTuple):
 class _ElementSpace:
     """Dof table of an element space: dofs[r] holds the global dof of each
     local basis function on element element_ids[r], -1 for a removed trace
-    dof.  local_degree names the local basis as the tables and evaluators of
-    this module take it: the Lagrange degree K, or "CR"."""
+    dof, numbered from the keys of the read-only vertex table vertices[r].
+    local_degree names the local basis as the tables and evaluators of this
+    module take it: the Lagrange degree K, or "CR"."""
 
-    def _set_dofs(self, table) -> None:
-        self.dofs = np.array(table, dtype=np.int64).reshape(len(self.element_ids), -1)
-        self.dofs.setflags(write=False)
+    def __init__(self, mesh: SimplicialMesh):
+        self.mesh = mesh
+        self.element_ids = mesh.active_ids()
+        self.vertices = vertex_table(mesh, self.element_ids)
+        self.vertices.setflags(write=False)
         self._row = {sid: r for r, sid in enumerate(self.element_ids)}
         self._mass = None
 
@@ -606,7 +603,7 @@ class _ElementSpace:
         set), built on first use; the gradients from one stacked inverse."""
         mesh = self.mesh
         coords = np.array([[float(x) for x in c] for c in mesh.coords])
-        vertices = coords[[mesh.simplices[sid].vertices for sid in self.element_ids]]
+        vertices = coords[self.vertices]
         volumes = np.array([float(mesh.volume(sid)) for sid in self.element_ids])
         inv = np.linalg.inv(np.swapaxes(vertices[:, 1:] - vertices[:, :1], 1, 2))
         gradients = np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
@@ -649,11 +646,12 @@ class _ElementSpace:
 class LagrangeSpace(_ElementSpace):
     """Continuous piecewise polynomials of one degree on a conforming mesh.
 
-    Global dofs are Lagrange nodes, glued across elements by their
-    topological identity (node_key); node_coords gives each dof's exact
-    rational coordinates, computed from the node keys on first read.  With
-    zero_trace=True the dofs on the marked boundary part of the mesh are
-    removed from the space.
+    Global dofs are Lagrange nodes, glued across elements by equal node keys
+    (mesh.node_table) and numbered in order of first appearance; node_coords
+    gives each dof's exact rational coordinates, computed from the node keys
+    on first read.  trace_faces[r, j] flags the local faces on the marked
+    boundary part of the mesh (none without zero_trace); with
+    zero_trace=True the dofs on them are removed from the space.
     """
 
     kind = "lagrange"
@@ -661,43 +659,30 @@ class LagrangeSpace(_ElementSpace):
     def __init__(self, mesh: SimplicialMesh, degree: int, zero_trace: bool = False):
         if degree < 1:
             raise PolySpaceError("Lagrange degree must be >= 1")
-        self.mesh = mesh
+        super().__init__(mesh)
         self.degree = self.local_degree = degree
         self.zero_trace = zero_trace
         self.ref = reference_element(mesh.dim, degree)
-        self.element_ids = mesh.active_ids()
-        self._enumerate_dofs()
-
-    def _enumerate_dofs(self):
-        mesh = self.mesh
-        node_ids: dict[tuple, int] = {}
-        on_gamma: set[int] = set()
-        table: list[int] = []
-        gamma = mesh.gamma_faces if self.zero_trace else set()
-        for sid in self.element_ids:
-            verts = mesh.simplices[sid].vertices
-            gamma_locals = []
-            if gamma:
-                vset = set(verts)
-                gamma_locals = [j for j, drop in enumerate(verts) if frozenset(vset - {drop}) in gamma]
-            for alpha in self.ref.monos:
-                nid = node_ids.setdefault(node_key(verts, alpha), len(node_ids))
-                table.append(nid)
-                if any(alpha[j] == 0 for j in gamma_locals):
-                    on_gamma.add(nid)
-        self.n_dofs = len(node_ids) - len(on_gamma)
-        self._node_keys = [key for i, key in enumerate(node_ids) if i not in on_gamma]
-        if on_gamma:
-            keep = np.ones(len(node_ids), dtype=bool)
-            keep[list(on_gamma)] = False
-            remap = np.where(keep, np.cumsum(keep) - 1, -1)
-            table = remap[table]
-        self._set_dofs(table)
+        self.trace_faces = np.zeros(self.vertices.shape, dtype=bool)
+        if zero_trace and mesh.gamma_faces:
+            faces, face_vertices = element_faces(self.vertices)
+            gamma = {tuple(sorted(face)) for face in mesh.gamma_faces}
+            self.trace_faces = np.array([face in gamma for face in map(tuple, face_vertices.tolist())])[faces]
+        self.trace_faces.setflags(write=False)
+        alphas = np.array(self.ref.monos)
+        keys = node_table(self.vertices, alphas)
+        # a node on a trace face (alpha_j = 0 for a flagged face j) is removed
+        dofs, first = first_appearance(keys, (self.trace_faces @ (alphas == 0).T).ravel())
+        self.n_dofs = len(first)
+        self._node_keys = keys[first]
+        self.dofs = dofs.reshape(len(self.element_ids), -1)
+        self.dofs.setflags(write=False)
 
     @cached_property
     def node_coords(self) -> list[tuple]:
-        coords, K, dims = self.mesh.coords, self.degree, range(self.mesh.dim)
-        return [tuple(sum(Fraction(k, K) * coords[v][i] for v, k in key) for i in dims) for key in self._node_keys]
+        coords, K, d = self.mesh.coords, self.degree, self.mesh.dim
+        pairs = [[(v, k) for v, k in zip(key[: d + 1], key[d + 1 :]) if k] for key in self._node_keys.tolist()]
+        return [tuple(sum(Fraction(k, K) * coords[v][i] for v, k in vk) for i in range(d)) for vk in pairs]
 
 
 def cr_local_mass(dim: int, volume=Fraction(1)) -> list[list[Fraction]]:
@@ -715,7 +700,9 @@ def cr_local_mass(dim: int, volume=Fraction(1)) -> list[list[Fraction]]:
 
 
 class CRSpace(_ElementSpace):
-    """Crouzeix-Raviart space: one dof per (d-1)-face, basis 1 - d*lambda_j."""
+    """Crouzeix-Raviart space: one dof per (d-1)-face, basis 1 - d*lambda_j.
+    Local dof j is the face opposite local vertex j; face_keys[f] holds the
+    sorted vertex ids of face f (mesh.element_faces)."""
 
     kind = "cr"
     local_degree = "CR"
@@ -723,19 +710,11 @@ class CRSpace(_ElementSpace):
     def __init__(self, mesh: SimplicialMesh):
         if mesh.dim < 2:
             raise PolySpaceError("Crouzeix-Raviart requires dimension >= 2")
-        self.mesh = mesh
+        super().__init__(mesh)
         self.degree = 1
-        self.element_ids = mesh.active_ids()
-        face_ids: dict[frozenset[int], int] = {}
-        table: list[int] = []
-        for sid in self.element_ids:
-            verts = mesh.simplices[sid].vertices
-            vset = set(verts)
-            for drop in verts:  # local face j is opposite local vertex j
-                table.append(face_ids.setdefault(frozenset(vset - {drop}), len(face_ids)))
-        self.n_dofs = len(face_ids)
-        self.face_keys = sorted(face_ids, key=face_ids.get)
-        self._set_dofs(table)
+        self.dofs, self.face_keys = element_faces(self.vertices)
+        self.dofs.setflags(write=False)
+        self.n_dofs = len(self.face_keys)
 
     @staticmethod
     def local_basis_poly(dim: int, j: int) -> BarycentricPoly:

@@ -20,10 +20,12 @@ bounds.
 Operators keeps one patch table for C: per vertex, in vertex order, the
 patch members (element row, local vertex), their patch dof ids, the Cholesky
 factor of the patch Gram matrix, the touched global dofs and the nodal
-weights.  Assembly fills each patch system from it with np.add.at, and
-apply_C accumulates its moments through the same ids.  The global form and
-apply matrices are summed in patch order, so their bits do not depend on how
-scipy orders duplicate triplets.
+weights.  One mesh.first_appearance call over (patch, node key) rows numbers
+the patch dofs of all patches, one over (patch, dof) rows the touched dofs.
+Assembly fills each patch system with np.add.at, and apply_C accumulates its
+moments through the same ids.  The global form and apply matrices are summed
+in patch order, so their bits do not depend on how scipy orders duplicate
+triplets.
 
 Reference tables and local basis values come from gradedproj.polyspace: the
 exact product tables of the patch Gram and cross matrices, the nodal values
@@ -48,7 +50,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .analytic import ProjectionError, q_new
-from .mesh import ElementDistance, SimplicialMesh
+from .mesh import ElementDistance, SimplicialMesh, first_appearance, node_table
 from .polyspace import (
     BarycentricPoly,
     CRSpace,
@@ -57,7 +59,6 @@ from .polyspace import (
     lambda_nodal_product_table,
     multi_indices,
     nodal_values_at_nodes,
-    node_key,
     quadrature_basis,
     scatter_matrix,
     simplex_quadrature,
@@ -190,8 +191,7 @@ class Operators:
 
     def _assemble_patches(self):
         space = self.space
-        mesh, K, d = self.mesh, space.degree, self.dim
-        low_monos = multi_indices(d, K - 1)
+        K, d = space.degree, self.dim
         # float tables indexed by the patch vertex's local number j
         gram_f = np.array(lambda_nodal_product_table(d, K - 1, K - 1), dtype=float)
         cross_f = np.array(lambda_nodal_product_table(d, K - 1, K), dtype=float)
@@ -199,55 +199,52 @@ class Operators:
         # nodal[j, m, a]: value of lambda_j psi_a at high node m
         nodal = np.array(space.ref.node_coords, dtype=float).T[:, :, None] * low_at_hi
 
-        # per element row: patch-dof key ids, and the low nodes that a trace
-        # face of the element bans in the patch of each of its vertices j
-        # (face jf != j bans the nodes on it, alpha[jf] == 0)
-        verts = np.array([mesh.simplices[sid].vertices for sid in space.element_ids])
-        key_ids: dict[tuple, int] = {}
-        keys = np.array(
-            [[key_ids.setdefault(node_key(vs, alpha), len(key_ids)) for alpha in low_monos] for vs in verts.tolist()]
-        )
-        gamma = mesh.gamma_faces if getattr(space, "zero_trace", False) else set()
-        on_gamma = np.array([[frozenset(vs) - {v} in gamma for v in vs] for vs in verts.tolist()], dtype=bool)
-        banned = (on_gamma[:, None, :] & ~np.eye(d + 1, dtype=bool)) @ (np.array(low_monos) == 0).T
+        # patch-dof key numbers per element row, and the low nodes that a
+        # trace face of the element bans in the patch of each of its vertices
+        # j (face jf != j bans the nodes on it, alpha[jf] == 0)
+        alphas = np.array(multi_indices(d, K - 1))
+        keys = first_appearance(node_table(space.vertices, alphas))[0].reshape(len(space.vertices), -1)
+        banned = (space.trace_faces[:, None, :] & ~np.eye(d + 1, dtype=bool)) @ (alphas == 0).T
 
         # patches in vertex order; members (element row, local j) in row order
-        flat = verts.ravel()
+        flat = space.vertices.ravel()
         order = np.argsort(flat, kind="stable")
-        cuts = np.flatnonzero(np.diff(flat[order])) + 1
+        rows, js = np.divmod(order, d + 1)
+        patch, starts = first_appearance(flat[order, None])
+        bounds = np.r_[starts, len(order)]
+        # a banned node is banned for the whole patch: continuity pins its
+        # nodal value everywhere
+        pids, n_pids, _ = _patch_numbers(patch, keys[rows], banned[rows, js])
+        cpos, n_cols, cols = _patch_numbers(patch, space.dofs[rows], space.dofs[rows] < 0)
+        col_bounds = np.r_[0, np.cumsum(n_cols)]
         self._patches = []
         # global (row, col, form, apply) triplets, patch by patch; the empty
         # first entry serves a space without patches (no dofs)
         triplets = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),) * 2]
-        for members in np.split(order, cuts):
-            rows, js = np.divmod(members, d + 1)
-            # a banned node is banned for the whole patch: continuity pins its
-            # nodal value everywhere
-            member_keys = keys[rows]
-            pids, _ = _first_appearance(np.where(np.isin(member_keys, member_keys[banned[rows, js]]), -1, member_keys))
-            m_patch = int(pids.max()) + 1
+        for p, m_patch in enumerate(n_pids.tolist()):
             if m_patch == 0:
                 continue
-            cpos, gcols = _first_appearance(space.dofs[rows])
+            prows, pjs, ppids, pcpos = (a[bounds[p] : bounds[p + 1]] for a in (rows, js, pids, cpos))
+            gcols = cols[col_bounds[p] : col_bounds[p + 1]]
             n_g = len(gcols)
             # index -1 (banned patch dof, removed trace dof) lands in a scratch
             # row or column past the end; np.add.at adds in (member, a, b)
             # order, and every member writes the same nodal value of a pair
-            vols = space.geometry.volumes[rows, None, None]
+            vols = space.geometry.volumes[prows, None, None]
             gmat = np.zeros((m_patch + 1, m_patch + 1))
-            np.add.at(gmat, (pids[:, :, None], pids[:, None, :]), vols * gram_f[js])
+            np.add.at(gmat, (ppids[:, :, None], ppids[:, None, :]), vols * gram_f[pjs])
             rmat = np.zeros((m_patch + 1, n_g + 1))
-            np.add.at(rmat, (pids[:, :, None], cpos[:, None, :]), vols * cross_f[js])
+            np.add.at(rmat, (ppids[:, :, None], pcpos[:, None, :]), vols * cross_f[pjs])
             wmat = np.zeros((n_g + 1, m_patch + 1))
-            wmat[cpos[:, :, None], pids[:, None, :]] = nodal[js]
+            wmat[pcpos[:, :, None], ppids[:, None, :]] = nodal[pjs]
             gmat, rmat, wmat = (np.ascontiguousarray(a[:-1, :-1]) for a in (gmat, rmat, wmat))
             try:
                 gchol = scipy.linalg.cho_factor(gmat)
             except scipy.linalg.LinAlgError as exc:
-                raise ProjectionError(f"singular patch system at vertex {flat[members[0]]}") from exc
+                raise ProjectionError(f"singular patch system at vertex {flat[order[starts[p]]]}") from exc
             ginv_r = scipy.linalg.cho_solve(gchol, rmat)
             triplets.append((np.repeat(gcols, n_g), np.tile(gcols, n_g), rmat.T @ ginv_r, wmat @ ginv_r))
-            self._patches.append(_Patch(rows, js, pids, gchol, gcols, wmat))
+            self._patches.append(_Patch(prows, pjs, ppids, gchol, gcols, wmat))
         rows, cols, form, apply_m = (np.concatenate([np.ravel(t[i]) for t in triplets]) for i in range(4))
         self.form_matrix = _csr_in_order(rows, cols, form, space.n_dofs)
         self.apply_matrix = _csr_in_order(rows, cols, apply_m, space.n_dofs)
@@ -468,19 +465,16 @@ class _Patch(NamedTuple):
     wmat: np.ndarray
 
 
-def _first_appearance(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct nonnegative values of ids 0, 1, ... in order of
-    first appearance (C order); negative entries become -1.  Returns the
-    numbering, shaped like ids, and the distinct values in that order."""
-    flat = ids.ravel()
-    keep = flat >= 0
-    values, first, inverse = np.unique(flat[keep], return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(values), dtype=np.int64)
-    rank[order] = np.arange(len(values))
-    out = np.full(flat.shape, -1, dtype=np.int64)
-    out[keep] = rank[inverse]
-    return out.reshape(ids.shape), values[order]
+def _patch_numbers(patch: np.ndarray, ids: np.ndarray, banned: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Number ids[k, a] 0, 1, ... per patch (patch[k], nondecreasing from 0) in
+    order of first appearance, -1 for an id banned anywhere in its patch; also
+    the count of numbers per patch and the ids numbered, patch after patch."""
+    owner = np.repeat(patch, ids.shape[1])
+    numbers, first = first_appearance(np.stack([owner, ids.ravel()], axis=1), banned.ravel())
+    counts = np.bincount(owner[first], minlength=patch[-1] + 1)
+    # the numbers run patch after patch: less those of the earlier patches
+    local = np.where(numbers >= 0, numbers - (np.cumsum(counts) - counts)[owner], -1)
+    return local.reshape(ids.shape), counts, ids.ravel()[first]
 
 
 def _csr_in_order(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_matrix:

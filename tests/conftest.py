@@ -27,6 +27,12 @@ def distance_matrix(dist):
     return np.vstack([dist.from_source(s) for s in dist.ids])
 
 
+def neighbor_lists(dist):
+    """The CSR element graph as one ascending neighbor list per row."""
+    ptr = dist.indptr.tolist()
+    return [dist.indices[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])]
+
+
 @pytest.fixture(scope="session")
 def mesh2d():
     return randomly_refined(2, 6, alpha=1, seed=11)

@@ -138,6 +138,24 @@ def test_readme_grading_outputs_match_pinned_digests(tmp_path):
     assert digests == README_DIGESTS
 
 
+def test_refine_and_grading_build_each_graph_once(tmp_path, monkeypatch):
+    # the element report reads the command's vertex graph instead of building its own
+    import gradedproj.mesh as mesh_module
+
+    kinds = []
+
+    class Counting(mesh_module.ElementDistance):
+        def __init__(self, mesh, kind="vertex"):
+            kinds.append(kind)
+            super().__init__(mesh, kind)
+
+    monkeypatch.setattr(mesh_module, "ElementDistance", Counting)
+    for line in ("refine --rounds 3 --out r", "grading --rounds 3 --out g"):
+        kinds.clear()
+        assert run(tmp_path, *line.split()) == 0
+        assert sorted(kinds) == ["face", "vertex"], (line, kinds)
+
+
 def test_mesh_roundtrip_through_cli(tmp_path):
     run(tmp_path, "refine", "--rounds", "4", "--policy", "random:0.4", "--seed", "2", "--out", "m")
     code = run(tmp_path, "certify", "--mesh", str(tmp_path / "m" / "mesh.json"), "--degree", "1", "--out", "c")
@@ -247,6 +265,14 @@ def test_bad_inputs_exit_3(tmp_path, capsys):
     # domain errors surface as input errors, not tracebacks
     assert run(tmp_path, "certify", "--dim", "1", "--degree", "CR", "--rounds", "0", "--out", "x") == 3
     assert run(tmp_path, "refine", "--dim", "2", "--policy", "bogus", "--rounds", "1", "--out", "x") == 3
+    # unreadable mesh files: a directory, and a file that is not UTF-8
+    (tmp_path / "folder.json").mkdir()
+    (tmp_path / "latin1.json").write_bytes(b'{"version": 1, "dim": "\xe9"}')
+    capsys.readouterr()
+    for name in ("folder.json", "latin1.json"):
+        assert run(tmp_path, "certify", "--mesh", name, "--degree", "1", "--out", "x") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
 
 
 def test_tolerance_overrides(tmp_path):
@@ -335,6 +361,9 @@ def test_malformed_mesh_exits_3(tmp_path, capsys, data):
         ["decay", "--alpha", "-3"],
         ["stability", "--alpha", "-4"],
         ["grading", "--alpha", "-5"],
+        ["refine", "--seed", "-1"],
+        ["decay", "--seed", "-3"],
+        ["stability", "--gamma-rho", "inf"],
     ],
     ids=lambda argv: " ".join(argv[1:]),
 )

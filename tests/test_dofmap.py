@@ -22,7 +22,6 @@ from gradedproj.polyspace import (
     CRSpace,
     LagrangeSpace,
     cr_local_mass,
-    node_key,
     quadrature_basis,
     reference_element,
     simplex_quadrature,
@@ -47,6 +46,12 @@ from test_local_basis import (
 )
 
 # -- the replaced implementations, kept as oracles --------------------------------
+
+
+def node_key(verts, alpha):
+    """The former topological node identity: the node's (vertex, weight)
+    pairs of nonzero weight, sorted."""
+    return tuple(sorted((v, k) for v, k in zip(verts, alpha) if k))
 
 
 def coordinate_keyed_dofs(mesh, degree, zero_trace):

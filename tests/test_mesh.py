@@ -28,7 +28,7 @@ from gradedproj.mesh import (
     reference_simplex_mesh,
     similarity_classes,
 )
-from conftest import distance_matrix, randomly_refined
+from conftest import distance_matrix, neighbor_lists, randomly_refined
 
 
 class CoordinateClosureMesh(SimplicialMesh):
@@ -755,7 +755,7 @@ def test_lg_matches_star_rebuild_oracle(dim, alpha, policy):
         assert ours.lg_violation(alpha) is None and oracle.lg_violation(alpha) is None
     assert round_ > 3
     for kind in ("vertex", "face"):
-        assert element_distance(ours, kind).neighbors == _scanned_neighbors(ours, kind)
+        assert neighbor_lists(element_distance(ours, kind)) == _scanned_neighbors(ours, kind)
 
 
 def test_unused_vertex_has_empty_star():
@@ -795,7 +795,7 @@ def _pair_loop_level_gap(mesh: SimplicialMesh, dist) -> int:
     # the former level_gap: every neighbor pair in a Python loop
     levels = [mesh.simplices[sid].level for sid in dist.ids]
     gap = 0
-    for i, nbrs in enumerate(dist.neighbors):
+    for i, nbrs in enumerate(neighbor_lists(dist)):
         for j in nbrs:
             gap = max(gap, abs(levels[i] - levels[j]))
     return gap

@@ -626,3 +626,28 @@ def test_weighted_matrices(mesh2d):
     # linear function: int |grad u|^2 = 5 * area * weight for u = x + 2y
     lin = np.array([float(c[0] + 2 * c[1]) for c in space.node_coords])
     assert lin @ (kw @ lin) == pytest.approx(2.0 * 5.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["P2", "CR", "P1z"])
+def test_cg_mass_path_matches_dense_cholesky(mesh2d, kind, monkeypatch):
+    # past DENSE_SOLVE_LIMIT dofs the mass solves run plain CG, column by
+    # column, and certify refuses; a limit of 0 takes that path on a small mesh
+    import gradedproj.projection as projection
+
+    def space():
+        if kind == "CR":
+            return CRSpace(mesh2d)
+        return LagrangeSpace(mesh2d, int(kind[1]), zero_trace=kind.endswith("z"))
+
+    dense = Operators(space())
+    rng = np.random.default_rng(5)
+    rhs = rng.standard_normal((dense.space.n_dofs, 3))
+    want_one, want_multi = dense.solve_mass(rhs[:, 0]), dense.solve_mass_multi(rhs)
+    monkeypatch.setattr(projection, "DENSE_SOLVE_LIMIT", 0)
+    cg = Operators(space())
+    got_one, got_multi = cg.solve_mass(rhs[:, 0]), cg.solve_mass_multi(rhs)
+    assert np.linalg.norm(got_one - want_one) <= 1e-12 * np.linalg.norm(want_one)
+    assert got_multi.shape == want_multi.shape
+    assert np.linalg.norm(got_multi - want_multi) <= 1e-12 * np.linalg.norm(want_multi)
+    with pytest.raises(ProjectionError):
+        cg.certify()
