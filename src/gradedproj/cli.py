@@ -183,7 +183,7 @@ def cmd_refine(args) -> int:
     gap_f = level_gap(mesh, dist_f)
     rows = [
         ["elements", str(mesh.n_active)],
-        ["vertices", str(len(mesh.coords))],
+        ["vertices", str(len(mesh.points))],
         ["max_level", str(mesh.max_level())],
         ["level_gap_vertex", str(gap_v)],
         ["level_gap_face", str(gap_f)],

@@ -1,9 +1,11 @@
 """Simplicial meshes under Maubach bisection.
 
-Meshes live on dyadic-rational vertex coordinates, so midpoints, volumes and
-vertex identity are exact.  Refinement is newest-vertex bisection in the
-Maubach formulation: a simplex (x_0, ..., x_d) with tag k splits at the
-midpoint z of (x_0, x_k) into
+Every vertex is dyadic, held as integer numerators at one mesh exponent e
+(vertex v is points[v] * 2**-e), so midpoints, volumes and point location are
+exact integer questions; one fraction-free elimination, bareiss, answers the
+linear ones.  Refinement is newest-vertex bisection in the Maubach
+formulation: a simplex (x_0, ..., x_d) with tag k splits at the midpoint z of
+(x_0, x_k) into
 
     child_1 = (x_0, ..., x_{k-1}, z, x_{k+1}, ..., x_d)
     child_2 = (x_1, ..., x_k,     z, x_{k+1}, ..., x_d)
@@ -54,7 +56,7 @@ from .analytic import StabilityError
 
 UNREACHABLE = -1  # explicit sentinel for element distance in a disconnected mesh
 
-Coord = tuple[Fraction, ...]
+MAX_EXPONENT = 1022  # n * 2**-e for e <= 1022 converts to a normal float (the least is 2**-1022)
 
 
 class MeshError(GradedProjError):
@@ -83,24 +85,16 @@ class TaggedSimplex:
     active: bool = True
 
 
-def _dyadic(fr: Fraction) -> tuple[int, int]:
-    """Encode a dyadic rational as (numerator, exponent) with value num / 2**exp."""
-    den = fr.denominator
-    k = den.bit_length() - 1
-    if den != 1 << k:
-        raise MeshError(f"coordinate {fr} is not dyadic")
-    return fr.numerator, k
-
-
 class SimplicialMesh:
-    """Conforming complex of tagged simplices with exact dyadic coordinates."""
+    """Conforming complex of tagged simplices; vertex v is the exact dyadic
+    point points[v] * 2**-exponent (integer numerators, one exponent)."""
 
     def __init__(self, dim: int):
         if dim < 1:
             raise MeshError(f"unsupported dimension {dim}")
         self.dim = dim
-        self.coords: list[Coord] = []
-        self._coord_ids: dict[Coord, int] = {}
+        self.points: list[tuple[int, ...]] = []
+        self.exponent = 0
         self.simplices: dict[int, TaggedSimplex] = {}
         self._active: set[int] = set()
         self.gamma_faces: set[frozenset[int]] = set()
@@ -114,15 +108,13 @@ class SimplicialMesh:
 
     # -- basic structure ---------------------------------------------------
 
-    def add_vertex(self, coord: Coord) -> int:
-        vid = self._coord_ids.get(coord)
-        if vid is None:
-            vid = len(self.coords)
-            self.coords.append(coord)
-            self._coord_ids[coord] = vid
-            self._stars.append(set())
-            self._star_levels.append({})
-        return vid
+    def add_vertex(self, point: tuple[int, ...]) -> int:
+        """Append a vertex with numerators point at the mesh exponent; vertex
+        identity is topological (the edge -> midpoint map), not a lookup."""
+        self.points.append(point)
+        self._stars.append(set())
+        self._star_levels.append({})
+        return len(self.points) - 1
 
     def active_ids(self) -> list[int]:
         return sorted(self._active)
@@ -135,17 +127,7 @@ class SimplicialMesh:
         return sid in self._active
 
     def volume(self, sid: int) -> Fraction:
-        vol = self._volumes.get(sid)
-        if vol is None:
-            vol = self._volumes[sid] = self._det_volume(self.simplices[sid].vertices)
-        return vol
-
-    def _det_volume(self, verts: Sequence[int]) -> Fraction:
-        d = self.dim
-        p0 = self.coords[verts[0]]
-        rows = [[self.coords[v][i] - p0[i] for i in range(d)] for v in verts[1:]]
-        det, _ = fraction_solve(rows, [()] * d)
-        return abs(det) / math.factorial(d)
+        return self._volumes[sid]
 
     def total_volume(self) -> Fraction:
         return sum((self.volume(s) for s in self._active), Fraction(0))
@@ -163,16 +145,18 @@ class SimplicialMesh:
         d = self.dim
         return {s: 2.0 ** (-self.simplices[s].level / d) for s in self._active}
 
-    def diameter2(self, sid: int) -> Fraction:
-        return max(_dist2(self.coords[a], self.coords[b]) for a, b in combinations(self.simplices[sid].vertices, 2))
-
-    def _register(self, simplex: TaggedSimplex) -> None:
-        self.simplices[simplex.index] = simplex
-        self._active.add(simplex.index)
-        _count(self._level_counts, simplex.level, 1)
-        for v in simplex.vertices:
-            self._stars[v].add(simplex.index)
-            self._count_star_level(v, simplex.level, 1)
+    def _add_simplex(self, vertices: tuple[int, ...], tag: int, level: int, parent: int | None, volume: Fraction) -> int:
+        """Register a new active simplex, with the next index and its exact volume."""
+        sid = self._next_simplex
+        self._next_simplex += 1
+        self.simplices[sid] = TaggedSimplex(sid, vertices, tag, level, parent)
+        self._active.add(sid)
+        self._volumes[sid] = volume
+        _count(self._level_counts, level, 1)
+        for v in vertices:
+            self._stars[v].add(sid)
+            self._count_star_level(v, level, 1)
+        return sid
 
     def _deactivate(self, sid: int) -> None:
         simplex = self.simplices[sid]
@@ -199,8 +183,8 @@ class SimplicialMesh:
 
     def copy(self) -> "SimplicialMesh":
         other = SimplicialMesh(self.dim)
-        other.coords = list(self.coords)
-        other._coord_ids = dict(self._coord_ids)
+        other.points = list(self.points)
+        other.exponent = self.exponent
         other.simplices = {
             sid: TaggedSimplex(s.index, s.vertices, s.tag, s.level, s.parent, s.active)
             for sid, s in self.simplices.items()
@@ -237,19 +221,27 @@ class SimplicialMesh:
         key = frozenset((a, b))
         zid = self._edge_mid.get(key)
         if zid is None:
-            zid = self._edge_mid[key] = self.add_vertex(_midpoint(self.coords[a], self.coords[b]))
+            zid = self._edge_mid[key] = self._add_midpoint(a, b)
         new_tag = k - 1 if k > 1 else self.dim
-        c1 = TaggedSimplex(self._next_simplex, v[:k] + (zid,) + v[k + 1 :], new_tag, s.level + 1, sid)
-        c2 = TaggedSimplex(self._next_simplex + 1, v[1 : k + 1] + (zid,) + v[k + 1 :], new_tag, s.level + 1, sid)
-        self._next_simplex += 2
         half = self.volume(sid) / 2
         self._deactivate(sid)
         self._split_gamma(s, a, b, zid)
-        self._register(c1)
-        self._register(c2)
-        self._volumes[c1.index] = half
-        self._volumes[c2.index] = half
-        return c1.index, c2.index, zid
+        c1 = self._add_simplex(v[:k] + (zid,) + v[k + 1 :], new_tag, s.level + 1, sid, half)
+        c2 = self._add_simplex(v[1 : k + 1] + (zid,) + v[k + 1 :], new_tag, s.level + 1, sid, half)
+        return c1, c2, zid
+
+    def _add_midpoint(self, a: int, b: int) -> int:
+        """Add the midpoint of vertices a and b: (a + b) / 2 when every
+        component of a + b is even, else a + b at exponent e + 1, doubling
+        every numerator."""
+        total = tuple(x + y for x, y in zip(self.points[a], self.points[b]))
+        if not any(x & 1 for x in total):
+            return self.add_vertex(tuple(x >> 1 for x in total))
+        if self.exponent >= MAX_EXPONENT:
+            raise MeshError(f"bisection needs mesh exponent {self.exponent + 1} > {MAX_EXPONENT}")
+        self.exponent += 1
+        self.points = [tuple(x << 1 for x in p) for p in self.points]
+        return self.add_vertex(total)
 
     def _split_gamma(self, s: TaggedSimplex, a: int, b: int, zid: int) -> None:
         if not self.gamma_faces:
@@ -364,7 +356,7 @@ class SimplicialMesh:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        verts = [[list(_dyadic(x)) for x in coord] for coord in self.coords]
+        verts = [[_lowest_terms(n, self.exponent) for n in point] for point in self.points]
         cells = [
             {"v": list(self.simplices[s].vertices), "tag": self.simplices[s].tag, "level": self.simplices[s].level}
             for s in self.active_ids()
@@ -379,87 +371,112 @@ class SimplicialMesh:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimplicialMesh":
-        """Mesh from its JSON form.  Malformed or nonconforming input (bad
-        indices, tags or faces, a face owned by more than two simplices, a
-        hanging vertex) raises MeshError."""
+        """Mesh from its JSON form.  Malformed or nonconforming input (a
+        number that is not an integer in its range, exponents 0..MAX_EXPONENT,
+        a repeated vertex, a degenerate simplex, bad faces, a face owned by
+        more than two simplices, a vertex in the closure of a simplex it is
+        not a corner of) raises MeshError."""
         version = data.get("version") if isinstance(data, dict) else None
         if version != 1:
             raise MeshError(f"unsupported mesh file version {version!r}")
         try:
-            mesh = cls(int(data["dim"]))
-            vertices = data["vertices"]
-            for coord in vertices:
-                if len(coord) != mesh.dim:
-                    raise MeshError(f"vertex {coord} does not have {mesh.dim} coordinates")
-                mesh.add_vertex(tuple(Fraction(num, 1 << k) for num, k in coord))
-            cells = [(tuple(map(int, c["v"])), int(c["tag"]), int(c["level"])) for c in data["simplices"]]
-            gamma = [tuple(map(int, face)) for face in data.get("gamma_faces", [])]
+            d = _integer(data["dim"], "dimension", 1)
+            vertices = [
+                [(_integer(n, "numerator"), _integer(k, "exponent", 0, MAX_EXPONENT)) for n, k in c] for c in data["vertices"]
+            ]
+            last = len(vertices) - 1
+            cells = [
+                (tuple(_integer(v, "vertex id", 0, last) for v in c["v"]), _integer(c["tag"], "tag", 1, d),
+                 _integer(c["level"], "level", 0))
+                for c in data["simplices"]
+            ]
+            gamma = [tuple(_integer(v, "vertex id", 0, last) for v in face) for face in data.get("gamma_faces", [])]
         except (KeyError, TypeError, ValueError) as exc:
             raise MeshError(f"malformed mesh file: {type(exc).__name__}: {exc}") from exc
-        n_vertices = len(mesh.coords)
-        if n_vertices != len(vertices):
+        mesh = cls(d)
+        if any(len(c) != d for c in vertices):
+            raise MeshError(f"a vertex does not have {d} coordinates")
+        mesh.exponent = e = max((k for c in vertices for _, k in c), default=0)
+        for c in vertices:
+            mesh.add_vertex(tuple(n << (e - k) for n, k in c))
+        if len(first_appearance(_point_table(mesh))[1]) != len(vertices):
             raise MeshError("mesh file repeats a vertex")
         if not cells:
             raise MeshError("mesh file has no simplices")
-
-        def check_ids(ids, size, what):
-            if len(set(ids)) != size or not all(0 <= v < n_vertices for v in ids):
-                raise MeshError(f"{what} {list(ids)} needs {size} distinct vertices in 0..{n_vertices - 1}")
-
-        for verts, tag, level in cells:
-            check_ids(verts, mesh.dim + 1, "simplex")
-            if not 1 <= tag <= mesh.dim:
-                raise MeshError(f"simplex {list(verts)} has tag {tag}, not in 1..{mesh.dim}")
-            if level < 0:
-                raise MeshError(f"simplex {list(verts)} has negative level {level}")
-            if mesh._det_volume(verts) == 0:
-                raise MeshError(f"degenerate simplex {verts}")
-            mesh._register(TaggedSimplex(mesh._next_simplex, verts, tag, level, None))
-            mesh._next_simplex += 1
+        for ids, size in [(verts, d + 1) for verts, _, _ in cells] + [(face, d) for face in gamma]:
+            if len(set(ids)) != size:
+                raise MeshError(f"{list(ids)} is not {size} distinct vertices")
+        corners = _point_table(mesh)[np.array([verts for verts, _, _ in cells])]
+        dets, _ = bareiss(corners[:, 1:] - corners[:, :1], np.zeros((len(cells), d, 0), dtype=object))
+        for (verts, tag, level), det in zip(cells, dets.tolist()):
+            if det == 0:
+                raise MeshError(f"degenerate simplex {list(verts)}")
+            mesh._add_simplex(verts, tag, level, None, Fraction(abs(det), math.factorial(d) << (d * e)))
         faces, face_vertices = element_faces(vertex_table(mesh, mesh.active_ids()))
         owners = np.bincount(faces.ravel())
         if owners.max() > 2:
             raise MeshError(f"face {face_vertices[np.argmax(owners > 2)].tolist()} is owned by more than two simplices")
         boundary = set(map(tuple, face_vertices[owners == 1].tolist()))
         for face in gamma:
-            check_ids(face, mesh.dim, "gamma face")
             if tuple(sorted(face)) not in boundary:
                 raise MeshError(f"gamma face {list(face)} is not a boundary face of the mesh")
         mesh.gamma_faces = {frozenset(face) for face in gamma}
-        hanging = hanging_vertex_violations(mesh)
-        if hanging:
-            sid, (a, b) = hanging[0]
-            raise MeshError(f"simplex {list(mesh.simplices[sid].vertices)} has a hanging vertex on its edge {[a, b]}")
+        inside = conformity_violations(mesh)
+        if inside:
+            vid, sid = inside[0]
+            raise MeshError(f"vertex {vid} lies in simplex {list(mesh.simplices[sid].vertices)} but is not its corner")
         return mesh
 
     @classmethod
     def load(cls, path) -> "SimplicialMesh":
         with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # also an integer past Python's digit limit
+                raise MeshError(f"malformed mesh file: {exc}") from exc
+        return cls.from_json_dict(data)
 
 
-def fraction_solve(matrix: Sequence[Sequence], rhs: Sequence[Sequence]) -> tuple[Fraction, list[list[Fraction]] | None]:
-    """Exact Gauss-Jordan elimination: solves matrix @ X = rhs for an n x k
-    block rhs (k may be 0) and returns (det(matrix), X), with X None when the
-    matrix is singular."""
-    n = len(matrix)
-    m = [list(map(Fraction, row)) + list(map(Fraction, b)) for row, b in zip(matrix, rhs)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0), None
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return det, [row[n:] for row in m]
+def _integer(value, what: str, low=-math.inf, high=math.inf) -> int:
+    """value when it is an int (not a bool, not a float) in low..high."""
+    if type(value) is not int or not low <= value <= high:
+        raise MeshError(f"{what} {value!r} is not an integer in {low}..{high}")
+    return value
+
+
+def _lowest_terms(n: int, e: int) -> list[int]:
+    """[numerator, exponent] of n * 2**-e in lowest terms, [0, 0] for zero."""
+    k = min(e, (n & -n).bit_length() - 1) if n else e  # trailing zero bits of n, at most e
+    return [n >> k, e - k]
+
+
+def _point_table(mesh: SimplicialMesh) -> np.ndarray:
+    """(V, d) object array of the vertex numerators, exact Python ints."""
+    return np.array(mesh.points, dtype=object).reshape(-1, mesh.dim)
+
+
+def bareiss(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968) of
+    a stack of integer systems matrix @ X = rhs, shapes (s, n, n) and
+    (s, n, k) (k may be 0).  Returns det(matrix) and det(matrix) * X as
+    object arrays of exact Python ints, both 0 for a singular matrix.  After
+    the step on column c every entry is a minor of the augmented matrix
+    (Sylvester's identity), so each division by the previous pivot is exact;
+    the last pivot is the determinant of the row-swapped matrix."""
+    n = matrix.shape[-1]
+    m = np.concatenate([matrix, rhs], axis=-1).astype(object)
+    rows, sign, prev = np.arange(len(m)), np.ones(len(m), dtype=object), np.ones(len(m), dtype=object)
+    for c in range(n):
+        pivot = c + (m[:, c:, c] != 0).argmax(axis=1)  # c when the column is zero: singular
+        m[rows, c], m[rows, pivot] = m[rows, pivot], m[rows, c]
+        sign[pivot != c] *= -1
+        top = m[:, c, c]
+        step = (top[:, None, None] * m - m[:, :, c:c + 1] * m[:, c:c + 1, :]) // prev[:, None, None]
+        step[:, c] = m[:, c]
+        # a zero pivot zeroes the rows below it, so the last pivot, det, is 0
+        m, prev = step, np.where(top == 0, 1, top)
+    det = sign * m[:, n - 1, n - 1]
+    return det, np.where((det == 0)[:, None, None], 0, sign[:, None, None] * m[:, :, n:])
 
 
 def _count(counts: dict[int, int], key: int, step: int) -> None:
@@ -469,14 +486,6 @@ def _count(counts: dict[int, int], key: int, step: int) -> None:
         counts[key] = n
     else:
         del counts[key]
-
-
-def _midpoint(p: Coord, q: Coord) -> Coord:
-    return tuple((x + y) / 2 for x, y in zip(p, q))
-
-
-def _dist2(p: Coord, q: Coord) -> Fraction:
-    return sum((a - b) ** 2 for a, b in zip(p, q))
 
 
 # -- initial meshes ----------------------------------------------------------
@@ -494,18 +503,15 @@ def kuhn_initial_mesh(dim: int, cells_per_axis: int = 1, mark_boundary: bool = T
     if cells_per_axis < 1:
         raise MeshError("cells_per_axis must be >= 1")
     mesh = SimplicialMesh(dim)
-    for offset in product(range(cells_per_axis), repeat=dim):
-        base = tuple(Fraction(c) for c in offset)
-        for perm in permutations(range(dim)):
-            coords = [base]
-            for axis in perm:
-                prev = coords[-1]
-                coords.append(tuple(x + 1 if i == axis else x for i, x in enumerate(prev)))
-            verts = tuple(mesh.add_vertex(c) for c in coords)
-            s = TaggedSimplex(mesh._next_simplex, verts, dim, 0, None)
-            mesh._next_simplex += 1
-            mesh._register(s)
-            mesh._volumes[s.index] = Fraction(1, math.factorial(dim))
+    offsets = np.array(list(product(range(cells_per_axis), repeat=dim)), dtype=np.int64)
+    steps = np.eye(dim, dtype=np.int64)[np.array(list(permutations(range(dim))))]  # unit step k along perm[k]
+    paths = np.concatenate([np.zeros((len(steps), 1, dim), dtype=np.int64), np.cumsum(steps, axis=1)], axis=1)
+    corners = (offsets[:, None, None, :] + paths[None]).reshape(-1, dim)
+    ids, first = first_appearance(corners)
+    for point in corners[first].tolist():
+        mesh.add_vertex(tuple(point))
+    for verts in ids.reshape(-1, dim + 1).tolist():
+        mesh._add_simplex(tuple(verts), dim, 0, None, Fraction(1, math.factorial(dim)))
     if mark_boundary:
         mesh.gamma_faces = boundary_faces(mesh)
     return mesh
@@ -514,10 +520,8 @@ def kuhn_initial_mesh(dim: int, cells_per_axis: int = 1, mark_boundary: bool = T
 def reference_simplex_mesh(dim: int, mark_boundary: bool = False) -> SimplicialMesh:
     """A mesh of one reference simplex conv(0, e_1, ..., e_d), tag d, level 0."""
     mesh = SimplicialMesh(dim)
-    verts = [mesh.add_vertex(tuple(Fraction(int(i == j - 1)) for i in range(dim))) for j in range(dim + 1)]
-    s = TaggedSimplex(0, tuple(verts), dim, 0, None)
-    mesh._next_simplex = 1
-    mesh._register(s)
+    verts = [mesh.add_vertex(tuple(int(i == j - 1) for i in range(dim))) for j in range(dim + 1)]
+    mesh._add_simplex(tuple(verts), dim, 0, None, Fraction(1, math.factorial(dim)))
     if mark_boundary:
         mesh.gamma_faces = boundary_faces(mesh)
     return mesh
@@ -748,11 +752,10 @@ def marking_policy(name: str) -> Callable[[SimplicialMesh, np.random.Generator],
         return lambda mesh, rng: mesh.active_ids()
     if name == "corner":
         def corner(mesh: SimplicialMesh, rng: np.random.Generator) -> list[int]:
-            origin = tuple(Fraction(0) for _ in range(mesh.dim))
-            vid = mesh._coord_ids.get(origin)
-            if vid is None:
+            origin = (0,) * mesh.dim
+            if origin not in mesh.points:
                 raise MeshError("corner policy expects the origin to be a mesh vertex")
-            return sorted(mesh._stars[vid])
+            return sorted(mesh._stars[mesh.points.index(origin)])
         return corner
     if name.startswith("random:"):
         try:
@@ -839,70 +842,54 @@ def closure_benchmark(
 
 
 def hanging_vertex_violations(mesh: SimplicialMesh, limit: int = 1) -> list[tuple[int, tuple[int, int]]]:
-    """Coordinate scan: active simplices owning an edge whose exact midpoint is
-    an existing vertex.  Independent of the edge -> midpoint map, so it also
-    validates loaded meshes, whose map starts empty."""
-    out = []
-    for sid in mesh.active_ids():
-        for a, b in combinations(mesh.simplices[sid].vertices, 2):
-            if _midpoint(mesh.coords[a], mesh.coords[b]) in mesh._coord_ids:
-                out.append((sid, (a, b)))
-                if len(out) >= limit:
-                    return out
-                break
-    return out
+    """Active simplices owning an edge whose exact midpoint is an existing
+    vertex, with the first such edge (local order), at most limit of them.
+    Independent of the edge -> midpoint map, so it also validates loaded
+    meshes, whose map starts empty.  One integer pass: the edge sums a + b
+    whose components are all even, halved, are numbered together with the
+    vertex table by first_appearance."""
+    ids = mesh.active_ids()
+    table = vertex_table(mesh, ids)
+    ia, ib = np.triu_indices(mesh.dim + 1, 1)  # the edges in combinations order
+    points = _point_table(mesh)
+    sums = points[table[:, ia]] + points[table[:, ib]]
+    even = (sums % 2 == 0).all(axis=-1)
+    numbers, first = first_appearance(np.concatenate([points, (sums // 2).reshape(-1, mesh.dim)]))
+    hit = even & (first[numbers[len(points):]] < len(points)).reshape(even.shape)
+    rows = np.flatnonzero(hit.any(axis=1))[:limit]
+    edges = hit[rows].argmax(axis=1)
+    return [(ids[r], (int(table[r, ia[j]]), int(table[r, ib[j]]))) for r, j in zip(rows.tolist(), edges.tolist())]
 
 
 def conformity_violations(mesh: SimplicialMesh, limit: int = 1) -> list[tuple[int, int]]:
-    """Geometric scan: pairs (vertex, simplex) where the vertex lies inside the
-    closed simplex without being one of its corners.  Exact, O(V * N); meant
-    for test meshes."""
-    out: list[tuple[int, int]] = []
-    active = mesh.active_ids()
-    boxes = {}
-    for sid in active:
-        pts = [mesh.coords[v] for v in mesh.simplices[sid].vertices]
-        lo = tuple(min(p[i] for p in pts) for i in range(mesh.dim))
-        hi = tuple(max(p[i] for p in pts) for i in range(mesh.dim))
-        boxes[sid] = (lo, hi)
-    for vid, coord in enumerate(mesh.coords):
-        for sid in active:
-            verts = mesh.simplices[sid].vertices
-            if vid in verts:
-                continue
-            lo, hi = boxes[sid]
-            if any(coord[i] < lo[i] or coord[i] > hi[i] for i in range(mesh.dim)):
-                continue
-            if _contains(mesh, verts, coord):
-                out.append((vid, sid))
-                if len(out) >= limit:
-                    return out
-    return out
+    """Pairs (vertex, simplex), ascending, where the vertex lies in the closed
+    active simplex without being one of its corners; at most limit of them.
 
-
-def _contains(mesh: SimplicialMesh, verts: Sequence[int], point: Coord) -> bool:
-    bary = barycentric_coordinates(mesh, verts, point)
-    return bary is not None and all(b >= 0 for b in bary)
-
-
-def barycentric_coordinates(mesh: SimplicialMesh, verts: Sequence[int], point: Coord) -> list[Fraction] | None:
-    """Exact barycentric coordinates of a point w.r.t. a simplex, or None if
-    the defining system is singular."""
-    m = [[mesh.coords[v][i] for v in verts] for i in range(mesh.dim)] + [[1] * len(verts)]
-    _, x = fraction_solve(m, [[b] for b in point] + [[1]])
-    return None if x is None else [row[0] for row in x]
-
-
-def similarity_classes(mesh: SimplicialMesh) -> set[tuple]:
-    """Similarity classes of active simplices, keyed by sorted squared edge
-    lengths normalized by the smallest (exact rationals)."""
-    classes = set()
-    for sid in mesh.active_ids():
-        verts = mesh.simplices[sid].vertices
-        lengths = sorted(_dist2(mesh.coords[a], mesh.coords[b]) for a, b in combinations(verts, 2))
-        smallest = lengths[0]
-        classes.add(tuple(l / smallest for l in lengths))
-    return classes
+    An empty list proves that no vertex lies in the closure of an active
+    simplex it is not a corner of (no hanging vertex, no vertex on another
+    simplex's face).  It does not prove that simplex interiors are disjoint:
+    two overlapping triangles that hold no vertex of each other pass.  Exact:
+    for the vertices in a simplex's bounding box, bareiss gives det times the
+    barycentric coordinates, all of the sign of det exactly in the closure."""
+    ids = mesh.active_ids()
+    table = vertex_table(mesh, ids)
+    points = _point_table(mesh)
+    corners = points[table]
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    # candidates: the vertices whose first coordinate lies in the simplex's range
+    order = np.argsort(points[:, 0])
+    first = points[order, 0]
+    starts, stops = np.searchsorted(first, lo[:, 0], "left"), np.searchsorted(first, hi[:, 0], "right")
+    rows, vids = np.repeat(np.arange(len(ids)), stops - starts), order[_ranges(starts, stops)]
+    p = points[vids]
+    keep = ((p >= lo[rows]) & (p <= hi[rows])).all(axis=1) & (table[rows] != vids[:, None]).all(axis=1)
+    rows, vids = rows[keep], vids[keep]
+    # barycentric system: corners as columns over a row of ones, point over a one
+    ones = np.ones((len(rows), 1, mesh.dim + 1), dtype=object)
+    system = np.concatenate([np.swapaxes(corners[rows], 1, 2), ones], axis=1)
+    det, bary = bareiss(system, np.concatenate([points[vids], ones[:, 0, :1]], axis=1)[:, :, None])
+    inside = (det != 0) & (bary[:, :, 0] * det[:, None] >= 0).all(axis=1)
+    return sorted(zip(vids[inside].tolist(), [ids[r] for r in rows[inside].tolist()]))[:limit]
 
 
 def write_element_report(mesh: SimplicialMesh, dist: ElementDistance, path) -> None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, prod
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import GradedProjError
-from .mesh import SimplicialMesh, element_faces, first_appearance, fraction_solve, node_table, vertex_table
+from .mesh import SimplicialMesh, bareiss, element_faces, first_appearance, node_table, vertex_table
 
 MultiIndex = tuple[int, ...]
 
@@ -228,14 +228,6 @@ def decomposition_apply(j: int, poly: BarycentricPoly, degree: int) -> Barycentr
 # -- exact rational linear algebra ----------------------------------------------
 
 
-def frac_mat_inv(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(matrix)
-    _, inv = fraction_solve(matrix, [[int(i == j) for j in range(n)] for i in range(n)])
-    if inv is None:
-        raise PolySpaceError("singular matrix")
-    return inv
-
-
 def frac_mat_mul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0])
     return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)] for i in range(rows)]
@@ -258,7 +250,6 @@ class ReferenceElement:
     monos: tuple[MultiIndex, ...]
     gram: tuple  # monomial mass, rows of Fractions
     node_coords: tuple  # barycentric coordinates of Lagrange nodes
-    vandermonde: tuple  # V[node, mono] = lambda^mono(x_node)
     vandermonde_inv: tuple
 
     @property
@@ -293,21 +284,35 @@ def reference_element(dim: int, degree: int) -> ReferenceElement:
         nodes = (tuple(Fraction(1, dim + 1) for _ in range(dim + 1)),)
     else:
         nodes = tuple(tuple(Fraction(a, degree) for a in alpha) for alpha in monos)
-    vand = tuple(tuple(BarycentricPoly.monomial(mono).evaluate(node) for mono in monos) for node in nodes)
-    vinv = tuple(tuple(row) for row in frac_mat_inv([list(r) for r in vand]))
-    return ReferenceElement(dim, degree, monos, gram, nodes, vand, vinv)
+    return ReferenceElement(dim, degree, monos, gram, nodes, _fraction_rows(*_integer_vinv(dim, degree)))
 
 
 # -- exact reference tables: one integer kernel ------------------------------------
 
 
+def _integer_powers(dim: int, degree: int, node_degree: int) -> np.ndarray:
+    """node_degree**degree times the monomial Vandermonde of degree `degree`
+    at the Lagrange nodes alpha / node_degree, as integers prod_j alpha_j^sigma_j
+    (the barycenter's row [1] for degree 0)."""
+    return np.array(
+        [
+            [prod(a**s for a, s in zip(alpha, sigma)) for sigma in multi_indices(dim, degree)]
+            for alpha in multi_indices(dim, node_degree)
+        ],
+        dtype=object,
+    )
+
+
 @lru_cache(maxsize=None)
 def _integer_vinv(dim: int, degree: int) -> tuple[np.ndarray, int]:
-    """Vinv = ints / den, with ints an object array of Python ints and den
-    the lcm of the denominators of Vinv."""
-    vinv = reference_element(dim, degree).vandermonde_inv
-    den = lcm(*(x.denominator for row in vinv for x in row))
-    return np.array([[x.numerator * (den // x.denominator) for x in row] for row in vinv], dtype=object), den
+    """Vinv = ints / den, with ints an object array of Python ints and den > 0
+    the lcm of the denominators of Vinv: the Vandermonde is P / K^K for the
+    integer powers P, so Vinv = K^K adj(P) / det(P), from one bareiss call."""
+    powers = _integer_powers(dim, degree, degree)
+    det, adj = bareiss(powers[None], np.eye(len(powers), dtype=np.int64)[None])
+    ints, det = degree**degree * adj[0], det.item()
+    common = gcd(det, *ints.ravel().tolist()) * (1 if det > 0 else -1)
+    return ints // common, det // common
 
 
 def _nodal_form(dim: int, degree_a: int, degree_b: int, moment) -> tuple:
@@ -376,15 +381,8 @@ def nodal_values_at_nodes(dim: int, degree: int, node_degree: int):
     """Exact values V[m][a] of the degree-K nodal basis N_a at the Lagrange
     nodes x_m = alpha_m / K' of degree K' = node_degree >= 1: the monomial
     Vandermonde at those nodes, prod_j alpha_j^sigma_j / K'^K, times Vinv."""
-    powers = np.array(
-        [
-            [prod(a**s for a, s in zip(alpha, sigma)) for sigma in multi_indices(dim, degree)]
-            for alpha in multi_indices(dim, node_degree)
-        ],
-        dtype=object,
-    )
     vinv, den = _integer_vinv(dim, degree)
-    return _fraction_rows(powers @ vinv, node_degree**degree * den)
+    return _fraction_rows(_integer_powers(dim, degree, node_degree) @ vinv, node_degree**degree * den)
 
 
 # -- the spectral operator of the decomposition ----------------------------------
@@ -602,7 +600,8 @@ class _ElementSpace:
         """The geometry table of element_ids (not of the mesh's current active
         set), built on first use; the gradients from one stacked inverse."""
         mesh = self.mesh
-        coords = np.array([[float(x) for x in c] for c in mesh.coords])
+        # float(n) * 2**-e rounds once, as float(Fraction(n, 2**e)): the scale is exact
+        coords = np.array(mesh.points, dtype=float) * 2.0**-mesh.exponent
         vertices = coords[self.vertices]
         volumes = np.array([float(mesh.volume(sid)) for sid in self.element_ids])
         inv = np.linalg.inv(np.swapaxes(vertices[:, 1:] - vertices[:, :1], 1, 2))
@@ -680,9 +679,9 @@ class LagrangeSpace(_ElementSpace):
 
     @cached_property
     def node_coords(self) -> list[tuple]:
-        coords, K, d = self.mesh.coords, self.degree, self.mesh.dim
+        points, d, den = self.mesh.points, self.mesh.dim, self.degree << self.mesh.exponent
         pairs = [[(v, k) for v, k in zip(key[: d + 1], key[d + 1 :]) if k] for key in self._node_keys.tolist()]
-        return [tuple(sum(Fraction(k, K) * coords[v][i] for v, k in vk) for i in range(d)) for vk in pairs]
+        return [tuple(Fraction(sum(k * points[v][i] for v, k in vk), den) for i in range(d)) for vk in pairs]
 
 
 def cr_local_mass(dim: int, volume=Fraction(1)) -> list[list[Fraction]]:

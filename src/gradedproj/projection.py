@@ -485,10 +485,14 @@ def _csr_in_order(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) 
     row-list sparse assembly did.  scatter_matrix cannot give that: scipy's
     COO->CSR conversion sums duplicates in an order of its own choosing, which
     gives the form matrix other last bits."""
-    keys, inverse = np.unique(rows * n + cols, return_inverse=True)
-    data = np.zeros(len(keys))
+    order = np.argsort(rows * n + cols)  # equal keys share one place, in any order
+    ranked = (rows * n + cols)[order]
+    new = np.diff(ranked, prepend=-1) != 0
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1  # each triplet's place in the pattern
+    data = np.zeros(int(new.sum()))
     np.add.at(data, inverse, vals)
-    out = sp.csr_matrix((data, np.divmod(keys, n)), shape=(n, n))
+    out = sp.csr_matrix((data, np.divmod(ranked[new], n)), shape=(n, n))
     out.eliminate_zeros()
     return out
 

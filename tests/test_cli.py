@@ -117,15 +117,33 @@ def test_refine_byte_identical(tmp_path):
     assert (tmp_path / "m1" / "mesh.json").read_bytes() == first
 
 
-# sha256 of README outputs that the grading layer writes, as listed in CHANGES.md
+# sha256 of the 19 files the ten README commands write, as listed in CHANGES.md
 README_DIGESTS = {
-    "out/refine/mesh.json": "cdc81591bbbc556726b54fc7af7436b2225a19c4ae6b4bd035161f6dca80e8af",
+    "out/bench/closure_bench.tsv": "df7b4a50faea04a6f6f43b2cfb7e9c3a5bb9d0938239258f250fa49af18a46e1",
+    "out/cert/certificate.json": "3b3ad3443ba52c12bf2c19cc685319dc27756617bbd170de460a8c99457eb91b",
+    "out/cr/cr_check.json": "86537efa5d5c7da2d22c94caf556771687ae3139893b8af0a71f5a4face19050",
+    "out/crcert/certificate.json": "66a83d7c924767f5ecbfbc5c111cb969c5da3f0c4f554d715dc43e35efab93dd",
+    "out/decay/decay.tsv": "c20b6438d79603ea832590be1798176039cc6130fac16f0c987e61365f87f20e",
+    "out/grading/elements.tsv": "6cde48d781d2540cac63e47501974372eefce2290ccb74f677c1a6ff6d4bdff7",
+    "out/grading/grading.json": "0e97d3c114d47e31dabfb529f347d6ad2f781c92bd0894db65273e2da5f1fe65",
     "out/refine/elements.tsv": "1837fe448dd2ddb2ac0887b346533d06f866e87b8b5e82988599b7feb079282a",
     "out/refine/grading_report.tsv": "19e25a20baa9b4baf6732692346d9e432a4efcbdc8efac868ca2fcf75a19c35e",
-    "out/grading/grading.json": "0e97d3c114d47e31dabfb529f347d6ad2f781c92bd0894db65273e2da5f1fe65",
-    "out/grading/elements.tsv": "6cde48d781d2540cac63e47501974372eefce2290ccb74f677c1a6ff6d4bdff7",
-    "out/bench/closure_bench.tsv": "df7b4a50faea04a6f6f43b2cfb7e9c3a5bb9d0938239258f250fa49af18a46e1",
+    "out/refine/mesh.json": "cdc81591bbbc556726b54fc7af7436b2225a19c4ae6b4bd035161f6dca80e8af",
+    "out/stab/stability_verdict.json": "1047f082e8424de7987a5bc99039b8b84dea17441e01612d0cfbea467464d203",
+    "out/stabm/stability_verdict.json": "87524f244508f5aba20356acc9e09ea367c512aa2024d269630b1641171a614e",
+    "out/tables/cr_thresholds.json": "0903d2e9158560802db0ec47e583699ff99075bf916032a5dd1e9f2c820d35c9",
+    "out/tables/published_gradings.json": "4e58253c4ca35a2b16168535ec84b22297ca0411280af363445dba134b1e7f6f",
+    "out/tables/table1_qnew.tsv": "d2bbec9bf506c6ae900167382b7620d72f97d90d23fa3d8ceaadd6b78f87d471",
+    "out/tables/table2_stability_2d.tsv": "cb3331ac43e4992959dc06a137b6a3f10084e523fcf7a1bbf151192b7c7d1bc7",
+    "out/tables/table3_stability_3d.tsv": "80be35da3bb883f468e2e7c5b9617130ef090d6adea948de8e2753b3c72e69d0",
+    "out/tables/table5_w12_ranges_2d.tsv": "804ed3e2c24cb867d0e0dc4ede23a6b85be65760b81a9d2588f00fc6845c9dd3",
+    "out/tables/table6_w12_ranges_3d.tsv": "4a8feadf4f9c8513afd1160c3a3f34fc93f3c48d471f2624c454c5afac5fa07f",
 }
+GRADING_OUTPUTS = ("out/refine/", "out/grading/", "out/bench/")
+
+
+def _pinned(prefixes):
+    return {name: digest for name, digest in README_DIGESTS.items() if name.startswith(prefixes)}
 
 
 def test_readme_grading_outputs_match_pinned_digests(tmp_path):
@@ -134,8 +152,32 @@ def test_readme_grading_outputs_match_pinned_digests(tmp_path):
     assert run(tmp_path, *"refine --dim 2 --alpha 1 --policy corner --rounds 8 --out out/refine".split()) == 0
     assert run(tmp_path, *"grading --dim 3 --rounds 4 --policy random:0.25 --out out/grading".split()) == 0
     run(tmp_path, *"closure-bench --dim 2 --rounds 40 --policy random-count:4 --out out/bench".split())
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in README_DIGESTS}
-    assert digests == README_DIGESTS
+    pinned = _pinned(GRADING_OUTPUTS)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in pinned}
+    assert digests == pinned
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "certify --dim 3 --degree 2 --rounds 3 --policy random:0.3 --out out/cert",
+        "certify --dim 2 --degree CR --rounds 4 --out out/crcert",
+        "decay --dim 2 --degree 1 --rounds 6 --policy corner --out out/decay",
+        "tables --out out/tables",
+        "stability --dim 2 --degree 1 --preset 2D-NVB+ --kind W1p --p 3 --out out/stab",
+        "stability --dim 2 --degree 1 --gamma-rho 2 --measure --out out/stabm",
+        "cr-check --out out/cr",
+    ],
+    ids=lambda line: line.rsplit("/", 1)[1],
+)
+def test_readme_outputs_match_pinned_digests(tmp_path, line):
+    # the other seven README lines: each exits 0 and writes exactly its pinned files
+    out = line.rsplit(" ", 1)[1]
+    assert run(tmp_path, *line.split()) == 0
+    pinned = _pinned(out + "/")
+    written = {f"{out}/{path.name}" for path in (tmp_path / out).iterdir()}
+    assert written == set(pinned)
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in pinned} == pinned
 
 
 def test_refine_and_grading_build_each_graph_once(tmp_path, monkeypatch):
@@ -268,8 +310,10 @@ def test_bad_inputs_exit_3(tmp_path, capsys):
     # unreadable mesh files: a directory, and a file that is not UTF-8
     (tmp_path / "folder.json").mkdir()
     (tmp_path / "latin1.json").write_bytes(b'{"version": 1, "dim": "\xe9"}')
+    # an integer past Python's digit limit for int-from-string conversion
+    (tmp_path / "digits.json").write_text('{"version": 1, "dim": ' + "1" * 5000 + "}")
     capsys.readouterr()
-    for name in ("folder.json", "latin1.json"):
+    for name in ("folder.json", "latin1.json", "digits.json"):
         assert run(tmp_path, "certify", "--mesh", name, "--degree", "1", "--out", "x") == 3
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.count("\n") == 1, err
@@ -321,8 +365,19 @@ _TRIANGLE = [(0, 0), (1, 0), (0, 1)]
         {"version": 1, "dim": 2, "vertices": [[[0, -1], [0, 0]]], "simplices": []},  # negative exponent
         {"version": 1, "dim": 2, "vertices": []},  # no simplices key
         [],  # not a mesh object
+        _mesh_file(_TRIANGLE, [((0, 1, 2.9), 2)]),  # vertex id not an integer
+        _mesh_file(_TRIANGLE, [((0, 1, 2), 2.7)]),  # tag not an integer
+        {**_mesh_file(_TRIANGLE, []), "simplices": [{"v": [0, 1, 2], "tag": 2, "level": 0.5}]},  # level
+        {**_mesh_file(_TRIANGLE, [((0, 1, 2), 2)]), "vertices": [[[0, 0], [0, 0]], [[True, 0], [0, 0]], [[0, 0], [1, 0]]]},
+        {**_mesh_file(_TRIANGLE, [((0, 1, 2), 2)]), "vertices": [[[0, 0], [0, 0]], [[1, 1023], [0, 0]], [[0, 0], [1, 0]]]},
+        {**_mesh_file(_TRIANGLE, [((0, 1, 2), 2)]), "vertices": [[[0, 0], [0, 0]], [[1, 10**30], [0, 0]], [[0, 0], [1, 0]]]},
+        # a bisection of this triangle needs exponent 1023 (certify refines 4 rounds)
+        {**_mesh_file(_TRIANGLE, [((0, 1, 2), 2)]), "vertices": [[[0, 0], [0, 0]], [[1, 1022], [0, 0]], [[0, 0], [1, 1022]]]},
+        _mesh_file([(0, 0), (4, 0), (0, 4), (1, 0), (3, 0), (2, -2)], [((0, 1, 2), 2), ((3, 4, 5), 2)]),  # T-junction
     ],
-    ids=["vertex-range", "tag", "empty", "gamma-vertex", "face-owners", "hanging", "repeat", "exponent", "keys", "list"],
+    ids=["vertex-range", "tag", "empty", "gamma-vertex", "face-owners", "hanging", "repeat", "exponent", "keys", "list",
+         "id-float", "tag-float", "level-float", "numerator-bool", "exponent-1023", "exponent-huge", "bisect-exponent",
+         "t-junction"],
 )
 def test_malformed_mesh_exits_3(tmp_path, capsys, data):
     path = tmp_path / "bad.json"

@@ -17,6 +17,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from fraction_geometry import coord
 from gradedproj.mesh import SimplicialMesh, kuhn_initial_mesh
 from gradedproj.polyspace import (
     CRSpace,
@@ -62,20 +63,20 @@ def coordinate_keyed_dofs(mesh, degree, zero_trace):
     gamma = mesh.gamma_faces if zero_trace else set()
     for sid in mesh.active_ids():
         verts = mesh.simplices[sid].vertices
-        vcoords = [mesh.coords[v] for v in verts]
+        vcoords = [coord(mesh, v) for v in verts]
         gamma_locals = []
         if gamma:
             vset = set(verts)
             gamma_locals = [j for j, drop in enumerate(verts) if frozenset(vset - {drop}) in gamma]
         locs = []
         for alpha in ref.monos:
-            coord = tuple(
+            point = tuple(
                 sum(Fraction(alpha[j], K) * vcoords[j][i] for j in range(len(verts))) for i in range(mesh.dim)
             )
-            nid = node_ids.get(coord)
+            nid = node_ids.get(point)
             if nid is None:
-                nid = node_ids[coord] = len(coords)
-                coords.append(coord)
+                nid = node_ids[point] = len(coords)
+                coords.append(point)
             locs.append(nid)
             if any(alpha[j] == 0 for j in gamma_locals):
                 on_gamma.add(nid)
@@ -100,14 +101,14 @@ def eager_node_coords(space):
             nid = node_ids.get(key)
             if nid is None:
                 nid = node_ids[key] = len(coords)
-                coords.append(tuple(sum(Fraction(k, K) * mesh.coords[v][i] for v, k in key) for i in range(mesh.dim)))
+                coords.append(tuple(sum(Fraction(k, K) * coord(mesh, v)[i] for v, k in key) for i in range(mesh.dim)))
             if any(alpha[j] == 0 for j in gamma_locals):
                 on_gamma.add(nid)
     return [c for i, c in enumerate(coords) if i not in on_gamma]
 
 
 def element_coords(mesh, sid):
-    return np.array([[float(x) for x in mesh.coords[v]] for v in mesh.simplices[sid].vertices])
+    return np.array([[float(x) for x in coord(mesh, v)] for v in mesh.simplices[sid].vertices])
 
 
 def barycentric_gradients(mesh, sid):
@@ -131,11 +132,11 @@ def barycentric_map(link, fine_sid):
     d = cmesh.dim
     a = np.empty((d + 1, d + 1))
     for col, v in enumerate(cverts):
-        a[:d, col] = [float(x) for x in cmesh.coords[v]]
+        a[:d, col] = [float(x) for x in coord(cmesh, v)]
     a[d, :] = 1.0
     rhs = np.empty((d + 1, d + 1))
     for col, v in enumerate(fverts):
-        rhs[:d, col] = [float(x) for x in fmesh.coords[v]]
+        rhs[:d, col] = [float(x) for x in coord(fmesh, v)]
     rhs[d, :] = 1.0
     return np.linalg.solve(a, rhs)
 
@@ -355,7 +356,7 @@ def loop_apply_C(space, patches, u, quad_degree=None):
         if isinstance(u, ElementwisePoly):
             vals = poly_values(u.polys[sid], pts) if sid in u.polys else np.zeros(len(pts))
         else:
-            vcoords = np.array([[float(x) for x in mesh.coords[v]] for v in mesh.simplices[sid].vertices])
+            vcoords = np.array([[float(x) for x in coord(mesh, v)] for v in mesh.simplices[sid].vertices])
             vals = np.array([u(x) for x in (pts @ vcoords)])
         return float(mesh.volume(sid)) * (basis_low.T * (wts * pts[:, local_j])) @ vals
 
@@ -547,7 +548,7 @@ def test_rhs_scatter_matches_element_loop(meshes, kind):
 
     def callable_contrib(sid):
         verts = mesh.simplices[sid].vertices
-        vcoords = np.array([[float(x) for x in mesh.coords[v]] for v in verts])
+        vcoords = np.array([[float(x) for x in coord(mesh, v)] for v in verts])
         vals = np.array([f(x) for x in pts @ vcoords])
         return float(mesh.volume(sid)) * (basis.T * wts) @ vals
 

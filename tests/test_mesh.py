@@ -26,32 +26,39 @@ from gradedproj.mesh import (
     marking_policy,
     max_operator,
     reference_simplex_mesh,
-    similarity_classes,
 )
 from conftest import distance_matrix, neighbor_lists, randomly_refined
+from fraction_geometry import coord, coord_ids, diameter2, midpoint, similarity_classes
 
 
 class CoordinateClosureMesh(SimplicialMesh):
     """Reference closure without the edge -> midpoint map: a simplex hangs
     when the exact midpoint of one of its edges is a vertex (Fraction
-    coordinates hashed), and every worklist pass ends with a sweep over all
-    active simplices.  strays counts the simplices a sweep found, i.e. those
-    the worklist missed."""
+    coordinates hashed, recorded as vertices are added), and every worklist
+    pass ends with a sweep over all active simplices.  strays counts the
+    simplices a sweep found, i.e. those the worklist missed."""
 
     strays = 0
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.fraction_ids = {}
 
     @classmethod
     def of(cls, mesh: SimplicialMesh) -> "CoordinateClosureMesh":
         other = mesh.copy()
         other.__class__ = cls
+        other.fraction_ids = coord_ids(other)
         return other
 
-    def midpoint(self, a, b):
-        return tuple((x + y) / 2 for x, y in zip(self.coords[a], self.coords[b]))
+    def add_vertex(self, point):
+        vid = super().add_vertex(point)
+        self.fraction_ids[coord(self, vid)] = vid
+        return vid
 
     def hanging_edge(self, sid):
         for a, b in itertools.combinations(self.simplices[sid].vertices, 2):
-            if self.midpoint(a, b) in self._coord_ids:
+            if midpoint(coord(self, a), coord(self, b)) in self.fraction_ids:
                 return a, b
         return None
 
@@ -107,7 +114,7 @@ class StarRebuildMesh(SimplicialMesh):
         return stars
 
     def corner(self):
-        origin = self._coord_ids[tuple(Fraction(0) for _ in range(self.dim))]
+        origin = self.points.index((0,) * self.dim)
         return sorted(s for s in self.active_ids() if origin in self.simplices[s].vertices)
 
     def _bisect_and_queue(self, sid, work):
@@ -145,11 +152,11 @@ class StarRebuildMesh(SimplicialMesh):
 
 def test_kuhn_counts():
     m = kuhn_initial_mesh(2, 1)
-    assert m.n_active == 2 and len(m.coords) == 4
+    assert m.n_active == 2 and len(m.points) == 4
     m = kuhn_initial_mesh(3, 1)
-    assert m.n_active == 6 and len(m.coords) == 8
+    assert m.n_active == 6 and len(m.points) == 8
     m = kuhn_initial_mesh(2, 2)
-    assert m.n_active == 8 and len(m.coords) == 9
+    assert m.n_active == 8 and len(m.points) == 9
 
 
 def test_kuhn_levels_tags_volume():
@@ -227,7 +234,7 @@ def test_closure_random_rounds_conform(dim, seed):
 
 def _geometric_state(m):
     return frozenset(
-        tuple(sorted(m.coords[v] for v in m.simplices[s].vertices)) for s in m.active_ids()
+        tuple(sorted(coord(m, v) for v in m.simplices[s].vertices)) for s in m.active_ids()
     )
 
 
@@ -236,7 +243,7 @@ def _brute_force_minimal_closure(mesh, marked, max_depth=8, max_states=60_000):
     conforming mesh in which every marked simplex is bisected.  Independent of
     the closure routine (no hanging-vertex pruning)."""
     marked_geo = {
-        tuple(sorted(mesh.coords[v] for v in mesh.simplices[s].vertices)) for s in marked
+        tuple(sorted(coord(mesh, v) for v in mesh.simplices[s].vertices)) for s in marked
     }
     start = mesh.copy()
     queue = deque([(start, 0)])
@@ -248,7 +255,7 @@ def _brute_force_minimal_closure(mesh, marked, max_depth=8, max_states=60_000):
         if explored > max_states:
             raise RuntimeError("state budget exhausted")
         active_geo = {
-            tuple(sorted(m.coords[v] for v in m.simplices[s].vertices)) for s in m.active_ids()
+            tuple(sorted(coord(m, v) for v in m.simplices[s].vertices)) for s in m.active_ids()
         }
         if not (active_geo & marked_geo) and not hanging_vertex_violations(m):
             return depth, _geometric_state(m)
@@ -295,7 +302,7 @@ def test_closure_order_independent():
 
     def geometric_signature(m):
         return frozenset(
-            tuple(sorted(m.coords[v] for v in m.simplices[s].vertices))
+            tuple(sorted(coord(m, v) for v in m.simplices[s].vertices))
             for s in m.active_ids()
         )
 
@@ -339,7 +346,7 @@ def test_diameter_vs_h_equivalence(mesh2d):
     ratios = set()
     for sid in mesh2d.active_ids():
         level = mesh2d.simplices[sid].level
-        ratios.add(mesh2d.diameter2(sid) * Fraction(2) ** level)  # (h_T / h|_T)^2 in 2d
+        ratios.add(diameter2(mesh2d, sid) * Fraction(2) ** level)  # (h_T / h|_T)^2 in 2d
     assert len(ratios) <= 4
     vals = sorted(float(r) for r in ratios)
     assert vals[0] > 0
@@ -416,7 +423,7 @@ def test_vertex_vs_face_distance():
     m = kuhn_initial_mesh(2, 2)
     dv = element_distance(m, "vertex")
     df = element_distance(m, "face")
-    center = next(v for v, c in enumerate(m.coords) if c == (Fraction(1), Fraction(1)))
+    center = m.points.index((1, 1))
     star = [s for s in m.active_ids() if center in m.simplices[s].vertices]
     found = False
     for a, b in itertools.combinations(star, 2):
@@ -436,13 +443,13 @@ def test_face_distance_on_strip():
     keep = [
         s
         for s in m.active_ids()
-        if all(c[1] <= 1 for v in m.simplices[s].vertices for c in [m.coords[v]])
+        if all(m.points[v][1] <= 1 for v in m.simplices[s].vertices)
     ]
     strip = SimplicialMesh(2)
     data = {
         "version": 1,
         "dim": 2,
-        "vertices": [[[int(x.numerator), 0] for x in c] for c in m.coords],
+        "vertices": [[[x, 0] for x in p] for p in m.points],
         "simplices": [
             {"v": list(m.simplices[s].vertices), "tag": 2, "level": 0} for s in keep
         ],
@@ -515,7 +522,7 @@ def test_marking_policies(mesh2d):
     rng = np.random.default_rng(0)
     assert marking_policy("uniform")(mesh2d, rng) == mesh2d.active_ids()
     corner = marking_policy("corner")(mesh2d, rng)
-    origin = mesh2d._coord_ids[tuple(Fraction(0) for _ in range(2))]
+    origin = mesh2d.points.index((0, 0))
     assert corner and all(origin in mesh2d.simplices[s].vertices for s in corner)
     picks = marking_policy("random-count:5")(mesh2d, rng)
     assert len(picks) == 5 and all(mesh2d.is_active(s) for s in picks)
@@ -530,7 +537,7 @@ def test_gamma_faces_track_boundary(mesh2d):
     total = Fraction(0)
     for face in gamma:
         a, b = sorted(face)
-        pa, pb = mesh2d.coords[a], mesh2d.coords[b]
+        pa, pb = coord(mesh2d, a), coord(mesh2d, b)
         assert all(x in (0, 1) for p in (pa, pb) for x in p if x in (0, 1))
         total += max(abs(pa[0] - pb[0]), abs(pa[1] - pb[1]))
     assert total == 4  # unit square perimeter
@@ -547,7 +554,7 @@ def test_json_roundtrip(tmp_path, mesh3d):
         frozenset(sorted(f)) for f in (set(map(frozenset, mesh3d.gamma_faces)))
     } or loaded.gamma_faces == mesh3d.gamma_faces
     sig = lambda m: sorted(
-        (tuple(sorted(m.coords[v] for v in m.simplices[s].vertices)), m.simplices[s].level)
+        (tuple(sorted(coord(m, v) for v in m.simplices[s].vertices)), m.simplices[s].level)
         for s in m.active_ids()
     )
     assert sig(loaded) == sig(mesh3d)
@@ -583,7 +590,7 @@ def _euclid_dist2(mesh, a, b) -> float:
     best = None
     for va in mesh.simplices[a].vertices:
         for vb in mesh.simplices[b].vertices:
-            d2 = float(sum((x - y) ** 2 for x, y in zip(mesh.coords[va], mesh.coords[vb])))
+            d2 = float(sum((x - y) ** 2 for x, y in zip(coord(mesh, va), coord(mesh, vb))))
             if best is None or d2 < best:
                 best = d2
     return best
@@ -685,7 +692,7 @@ def test_random_marking_properties(dim, alpha, rounds):
 
 
 def _scanned_stars(mesh: SimplicialMesh) -> list[set[int]]:
-    stars = [set() for _ in mesh.coords]
+    stars = [set() for _ in mesh.points]
     for sid in mesh.active_ids():
         for v in mesh.simplices[sid].vertices:
             stars[v].add(sid)

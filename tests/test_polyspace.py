@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraction_geometry import barycentric_coordinates, coord
 from gradedproj.mesh import kuhn_initial_mesh
 from gradedproj.polyspace import (
     BarycentricPoly,
@@ -211,7 +212,7 @@ def test_lagrange_dof_sharing():
     m = kuhn_initial_mesh(2, 1)
     m.refine_uniform(2)
     p1 = LagrangeSpace(m, 1)
-    assert p1.n_dofs == len(m.coords)
+    assert p1.n_dofs == len(m.points)
     p2 = LagrangeSpace(m, 2)
     # P2 dofs: vertices + edge midpoints
     edges = set()
@@ -220,7 +221,7 @@ def test_lagrange_dof_sharing():
         for a in range(3):
             for b in range(a + 1, 3):
                 edges.add(frozenset((verts[a], verts[b])))
-    assert p2.n_dofs == len(m.coords) + len(edges)
+    assert p2.n_dofs == len(m.points) + len(edges)
 
 
 def test_zero_trace_removes_boundary_dofs():
@@ -282,20 +283,14 @@ def test_global_decomposition_continuity_on_patches(mesh2d):
                 if len(shared) != 2:
                     continue
                 # evaluate both local polynomials at the shared edge midpoint
-                mid = tuple((mesh.coords[shared[0]][i] + mesh.coords[shared[1]][i]) / 2 for i in range(2))
-                bary_a = _barycentric(mesh, va, mid)
-                bary_b = _barycentric(mesh, vb, mid)
+                mid = tuple((coord(mesh, shared[0])[i] + coord(mesh, shared[1])[i]) / 2 for i in range(2))
+                bary_a = barycentric_coordinates(mesh, va, mid)
+                bary_b = barycentric_coordinates(mesh, vb, mid)
                 assert by_elem[sa].evaluate(bary_a) == by_elem[sb].evaluate(bary_b)
                 checked += 1
         if checked > 20:
             break
     assert checked > 0
-
-
-def _barycentric(mesh, verts, point):
-    from gradedproj.mesh import barycentric_coordinates
-
-    return barycentric_coordinates(mesh, verts, point)
 
 
 def test_zero_trace_preserved_by_decomposition():
@@ -317,9 +312,9 @@ def test_zero_trace_preserved_by_decomposition():
             term = poly.mul_lambda(j)
             # check at boundary Lagrange nodes of this element
             for alpha, node in zip(space.ref.monos, space.ref.node_coords):
-                coord = tuple(
-                    sum(Fraction(node[k]) * mesh.coords[verts[k]][i] for k in range(3))
+                point = tuple(
+                    sum(Fraction(node[k]) * coord(mesh, verts[k])[i] for k in range(3))
                     for i in range(2)
                 )
-                if any(x == 0 or x == 1 for x in coord):
+                if any(x == 0 or x == 1 for x in point):
                     assert term.evaluate(node) == 0

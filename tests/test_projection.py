@@ -4,12 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gradedproj.mesh import (
-    barycentric_coordinates,
-    element_distance,
-    kuhn_initial_mesh,
-    reference_simplex_mesh,
-)
+from fraction_geometry import barycentric_coordinates, coord, frac_mat_inv
+from gradedproj.mesh import element_distance, kuhn_initial_mesh, reference_simplex_mesh
 from gradedproj.polyspace import BarycentricPoly, CRSpace, LagrangeSpace
 from gradedproj.projection import (
     ElementwisePoly,
@@ -135,7 +131,6 @@ def _exact_operator_matrices(space):
     """Independent oracle: assemble the form and apply matrices of the patch
     operator in exact rational arithmetic, end to end."""
     from gradedproj.polyspace import (
-        frac_mat_inv,
         frac_mat_mul,
         lambda_nodal_product_table,
         reference_element,
@@ -160,7 +155,7 @@ def _exact_operator_matrices(space):
         rows = []
         for sid, local_j in patch:
             verts = mesh.simplices[sid].vertices
-            vcoords = [mesh.coords[v] for v in verts]
+            vcoords = [coord(mesh, v) for v in verts]
             ids = []
             for node in low.node_coords:
                 key = "const" if K == 1 else tuple(
@@ -293,7 +288,7 @@ def test_zero_trace_partial_boundary_identity():
     mesh.gamma_faces = {
         face
         for face in mesh.gamma_faces
-        if all(mesh.coords[v][0] == 0 for v in face)
+        if all(mesh.points[v][0] == 0 for v in face)
     }
     space = LagrangeSpace(mesh, 2, zero_trace=True)
     assert space.n_dofs > 0
@@ -371,7 +366,7 @@ def test_decay_corner_example():
     mesh.refine_uniform(6)
     ops = Operators(LagrangeSpace(mesh, 1))
     dist = element_distance(mesh, "vertex")
-    origin = mesh._coord_ids[(Fraction(0), Fraction(0))]
+    origin = mesh.points.index((0, 0))
     corner = [s for s in mesh.active_ids() if origin in mesh.simplices[s].vertices]
     src = [corner[0]]
     shells = dist.from_source(src[0])
@@ -441,7 +436,7 @@ def test_two_mesh_mixed_mass_against_exact_fractions():
         for j in range(3):
             row = []
             for l in range(3):
-                bary = barycentric_coordinates(fine, cverts, fine.coords[fverts[l]])
+                bary = barycentric_coordinates(fine, cverts, coord(fine, fverts[l]))
                 row.append(bary[j])
             forms.append(row)
         # coarse hat j on the fine element = sum_l forms[j][l] * lambda_l
@@ -486,7 +481,7 @@ def test_two_mesh_mixed_mass_quadratic_against_substitution():
         for j in range(3):
             coeffs = {}
             for l in range(3):
-                bary = barycentric_coordinates(fine, cverts, fine.coords[fverts[l]])
+                bary = barycentric_coordinates(fine, cverts, coord(fine, fverts[l]))
                 if bary[j] != 0:
                     coeffs[tuple(int(i == l) for i in range(3))] = bary[j]
             forms.append(BarycentricPoly(2, coeffs))
@@ -521,7 +516,7 @@ def test_projection_of_fine_function(mesh2d):
         for local, g in enumerate(fs.cell_dofs(fsid)):
             node = fs.node_coords[g]
             bary = barycentric_coordinates(fine, cverts, node)
-            xf[g] = sum(float(bary[j]) * coarse_vals[coarse.coords[cverts[j]]] for j in range(3))
+            xf[g] = sum(float(bary[j]) * coarse_vals[coord(coarse, cverts[j])] for j in range(3))
     back = ops.project(FeFunction(fs, xf))
     assert np.max(np.abs(back - xc)) < 1e-11
 
@@ -556,8 +551,8 @@ def test_callable_rhs_matches_poly_rhs(ops2d):
     for sid in mesh.active_ids():
         verts = mesh.simplices[sid].vertices
         lam = [BarycentricPoly.monomial(tuple(int(i == j) for i in range(3))) for j in range(3)]
-        x0 = sum((lam[j].scale(mesh.coords[v][0]) for j, v in enumerate(verts)), BarycentricPoly.zero(2))
-        x1 = sum((lam[j].scale(mesh.coords[v][1]) for j, v in enumerate(verts)), BarycentricPoly.zero(2))
+        x0 = sum((lam[j].scale(coord(mesh, v)[0]) for j, v in enumerate(verts)), BarycentricPoly.zero(2))
+        x1 = sum((lam[j].scale(coord(mesh, v)[1]) for j, v in enumerate(verts)), BarycentricPoly.zero(2))
         one = BarycentricPoly.monomial((0, 0, 0))
         polys[sid] = one + x0.scale(2) - x1 + x0 * x1
     r_poly = ops2d.rhs(ElementwisePoly(mesh, polys))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraction_geometry import coord, diameter2
 from gradedproj.mesh import (
     GradingError,
     SimplicialMesh,
@@ -470,8 +471,7 @@ def _linear_interpolant(space, a):
     Lagrange, values at the face barycenters for Crouzeix-Raviart (both
     reproduce linear functions exactly)."""
     if isinstance(space, CRSpace):
-        coords = space.mesh.coords
-        points = [np.mean([[float(x) for x in coords[v]] for v in face], axis=0) for face in space.face_keys]
+        points = [np.mean([[float(x) for x in coord(space.mesh, v)] for v in face], axis=0) for face in space.face_keys]
     else:
         points = [[float(x) for x in c] for c in space.node_coords]
     return np.array(points) @ a
@@ -544,7 +544,7 @@ def _nc_interpolate(mesh, cr_space, p1_space, coeffs):
     for node, val in zip(p1_space.node_coords, coeffs):
         vertex_vals[node] = val
     for fid, face in enumerate(cr_space.face_keys):
-        vals = [vertex_vals[mesh.coords[v]] for v in face]
+        vals = [vertex_vals[coord(mesh, v)] for v in face]
         out[fid] = sum(vals) / len(vals)
     return out
 
@@ -585,7 +585,7 @@ def test_nc_interpolant_estimates(mesh2d):
             vals_i = (1.0 - 2.0 * pts) @ il
             diff2 = vol * float(wts @ (vals_w - vals_i) ** 2)
             grad_local = (wl @ grads) @ (wl @ grads)
-            h_t2 = float(mesh.diameter2(sid))
+            h_t2 = float(diameter2(mesh, sid))
             assert diff2 <= 4.0 * h_t2 * vol * grad_local + 1e-14
 
 
