@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import sys
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -50,10 +50,12 @@ class CliInputError(GradedProjError):
 
 
 def round4(x: float) -> str:
-    """Four decimals, half-even, as a fixed-width string."""
+    """Four decimals, half-even, as a fixed-width string.  The context's 400
+    digits hold any finite float to four decimals (the default 28 do not hold
+    1e24 and above)."""
     if x == math.inf:
         return "inf"
-    return str(Decimal(repr(float(x))).quantize(Decimal("0.0001"), rounding=ROUND_HALF_EVEN))
+    return str(Decimal(repr(float(x))).quantize(Decimal("0.0001"), ROUND_HALF_EVEN, Context(prec=400)))
 
 
 def config_dict(args: argparse.Namespace) -> dict:

@@ -59,6 +59,19 @@ UNREACHABLE = -1  # explicit sentinel for element distance in a disconnected mes
 MAX_EXPONENT = 1022  # n * 2**-e for e <= 1022 converts to a normal float (the least is 2**-1022)
 
 
+def coordinate_bits(dim: int) -> int:
+    """Every loaded coordinate x satisfies |x| < 2**coordinate_bits(dim), with
+    coordinate_bits(dim) = 1023 // dim - 1.
+
+    Then each coordinate is a finite float, and so is each simplex volume:
+    the edge vectors have components below 2**(1023 // dim), so by Hadamard's
+    inequality |det| / d! < d**(d/2) / d! * 2**(d * (1023 // dim)) <= 2**1023.
+    The bound keeps holding under refinement: bisection only adds midpoints,
+    which lie in the convex hull of the loaded vertices, and halves volumes.
+    """
+    return 1023 // dim - 1
+
+
 class MeshError(GradedProjError):
     """Invalid mesh operation or broken mesh invariant."""
 
@@ -123,9 +136,6 @@ class SimplicialMesh:
     def n_active(self) -> int:
         return len(self._active)
 
-    def is_active(self, sid: int) -> bool:
-        return sid in self._active
-
     def volume(self, sid: int) -> Fraction:
         return self._volumes[sid]
 
@@ -136,9 +146,6 @@ class SimplicialMesh:
         """Highest level of an active simplex (0 on an empty mesh), read from
         the mesh-wide level histogram."""
         return max(self._level_counts, default=0)
-
-    def levels(self) -> dict[int, int]:
-        return {s: self.simplices[s].level for s in self._active}
 
     def h_values(self) -> dict[int, float]:
         """Mesh size function h|_T = 2**(-level/d)."""
@@ -364,16 +371,12 @@ class SimplicialMesh:
         gamma = sorted(sorted(face) for face in self.gamma_faces)
         return {"version": 1, "dim": self.dim, "vertices": verts, "simplices": cells, "gamma_faces": gamma}
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True)
-            fh.write("\n")
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimplicialMesh":
         """Mesh from its JSON form.  Malformed or nonconforming input (a
         number that is not an integer in its range, exponents 0..MAX_EXPONENT,
-        a repeated vertex, a degenerate simplex, bad faces, a face owned by
+        a coordinate not below 2**coordinate_bits(d) in magnitude, a
+        repeated vertex, a degenerate simplex, bad faces, a face owned by
         more than two simplices, a vertex in the closure of a simplex it is
         not a corner of) raises MeshError."""
         version = data.get("version") if isinstance(data, dict) else None
@@ -396,6 +399,12 @@ class SimplicialMesh:
         mesh = cls(d)
         if any(len(c) != d for c in vertices):
             raise MeshError(f"a vertex does not have {d} coordinates")
+        bits = coordinate_bits(d)
+        for i, c in enumerate(vertices):
+            for n, k in c:
+                if abs(n).bit_length() > bits + k:  # |n| * 2**-k >= 2**bits
+                    raise MeshError(f"vertex {i} has a coordinate of magnitude 2**{abs(n).bit_length() - 1 - k} "
+                                    f"or more; coordinates must be below 2**{bits}")
         mesh.exponent = e = max((k for c in vertices for _, k in c), default=0)
         for c in vertices:
             mesh.add_vertex(tuple(n << (e - k) for n, k in c))
@@ -517,16 +526,6 @@ def kuhn_initial_mesh(dim: int, cells_per_axis: int = 1, mark_boundary: bool = T
     return mesh
 
 
-def reference_simplex_mesh(dim: int, mark_boundary: bool = False) -> SimplicialMesh:
-    """A mesh of one reference simplex conv(0, e_1, ..., e_d), tag d, level 0."""
-    mesh = SimplicialMesh(dim)
-    verts = [mesh.add_vertex(tuple(int(i == j - 1) for i in range(dim))) for j in range(dim + 1)]
-    mesh._add_simplex(tuple(verts), dim, 0, None, Fraction(1, math.factorial(dim)))
-    if mark_boundary:
-        mesh.gamma_faces = boundary_faces(mesh)
-    return mesh
-
-
 def boundary_faces(mesh: SimplicialMesh) -> set[frozenset[int]]:
     """Faces owned by exactly one active simplex."""
     faces, face_vertices = element_faces(vertex_table(mesh, mesh.active_ids()))
@@ -641,9 +640,6 @@ class ElementDistance:
             frontier = np.flatnonzero(dist == level)
         return dist
 
-    def dist(self, a: int, b: int) -> int:
-        return int(self.from_source(a)[self.pos[b]])
-
     def dist_sets(self, left: Iterable[int], right: Iterable[int]) -> int:
         left = [self.pos[s] for s in left]
         right = [self.pos[s] for s in right]
@@ -651,10 +647,6 @@ class ElementDistance:
             raise MeshError("element sets must be nonempty")
         vals = self._bfs(left)[right]
         return UNREACHABLE if np.any(vals == UNREACHABLE) else int(vals.min())
-
-    @property
-    def connected(self) -> bool:
-        return bool(np.all(self._bfs([0]) != UNREACHABLE)) if self.n else True
 
 
 def element_distance(mesh: SimplicialMesh, kind: str = "vertex") -> ElementDistance:

@@ -1,7 +1,6 @@
 """Exact polynomial algebra on simplices in the barycentric monomial basis,
-the local basis of the Lagrange and Crouzeix-Raviart elements, their element
-spaces, and the local spectral operator behind the projection condition
-bounds.
+the local basis of the Lagrange and Crouzeix-Raviart elements, and their
+element spaces.
 
 Everything on a single element is exact rational arithmetic.  Monomials are
 lambda^sigma = lambda_0^s0 * ... * lambda_d^sd with the integration formula
@@ -21,6 +20,11 @@ one topology kernel, mesh.first_appearance.  It has one float geometry table
 (ElementGeometry, built on first use): vertex coordinates, volumes and
 barycentric gradients.  Its readers stack element rows, so each element
 keeps the BLAS and LAPACK calls, and the bits, of a separate evaluation.
+
+The vertex splitting operators D_j and the local operator S of the paper's
+proofs are not part of the instrument: the condition bounds are used in
+closed form (projection.Operators.bound_kappa), and the tests keep D_j and S
+in exact arithmetic, where acceptance criterion 1 checks the spectrum of S.
 """
 
 from __future__ import annotations
@@ -28,11 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, gcd, prod
+from math import factorial, gcd, prod
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from . import GradedProjError
@@ -77,13 +80,6 @@ def mono_mean(sigma: MultiIndex) -> Fraction:
     return Fraction(num, factorial(sum(sigma) + d))
 
 
-def integrate_monomial(sigma: MultiIndex, volume) -> Fraction:
-    """Exact integral of lambda^sigma over a simplex of the given volume."""
-    if any(s < 0 for s in sigma):
-        raise PolySpaceError(f"invalid multi index {sigma}")
-    return mono_mean(sigma) * volume
-
-
 # -- barycentric polynomials ---------------------------------------------------
 
 
@@ -96,31 +92,8 @@ class BarycentricPoly:
         self.dim = dim
         self.coeffs = {k: v for k, v in (coeffs or {}).items() if v != 0}
 
-    @classmethod
-    def monomial(cls, sigma: MultiIndex, coeff=Fraction(1)) -> "BarycentricPoly":
-        return cls(len(sigma) - 1, {tuple(sigma): Fraction(coeff)})
-
-    @classmethod
-    def zero(cls, dim: int) -> "BarycentricPoly":
-        return cls(dim, {})
-
     def degree(self) -> int:
         return max((sum(k) for k in self.coeffs), default=0)
-
-    def __add__(self, other: "BarycentricPoly") -> "BarycentricPoly":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return BarycentricPoly(self.dim, out)
-
-    def __sub__(self, other: "BarycentricPoly") -> "BarycentricPoly":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return BarycentricPoly(self.dim, out)
-
-    def scale(self, factor) -> "BarycentricPoly":
-        return BarycentricPoly(self.dim, {k: v * factor for k, v in self.coeffs.items()})
 
     def __mul__(self, other: "BarycentricPoly") -> "BarycentricPoly":
         out: dict[MultiIndex, Fraction] = {}
@@ -130,23 +103,8 @@ class BarycentricPoly:
                 out[key] = out.get(key, 0) + va * vb
         return BarycentricPoly(self.dim, out)
 
-    def mul_lambda(self, j: int) -> "BarycentricPoly":
-        return BarycentricPoly(
-            self.dim, {k[:j] + (k[j] + 1,) + k[j + 1 :]: v for k, v in self.coeffs.items()}
-        )
-
     def integral(self, volume) -> Fraction:
         return sum((v * mono_mean(k) for k, v in self.coeffs.items()), Fraction(0)) * volume
-
-    def evaluate(self, bary: Sequence) -> Fraction:
-        total = 0
-        for k, v in self.coeffs.items():
-            term = v
-            for b, e in zip(bary, k):
-                if e:
-                    term *= b ** e
-            total += term
-        return total
 
     def values(self, bary: np.ndarray) -> np.ndarray:
         """Float values at the rows of bary: the monomial terms, each formed as
@@ -156,135 +114,34 @@ class BarycentricPoly:
             out += term
         return out
 
-    def homogenize(self, degree: int) -> "BarycentricPoly":
-        """Rewrite with all monomials of exactly the given total degree using
-        (sum_j lambda_j)^m = 1."""
-        out: dict[MultiIndex, Fraction] = {}
-        for k, v in self.coeffs.items():
-            gap = degree - sum(k)
-            if gap < 0:
-                raise PolySpaceError(f"degree {sum(k)} exceeds homogenization target {degree}")
-            for extra in multi_indices(self.dim, gap):
-                coeff = v * _multinomial(extra)
-                key = tuple(a + b for a, b in zip(k, extra))
-                out[key] = out.get(key, 0) + coeff
-        return BarycentricPoly(self.dim, out)
-
-    def substitute(self, forms: Sequence["BarycentricPoly"]) -> "BarycentricPoly":
-        """Replace lambda_j by forms[j] (polynomials over another simplex)."""
-        dim_out = forms[0].dim
-        result = BarycentricPoly.zero(dim_out)
-        for k, v in self.coeffs.items():
-            term = BarycentricPoly(dim_out, {(0,) * (dim_out + 1): Fraction(v)})
-            for j, e in enumerate(k):
-                for _ in range(e):
-                    term = term * forms[j]
-            result = result + term
-        return result
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BarycentricPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        terms = " + ".join(f"{v}*l^{k}" for k, v in sorted(self.coeffs.items()))
-        return f"BarycentricPoly({terms or '0'})"
-
-
-@lru_cache(maxsize=None)
-def _multinomial(sigma: MultiIndex) -> int:
-    total = sum(sigma)
-    out = 1
-    for s in sigma:
-        out *= comb(total, s)
-        total -= s
-    return out
-
-
-# -- decomposition operators ---------------------------------------------------
-
-
-def decomposition_apply(j: int, poly: BarycentricPoly, degree: int) -> BarycentricPoly:
-    """Vertex-j splitting operator on polynomials of degree <= K:
-
-        D_j lambda^gamma = (gamma_j / K) lambda^(gamma - e_j)
-                           + ((K - |gamma|) / K) lambda^gamma
-
-    For |gamma| = K this reduces to the pure shift rule; summing
-    lambda_j D_j over j reproduces the identity.
-    """
-    if poly.degree() > degree:
-        raise PolySpaceError(f"polynomial degree {poly.degree()} exceeds K={degree}")
-    out: dict[MultiIndex, Fraction] = {}
-    for gamma, v in poly.coeffs.items():
-        total = sum(gamma)
-        if gamma[j] > 0:
-            key = multi_index_sub(gamma, j)
-            out[key] = out.get(key, 0) + v * Fraction(gamma[j], degree)
-        if total < degree:
-            out[gamma] = out.get(gamma, 0) + v * Fraction(degree - total, degree)
-    return BarycentricPoly(poly.dim, out)
-
-
-# -- exact rational linear algebra ----------------------------------------------
-
-
-def frac_mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)] for i in range(rows)]
-
 
 # -- reference element tables ----------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ReferenceElement:
-    """Exact local tables for Lagrange elements of one degree on the d-simplex.
+    """Exact local data of the Lagrange element of one degree on the d-simplex.
 
     The monomial basis is {lambda^alpha : |alpha| = K}; Lagrange nodes are
-    x_alpha with barycentric coordinates alpha / K (the barycenter for K = 0).
-    All integrals are for the unit-volume simplex and scale linearly.
+    x_alpha with barycentric coordinates alpha / K (the barycenter for K = 0);
+    vandermonde_inv holds the nodal basis in monomial coefficients.
     """
 
     dim: int
     degree: int
     monos: tuple[MultiIndex, ...]
-    gram: tuple  # monomial mass, rows of Fractions
     node_coords: tuple  # barycentric coordinates of Lagrange nodes
     vandermonde_inv: tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.monos)
-
-    @property
-    def nodal_mass(self) -> tuple:
-        return nodal_mass_table(self.dim, self.degree)
-
-    def nodal_poly(self, a: int) -> BarycentricPoly:
-        """Lagrange basis function number a as a monomial-basis polynomial."""
-        return BarycentricPoly(
-            self.dim, {mono: self.vandermonde_inv[m][a] for m, mono in enumerate(self.monos)}
-        )
-
-    def poly_from_nodal(self, values: Sequence) -> BarycentricPoly:
-        coeffs = {}
-        for m, mono in enumerate(self.monos):
-            c = sum(self.vandermonde_inv[m][a] * values[a] for a in range(self.n))
-            coeffs[mono] = c
-        return BarycentricPoly(self.dim, coeffs)
 
 
 @lru_cache(maxsize=None)
 def reference_element(dim: int, degree: int) -> ReferenceElement:
     monos = multi_indices(dim, degree)
-    gram = tuple(
-        tuple(mono_mean(tuple(a + b for a, b in zip(ma, mb))) for mb in monos) for ma in monos
-    )
     if degree == 0:
         nodes = (tuple(Fraction(1, dim + 1) for _ in range(dim + 1)),)
     else:
         nodes = tuple(tuple(Fraction(a, degree) for a in alpha) for alpha in monos)
-    return ReferenceElement(dim, degree, monos, gram, nodes, _fraction_rows(*_integer_vinv(dim, degree)))
+    return ReferenceElement(dim, degree, monos, nodes, _fraction_rows(*_integer_vinv(dim, degree)))
 
 
 # -- exact reference tables: one integer kernel ------------------------------------
@@ -383,107 +240,6 @@ def nodal_values_at_nodes(dim: int, degree: int, node_degree: int):
     Vandermonde at those nodes, prod_j alpha_j^sigma_j / K'^K, times Vinv."""
     vinv, den = _integer_vinv(dim, degree)
     return _fraction_rows(_integer_powers(dim, degree, node_degree) @ vinv, node_degree**degree * den)
-
-
-# -- the spectral operator of the decomposition ----------------------------------
-
-
-def operator_s_matrix(degree: int, dim: int):
-    """Matrix A of the operator S on the monomial basis {|alpha| = K} defined by
-
-        <S v, w> = sum_j <lambda_j D_j v, D_j w>
-
-    together with the exact form matrix B = Gram * A (B is symmetric).  On
-    monomials S acts as
-
-        S lambda^sigma = ((K^2 + |sigma|(|sigma|+d)) / K^2) lambda^sigma
-                         - sum_j (sigma_j^2 / K^2) lambda^(sigma - e_j)
-
-    re-homogenized to total degree K.
-    """
-    if degree < 1:
-        raise PolySpaceError("degree must be >= 1")
-    ref = reference_element(dim, degree)
-    monos = ref.monos
-    index = {m: i for i, m in enumerate(monos)}
-    n = len(monos)
-    K2 = Fraction(degree * degree)
-    a_mat = [[Fraction(0)] * n for _ in range(n)]
-    for col, sigma in enumerate(monos):
-        total = sum(sigma)
-        image = BarycentricPoly.monomial(sigma, Fraction(degree * degree + total * (total + dim), 1) / K2)
-        for j, sj in enumerate(sigma):
-            if sj:
-                image = image - BarycentricPoly.monomial(multi_index_sub(sigma, j), Fraction(sj * sj) / K2)
-        image = image.homogenize(degree)
-        for mono, coeff in image.coeffs.items():
-            a_mat[index[mono]][col] += coeff
-    b_mat = frac_mat_mul([list(r) for r in ref.gram], a_mat)
-    return a_mat, b_mat
-
-
-def dim_orthogonal_layer(k: int, dim: int) -> int:
-    """Dimension of the L2-orthogonal complement of degree k-1 inside degree k."""
-    if k == 0:
-        return 1
-    return comb(k + dim, dim) - comb(k - 1 + dim, dim)
-
-
-def s_expected_spectrum(degree: int, dim: int) -> list[tuple[float, int]]:
-    """(eigenvalue, multiplicity) pairs (K^2 + k(k+d))/K^2 for k = 0..K."""
-    return [
-        ((degree * degree + k * (k + dim)) / degree**2, dim_orthogonal_layer(k, dim))
-        for k in range(degree + 1)
-    ]
-
-
-def s_eigenvalues(degree: int, dim: int) -> np.ndarray:
-    """Eigenvalues of S from the symmetric generalized problem B x = mu G x."""
-    _, b_mat = operator_s_matrix(degree, dim)
-    gram = reference_element(dim, degree).gram
-    b = np.array([[float(x) for x in row] for row in b_mat])
-    g = np.array([[float(x) for x in row] for row in gram])
-    return scipy.linalg.eigh(b, g, eigvals_only=True)
-
-
-def verify_s_consistency(degree: int, dim: int, trials: int = 20, seed: int = 0) -> dict:
-    """Exact cross-check of the two routes to the bilinear form
-
-        sum_j <lambda_j D_j v, D_j w>  versus  v^T B w
-
-    on random rational polynomial pairs; reports mismatches (there must be
-    none) and confirms symmetry of the form.
-    """
-    rng = np.random.default_rng(seed)
-    ref = reference_element(dim, degree)
-    _, b_mat = operator_s_matrix(degree, dim)
-    monos = ref.monos
-    mismatches = []
-    asymmetries = []
-    for t in range(trials):
-        cv = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))) for _ in monos]
-        cw = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))) for _ in monos]
-        v = BarycentricPoly(dim, dict(zip(monos, cv)))
-        w = BarycentricPoly(dim, dict(zip(monos, cw)))
-        direct = Fraction(0)
-        for j in range(dim + 1):
-            dv = decomposition_apply(j, v, degree)
-            dw = decomposition_apply(j, w, degree)
-            direct += (dv.mul_lambda(j) * dw).integral(Fraction(1))
-        via_matrix = Fraction(0)
-        for i in range(len(monos)):
-            for k in range(len(monos)):
-                via_matrix += cw[i] * b_mat[i][k] * cv[k]
-        if direct != via_matrix:
-            mismatches.append((t, direct, via_matrix))
-        swapped = Fraction(0)
-        for j in range(dim + 1):
-            dv = decomposition_apply(j, v, degree)
-            dw = decomposition_apply(j, w, degree)
-            swapped += (dw.mul_lambda(j) * dv).integral(Fraction(1))
-        if swapped != direct:
-            asymmetries.append(t)
-    return {"trials": trials, "mismatches": mismatches, "asymmetries": asymmetries}
 
 
 # -- finite element spaces --------------------------------------------------------
@@ -600,8 +356,9 @@ class _ElementSpace:
         """The geometry table of element_ids (not of the mesh's current active
         set), built on first use; the gradients from one stacked inverse."""
         mesh = self.mesh
-        # float(n) * 2**-e rounds once, as float(Fraction(n, 2**e)): the scale is exact
-        coords = np.array(mesh.points, dtype=float) * 2.0**-mesh.exponent
+        # Python's int / int rounds once, as float(Fraction(n, 2**e)) does, and
+        # needs only the quotient in float range, not the numerator n
+        coords = (np.array(mesh.points, dtype=object) / (1 << mesh.exponent)).astype(float)
         vertices = coords[self.vertices]
         volumes = np.array([float(mesh.volume(sid)) for sid in self.element_ids])
         inv = np.linalg.inv(np.swapaxes(vertices[:, 1:] - vertices[:, :1], 1, 2))
@@ -646,11 +403,10 @@ class LagrangeSpace(_ElementSpace):
     """Continuous piecewise polynomials of one degree on a conforming mesh.
 
     Global dofs are Lagrange nodes, glued across elements by equal node keys
-    (mesh.node_table) and numbered in order of first appearance; node_coords
-    gives each dof's exact rational coordinates, computed from the node keys
-    on first read.  trace_faces[r, j] flags the local faces on the marked
-    boundary part of the mesh (none without zero_trace); with
-    zero_trace=True the dofs on them are removed from the space.
+    (mesh.node_table) and numbered in order of first appearance.
+    trace_faces[r, j] flags the local faces on the marked boundary part of
+    the mesh (none without zero_trace); with zero_trace=True the dofs on them
+    are removed from the space.
     """
 
     kind = "lagrange"
@@ -673,27 +429,20 @@ class LagrangeSpace(_ElementSpace):
         # a node on a trace face (alpha_j = 0 for a flagged face j) is removed
         dofs, first = first_appearance(keys, (self.trace_faces @ (alphas == 0).T).ravel())
         self.n_dofs = len(first)
-        self._node_keys = keys[first]
         self.dofs = dofs.reshape(len(self.element_ids), -1)
         self.dofs.setflags(write=False)
 
-    @cached_property
-    def node_coords(self) -> list[tuple]:
-        points, d, den = self.mesh.points, self.mesh.dim, self.degree << self.mesh.exponent
-        pairs = [[(v, k) for v, k in zip(key[: d + 1], key[d + 1 :]) if k] for key in self._node_keys.tolist()]
-        return [tuple(Fraction(sum(k * points[v][i] for v, k in vk), den) for i in range(d)) for vk in pairs]
 
+def cr_local_mass(dim: int) -> list[list[Fraction]]:
+    """Exact Crouzeix-Raviart element mass matrix of the unit-volume simplex
 
-def cr_local_mass(dim: int, volume=Fraction(1)) -> list[list[Fraction]]:
-    """Exact Crouzeix-Raviart element mass matrix
-
-        M_jl = |T| (2 - d + delta_jl d^2) / ((d+2)(d+1)).
+        M_jl = (2 - d + delta_jl d^2) / ((d+2)(d+1)).
     """
     if dim < 2:
         raise PolySpaceError("Crouzeix-Raviart requires dimension >= 2")
     den = (dim + 2) * (dim + 1)
     return [
-        [Fraction(2 - dim + (dim * dim if j == l else 0), den) * volume for l in range(dim + 1)]
+        [Fraction(2 - dim + (dim * dim if j == l else 0), den) for l in range(dim + 1)]
         for j in range(dim + 1)
     ]
 
@@ -714,57 +463,6 @@ class CRSpace(_ElementSpace):
         self.dofs, self.face_keys = element_faces(self.vertices)
         self.dofs.setflags(write=False)
         self.n_dofs = len(self.face_keys)
-
-    @staticmethod
-    def local_basis_poly(dim: int, j: int) -> BarycentricPoly:
-        coeffs = {(0,) * (dim + 1): Fraction(1)}
-        e_j = tuple(int(i == j) for i in range(dim + 1))
-        coeffs[e_j] = Fraction(-dim)
-        return BarycentricPoly(dim, coeffs)
-
-
-# -- global decomposition ---------------------------------------------------------
-
-
-def global_decomposition(space: LagrangeSpace, coeffs: Sequence) -> dict[int, dict[int, BarycentricPoly]]:
-    """Split a degree-K Lagrange function v into the patch pieces D_i v with
-
-        v = sum_i phi_i D_i v
-
-    exactly.  Returns, per mesh vertex i, the local polynomials of D_i v on
-    the elements of the patch around i.  Coefficients should be exact
-    (Fractions or ints) for an exact result.
-    """
-    mesh, ref, K = space.mesh, space.ref, space.degree
-    out: dict[int, dict[int, BarycentricPoly]] = {}
-    for sid in space.element_ids:
-        verts = mesh.simplices[sid].vertices
-        dofs = space.cell_dofs(sid)
-        values = [Fraction(coeffs[g]) if g >= 0 else Fraction(0) for g in dofs]
-        local = ref.poly_from_nodal(values)
-        for j, vertex in enumerate(verts):
-            out.setdefault(vertex, {})[sid] = decomposition_apply(j, local, K)
-    return out
-
-
-def decomposition_reconstruction_error(
-    space: LagrangeSpace, coeffs: Sequence, pieces: dict[int, dict[int, BarycentricPoly]]
-) -> Fraction:
-    """Exact max nodal deviation of sum_i phi_i D_i v from v."""
-    mesh, ref = space.mesh, space.ref
-    worst = Fraction(0)
-    for sid in space.element_ids:
-        verts = mesh.simplices[sid].vertices
-        dofs = space.cell_dofs(sid)
-        values = [Fraction(coeffs[g]) if g >= 0 else Fraction(0) for g in dofs]
-        original = ref.poly_from_nodal(values)
-        total = BarycentricPoly.zero(mesh.dim)
-        for j, vertex in enumerate(verts):
-            total = total + pieces[vertex][sid].mul_lambda(j)
-        diff = total - original
-        for node in ref.node_coords:
-            worst = max(worst, abs(diff.evaluate(node)))
-    return worst
 
 
 # -- quadrature --------------------------------------------------------------------

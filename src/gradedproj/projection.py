@@ -27,6 +27,13 @@ moments through the same ids.  The global form and apply matrices are summed
 in patch order, so their bits do not depend on how scipy orders duplicate
 triplets.
 
+The one integrand kind is ElementwisePoly, a polynomial per element: rhs,
+project and apply_C integrate it by a rule exact for its degree, and a
+coefficient vector of the space enters through apply_C_coeffs and
+accelerated_iterate instead.  The decay parameter uses the closed-form
+condition bounds (bound_kappa); the spectrum of the local operator S behind
+them is checked by the tests (acceptance criterion 1), not computed here.
+
 Reference tables and local basis values come from gradedproj.polyspace: the
 exact product tables of the patch Gram and cross matrices, the nodal values
 of the low-degree basis at the high nodes, the gradient products of the
@@ -38,11 +45,10 @@ matmul, and the weighted stiffness one stacked Gram product.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -74,14 +80,7 @@ def cr_q_bound(dim: int) -> float:
     return (rk - 1.0) / (rk + 1.0)
 
 
-def chebyshev_error_bound(q: float, nu: int) -> float:
-    """Accelerated-iteration error factor 2 q^nu / (1 + q^(2 nu))."""
-    if nu <= 0:
-        return 1.0
-    return 2.0 * q**nu / (1.0 + q ** (2 * nu))
-
-
-# -- function-like right-hand sides -------------------------------------------
+# -- elementwise polynomial integrands ----------------------------------------
 
 
 @dataclass
@@ -116,18 +115,6 @@ class ElementwisePoly:
             sq = poly * poly
             total += float(sq.integral(self.mesh.volume(sid)))
         return math.sqrt(total)
-
-
-@dataclass
-class FeFunction:
-    """Coefficient vector over a finite element space."""
-
-    space: object
-    coeffs: np.ndarray
-
-    def norm2(self) -> float:
-        m = self.space.mass_matrix()
-        return math.sqrt(max(float(self.coeffs @ (m @ self.coeffs)), 0.0))
 
 
 # -- assembled operators --------------------------------------------------------
@@ -290,77 +277,45 @@ class Operators:
 
     # right-hand sides -------------------------------------------------------------
 
-    def rhs(self, u, quad_degree: int | None = None) -> np.ndarray:
-        """Moment vector <u, b_m> for the supported function kinds."""
-        if isinstance(u, FeFunction):
-            if u.space is self.space:
-                return self.mass @ u.coeffs
-            if u.space.mesh is self.mesh:
-                raise ProjectionError("same-mesh cross-space rhs not supported")
-            return self._rhs_refined(u)
-        if isinstance(u, ElementwisePoly):
-            if u.mesh is not self.mesh:
-                raise ProjectionError("ElementwisePoly must live on the operator mesh")
-            return self._element_rhs(u.support(), u, self.space.degree + u.degree())
-        if callable(u):
-            deg = quad_degree if quad_degree is not None else 2 * self.space.degree + 2
-            return self._element_rhs(self.space.element_ids, u, deg)
-        raise ProjectionError(f"unresolvable integrand kind {type(u)!r}")
+    def rhs(self, u: ElementwisePoly) -> np.ndarray:
+        """Moment vector <u, b_m>, by a rule exact for the product's degree
+        over the support of u."""
+        if u.mesh is not self.mesh:
+            raise ProjectionError("ElementwisePoly must live on the operator mesh")
+        element_ids = u.support()
+        pts, wts, basis = self._quad(self.space.degree + u.degree())
+        weighted = basis.T * wts
+        vols = self.space.geometry.volumes[self.space.rows(element_ids)]
+        dofs = self.space.dof_rows(element_ids)
+        local = np.array([vol * weighted @ u.values(sid, pts) for vol, sid in zip(vols, element_ids)])
+        keep = dofs >= 0
+        out = np.zeros(self.space.n_dofs)
+        np.add.at(out, dofs[keep], local.reshape(dofs.shape)[keep])  # element by element, in order
+        return out
 
     def _quad(self, degree: int):
         pts, wts = simplex_quadrature(self.dim, degree)
         return pts, wts, quadrature_basis(self.dim, self.space.local_degree, degree)
 
-    def _element_rhs(self, element_ids: Sequence[int], u, deg: int) -> np.ndarray:
-        """<u, b_m> by a rule of the given degree over the given elements."""
-        pts, wts, basis = self._quad(deg)
-        weighted = basis.T * wts
-        vols = self.space.geometry.volumes[self.space.rows(element_ids)]
-        contribs = [vol * weighted @ vals for vol, vals in zip(vols, self._values_at(u, element_ids, pts))]
-        return self._scatter_vector(element_ids, contribs)
-
-    def _scatter_vector(self, element_ids: Sequence[int], contribs: Sequence[np.ndarray]) -> np.ndarray:
-        """Sum per-element moment vectors into the global vector, element by
-        element (np.add.at applies repeated indices in order)."""
-        dofs = self.space.dof_rows(element_ids)
-        local = np.array(contribs).reshape(dofs.shape)
-        keep = dofs >= 0
-        out = np.zeros(self.space.n_dofs)
-        np.add.at(out, dofs[keep], local[keep])
-        return out
-
-    def _rhs_refined(self, u: FeFunction) -> np.ndarray:
-        fine_space = u.space
-        link = TwoMeshLink(self.space, fine_space)
-        return link.mixed_mass() @ u.coeffs
-
     # operators ----------------------------------------------------------------------
 
-    def project(self, u, quad_degree: int | None = None) -> np.ndarray:
+    def project(self, u: ElementwisePoly) -> np.ndarray:
         """L2-projection onto the space: solve M x = <u, basis>."""
-        return self.solve_mass(self.rhs(u, quad_degree))
+        return self.solve_mass(self.rhs(u))
 
     def apply_C_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """C restricted to the space, in coefficients (local, one-layer support)."""
         return self.apply_matrix @ coeffs
 
-    def apply_C(self, u, quad_degree: int | None = None) -> np.ndarray:
-        """C u for a general integrand, via the weighted patch solves."""
-        if isinstance(u, FeFunction) and u.space is self.space:
-            return self.apply_matrix @ u.coeffs
+    def apply_C(self, u: ElementwisePoly) -> np.ndarray:
+        """C u via the weighted patch solves, by a rule exact for the degree."""
         if isinstance(self.space, CRSpace):
-            return self._rhs_dinv * self.rhs(u, quad_degree)
-        if isinstance(u, FeFunction):
-            # function on a refinement: exact via the two-sided identity C = CQ
-            return self.apply_matrix @ self.project(u)
+            return self._rhs_dinv * self.rhs(u)
         K = self.space.degree
-        if isinstance(u, ElementwisePoly):
-            deg = K + u.degree()
-        else:
-            deg = quad_degree if quad_degree is not None else 2 * K + 2
+        deg = K + u.degree()
         pts, wts = simplex_quadrature(self.dim, deg)
         basis_low = quadrature_basis(self.dim, K - 1, deg)
-        vals = np.array(self._values_at(u, self.space.element_ids, pts))[:, :, None]
+        vals = np.array([u.values(sid, pts) for sid in self.space.element_ids])[:, :, None]
         # moments[r, j, a] = <lambda_j psi_a, u> on element row r; the stacked
         # matmul makes one BLAS call per (r, j), with the bits of a separate
         # (vol * (basis_low.T * (wts * lambda_j))) @ vals
@@ -375,15 +330,6 @@ class Operators:
             np.add.at(r, patch.pids, moments[patch.rows, patch.js])
             out[patch.gcols] += patch.wmat @ scipy.linalg.cho_solve(patch.chol, r[:-1])
         return out
-
-    def _values_at(self, u, element_ids: Sequence[int], pts: np.ndarray) -> list[np.ndarray]:
-        """Values of a polynomial or callable integrand at barycentric points, per element."""
-        if isinstance(u, ElementwisePoly):
-            return [u.values(sid, pts) for sid in element_ids]
-        if callable(u):
-            vertices = self.space.geometry.vertices[self.space.rows(element_ids)]
-            return [np.array([u(x) for x in pts @ vcoords]) for vcoords in vertices]
-        raise ProjectionError(f"unresolvable integrand kind {type(u)!r}")
 
     # spectra ---------------------------------------------------------------------------
 
@@ -439,12 +385,6 @@ class Operators:
             bound_kappa=self.bound_kappa(),
             residual=residual,
         )
-
-    # masked matrices ---------------------------------------------------------------------
-
-    def masked_mass(self, element_ids: Iterable[int]) -> sp.csr_matrix:
-        """Mass restricted to integration over a collection of elements."""
-        return self.space.element_mass(element_ids)
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -551,21 +491,6 @@ class TwoMeshLink:
 # -- iteration toward the projection ----------------------------------------------------------
 
 
-def basic_iterate(ops: Operators, u, nu: int) -> np.ndarray:
-    """Unaccelerated recursion u_(k+1) = u_(k) + C(u - u_(k)), u_(0) = 0.
-
-    The iterates converge to the projection; on functions where C acts as the
-    identity the first step is already exact.
-    """
-    x = np.zeros(ops.space.n_dofs)
-    if nu == 0:
-        return x
-    cu = ops.apply_C(u) if not isinstance(u, np.ndarray) else ops.apply_C_coeffs(u)
-    for _ in range(nu):
-        x = x + cu - ops.apply_C_coeffs(x)
-    return x
-
-
 def accelerated_iterate(ops: Operators, u, nu: int, interval: tuple[float, float] | None = None) -> np.ndarray:
     """Chebyshev-accelerated approximation of the projection after nu rounds.
 
@@ -616,19 +541,12 @@ class DecayMeasurement:
     sampled: float
     bound: float
 
-    @property
-    def ok(self) -> bool:
-        return self.exact_norm <= self.bound + 1e-9
-
-
-def masked_projection_norm(ops: Operators, left: Sequence[int], right: Sequence[int]) -> float:
-    """Exact operator norm of u |-> 1_L Q (1_{L'} u) on L2, via the low-rank
-    symmetric eigenproblem over the dofs supported near L'."""
-    return _masked_norm(ops, ops.masked_mass(left), right)
-
 
 def _masked_norm(ops: Operators, m_left: sp.csr_matrix, right: Sequence[int]) -> float:
-    m_right = ops.masked_mass(right)
+    """Exact operator norm of u |-> 1_L Q (1_{L'} u) on L2, for the mass m_left
+    over L, via the low-rank symmetric eigenproblem over the dofs supported
+    near L'."""
+    m_right = ops.space.element_mass(right)
     sub = sorted({g for sid in right for g in ops.space.cell_dofs(sid) if g >= 0})
     if not sub:
         return 0.0
@@ -665,7 +583,7 @@ def measure_decay(
     delta = dist.dist_sets(left, right)
     qq = q if q is not None else ops.q_bound()
     bound = min(2.0 * qq ** max(delta - 1, 0), 1.0) if delta >= 1 else 1.0
-    m_left = ops.masked_mass(left)
+    m_left = ops.space.element_mass(left)
     exact = _masked_norm(ops, m_left, right)
     sampled = 0.0
     rng = np.random.default_rng(seed)

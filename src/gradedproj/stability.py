@@ -1,5 +1,5 @@
-"""Weights and their grading, layer decompositions, volume-decay constants,
-and empirical weighted-norm measurements.
+"""Weights and their grading, layer decompositions, and empirical
+weighted-norm measurements.
 
 The analytic stability-range calculus lives in gradedproj.analytic and the
 graded maximal operator in gradedproj.mesh; their names stay importable
@@ -30,10 +30,7 @@ from .analytic import (  # noqa: F401  (re-exported)
 from .mesh import (  # noqa: F401  (max_operator and the regularized grading are re-exported)
     ElementDistance,
     GradingError,
-    RegularizedGradingReport,
-    SimplicialMesh,
     grading_of,
-    level_gap,
     max_operator,
     regularized_h_grading,
 )
@@ -63,12 +60,6 @@ class Weight:
             self._gamma = grading_of(self.values, self.dist)
         return self._gamma
 
-    def inverse(self) -> "Weight":
-        return Weight({s: 1 / v for s, v in self.values.items()}, self.dist)
-
-    def product(self, other: "Weight") -> "Weight":
-        return Weight({s: v * other.values[s] for s, v in self.values.items()}, self.dist)
-
     def as_floats(self) -> dict[int, float]:
         return {s: float(v) for s, v in self.values.items()}
 
@@ -92,39 +83,6 @@ def layer_decomposition(weight: Weight) -> dict[int, list[int]]:
             i -= 1
         layers.setdefault(i, []).append(sid)
     return {i: sorted(v) for i, v in sorted(layers.items())}
-
-
-# -- volume decay -----------------------------------------------------------------------
-
-
-@dataclass
-class VolumeDecayReport:
-    gamma: float
-    gamma_h: float
-    max_ratio: float  # max over T of sum_T' |T'| gamma^(-delta) / |T|
-    factor: float | None  # log(gamma_h) / log(gamma / gamma_h^d)
-    constant: float | None  # max_ratio / factor
-    uniform_caveat: bool
-
-
-def volume_decay_constant(mesh: SimplicialMesh, gamma: float, dist: ElementDistance) -> VolumeDecayReport:
-    """Exact per-element sums sum_T' |T'| gamma^(-delta(T,T')) relative to |T|."""
-    gap = level_gap(mesh, dist)
-    gamma_h = 2.0 ** (gap / mesh.dim)
-    uniform = gap == 0
-    if not uniform and gamma <= gamma_h**mesh.dim:
-        raise StabilityError(f"need gamma > gamma_h^d = {gamma_h**mesh.dim:.6f}, got {gamma}")
-    vols = np.array([float(mesh.volume(s)) for s in dist.ids])
-    max_ratio = 0.0
-    for sid, vol in zip(dist.ids, vols):
-        row = dist.from_source(sid)
-        if np.any(row < 0):
-            raise StabilityError("disconnected mesh")
-        max_ratio = max(max_ratio, float((gamma ** (-row.astype(float))) @ vols / vol))
-    if uniform:
-        return VolumeDecayReport(gamma, gamma_h, max_ratio, None, None, True)
-    factor = math.log(gamma_h) / math.log(gamma / gamma_h**mesh.dim)
-    return VolumeDecayReport(gamma, gamma_h, max_ratio, factor, max_ratio / factor, False)
 
 
 # -- weighted stability measurements ------------------------------------------------------

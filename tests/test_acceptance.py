@@ -17,19 +17,11 @@ from gradedproj.mesh import (
     kuhn_initial_mesh,
     level_gap,
     marking_policy,
-    reference_simplex_mesh,
 )
-from gradedproj.polyspace import (
-    CRSpace,
-    LagrangeSpace,
-    cr_local_mass,
-    s_eigenvalues,
-    s_expected_spectrum,
-)
+from gradedproj.polyspace import CRSpace, LagrangeSpace, cr_local_mass
 from gradedproj.projection import (
     Operators,
     accelerated_iterate,
-    chebyshev_error_bound,
     measure_decay,
     q_new,
     _random_poly,
@@ -40,9 +32,10 @@ from gradedproj.stability import (
     max_operator,
     measure_weighted_stability,
     stability_range,
-    volume_decay_constant,
 )
 from conftest import randomly_refined
+from exact_algebra import s_eigenvalues, s_expected_spectrum
+from oracles import chebyshev_error_bound, reference_simplex_mesh, volume_decay_constant
 
 TOL_EIG = 1e-9
 TOL_KAPPA = 1e-8
@@ -452,7 +445,7 @@ def test_criterion_12_face_level_gap():
         gap = level_gap(mesh, dist)
         if gap > 1:
             gap_ok = False
-        levels = set(mesh.levels().values())
+        levels = {mesh.simplices[s].level for s in mesh.active_ids()}
         if len(levels) > 1:
             gamma = grading_of(mesh.h_values(), dist)
             if abs(gamma - 2 ** (1 / dim)) > 1e-12 or gap != 1:

@@ -11,7 +11,9 @@ import pytest
 
 import gradedproj
 from gradedproj.cli import main, round4
-from gradedproj.mesh import kuhn_initial_mesh, marking_policy
+from gradedproj.mesh import SimplicialMesh, kuhn_initial_mesh, marking_policy
+from gradedproj.polyspace import LagrangeSpace
+from oracles import save_mesh
 
 
 def run(tmp_path, *argv):
@@ -225,7 +227,7 @@ def test_refine_rejects_steep_mesh_file(tmp_path, capsys):
     for _ in range(6):
         mesh.refine_closure(marking_policy("corner")(mesh, np.random.default_rng(0)))
     path = tmp_path / "steep.json"
-    mesh.save(path)
+    save_mesh(mesh, path)
     assert run(tmp_path, "refine", "--mesh", str(path), "--rounds", "0", "--alpha", "1", "--out", "s") == 2
     assert "vertex level gap" in capsys.readouterr().err
 
@@ -374,10 +376,13 @@ _TRIANGLE = [(0, 0), (1, 0), (0, 1)]
         # a bisection of this triangle needs exponent 1023 (certify refines 4 rounds)
         {**_mesh_file(_TRIANGLE, [((0, 1, 2), 2)]), "vertices": [[[0, 0], [0, 0]], [[1, 1022], [0, 0]], [[0, 0], [1, 1022]]]},
         _mesh_file([(0, 0), (4, 0), (0, 4), (1, 0), (3, 0), (2, -2)], [((0, 1, 2), 2), ((3, 4, 5), 2)]),  # T-junction
+        _mesh_file([(0, 0), (10**400, 0), (0, 1)], [((0, 1, 2), 2)]),  # a coordinate past the float range
+        _mesh_file([(0, 0), (2**510, 0), (0, 1)], [((0, 1, 2), 2)]),  # at the bound 2**coordinate_bits(2)
+        {**_mesh_file(_TRIANGLE, [((0, 1, 2), 2)]), "vertices": [[[0, 0], [0, 0]], [[2**511, 1], [0, 0]], [[0, 0], [1, 0]]]},
     ],
     ids=["vertex-range", "tag", "empty", "gamma-vertex", "face-owners", "hanging", "repeat", "exponent", "keys", "list",
          "id-float", "tag-float", "level-float", "numerator-bool", "exponent-1023", "exponent-huge", "bisect-exponent",
-         "t-junction"],
+         "t-junction", "coordinate-huge", "coordinate-bound", "coordinate-bound-exponent"],
 )
 def test_malformed_mesh_exits_3(tmp_path, capsys, data):
     path = tmp_path / "bad.json"
@@ -385,6 +390,40 @@ def test_malformed_mesh_exits_3(tmp_path, capsys, data):
     assert run(tmp_path, "certify", "--mesh", str(path), "--degree", "1", "--out", "x") == 3
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _mesh_file([(0, 0), (2**510 - 1, 0), (0, 2**510 - 1)], [((0, 1, 2), 2)]),  # just inside the bound
+        # numerators past the float range at the mesh exponent 1022, coordinates small
+        {**_mesh_file(_TRIANGLE, [((0, 1, 2), 2)]), "vertices": [[[0, 0], [0, 0]], [[4, 0], [0, 0]], [[0, 0], [1, 1022]]]},
+    ],
+    ids=["inside-bound", "high-exponent"],
+)
+def test_mesh_inside_coordinate_bound_runs(tmp_path, data):
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(data))
+    mesh = SimplicialMesh.load(path)
+    geometry = LagrangeSpace(mesh, 1).geometry
+    assert all(np.isfinite(table).all() for table in geometry)
+    assert run(tmp_path, "certify", "--mesh", str(path), "--degree", "1", "--rounds", "0", "--out", "c") == 0
+    assert run(tmp_path, "refine", "--mesh", str(path), "--rounds", "0", "--out", "r") == 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: overlapping elements that hold no vertex of each other "
+                                       "still load; no load check proves disjoint interiors")
+def test_overlapping_mesh_exits_3(tmp_path):
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps(_mesh_file([(0, 0), (4, 0), (2, 4), (0, 3), (4, 3), (2, -1)],
+                                          [((0, 1, 2), 2), ((3, 4, 5), 2)])))
+    assert run(tmp_path, "certify", "--dim", "2", "--degree", "1", "--mesh", str(path), "--rounds", "0", "--out", "x") == 3
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the closure-bench growth gate fires on the README example "
+                                       "(growth trend at round 30)")
+def test_readme_closure_bench_exits_0(tmp_path):
+    assert run(tmp_path, *"closure-bench --dim 2 --rounds 40 --policy random-count:4 --out out/bench".split()) == 0
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 import fraction_geometry as fg
+from exact_algebra import evaluate, monomial
 import gradedproj.projection as projection
 from conftest import randomly_refined
 from gradedproj.mesh import (
@@ -25,7 +26,7 @@ from gradedproj.mesh import (
     kuhn_initial_mesh,
     marking_policy,
 )
-from gradedproj.polyspace import BarycentricPoly, LagrangeSpace, reference_element
+from gradedproj.polyspace import LagrangeSpace, reference_element
 from test_acceptance import MESH_SUITE
 
 # -- Bareiss against Gauss-Jordan on Fractions ---------------------------------------
@@ -181,7 +182,7 @@ def test_geometry_table_is_bit_identical(mesh):
 def test_vandermonde_inverse_matches_fraction_inverse(dim, degrees):
     for degree in degrees:
         ref = reference_element(dim, degree)
-        vand = [[BarycentricPoly.monomial(mono).evaluate(node) for mono in ref.monos] for node in ref.node_coords]
+        vand = [[evaluate(monomial(mono), node) for mono in ref.monos] for node in ref.node_coords]
         want = fg.frac_mat_inv(vand)
         assert ref.vandermonde_inv == tuple(tuple(row) for row in want)
 

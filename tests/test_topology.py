@@ -25,13 +25,14 @@ from gradedproj.mesh import (
     level_gap,
     marking_policy,
     max_operator,
-    reference_simplex_mesh,
     vertex_table,
     write_element_report,
 )
 from gradedproj.polyspace import CRSpace, LagrangeSpace, reference_element
 from gradedproj.projection import Operators, _patch_numbers
 from conftest import neighbor_lists, randomly_refined
+from exact_algebra import node_keys
+from oracles import reference_simplex_mesh
 from test_dofmap import _shuffled, node_key
 
 # -- the replaced implementations, kept as oracles --------------------------------
@@ -54,7 +55,7 @@ def node_key_dofs(mesh, degree, zero_trace):
                 on_gamma.add(nid)
     keep = [i for i in range(len(node_ids)) if i not in on_gamma]
     remap = {old: new for new, old in enumerate(keep)}
-    dofs = np.array([remap.get(nid, -1) for nid in table]).reshape(mesh.n_active, ref.n)
+    dofs = np.array([remap.get(nid, -1) for nid in table]).reshape(mesh.n_active, len(ref.monos))
     keys = [key for i, key in enumerate(node_ids) if i not in on_gamma]
     return len(keep), dofs, keys, np.array(flags, dtype=bool)
 
@@ -160,7 +161,7 @@ def list_max_operator(values, gamma, ids, neighbors):
 
 def loop_element_report(mesh, path):
     ids, neighbors = mesh.active_ids(), set_adjacency(mesh, "vertex")
-    levels = mesh.levels()
+    levels = {s: mesh.simplices[s].level for s in mesh.active_ids()}
     with open(path, "w") as fh:
         fh.write("id\tlevel\tvolume\th\tmin_neighbor_level\n")
         for i, sid in enumerate(ids):
@@ -233,7 +234,7 @@ def test_lagrange_dofs_match_node_key_numbering(mesh, degree, zero_trace):
     d1 = mesh.dim + 1
     assert space.n_dofs == n_dofs and type(space.n_dofs) is int
     assert np.array_equal(space.dofs, dofs) and space.dofs.dtype == np.int64
-    assert [tuple((v, k) for v, k in zip(row[:d1], row[d1:]) if k) for row in space._node_keys.tolist()] == keys
+    assert [tuple((v, k) for v, k in zip(row[:d1], row[d1:]) if k) for row in node_keys(space).tolist()] == keys
     assert np.array_equal(space.trace_faces, flags)
     assert not space.trace_faces.flags.writeable and not space.vertices.flags.writeable
 
