@@ -73,11 +73,17 @@ def multi_index_sub(sigma: MultiIndex, j: int) -> MultiIndex:
 
 def mono_mean(sigma: MultiIndex) -> Fraction:
     """Mean value of lambda^sigma over any simplex: sigma! d! / (|sigma|+d)!."""
+    scale = factorial(sum(sigma) + len(sigma) - 1)
+    return Fraction(scaled_mean(sigma, scale), scale)
+
+
+def scaled_mean(sigma: MultiIndex, scale: int) -> int:
+    """scale * mono_mean(sigma), an integer whenever (|sigma| + d)! divides scale."""
     d = len(sigma) - 1
-    num = factorial(d)
+    out = factorial(d) * (scale // factorial(sum(sigma) + d))
     for s in sigma:
-        num *= factorial(s)
-    return Fraction(num, factorial(sum(sigma) + d))
+        out *= factorial(s)
+    return out
 
 
 # -- barycentric polynomials ---------------------------------------------------
@@ -105,14 +111,6 @@ class BarycentricPoly:
 
     def integral(self, volume) -> Fraction:
         return sum((v * mono_mean(k) for k, v in self.coeffs.items()), Fraction(0)) * volume
-
-    def values(self, bary: np.ndarray) -> np.ndarray:
-        """Float values at the rows of bary: the monomial terms, each formed as
-        in monomial_values, summed one after another in coefficient order."""
-        out = np.zeros(len(bary))
-        for term in monomial_values(tuple(self.coeffs), bary, tuple(self.coeffs.values())).T:
-            out += term
-        return out
 
 
 # -- reference element tables ----------------------------------------------------
@@ -181,14 +179,7 @@ def _nodal_form(dim: int, degree_a: int, degree_b: int, moment) -> tuple:
     per entry."""
     pairs = [[moment(m, n) for n in multi_indices(dim, degree_b)] for m in multi_indices(dim, degree_a)]
     scale = factorial(max((sum(s) for row in pairs for c, s in row if c), default=0) + dim)
-
-    def scaled_mean(sigma):  # scale * sigma! d! / (|sigma| + d)!
-        out = factorial(dim) * (scale // factorial(sum(sigma) + dim))
-        for s in sigma:
-            out *= factorial(s)
-        return out
-
-    g = np.array([[c * scaled_mean(s) if c else 0 for c, s in row] for row in pairs], dtype=object)
+    g = np.array([[c * scaled_mean(s, scale) if c else 0 for c, s in row] for row in pairs], dtype=object)
     va, la = _integer_vinv(dim, degree_a)
     vb, lb = _integer_vinv(dim, degree_b)
     return _fraction_rows(va.T @ g @ vb, la * scale * lb)
@@ -204,6 +195,19 @@ def _index_sum(*indices) -> MultiIndex:
 
 def _unit(dim: int, j: int, step: int) -> MultiIndex:
     return tuple(step if i == j else 0 for i in range(dim + 1))
+
+
+@lru_cache(maxsize=None)
+def monomial_moments(keys: tuple[MultiIndex, ...]) -> tuple[np.ndarray, int]:
+    """Integer moments of the monomials keys over any simplex: G[k, l] =
+    scale * mono_mean(keys[k] + keys[l]) as Python ints in a read-only object
+    array, with scale = (max |keys[k] + keys[l]| + d)!, so any mix of degrees
+    gives integers."""
+    scale = factorial(2 * max(map(sum, keys)) + len(keys[0]) - 1) if keys else 1
+    out = np.empty((len(keys), len(keys)), dtype=object)
+    out[...] = [[scaled_mean(_index_sum(k, l), scale) for l in keys] for k in keys]
+    out.setflags(write=False)
+    return out, scale
 
 
 @lru_cache(maxsize=None)

@@ -30,7 +30,15 @@ triplets.
 The one integrand kind is ElementwisePoly, a polynomial per element: rhs,
 project and apply_C integrate it by a rule exact for its degree, and a
 coefficient vector of the space enters through apply_C_coeffs and
-accelerated_iterate instead.  The decay parameter uses the closed-form
+accelerated_iterate instead.  rhs and apply_C share one check that rejects
+an integrand on another mesh or on an element outside the space.  Its
+coefficients form one stacked table, built on first use: a row per support
+element, a column per monomial key (by degree, multi_indices order within
+one), integer numerators over one common denominator and their floats.
+Elementwise integrands are evaluated from it in one pass over the columns
+for all elements at once, each row with the bits of its own polynomial
+evaluated term by term, and normed exactly: norm2 forms |T| c^T G c in
+integers (G the integer monomial moments) and rounds it once per element.  The decay parameter uses the closed-form
 condition bounds (bound_kappa); the spectrum of the local operator S behind
 them is checked by the tests (acceptance criterion 1), not computed here.
 
@@ -48,6 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -60,9 +69,11 @@ from .mesh import ElementDistance, SimplicialMesh, first_appearance, node_table
 from .polyspace import (
     BarycentricPoly,
     CRSpace,
+    MultiIndex,
     basis_values,
     gradient_product_table,
     lambda_nodal_product_table,
+    monomial_moments,
     multi_indices,
     nodal_values_at_nodes,
     quadrature_basis,
@@ -83,11 +94,28 @@ def cr_q_bound(dim: int) -> float:
 # -- elementwise polynomial integrands ----------------------------------------
 
 
+class CoefficientTable(NamedTuple):
+    """The coefficients of an ElementwisePoly stacked by element: row r for
+    the support element support[r] (rows maps element id to row), column k for
+    the monomial keys[k], in degree order and multi_indices order within a
+    degree.  numerators are Python ints over the one common denominator;
+    floats are their quotients, each rounded once as float(Fraction) rounds,
+    with one more row of zeros that stands for every element outside the
+    support."""
+
+    keys: tuple[MultiIndex, ...]
+    rows: dict[int, int]
+    numerators: np.ndarray
+    denominator: int
+    floats: np.ndarray
+
+
 @dataclass
 class ElementwisePoly:
     """A function given as a polynomial per element (zero elsewhere).
 
-    Treated as immutable after construction (degree and support are cached).
+    Treated as immutable after construction (degree, support and the
+    coefficient table are cached).
     """
 
     mesh: SimplicialMesh
@@ -103,18 +131,62 @@ class ElementwisePoly:
             self._degree = max((p.degree() for p in self.polys.values()), default=0)
         return self._degree
 
-    def values(self, sid: int, bary: np.ndarray) -> np.ndarray:
-        poly = self.polys.get(sid)
-        if poly is None:
-            return np.zeros(len(bary))
-        return poly.values(bary)
+    @cached_property
+    def table(self) -> CoefficientTable:
+        """The coefficient table, built on first use."""
+        support = self.support()
+        present = {key for poly in self.polys.values() for key in poly.coeffs}
+        keys = tuple(m for k in range(self.degree() + 1) for m in multi_indices(self.mesh.dim, k) if m in present)
+        col = {key: c for c, key in enumerate(keys)}
+        ratios = [[(col[key], _ratio(v)) for key, v in self.polys[sid].coeffs.items()] for sid in support]
+        den = math.lcm(*(q for row in ratios for _, (_, q) in row))
+        numerators = np.zeros((len(support), len(keys)), dtype=object)
+        for r, row in enumerate(ratios):
+            for c, (p, q) in row:
+                numerators[r, c] = p * (den // q)
+        floats = np.zeros((len(support) + 1, len(keys)))
+        floats[:-1] = numerators / den  # int / int, rounded once
+        return CoefficientTable(keys, {sid: r for r, sid in enumerate(support)}, numerators, den, floats)
+
+    def element_values(self, element_ids: Sequence[int], bary: np.ndarray) -> np.ndarray:
+        """(n_elements, n_points) values of the given elements at the
+        barycentric points bary, zero outside the support.  Each term is formed
+        as polyspace.monomial_values forms it, the coefficient times the
+        factors bary_j ** e in j order, and the terms are added column after
+        column; a column an element lacks adds zeros.  So a row has the bits of
+        its polynomial's terms summed one after another in key order whenever
+        that order is a subsequence of the column order."""
+        table = self.table
+        coeffs = table.floats[[table.rows.get(sid, -1) for sid in element_ids]]
+        out = np.zeros((len(coeffs), len(bary)))
+        for c, key in enumerate(table.keys):
+            term = coeffs[:, c, None]
+            for j, e in enumerate(key):
+                if e:
+                    term = term * bary[..., j] ** e
+            out += term
+        return out
 
     def norm2(self) -> float:
+        """L2 norm: per element |T| c^T G c exactly in integers (c the
+        numerators, G the integer monomial moments), rounded once to a float
+        as float(Fraction) rounds, the floats summed in polys order."""
+        table = self.table
+        moments, scale = monomial_moments(table.keys)
+        quad = (table.numerators @ moments * table.numerators).sum(axis=1)
+        den = table.denominator**2 * scale
         total = 0.0
-        for sid, poly in self.polys.items():
-            sq = poly * poly
-            total += float(sq.integral(self.mesh.volume(sid)))
+        for sid in self.polys:
+            vol = self.mesh.volume(sid)
+            total += vol.numerator * quad[table.rows[sid]] / (vol.denominator * den)
         return math.sqrt(total)
+
+
+def _ratio(value) -> tuple[int, int]:
+    """Numerator and denominator of an exact coefficient (Fraction, int or float)."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
+    return Fraction(value).as_integer_ratio()
 
 
 # -- assembled operators --------------------------------------------------------
@@ -277,17 +349,24 @@ class Operators:
 
     # right-hand sides -------------------------------------------------------------
 
+    def _check_integrand(self, u: ElementwisePoly) -> None:
+        """u must live on the operator mesh, supported on elements of the space."""
+        if u.mesh is not self.mesh:
+            raise ProjectionError("ElementwisePoly must live on the operator mesh")
+        outside = set(u.polys).difference(self.space.element_ids)
+        if outside:
+            raise ProjectionError(f"ElementwisePoly is supported on element {min(outside)}, which is not in the space")
+
     def rhs(self, u: ElementwisePoly) -> np.ndarray:
         """Moment vector <u, b_m>, by a rule exact for the product's degree
         over the support of u."""
-        if u.mesh is not self.mesh:
-            raise ProjectionError("ElementwisePoly must live on the operator mesh")
+        self._check_integrand(u)
         element_ids = u.support()
         pts, wts, basis = self._quad(self.space.degree + u.degree())
-        weighted = basis.T * wts
-        vols = self.space.geometry.volumes[self.space.rows(element_ids)]
+        vols = self.space.geometry.volumes[self.space.rows(element_ids), None, None]
+        # one BLAS call per element, with the bits of a separate (vol * weighted) @ values
+        local = np.matmul(vols * (basis.T * wts), u.element_values(element_ids, pts)[:, :, None])
         dofs = self.space.dof_rows(element_ids)
-        local = np.array([vol * weighted @ u.values(sid, pts) for vol, sid in zip(vols, element_ids)])
         keep = dofs >= 0
         out = np.zeros(self.space.n_dofs)
         np.add.at(out, dofs[keep], local.reshape(dofs.shape)[keep])  # element by element, in order
@@ -311,11 +390,12 @@ class Operators:
         """C u via the weighted patch solves, by a rule exact for the degree."""
         if isinstance(self.space, CRSpace):
             return self._rhs_dinv * self.rhs(u)
+        self._check_integrand(u)
         K = self.space.degree
         deg = K + u.degree()
         pts, wts = simplex_quadrature(self.dim, deg)
         basis_low = quadrature_basis(self.dim, K - 1, deg)
-        vals = np.array([u.values(sid, pts) for sid in self.space.element_ids])[:, :, None]
+        vals = u.element_values(self.space.element_ids, pts)[:, :, None]
         # moments[r, j, a] = <lambda_j psi_a, u> on element row r; the stacked
         # matmul makes one BLAS call per (r, j), with the bits of a separate
         # (vol * (basis_low.T * (wts * lambda_j))) @ vals

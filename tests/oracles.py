@@ -1,8 +1,9 @@
 """Helpers of the mesh, projection and stability layers that only the tests
 use: a one-simplex mesh, saving a mesh file, graph connectivity, the
-unaccelerated iteration with the Chebyshev error factor it is compared
-against, the masked projection norm over two element sets, and the
-volume-decay constants of a weight."""
+per-element evaluation and the Fraction norm of elementwise polynomials that
+the stacked coefficient table replaced, the unaccelerated iteration with the
+Chebyshev error factor it is compared against, the masked projection norm
+over two element sets, and the volume-decay constants of a weight."""
 
 import json
 import math
@@ -13,7 +14,8 @@ import numpy as np
 
 from gradedproj.analytic import StabilityError
 from gradedproj.mesh import UNREACHABLE, ElementDistance, SimplicialMesh, level_gap
-from gradedproj.projection import Operators, _masked_norm
+from gradedproj.polyspace import BarycentricPoly, monomial_values
+from gradedproj.projection import ElementwisePoly, Operators, _masked_norm
 
 # -- meshes ---------------------------------------------------------------------------
 
@@ -37,6 +39,29 @@ def save_mesh(mesh: SimplicialMesh, path) -> None:
 
 def connected(dist: ElementDistance) -> bool:
     return bool(np.all(dist.from_source(dist.ids[0]) != UNREACHABLE)) if dist.n else True
+
+
+# -- elementwise polynomials ---------------------------------------------------------------
+
+
+def barycentric_values(poly: BarycentricPoly, bary: np.ndarray) -> np.ndarray:
+    """Float values of one element's polynomial at the rows of bary: the
+    monomial terms, each formed as in monomial_values, summed one after
+    another in coefficient order."""
+    out = np.zeros(len(bary))
+    for term in monomial_values(tuple(poly.coeffs), bary, tuple(poly.coeffs.values())).T:
+        out += term
+    return out
+
+
+def fraction_norm2(u: ElementwisePoly) -> float:
+    """L2 norm from the exact square of each element's polynomial, each
+    integral rounded once, the floats added one after another in polys order
+    (no compensated sum)."""
+    total = 0.0
+    for sid, poly in u.polys.items():
+        total += float((poly * poly).integral(u.mesh.volume(sid)))
+    return math.sqrt(total)
 
 
 # -- iteration toward the projection ------------------------------------------------------

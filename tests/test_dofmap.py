@@ -1,13 +1,16 @@
 """Differential tests of the topological dof map, the scatter assembly
 kernel, the patch table of the approximating operator and the float
-geometry table of a space against the coordinate-keyed numbering, the
-element-by-element COO loops, the per-member lil_matrix loops and the
-per-element geometry loops they replaced.  The kernel builds the loops'
-triplets with the same float operations, and scipy sums the duplicates of
-both the same way; the patch table adds in the loops' order (np.add.at, and
-one ordered sum in patch order); the geometry readers stack the loops'
-per-element BLAS and LAPACK calls.  So every comparison is exact (array for
-array), not to a tolerance."""
+geometry table of a space, and the stacked coefficient table of an
+elementwise polynomial, against the coordinate-keyed numbering, the
+element-by-element COO loops, the per-member lil_matrix loops, the
+per-element geometry loops and the per-element polynomial evaluation and
+Fraction norm they replaced.  The kernel builds the loops' triplets with the
+same float operations, and scipy sums the duplicates of both the same way;
+the patch table adds in the loops' order (np.add.at, and one ordered sum in
+patch order); the geometry readers stack the loops' per-element BLAS and
+LAPACK calls; the coefficient table forms and adds the terms of each element
+in its key order.  So every comparison is exact (array for array), not to a
+tolerance, except for polynomials whose keys are not in the table's order."""
 
 import math
 from fractions import Fraction
@@ -21,9 +24,11 @@ from exact_algebra import evaluate, nodal_poly, node_coords as exact_node_coords
 from fraction_geometry import coord
 from gradedproj.mesh import SimplicialMesh, kuhn_initial_mesh
 from gradedproj.polyspace import (
+    BarycentricPoly,
     CRSpace,
     LagrangeSpace,
     cr_local_mass,
+    multi_indices,
     quadrature_basis,
     reference_element,
     simplex_quadrature,
@@ -38,6 +43,7 @@ from gradedproj.projection import (
 )
 from gradedproj.stability import _weighted_p_norm
 from conftest import randomly_refined
+from oracles import barycentric_values, fraction_norm2
 from test_local_basis import (
     cr_values_at,
     lagrange_values,
@@ -575,3 +581,88 @@ def test_patch_table_on_trace_dominated_cells(dim, degree):
     assert_same_csr(ops.apply_matrix, apply_m)
     u = _random_poly(space.mesh, space.element_ids, 2, np.random.default_rng(0))
     assert np.array_equal(ops.apply_C(u), loop_apply_C(space, patches, u))
+
+
+# -- elementwise polynomials -----------------------------------------------------------------
+
+
+def _poly(dim, degree, rng, homogeneous=False, shuffle=False):
+    """Random coefficients (a third of them zero, which BarycentricPoly drops)
+    for the keys of degree `degree`, or of every degree up to it, in the
+    coefficient table's order: by degree, multi_indices order within one;
+    or in a random order with shuffle=True."""
+    keys = [m for k in range(degree if homogeneous else 0, degree + 1) for m in multi_indices(dim, k)]
+    if shuffle:
+        keys = [keys[i] for i in rng.permutation(len(keys))]
+    values = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 30))) * int(rng.random() > 1 / 3) for _ in keys]
+    return BarycentricPoly(dim, dict(zip(keys, values)))
+
+
+def _elementwise(mesh, degree, seed, shuffle=False):
+    """Polynomials on every other element, in descending id order: homogeneous
+    or with all degrees up to `degree` (both orders are subsequences of the
+    table's), one with no coefficient left."""
+    rng = np.random.default_rng(seed)
+    support = mesh.active_ids()[::-2]
+    polys = {sid: _poly(mesh.dim, degree, rng, homogeneous=i % 2 == 0, shuffle=shuffle) for i, sid in enumerate(support)}
+    polys[support[1]] = BarycentricPoly(mesh.dim, {m: 0 for m in multi_indices(mesh.dim, degree)})
+    return ElementwisePoly(mesh, polys)
+
+
+def _points(dim, seed):
+    """A quadrature rule's points and points off the simplex (negative and
+    large barycentric coordinates)."""
+    return simplex_quadrature(dim, 9)[0], np.random.default_rng(seed).normal(scale=2.0, size=(7, dim + 1))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_stacked_values_match_per_element_values(meshes, dim, degree):
+    mesh = meshes[dim]
+    ids = mesh.active_ids()
+    u = _elementwise(mesh, degree, seed=10 * dim + degree)
+    for bary in _points(dim, degree):
+        got = u.element_values(ids, bary)
+        assert got.shape == (len(ids), len(bary))
+        for sid, row in zip(ids, got):
+            want = barycentric_values(u.polys[sid], bary) if sid in u.polys else np.zeros(len(bary))
+            assert np.array_equal(row, want)
+        subset = ids[::-3] + ids[:2]  # any order, repeats, rows outside the support
+        assert np.array_equal(u.element_values(subset, bary), got[[ids.index(sid) for sid in subset]])
+        assert np.array_equal(ElementwisePoly(mesh, {}).element_values(ids, bary), np.zeros(got.shape))
+        assert u.element_values([], bary).shape == (0, len(bary))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_stacked_values_of_reordered_keys_agree(meshes, dim):
+    # keys out of the table's order: the same terms added in another order
+    mesh = meshes[dim]
+    ids = mesh.active_ids()
+    u = _elementwise(mesh, 4, seed=dim, shuffle=True)
+    for bary in _points(dim, dim):
+        got = u.element_values(ids, bary)
+        for sid, row in zip(ids, got):
+            poly = u.polys.get(sid, BarycentricPoly(dim))
+            scale = barycentric_values(BarycentricPoly(dim, {k: abs(v) for k, v in poly.coeffs.items()}), np.abs(bary))
+            assert np.all(np.abs(row - barycentric_values(poly, bary)) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_exact_norm2_matches_fraction_norm(meshes, dim, shuffle):
+    mesh = meshes[dim]
+    for degree in range(5):
+        u = _elementwise(mesh, degree, seed=dim + degree, shuffle=shuffle)
+        assert u.norm2() == fraction_norm2(u)
+        for sid, poly in u.polys.items():  # one element: no sum to hide a last bit
+            one = ElementwisePoly(mesh, {sid: poly})
+            assert one.norm2() == fraction_norm2(one)
+    u = _random_poly(mesh, mesh.active_ids(), 3, np.random.default_rng(dim))
+    assert u.norm2() == fraction_norm2(u)
+    # int and Fraction coefficients with unlike denominators
+    polys = {sid: BarycentricPoly(dim, {multi_indices(dim, 1)[0]: 3, multi_indices(dim, 2)[-1]: Fraction(-5, 7 + sid)})
+             for sid in mesh.active_ids()[:3]}
+    u = ElementwisePoly(mesh, polys)
+    assert u.norm2() == fraction_norm2(u)
+    assert ElementwisePoly(mesh, {}).norm2() == 0.0
+

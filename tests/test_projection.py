@@ -626,3 +626,23 @@ def test_cg_mass_path_matches_dense_cholesky(mesh2d, kind, monkeypatch):
     assert np.linalg.norm(got_multi - want_multi) <= 1e-12 * np.linalg.norm(want_multi)
     with pytest.raises(ProjectionError):
         cg.certify()
+
+
+@pytest.mark.parametrize("kind", ["P2", "CR"])
+@pytest.mark.parametrize("case", ["other-mesh", "inactive-element"])
+def test_integrand_off_the_space_raises(mesh2d, kind, case):
+    # rhs and apply_C share one check: the integrand must live on the
+    # operator mesh and on elements of the space (not on a refined parent)
+    ops = Operators(CRSpace(mesh2d) if kind == "CR" else LagrangeSpace(mesh2d, 2))
+    ids = mesh2d.active_ids()
+    rng = np.random.default_rng(16)
+    if case == "other-mesh":
+        u = _random_poly(mesh2d.copy(), ids, 2, rng)
+    else:
+        parent = mesh2d.simplices[ids[-1]].parent
+        assert parent is not None and parent not in ids
+        u = _random_poly(mesh2d, ids[:3] + [parent], 2, rng)
+    for run in (ops.rhs, ops.apply_C, ops.project, lambda u: accelerated_iterate(ops, u, 2)):
+        with pytest.raises(ProjectionError) as err:
+            run(u)
+        assert "\n" not in str(err.value)
