@@ -463,13 +463,12 @@ def cmd_grading(args) -> int:
     out_dir = Path(args.out)
     dist_v = element_distance(mesh, "vertex")
     dist_f = element_distance(mesh, "face")
-    h = mesh.h_values()
     reg = regularized_h_grading(mesh, dist_v, gamma=2.0)
     payload = {
         "elements": mesh.n_active,
         "max_level": mesh.max_level(),
-        "gamma_h_vertex": float(grading_of(h, dist_v)) if mesh.n_active > 1 else 1.0,
-        "gamma_h_face": float(grading_of(h, dist_f)) if mesh.n_active > 1 else 1.0,
+        "gamma_h_vertex": reg.raw_grading,
+        "gamma_h_face": float(grading_of(mesh.h_values(), dist_f)) if mesh.n_active > 1 else 1.0,
         "level_gap_vertex": level_gap(mesh, dist_v),
         "level_gap_face": level_gap(mesh, dist_f),
         "regularized_h": {
@@ -596,6 +595,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         check_minimums(args)
+        effective_tolerances(args)  # a malformed --tolerance fails every command that takes one
         return args.func(args)
     except (GradedProjError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -815,7 +815,8 @@ def closure_benchmark(
     alpha: int = 1,
     seed: int = 0,
 ) -> ClosureReport:
-    """Run BiSecLG(alpha) repeatedly and record the closure ratio per round."""
+    """Run BiSecLG(alpha) repeatedly, plain closure refinement for alpha = 0,
+    and record the closure ratio per round."""
     pick = marking_policy(policy) if isinstance(policy, str) else policy
     rng = np.random.default_rng(seed)
     marked_counts: list[int] = []
@@ -825,7 +826,10 @@ def closure_benchmark(
         marked = pick(mesh, rng)
         marked_counts.append(len(marked))
         if marked:
-            mesh.refine_lg(marked, alpha)
+            if alpha:
+                mesh.refine_lg(marked, alpha)
+            else:
+                mesh.refine_closure(marked)
         sizes.append(mesh.n_active)
     return ClosureReport(rounds, marked_counts, sizes, n0)
 

@@ -17,28 +17,40 @@ number at most d^2/(d+2).  Those condition numbers drive the decay parameter
 used by the accelerated (Chebyshev) iteration and the masked-norm decay
 bounds.
 
-Operators keeps one patch table for C: per vertex, in vertex order, the
-patch members (element row, local vertex), their patch dof ids, the Cholesky
-factor of the patch Gram matrix, the touched global dofs and the nodal
-weights.  One mesh.first_appearance call over (patch, node key) rows numbers
-the patch dofs of all patches, one over (patch, dof) rows the touched dofs.
-Assembly fills each patch system with np.add.at, and apply_C accumulates its
-moments through the same ids.  The global form and apply matrices are summed
-in patch order, so their bits do not depend on how scipy orders duplicate
-triplets.
+C depends on u only through its moments <u, b_m> against the basis of V_K.
+The test functions of the patch problem at vertex i are phi_i psi_a, psi_a
+the nodal basis of the continuous degree-(K-1) patch space: each is
+continuous, of degree K on every element and zero off the patch.  It is zero
+on every trace face too: phi_i is zero on one that does not hold vertex i,
+and psi_a on one that does, since all low nodes of that face are banned from
+the patch space.  So phi_i psi_a = sum_m W[m, a] b_m lies in V_K, with W its
+nodal values at the nodes of V_K, the patch right-hand side is W^T <u, b>,
+and
+
+    C u = P <u, b>,   P = sum_i W_i G_i^-1 W_i^T,
+
+G_i the patch Gram matrix.  For the Crouzeix-Raviart space C u =
+sum_F <u, psi_F> psi_F / ||psi_F||^2, so P = D^-1 with D the diagonal of
+the mass matrix.  Operators builds P once, in the pass over the vertex
+patches (_vertex_patches) that builds the form matrix R^T G^-1 R and the
+apply matrix W G^-1 R (one Cholesky solve of G against [R | W^T] per patch);
+apply_C is P times rhs.  The three are summed in patch order by one ordered
+sum, so their bits do not depend on how scipy orders duplicate triplets, and
+the form and apply matrices are not formed as M P M and P M, which round
+differently.
 
 The one integrand kind is ElementwisePoly, a polynomial per element: rhs,
-project and apply_C integrate it by a rule exact for its degree, and a
-coefficient vector of the space enters through apply_C_coeffs and
-accelerated_iterate instead.  rhs and apply_C share one check that rejects
-an integrand on another mesh or on an element outside the space.  Its
-coefficients form one stacked table, built on first use: a row per support
-element, a column per monomial key (by degree, multi_indices order within
-one), integer numerators over one common denominator and their floats.
-Elementwise integrands are evaluated from it in one pass over the columns
-for all elements at once, each row with the bits of its own polynomial
-evaluated term by term, and normed exactly: norm2 forms |T| c^T G c in
-integers (G the integer monomial moments) and rounds it once per element.  The decay parameter uses the closed-form
+and through it project and apply_C, integrates it by a rule exact for its
+degree, and a coefficient vector of the space enters through apply_C_coeffs
+and accelerated_iterate instead.  rhs rejects an integrand on another mesh
+or on an element outside the space.  Its coefficients form one stacked
+table, built on first use: a row per support element, a column per monomial
+key (by degree, multi_indices order within one), integer numerators over one
+common denominator and their floats.  Elementwise integrands are evaluated
+from it in one pass over the columns for all elements at once, each row with
+the bits of its own polynomial evaluated term by term, and normed exactly:
+norm2 forms |T| c^T G c in integers (G the integer monomial moments) and
+rounds it once per element.  The decay parameter uses the closed-form
 condition bounds (bound_kappa); the spectrum of the local operator S behind
 them is checked by the tests (acceptance criterion 1), not computed here.
 
@@ -245,8 +257,7 @@ class Operators:
         dinv = sp.diags(1.0 / diag)
         self.apply_matrix = (dinv @ m).tocsr()
         self.form_matrix = (m @ dinv @ m).tocsr()
-        self._patches = None
-        self._rhs_dinv = 1.0 / diag
+        self.patch_matrix = dinv.tocsr()
 
     def _assemble_patches(self):
         space = self.space
@@ -257,35 +268,11 @@ class Operators:
         low_at_hi = np.array(nodal_values_at_nodes(d, K - 1, K), dtype=float)
         # nodal[j, m, a]: value of lambda_j psi_a at high node m
         nodal = np.array(space.ref.node_coords, dtype=float).T[:, :, None] * low_at_hi
-
-        # patch-dof key numbers per element row, and the low nodes that a
-        # trace face of the element bans in the patch of each of its vertices
-        # j (face jf != j bans the nodes on it, alpha[jf] == 0)
-        alphas = np.array(multi_indices(d, K - 1))
-        keys = first_appearance(node_table(space.vertices, alphas))[0].reshape(len(space.vertices), -1)
-        banned = (space.trace_faces[:, None, :] & ~np.eye(d + 1, dtype=bool)) @ (alphas == 0).T
-
-        # patches in vertex order; members (element row, local j) in row order
-        flat = space.vertices.ravel()
-        order = np.argsort(flat, kind="stable")
-        rows, js = np.divmod(order, d + 1)
-        patch, starts = first_appearance(flat[order, None])
-        bounds = np.r_[starts, len(order)]
-        # a banned node is banned for the whole patch: continuity pins its
-        # nodal value everywhere
-        pids, n_pids, _ = _patch_numbers(patch, keys[rows], banned[rows, js])
-        cpos, n_cols, cols = _patch_numbers(patch, space.dofs[rows], space.dofs[rows] < 0)
-        col_bounds = np.r_[0, np.cumsum(n_cols)]
-        self._patches = []
-        # global (row, col, form, apply) triplets, patch by patch; the empty
-        # first entry serves a space without patches (no dofs)
-        triplets = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),) * 2]
-        for p, m_patch in enumerate(n_pids.tolist()):
-            if m_patch == 0:
-                continue
-            prows, pjs, ppids, pcpos = (a[bounds[p] : bounds[p + 1]] for a in (rows, js, pids, cpos))
-            gcols = cols[col_bounds[p] : col_bounds[p + 1]]
-            n_g = len(gcols)
+        # global (row, col, [form, apply, patch]) triplets, patch by patch; the
+        # empty first entry serves a space without patches (no dofs)
+        triplets = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty((0, 3)),)]
+        for vertex, prows, pjs, ppids, gcols, pcpos in _vertex_patches(space):
+            m_patch, n_g = int(ppids.max()) + 1, len(gcols)  # patch dofs are numbered 0, 1, ...
             # index -1 (banned patch dof, removed trace dof) lands in a scratch
             # row or column past the end; np.add.at adds in (member, a, b)
             # order, and every member writes the same nodal value of a pair
@@ -300,13 +287,13 @@ class Operators:
             try:
                 gchol = scipy.linalg.cho_factor(gmat)
             except scipy.linalg.LinAlgError as exc:
-                raise ProjectionError(f"singular patch system at vertex {flat[order[starts[p]]]}") from exc
-            ginv_r = scipy.linalg.cho_solve(gchol, rmat)
-            triplets.append((np.repeat(gcols, n_g), np.tile(gcols, n_g), rmat.T @ ginv_r, wmat @ ginv_r))
-            self._patches.append(_Patch(prows, pjs, ppids, gchol, gcols, wmat))
-        rows, cols, form, apply_m = (np.concatenate([np.ravel(t[i]) for t in triplets]) for i in range(4))
-        self.form_matrix = _csr_in_order(rows, cols, form, space.n_dofs)
-        self.apply_matrix = _csr_in_order(rows, cols, apply_m, space.n_dofs)
+                raise ProjectionError(f"singular patch system at vertex {vertex}") from exc
+            ginv = scipy.linalg.cho_solve(gchol, np.hstack([rmat, wmat.T]))  # G^-1 [R | W^T]
+            ginv_r, ginv_w = ginv[:, :n_g], ginv[:, n_g:]
+            blocks = np.stack([rmat.T @ ginv_r, wmat @ ginv_r, wmat @ ginv_w], axis=-1)
+            triplets.append((np.repeat(gcols, n_g), np.tile(gcols, n_g), blocks.reshape(-1, 3)))
+        rows, cols, vals = (np.concatenate([t[i] for t in triplets]) for i in range(3))
+        self.form_matrix, self.apply_matrix, self.patch_matrix = _csr_in_order(rows, cols, vals, space.n_dofs)
 
     # solves --------------------------------------------------------------------
 
@@ -349,18 +336,15 @@ class Operators:
 
     # right-hand sides -------------------------------------------------------------
 
-    def _check_integrand(self, u: ElementwisePoly) -> None:
-        """u must live on the operator mesh, supported on elements of the space."""
+    def rhs(self, u: ElementwisePoly) -> np.ndarray:
+        """Moment vector <u, b_m>, by a rule exact for the product's degree
+        over the support of u, which must live on the operator mesh,
+        supported on elements of the space."""
         if u.mesh is not self.mesh:
             raise ProjectionError("ElementwisePoly must live on the operator mesh")
         outside = set(u.polys).difference(self.space.element_ids)
         if outside:
             raise ProjectionError(f"ElementwisePoly is supported on element {min(outside)}, which is not in the space")
-
-    def rhs(self, u: ElementwisePoly) -> np.ndarray:
-        """Moment vector <u, b_m>, by a rule exact for the product's degree
-        over the support of u."""
-        self._check_integrand(u)
         element_ids = u.support()
         pts, wts, basis = self._quad(self.space.degree + u.degree())
         vols = self.space.geometry.volumes[self.space.rows(element_ids), None, None]
@@ -387,29 +371,8 @@ class Operators:
         return self.apply_matrix @ coeffs
 
     def apply_C(self, u: ElementwisePoly) -> np.ndarray:
-        """C u via the weighted patch solves, by a rule exact for the degree."""
-        if isinstance(self.space, CRSpace):
-            return self._rhs_dinv * self.rhs(u)
-        self._check_integrand(u)
-        K = self.space.degree
-        deg = K + u.degree()
-        pts, wts = simplex_quadrature(self.dim, deg)
-        basis_low = quadrature_basis(self.dim, K - 1, deg)
-        vals = u.element_values(self.space.element_ids, pts)[:, :, None]
-        # moments[r, j, a] = <lambda_j psi_a, u> on element row r; the stacked
-        # matmul makes one BLAS call per (r, j), with the bits of a separate
-        # (vol * (basis_low.T * (wts * lambda_j))) @ vals
-        vols = self.space.geometry.volumes[:, None, None]
-        moments = np.stack(
-            [np.matmul(vols * (basis_low.T * (wts * lam)), vals)[:, :, 0] for lam in pts.T],
-            axis=1,
-        )
-        out = np.zeros(self.space.n_dofs)
-        for patch in self._patches:
-            r = np.zeros(patch.wmat.shape[1] + 1)  # r[-1]: scratch slot for banned patch dofs
-            np.add.at(r, patch.pids, moments[patch.rows, patch.js])
-            out[patch.gcols] += patch.wmat @ scipy.linalg.cho_solve(patch.chol, r[:-1])
-        return out
+        """C u = P <u, basis>, by a rule exact for the degree."""
+        return self.patch_matrix @ self.rhs(u)
 
     # spectra ---------------------------------------------------------------------------
 
@@ -471,18 +434,31 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-class _Patch(NamedTuple):
-    """One vertex patch of the approximating operator: members (element row
-    rows[k] of space.dofs, local vertex js[k]), their patch dof ids pids[k, a]
-    (-1 where banned by the trace), the Cholesky factor of the patch Gram
-    matrix, the touched global dofs gcols and the nodal weights wmat."""
-
-    rows: np.ndarray
-    js: np.ndarray
-    pids: np.ndarray
-    chol: tuple
-    gcols: np.ndarray
-    wmat: np.ndarray
+def _vertex_patches(space):
+    """Per vertex patch of a Lagrange space that carries a patch dof, in
+    vertex order: the vertex; the members (element row rows[k] of space.dofs,
+    local vertex js[k]) in row order; their patch dof numbers pids[k, a], -1
+    where the trace bans them; the global dofs gcols they touch, in order of
+    first appearance; and the place cpos[k, b] in gcols of each member dof, -1
+    for a removed trace dof.  A trace face jf != j of a member bans the low
+    nodes on it (alpha[jf] == 0) in the patch of its vertex j, and for the
+    whole patch: continuity pins their nodal values everywhere."""
+    d = space.mesh.dim
+    alphas = np.array(multi_indices(d, space.degree - 1))
+    keys = first_appearance(node_table(space.vertices, alphas))[0].reshape(len(space.vertices), -1)
+    banned = (space.trace_faces[:, None, :] & ~np.eye(d + 1, dtype=bool)) @ (alphas == 0).T
+    flat = space.vertices.ravel()
+    order = np.argsort(flat, kind="stable")
+    rows, js = np.divmod(order, d + 1)
+    patch, starts = first_appearance(flat[order, None])
+    bounds = np.r_[starts, len(order)]
+    pids, n_pids, _ = _patch_numbers(patch, keys[rows], banned[rows, js])
+    cpos, n_cols, cols = _patch_numbers(patch, space.dofs[rows], space.dofs[rows] < 0)
+    col_bounds = np.r_[0, np.cumsum(n_cols)]
+    for p in np.flatnonzero(n_pids).tolist():
+        members = slice(bounds[p], bounds[p + 1])
+        gcols = cols[col_bounds[p] : col_bounds[p + 1]]
+        yield flat[order[starts[p]]], rows[members], js[members], pids[members], gcols, cpos[members]
 
 
 def _patch_numbers(patch: np.ndarray, ids: np.ndarray, banned: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -497,23 +473,27 @@ def _patch_numbers(patch: np.ndarray, ids: np.ndarray, banned: np.ndarray) -> tu
     return local.reshape(ids.shape), counts, ids.ravel()[first]
 
 
-def _csr_in_order(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_matrix:
-    """n x n CSR matrix with duplicate (row, col) triplets summed in the order
-    given, with np.add.at into the distinct pattern; exact zeros are dropped.
+def _csr_in_order(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> list[sp.csr_matrix]:
+    """n x n CSR matrices, one per column of vals, each with its duplicate
+    (row, col) triplets summed in the order given, with np.add.at into the
+    one distinct pattern; exact zeros are dropped.
 
-    The patch operator sums its blocks in patch order, as its former
-    row-list sparse assembly did.  scatter_matrix cannot give that: scipy's
-    COO->CSR conversion sums duplicates in an order of its own choosing, which
-    gives the form matrix other last bits."""
+    The patch operator sums its blocks in patch order.  scatter_matrix cannot
+    give that: scipy's COO->CSR conversion sums duplicates in an order of its
+    own choosing, which gives the form matrix other last bits."""
     order = np.argsort(rows * n + cols)  # equal keys share one place, in any order
     ranked = (rows * n + cols)[order]
     new = np.diff(ranked, prepend=-1) != 0
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(new) - 1  # each triplet's place in the pattern
-    data = np.zeros(int(new.sum()))
-    np.add.at(data, inverse, vals)
-    out = sp.csr_matrix((data, np.divmod(ranked[new], n)), shape=(n, n))
-    out.eliminate_zeros()
+    keys = ranked[new]
+    out = []
+    for column in vals.T:
+        data = np.zeros(len(keys))
+        np.add.at(data, inverse, column)
+        matrix = sp.csr_matrix((data, np.divmod(keys, n)), shape=(n, n))
+        matrix.eliminate_zeros()
+        out.append(matrix)
     return out
 
 

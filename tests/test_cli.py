@@ -291,6 +291,24 @@ def test_closure_bench_command(tmp_path):
     assert "round\tmarked\telements\tratio" in text
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_closure_bench_alpha_0_runs_plain_closure(tmp_path, dim):
+    # --alpha 0 means plain closure, as on every other command
+    code = run(tmp_path, "closure-bench", "--dim", str(dim), "--rounds", "12", "--alpha", "0", "--policy",
+               "random-count:4", "--seed", "1", "--out", "cb")
+    assert code == 0
+    lines = (tmp_path / "cb" / "closure_bench.tsv").read_text().splitlines()
+    rows = [line.split("\t") for line in lines[lines.index("round\tmarked\telements\tratio") + 1 :]]
+    mesh, pick, rng = kuhn_initial_mesh(dim, 1), marking_policy("random-count:4"), np.random.default_rng(1)
+    want = []
+    for _ in range(12):
+        marked = pick(mesh, rng)
+        mesh.refine_closure(marked)
+        want.append([len(marked), mesh.n_active])
+    assert [[int(r[1]), int(r[2])] for r in rows[:-1]] == want
+    assert rows[-1][:3] == ["total", str(sum(m for m, _ in want)), str(mesh.n_active)]
+
+
 def test_grading_command(tmp_path):
     code = run(tmp_path, "grading", "--dim", "3", "--rounds", "2", "--alpha", "1",
                "--policy", "random:0.3", "--out", "g")
@@ -458,6 +476,9 @@ def test_readme_closure_bench_exits_0(tmp_path):
         ["refine", "--seed", "-1"],
         ["decay", "--seed", "-3"],
         ["stability", "--gamma-rho", "inf"],
+        ["refine", "--tolerance", "bogus=1"],
+        ["grading", "--tolerance", "kappa_slack=abc"],
+        ["stability", "--tolerance", "bogus=2"],
     ],
     ids=lambda argv: " ".join(argv[1:]),
 )

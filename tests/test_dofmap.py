@@ -10,7 +10,10 @@ the patch table adds in the loops' order (np.add.at, and one ordered sum in
 patch order); the geometry readers stack the loops' per-element BLAS and
 LAPACK calls; the coefficient table forms and adds the terms of each element
 in its key order.  So every comparison is exact (array for array), not to a
-tolerance, except for polynomials whose keys are not in the table's order."""
+tolerance, except for polynomials whose keys are not in the table's order,
+and for apply_C = P rhs against the patch moments integrated member by
+member, which round differently; apply_C is pinned bit for bit to the patch
+matrix P the loops build."""
 
 import math
 from fractions import Fraction
@@ -38,6 +41,7 @@ from gradedproj.projection import (
     Operators,
     TwoMeshLink,
     _random_poly,
+    _vertex_patches,
     weighted_mass,
     weighted_stiffness,
 )
@@ -262,7 +266,8 @@ def loop_rhs(ops, element_ids, contrib):
 
 def loop_patch_operator(space):
     """The patch assembly with per-member loops and lil_matrix sums: returns
-    (form, apply, patches) with patches as (rows, chol, gcols, wmat, m_patch)."""
+    (form, apply, patch, patches), the patch matrix P = sum W G^-1 W^T, and
+    patches as (rows, chol, gcols, wmat, m_patch)."""
     mesh, K, d = space.mesh, space.degree, space.mesh.dim
     low = reference_element(d, K - 1)
     t_gram = product_lambda_table(d, K - 1, K - 1)
@@ -281,6 +286,7 @@ def loop_patch_operator(space):
     n = space.n_dofs
     form = sp.lil_matrix((n, n))
     apply_m = sp.lil_matrix((n, n))
+    patch_m = sp.lil_matrix((n, n))
     patches = []
     for vertex in sorted(members):
         patch = members[vertex]
@@ -348,8 +354,9 @@ def loop_patch_operator(space):
         cols = np.array(gcols)
         form[np.ix_(cols, cols)] += rmat.T @ ginv_r
         apply_m[np.ix_(cols, cols)] += wmat @ ginv_r
+        patch_m[np.ix_(cols, cols)] += wmat @ scipy.linalg.cho_solve(gchol, wmat.T)
         patches.append((rows, gchol, cols, wmat, m_patch))
-    return form.tocsr(), apply_m.tocsr(), patches
+    return form.tocsr(), apply_m.tocsr(), patch_m.tocsr(), patches
 
 
 def loop_apply_C(space, patches, u):
@@ -372,6 +379,15 @@ def loop_apply_C(space, patches, u):
                     r[pa] += r_loc[a]
         out[gcols] += wmat @ scipy.linalg.cho_solve(chol, r)
     return out
+
+
+def assert_apply_C_matches(ops, patch_m, patches, u):
+    """apply_C is the patch matrix times the moments, bit for bit, and agrees
+    with the patch moments integrated member by member to rounding."""
+    got = ops.apply_C(u)
+    assert np.array_equal(got, patch_m @ ops.rhs(u))
+    want = loop_apply_C(ops.space, patches, u)
+    assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(initial=1.0)
 
 
 def assert_same_csr(got, want):
@@ -562,11 +578,12 @@ def test_patch_table_matches_member_loops(meshes, dim, degree, zero_trace, shuff
     mesh = _shuffled(meshes[dim], seed=dim) if shuffle else meshes[dim]
     space = LagrangeSpace(mesh, degree, zero_trace=zero_trace)
     ops = Operators(space)
-    form, apply_m, patches = loop_patch_operator(space)
+    form, apply_m, patch_m, patches = loop_patch_operator(space)
     assert_same_csr(ops.form_matrix, form)
     assert_same_csr(ops.apply_matrix, apply_m)
+    assert_same_csr(ops.patch_matrix, patch_m)
     u = _random_poly(mesh, mesh.active_ids()[::2], degree + 1, np.random.default_rng(degree))
-    assert np.array_equal(ops.apply_C(u), loop_apply_C(space, patches, u))
+    assert_apply_C_matches(ops, patch_m, patches, u)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -575,12 +592,25 @@ def test_patch_table_on_trace_dominated_cells(dim, degree):
     # one Kuhn cube with zero trace: P1 has no dof and no patch, P2 one dof
     space = LagrangeSpace(kuhn_initial_mesh(dim, 1), degree, zero_trace=True)
     ops = Operators(space)
-    form, apply_m, patches = loop_patch_operator(space)
-    assert space.n_dofs == degree - 1 and len(ops._patches) == len(patches)
+    form, apply_m, patch_m, patches = loop_patch_operator(space)
+    assert space.n_dofs == degree - 1 and len(list(_vertex_patches(space))) == len(patches)
     assert_same_csr(ops.form_matrix, form)
     assert_same_csr(ops.apply_matrix, apply_m)
+    assert_same_csr(ops.patch_matrix, patch_m)
     u = _random_poly(space.mesh, space.element_ids, 2, np.random.default_rng(0))
-    assert np.array_equal(ops.apply_C(u), loop_apply_C(space, patches, u))
+    assert_apply_C_matches(ops, patch_m, patches, u)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ["P1", "P2", "P3", "P1z", "P2z", "CR"])
+def test_patch_matrix_is_symmetric_and_factors_the_operator(meshes, dim, kind):
+    # P = sum W G^-1 W^T (D^-1 for CR): symmetric, P M = apply and M P M = form
+    ops = Operators(_space(meshes[dim], kind))
+    p, m = ops.patch_matrix.toarray(), ops.mass.toarray()
+    apply_m, form = ops.apply_matrix.toarray(), ops.form_matrix.toarray()
+    assert np.abs(p - p.T).max() <= 1e-13 * np.abs(p).max()
+    assert np.abs(p @ m - apply_m).max() <= 1e-13 * np.abs(apply_m).max()
+    assert np.abs(m @ p @ m - form).max() <= 1e-13 * np.abs(form).max()
 
 
 # -- elementwise polynomials -----------------------------------------------------------------

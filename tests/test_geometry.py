@@ -253,7 +253,8 @@ def test_bisection_stops_at_the_exponent_bound():
 
 
 def _csr_by_unique(rows, cols, vals, n):
-    """The former pattern builder: np.unique with the inverse."""
+    """The former pattern builder, for one column of values: np.unique with
+    the inverse."""
     keys, inverse = np.unique(rows * n + cols, return_inverse=True)
     data = np.zeros(len(keys))
     np.add.at(data, inverse, vals)
@@ -263,19 +264,21 @@ def _csr_by_unique(rows, cols, vals, n):
 
 
 def test_patch_pattern_matches_unique_oracle(monkeypatch):
-    # the form and apply matrices of every criterion-3 mesh, bit for bit
+    # the form, apply and patch matrices of every criterion-3 mesh, each
+    # column of the one call against its own unique-based build, bit for bit
     built = []
     sort_based = projection._csr_in_order
 
     def both(rows, cols, vals, n):
-        got, want = sort_based(rows, cols, vals, n), _csr_by_unique(rows, cols, vals, n)
-        built.append((got, want))
+        got = sort_based(rows, cols, vals, n)
+        assert vals.shape[1] == len(got) == 3
+        built.extend(zip(got, (_csr_by_unique(rows, cols, column, n) for column in vals.T)))
         return got
 
     monkeypatch.setattr(projection, "_csr_in_order", both)
     for dim, degree, alpha, rounds, fraction, seed in MESH_SUITE:
         projection.Operators(LagrangeSpace(randomly_refined(dim, rounds, alpha=alpha, seed=seed, fraction=fraction), degree))
-    assert len(built) == 2 * len(MESH_SUITE)
+    assert len(built) == 3 * len(MESH_SUITE)
     for got, want in built:
         for part in ("indptr", "indices", "data"):
             _assert_same_bits(getattr(got, part), getattr(want, part))

@@ -29,7 +29,7 @@ from gradedproj.mesh import (
     write_element_report,
 )
 from gradedproj.polyspace import CRSpace, LagrangeSpace, reference_element
-from gradedproj.projection import Operators, _patch_numbers
+from gradedproj.projection import _patch_numbers, _vertex_patches
 from conftest import neighbor_lists, randomly_refined
 from exact_algebra import node_keys
 from oracles import reference_simplex_mesh
@@ -279,18 +279,18 @@ def test_first_appearance_matches_unique_numbering(seed, width):
 @pytest.mark.parametrize("name", ["2-lg", "2-shuffled", "3-lg", "4-single"])
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_patch_numbers_match_unique_numbering(name, degree):
-    # the patch numbers of the approximating operator against per-patch
-    # np.unique numbering of the node_key ids with the banned keys removed
+    # the patch numbers the assembly of the approximating operator reads
+    # against per-patch np.unique numbering of the node_key ids with the
+    # banned keys removed
     mesh = MESHES[name]()
     space = LagrangeSpace(mesh, degree, zero_trace=True)
-    ops = Operators(space)
     flags = node_key_dofs(mesh, degree, True)[3]
     low = reference_element(mesh.dim, degree - 1).monos
     key_ids = {}
     keys = np.array([[key_ids.setdefault(node_key(vs, a), len(key_ids)) for a in low] for vs in space.vertices.tolist()])
     banned = np.array([[any(a[jf] == 0 for jf in np.flatnonzero(flags[r]) if jf != j) for a in low]
                        for r in range(len(keys)) for j in range(mesh.dim + 1)]).reshape(len(keys), mesh.dim + 1, -1)
-    patches = iter(ops._patches)
+    patches = _vertex_patches(space)
     flat = space.vertices.ravel()
     for vertex in np.unique(flat):
         rows, js = np.divmod(np.flatnonzero(flat == vertex), mesh.dim + 1)
@@ -299,9 +299,10 @@ def test_patch_numbers_match_unique_numbering(name, degree):
         if pids.max() < 0:
             continue
         cpos, gcols = unique_first_appearance(space.dofs[rows])
-        patch = next(patches)
-        assert np.array_equal(patch.rows, rows) and np.array_equal(patch.js, js)
-        assert np.array_equal(patch.pids, pids) and np.array_equal(patch.gcols, gcols)
+        got_vertex, got_rows, got_js, got_pids, got_gcols, got_cpos = next(patches)
+        assert got_vertex == vertex and np.array_equal(got_rows, rows) and np.array_equal(got_js, js)
+        assert np.array_equal(got_pids, pids) and np.array_equal(got_gcols, gcols)
+        assert np.array_equal(got_cpos, cpos)
     assert next(patches, None) is None
 
 
