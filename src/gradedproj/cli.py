@@ -356,7 +356,9 @@ def cmd_stability(args) -> int:
         rng = np.random.default_rng(args.seed)
         seed_elem = dist.ids[int(rng.integers(dist.n))]
         base = {s: 1.0 if s == seed_elem else 1e-9 for s in dist.ids}
-        weight = Weight(max_operator(base, args.gamma_rho, dist), dist)
+        # the 1-graded majorant of the base is its maximum, 1.0, everywhere
+        graded = max_operator(base, args.gamma_rho, dist) if args.gamma_rho > 1 else dict.fromkeys(dist.ids, 1.0)
+        weight = Weight(graded, dist)
         result = measure_weighted_stability(ops, weight, p=p, kind=args.kind, seed=args.seed)
         payload["measurement"] = {
             "measured": result.measured,

@@ -242,6 +242,7 @@ class Operators:
         self.dim = space.mesh.dim
         self.mass = space.mass_matrix().tocsc()
         self._solver = None
+        self._source_blocks: dict[tuple[int, ...], np.ndarray | None] = {}
         if isinstance(space, CRSpace):
             self._assemble_cr()
         else:
@@ -320,19 +321,55 @@ class Operators:
 
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
         self._ensure_solver()
-        x = self._solver(rhs)
-        res = np.linalg.norm(self.mass @ x - rhs)
-        scale = np.linalg.norm(rhs)
-        if scale > 0 and res > 1e-12 * scale * max(1.0, self.space.n_dofs):
-            raise ProjectionError(f"mass solve residual {res/scale:.3e} too large")
-        return x
+        return self._checked(self._solver(rhs), rhs)
 
     def solve_mass_multi(self, rhs: np.ndarray) -> np.ndarray:
-        """Column-batched mass solve (the dense factorization takes the block whole)."""
+        """Column-batched mass solve (the dense factorization takes the block
+        whole), each column held to the residual bound of solve_mass."""
         self._ensure_solver()
         if self.space.n_dofs <= DENSE_SOLVE_LIMIT:
-            return self._solver(rhs)
+            return self._checked(self._solver(rhs), rhs)
         return np.column_stack([self.solve_mass(rhs[:, j]) for j in range(rhs.shape[1])])
+
+    def _checked(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """x, once every column has a residual ||M x - b|| of at most
+        1e-12 ||b|| max(1, n) (a zero column b passes)."""
+        res = np.linalg.norm(self.mass @ x - rhs, axis=0)
+        scale = np.linalg.norm(rhs, axis=0)
+        rel = np.divide(res, scale, out=np.zeros_like(res), where=scale > 0)
+        if not np.all(rel <= 1e-12 * max(1.0, self.space.n_dofs)):  # NaN fails too
+            raise ProjectionError(f"mass solve residual {np.max(rel):.3e} too large")
+        return x
+
+    def source_block(self, right: Sequence[int]) -> np.ndarray | None:
+        """Y = M^-1 [M_R^1/2] for the element set R = right: M_R the mass
+        over R restricted to the dofs of R, M_R^1/2 its square root from the
+        eigenpairs above 1e-14 of the largest, zero outside those dofs.
+        None when R carries no dof or M_R vanishes.  Y depends only on the
+        operators and the set, so it is built once per set, from its sorted
+        ids, and kept in a dict under them: the decay shells around one
+        source share it, read-only."""
+        key = tuple(sorted(right))
+        if key not in self._source_blocks:
+            self._source_blocks[key] = self._build_source_block(list(key))
+        return self._source_blocks[key]
+
+    def _build_source_block(self, right: list[int]) -> np.ndarray | None:
+        m_right = self.space.element_mass(right)
+        sub = sorted({g for sid in right for g in self.space.cell_dofs(sid) if g >= 0})
+        if not sub:
+            return None
+        block = m_right[np.ix_(sub, sub)].toarray()
+        w, u = np.linalg.eigh(_sym(block))
+        keep = w > max(w.max(), 0.0) * 1e-14
+        if not np.any(keep):
+            return None
+        half = u[:, keep] * np.sqrt(w[keep])
+        cols = np.zeros((self.space.n_dofs, half.shape[1]))
+        cols[sub, :] = half
+        y = self.solve_mass_multi(cols)
+        y.setflags(write=False)  # shared by every caller
+        return y
 
     # right-hand sides -------------------------------------------------------------
 
@@ -605,21 +642,10 @@ class DecayMeasurement:
 def _masked_norm(ops: Operators, m_left: sp.csr_matrix, right: Sequence[int]) -> float:
     """Exact operator norm of u |-> 1_L Q (1_{L'} u) on L2, for the mass m_left
     over L, via the low-rank symmetric eigenproblem over the dofs supported
-    near L'."""
-    m_right = ops.space.element_mass(right)
-    sub = sorted({g for sid in right for g in ops.space.cell_dofs(sid) if g >= 0})
-    if not sub:
+    near L' (the source block of ops.source_block)."""
+    y = ops.source_block(right)
+    if y is None:
         return 0.0
-    block = m_right[np.ix_(sub, sub)].toarray()
-    w, u = np.linalg.eigh(_sym(block))
-    keep = w > max(w.max(), 0.0) * 1e-14
-    if not np.any(keep):
-        return 0.0
-    half = u[:, keep] * np.sqrt(w[keep])
-    n = ops.space.n_dofs
-    cols = np.zeros((n, half.shape[1]))
-    cols[sub, :] = half
-    y = ops.solve_mass_multi(cols)
     small = _sym(y.T @ (m_left @ y))
     ev = np.linalg.eigvalsh(small)
     return math.sqrt(max(float(ev[-1]), 0.0))

@@ -9,11 +9,14 @@ from here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .analytic import (  # noqa: F401  (re-exported)
+    ProjectionError,
     StabilityError,
     StabilityVerdict,
     cr_dimension_thresholds,
@@ -106,6 +109,37 @@ def _fine_weights(weight: Weight, link: TwoMeshLink) -> dict[int, float]:
     return {sid: vals[link.ancestors[sid]] for sid in link.fine.element_ids}
 
 
+def _unit_scaled(weight: Weight) -> Weight:
+    """The weight times the power of two that puts its maximum in [0.5, 1).
+
+    The ratio sup ||rho Q u|| / ||rho u|| does not change under rho -> c rho;
+    the scaled weight keeps the squares the exact path forms in float range,
+    and a weight already in range is returned as it is.  Raises
+    StabilityError when the smallest scaled square is subnormal (or zero).
+    """
+    vals = weight.as_floats()
+    shift = -math.frexp(max(vals.values()))[1]
+    if math.ldexp(min(vals.values()), shift) ** 2 < sys.float_info.min:
+        raise StabilityError(f"weight range {max(vals.values()) / min(vals.values()):.3e} too wide: its squares leave the normal float range")
+    if shift == 0:
+        return weight
+    return Weight({sid: math.ldexp(v, shift) for sid, v in vals.items()}, weight.dist, _gamma=weight.gamma)
+
+
+def fine_link(space, kind: str, fine_sweeps: int = 1) -> TwoMeshLink:
+    """The coupling of the space with the one the weighted ratio sups over:
+    the same kind of space on fine_sweeps uniform refinements of its mesh,
+    Lagrange P1 for a Crouzeix-Raviart gradient ratio (the broken gradient of
+    the projection against conforming trial functions)."""
+    fine_mesh = space.mesh.copy()
+    fine_mesh.refine_uniform(fine_sweeps)
+    if isinstance(space, CRSpace):
+        fine_space = LagrangeSpace(fine_mesh, 1) if kind == "W1p" else CRSpace(fine_mesh)
+    else:
+        fine_space = LagrangeSpace(fine_mesh, space.degree, getattr(space, "zero_trace", False))
+    return TwoMeshLink(space, fine_space)
+
+
 def measure_weighted_stability(
     ops: Operators,
     weight: Weight,
@@ -122,27 +156,20 @@ def measure_weighted_stability(
     compared against the analytic constant 6 gamma^3 / (1 - gamma q) when the
     grading is admissible).  p != 2: maximization over random samples plus
     layer-localized candidates; no hard constant exists, so the result is a
-    diagnostic number.
+    diagnostic number.  Both run on the weight scaled by a power of two into
+    [0.5, 1) (_unit_scaled), so c rho with c a power of two gives the bits of
+    rho.
     """
-    space = ops.space
     gamma = float(weight.gamma)
     q = ops.q_bound()
-    fine_mesh = space.mesh.copy()
-    fine_mesh.refine_uniform(fine_sweeps)
-    if isinstance(space, CRSpace):
-        # gradient ratios compare the broken gradient of the projection
-        # against conforming trial functions, so sample from Lagrange P1
-        fine_space = LagrangeSpace(fine_mesh, 1) if kind == "W1p" else CRSpace(fine_mesh)
-    else:
-        fine_space = LagrangeSpace(fine_mesh, space.degree, getattr(space, "zero_trace", False))
-    link = TwoMeshLink(space, fine_space)
+    weight = _unit_scaled(weight)
+    link = fine_link(ops.space, kind, fine_sweeps)
     wc = weight.as_floats()
     wf = _fine_weights(weight, link)
 
-    if p == 2 and kind == "Lp":
-        measured = _exact_weighted_ratio(ops, link, {s: v * v for s, v in wc.items()}, {s: v * v for s, v in wf.items()}, gradient=False)
-    elif p == 2 and kind == "W1p":
-        measured = _exact_weighted_ratio(ops, link, {s: v * v for s, v in wc.items()}, {s: v * v for s, v in wf.items()}, gradient=True)
+    if p == 2 and kind in ("Lp", "W1p"):
+        wc2, wf2 = ({s: v * v for s, v in w.items()} for w in (wc, wf))
+        measured = _exact_weighted_ratio(ops, link, wc2, wf2, gradient=kind == "W1p")
     else:
         measured = _sampled_weighted_ratio(ops, link, weight, wc, wf, p, kind, samples, seed)
 
@@ -164,20 +191,70 @@ def measure_weighted_stability(
 
 
 def _exact_weighted_ratio(ops, link, wc2, wf2, gradient: bool) -> float:
+    """sup ||rho Q u|| / ||rho u|| over the fine space (u and Q u weighted by
+    rho^2 = wf2 and wc2): the square root of lambda_max of X^T T X against B,
+    with X = M_c^-1 M_cf the projection in coefficients and T, B the coarse
+    and fine weighted mass (or, for gradients, stiffness) forms.
+
+    Each form is factored as D^1/2 C C^T D^1/2, D its diagonal and C the
+    Cholesky factor of the Jacobi-scaled D^-1/2 (.) D^-1/2.  Then lambda_max
+    is the largest squared singular value of Z = C_B^-1 D_B^-1/2 X^T D_T^1/2
+    C_T, taken from the Gram matrix of Z in its smaller dimension: no
+    eigenvectors, no eigenproblem larger than min(n_c, n_f).  The scaled
+    factors are well conditioned on graded weights, and a power-of-two
+    scaling of the weight leaves every bit of the ratio unchanged.
+
+    The stiffness forms vanish on constants.  When both spaces contain them
+    (no trace dof removed), Q maps constants to constants, so the ratio is
+    the same on the quotient spaces modulo constants, and grounding one dof
+    on each side represents those quotients exactly: a fine u stands for the
+    u with u_j = 0, j the dof of the largest diagonal of B (row and column j
+    of B and column j of X dropped); a coarse v stands for v - v_k 1, k the
+    dof of the largest diagonal of T (row k of X subtracted from the others,
+    then row and column k of T and row k of X dropped).  The grounded forms
+    are positive definite; a factorization that fails anyway raises
+    ProjectionError.
+    """
     coarse, fine = link.coarse, link.fine
     x = ops.solve_mass_multi(link.mixed_mass().toarray())  # projection matrix fine -> coarse coefficients
     form = weighted_stiffness if gradient else weighted_mass
     top = form(coarse, wc2).toarray()
     bot = form(fine, wf2).toarray()
-    a = x.T @ top @ x
-    a = 0.5 * (a + a.T)
-    bot = 0.5 * (bot + bot.T)
-    w, v = np.linalg.eigh(bot)
-    keep = w > max(w.max(), 0.0) * 1e-12
-    basis = v[:, keep] / np.sqrt(w[keep])
-    small = basis.T @ a @ basis
-    ev = np.linalg.eigvalsh(0.5 * (small + small.T))
-    return math.sqrt(max(float(ev[-1]), 0.0))
+    if gradient and _has_constants(coarse) and _has_constants(fine):
+        k = int(np.argmax(np.diag(top)))
+        j = int(np.argmax(np.diag(bot)))
+        x = np.delete(np.delete(x - x[k], k, axis=0), j, axis=1)
+        top = _ground(top, k)
+        bot = _ground(bot, j)
+    root_t, chol_t = _scaled_cholesky(top)
+    root_b, chol_b = _scaled_cholesky(bot)
+    z = scipy.linalg.solve_triangular(chol_b, (x.T / root_b[:, None] * root_t) @ chol_t, lower=True)
+    if not z.size:
+        return 0.0
+    gram = z.T @ z if z.shape[1] <= z.shape[0] else z @ z.T
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+
+
+def _has_constants(space) -> bool:
+    """Whether the space holds the constants: no trace dof removed."""
+    return bool(np.all(space.dofs >= 0))
+
+
+def _ground(form: np.ndarray, k: int) -> np.ndarray:
+    return np.delete(np.delete(form, k, axis=0), k, axis=1)
+
+
+def _scaled_cholesky(form: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D^1/2 (the root of the diagonal) and the lower Cholesky factor of
+    D^-1/2 form D^-1/2."""
+    diag = np.diag(form)
+    if not np.all(diag > 0):
+        raise ProjectionError("weighted form has a nonpositive diagonal")
+    root = np.sqrt(diag)
+    try:
+        return root, scipy.linalg.cholesky(form / root[:, None] / root, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise ProjectionError(f"weighted form not positive definite: {exc}") from exc
 
 
 def _sampled_weighted_ratio(ops, link, weight, wc, wf, p, kind, samples, seed) -> float:

@@ -3,7 +3,8 @@ use: a one-simplex mesh, saving a mesh file, graph connectivity, the
 per-element evaluation and the Fraction norm of elementwise polynomials that
 the stacked coefficient table replaced, the unaccelerated iteration with the
 Chebyshev error factor it is compared against, the masked projection norm
-over two element sets, and the volume-decay constants of a weight."""
+over two element sets, the dense weighted-ratio engine the scaled Cholesky
+factors replaced, and the volume-decay constants of a weight."""
 
 import json
 import math
@@ -15,7 +16,7 @@ import numpy as np
 from gradedproj.analytic import StabilityError
 from gradedproj.mesh import UNREACHABLE, ElementDistance, SimplicialMesh, level_gap
 from gradedproj.polyspace import BarycentricPoly, monomial_values
-from gradedproj.projection import ElementwisePoly, Operators, _masked_norm
+from gradedproj.projection import ElementwisePoly, Operators, _masked_norm, weighted_mass, weighted_stiffness
 
 # -- meshes ---------------------------------------------------------------------------
 
@@ -92,6 +93,48 @@ def chebyshev_error_bound(q: float, nu: int) -> float:
 def masked_projection_norm(ops: Operators, left: Sequence[int], right: Sequence[int]) -> float:
     """Exact operator norm of u |-> 1_L Q (1_{L'} u) on L2."""
     return _masked_norm(ops, ops.space.element_mass(left), right)
+
+
+# -- weighted ratio ----------------------------------------------------------------------------
+
+
+def _exact_weighted_ratio(ops, link, wc2, wf2, gradient: bool) -> float:
+    """The dense engine of stability._exact_weighted_ratio before the scaled
+    Cholesky factors, verbatim: an eigendecomposition of the fine form B, its
+    kernel dropped by a relative cutoff of 1e-12, and every eigenvalue of X^T
+    T X on the rest."""
+    coarse, fine = link.coarse, link.fine
+    x = ops.solve_mass_multi(link.mixed_mass().toarray())  # projection matrix fine -> coarse coefficients
+    form = weighted_stiffness if gradient else weighted_mass
+    top = form(coarse, wc2).toarray()
+    bot = form(fine, wf2).toarray()
+    a = x.T @ top @ x
+    a = 0.5 * (a + a.T)
+    bot = 0.5 * (bot + bot.T)
+    w, v = np.linalg.eigh(bot)
+    keep = w > max(w.max(), 0.0) * 1e-12
+    basis = v[:, keep] / np.sqrt(w[keep])
+    small = basis.T @ a @ basis
+    ev = np.linalg.eigvalsh(0.5 * (small + small.T))
+    return math.sqrt(max(float(ev[-1]), 0.0))
+
+
+def dense_top_rayleigh(ops, link, wc2, wf2, gradient: bool) -> float:
+    """The Rayleigh quotient (X u)^T T (X u) / u^T B u of the top eigenvector u
+    the dense engine finds, formed directly from the two forms."""
+    coarse, fine = link.coarse, link.fine
+    x = ops.solve_mass_multi(link.mixed_mass().toarray())
+    form = weighted_stiffness if gradient else weighted_mass
+    top = form(coarse, wc2).toarray()
+    bot = form(fine, wf2).toarray()
+    w, v = np.linalg.eigh(0.5 * (bot + bot.T))
+    keep = w > max(w.max(), 0.0) * 1e-12
+    basis = v[:, keep] / np.sqrt(w[keep])
+    a = x.T @ top @ x
+    small = basis.T @ (0.5 * (a + a.T)) @ basis
+    u = basis @ np.linalg.eigh(0.5 * (small + small.T))[1][:, -1]
+    xu = x @ u
+    return float(xu @ top @ xu) / float(u @ bot @ u)
 
 
 # -- volume decay -----------------------------------------------------------------------------

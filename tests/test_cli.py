@@ -132,7 +132,7 @@ README_DIGESTS = {
     "out/refine/grading_report.tsv": "19e25a20baa9b4baf6732692346d9e432a4efcbdc8efac868ca2fcf75a19c35e",
     "out/refine/mesh.json": "cdc81591bbbc556726b54fc7af7436b2225a19c4ae6b4bd035161f6dca80e8af",
     "out/stab/stability_verdict.json": "1047f082e8424de7987a5bc99039b8b84dea17441e01612d0cfbea467464d203",
-    "out/stabm/stability_verdict.json": "87524f244508f5aba20356acc9e09ea367c512aa2024d269630b1641171a614e",
+    "out/stabm/stability_verdict.json": "68f51734acdba442e65e07cdb5105dfc76dec54e3d44063d0cd344212071355a",
     "out/tables/cr_thresholds.json": "0903d2e9158560802db0ec47e583699ff99075bf916032a5dd1e9f2c820d35c9",
     "out/tables/published_gradings.json": "4e58253c4ca35a2b16168535ec84b22297ca0411280af363445dba134b1e7f6f",
     "out/tables/table1_qnew.tsv": "d2bbec9bf506c6ae900167382b7620d72f97d90d23fa3d8ceaadd6b78f87d471",
@@ -273,6 +273,17 @@ def test_stability_measured(tmp_path):
     assert code == 0
     verdict = json.loads((tmp_path / "sm" / "stability_verdict.json").read_text())
     assert verdict["measurement"]["passed"] is True
+
+
+def test_stability_measured_at_default_gamma(tmp_path):
+    # --gamma-rho defaults to 1: the weight is the base's 1-graded majorant,
+    # the constant 1.0, and the weighted L2 ratio is that of Q itself, 1
+    code = run(tmp_path, "stability", "--dim", "2", "--degree", "1", "--measure", "--out", "s1")
+    assert code == 0
+    measurement = json.loads((tmp_path / "s1" / "stability_verdict.json").read_text())["measurement"]
+    assert measurement["gamma_rho_actual"] == 1.0
+    assert abs(measurement["measured"] - 1.0) <= 1e-12
+    assert measurement["passed"] is True
 
 
 def test_cr_check_command(tmp_path):

@@ -415,6 +415,27 @@ def test_masked_norm_against_dense_oracle():
     assert abs(fast - dense) < 1e-10
 
 
+def test_decay_source_blocks_are_shared_and_keyed_by_the_set(mesh2d):
+    # the source block Y = M^-1 [M_R^1/2] depends only on the operators and the
+    # source set: shells measured in turn around two source sets on one
+    # Operators give the bits of a fresh Operators each time, and an unsorted
+    # list of the same set finds the same block
+    space = LagrangeSpace(mesh2d, 2)
+    ops = Operators(space)
+    dist = element_distance(mesh2d, "vertex")
+    sources = ([dist.ids[0], dist.ids[1]], [dist.ids[-1]])
+    shells = [dist.from_source(src[0]) for src in sources]
+    for delta in (2, 3, 1):
+        for src, shell in zip(sources, shells):
+            members = [dist.ids[i] for i in range(dist.n) if shell[i] == delta]
+            assert members
+            got = measure_decay(ops, dist, members, src, trials=1, seed=delta)
+            assert got == measure_decay(Operators(space), dist, members, src, trials=1, seed=delta)
+    block = ops.source_block(sources[0])
+    assert ops.source_block(sources[0][::-1]) is block
+    assert len(ops._source_blocks) == 2
+
+
 def test_two_mesh_mixed_mass_against_exact_fractions():
     # independent oracle: exact barycentric substitution in rational arithmetic
     coarse = kuhn_initial_mesh(2, 1)
@@ -626,6 +647,25 @@ def test_cg_mass_path_matches_dense_cholesky(mesh2d, kind, monkeypatch):
     assert np.linalg.norm(got_multi - want_multi) <= 1e-12 * np.linalg.norm(want_multi)
     with pytest.raises(ProjectionError):
         cg.certify()
+
+
+@pytest.mark.parametrize("kind", ["P1", "CR"])
+def test_dense_mass_solves_check_every_column(mesh2d, kind):
+    # a wrong dense solver is caught in the batched solve as in the single
+    # one, in any column; a zero right-hand side passes with a zero solution
+    ops = Operators(CRSpace(mesh2d) if kind == "CR" else LagrangeSpace(mesh2d, 1))
+    rhs = np.random.default_rng(2).standard_normal((ops.space.n_dofs, 3))
+    rhs[:, 1] = 0.0
+    exact = ops.solve_mass_multi(rhs)
+    off = exact.copy()
+    off[:, 2] *= 1 + 1e-6
+    ops._solver = lambda b: off if b.ndim == 2 else off[:, 2]
+    with pytest.raises(ProjectionError, match="residual"):
+        ops.solve_mass_multi(rhs)
+    with pytest.raises(ProjectionError, match="residual"):
+        ops.solve_mass(rhs[:, 2])
+    ops._solver = lambda b: exact
+    assert ops.solve_mass_multi(rhs) is exact
 
 
 @pytest.mark.parametrize("kind", ["P2", "CR"])

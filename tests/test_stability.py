@@ -31,9 +31,11 @@ from gradedproj.stability import (
     stability_range,
     stability_table,
 )
-from gradedproj.stability import _weighted_p_norm
+from gradedproj.analytic import ProjectionError
+from gradedproj.stability import _exact_weighted_ratio, _fine_weights, _scaled_cholesky, _unit_scaled, _weighted_p_norm, fine_link
 from conftest import distance_matrix, randomly_refined
-from oracles import masked_projection_norm, reference_simplex_mesh, volume_decay_constant
+from oracles import _exact_weighted_ratio as dense_weighted_ratio
+from oracles import dense_top_rayleigh, masked_projection_norm, reference_simplex_mesh, volume_decay_constant
 
 
 @pytest.fixture(scope="module")
@@ -425,6 +427,93 @@ def test_weighted_to_decay_with_measured_constant(mesh2d, dist2d):
     for lq, wq, wu, norm_u in samples:
         assert lq <= wq + 1e-12  # masking below the weighted norm
         assert lq <= c_meas * gamma ** (-delta) * norm_u * (1 + 1e-9)
+
+
+EXACT_CASES = ["d2-P1-Lp", "d2-P2-W1p", "d2-CR-Lp", "d2-CR-W1p", "d3-P1-Lp", "d3-P2-W1p", "d2-P1z-Lp", "d2-P1z-W1p"]
+
+
+def _exact_case(mesh, name):
+    """The arguments of the exact weighted ratio for a case d<dim>-<space>-<kind>
+    (P1z: P1 zero trace), with a graded weight (gamma = 2) around the first
+    element, scaled as measure_weighted_stability scales it."""
+    _, sname, kind = name.split("-")
+    space = CRSpace(mesh) if sname == "CR" else LagrangeSpace(mesh, int(sname[1]), zero_trace=sname.endswith("z"))
+    dist = element_distance(mesh, "face" if sname == "CR" else "vertex")
+    weight = _unit_scaled(Weight(max_operator({s: 1.0 if s == dist.ids[0] else 1e-9 for s in dist.ids}, 2.0, dist), dist))
+    link = fine_link(space, kind)
+    wc2 = {s: v * v for s, v in weight.as_floats().items()}
+    wf2 = {s: v * v for s, v in _fine_weights(weight, link).items()}
+    return Operators(space), link, wc2, wf2, kind == "W1p"
+
+
+@pytest.mark.parametrize("name", EXACT_CASES)
+def test_exact_weighted_ratio_matches_dense_oracle(mesh2d, mesh3d, name):
+    # the scaled Cholesky factors against the dense eigendecomposition they
+    # replaced: the same ratio, and never below the Rayleigh quotient of the
+    # dense engine's top eigenvector
+    args = _exact_case(mesh3d if name.startswith("d3") else mesh2d, name)
+    got = _exact_weighted_ratio(*args)
+    want = dense_weighted_ratio(*args)
+    assert abs(got - want) <= 1e-9 * want
+    assert got**2 >= dense_top_rayleigh(*args) * (1 - 1e-12)
+
+
+def test_failed_factorization_is_a_projection_error(mesh2d):
+    with pytest.raises(ProjectionError):
+        _scaled_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite, positive diagonal
+    with pytest.raises(ProjectionError):
+        _scaled_cholesky(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    ops, link, wc2, wf2, gradient = _exact_case(mesh2d, "d2-P1-Lp")
+    with pytest.raises(ProjectionError):
+        _exact_weighted_ratio(ops, link, wc2, {s: -v for s, v in wf2.items()}, gradient)
+
+
+@pytest.mark.parametrize("kind", ["Lp", "W1p"])
+def test_exact_weighted_ratio_without_coarse_dofs(kind):
+    # zero-trace P1 on the Kuhn square has no dof: Q u = 0 and the ratio is 0
+    mesh = kuhn_initial_mesh(2, 1)
+    dist = element_distance(mesh, "vertex")
+    ops = Operators(LagrangeSpace(mesh, 1, zero_trace=True))
+    assert ops.space.n_dofs == 0
+    assert measure_weighted_stability(ops, Weight(dict.fromkeys(dist.ids, 1.0), dist), kind=kind).measured == 0.0
+
+
+@pytest.fixture(scope="module")
+def scaled_setup():
+    mesh = randomly_refined(2, 5, seed=3)
+    dist = element_distance(mesh, "vertex")
+    base = max_operator({s: 1.0 if s == dist.ids[0] else 1e-9 for s in dist.ids}, 2.0, dist)
+    return Operators(LagrangeSpace(mesh, 1)), dist, base
+
+
+@pytest.mark.parametrize("p, kind", [(2.0, "Lp"), (2.0, "W1p"), (3.0, "Lp")])
+def test_weighted_ratio_is_scale_invariant(scaled_setup, p, kind):
+    # sup ||c rho Q u|| / ||c rho u|| does not depend on c: a power of two
+    # gives the same bits, any other factor the same value up to rounding
+    ops, dist, base = scaled_setup
+
+    def measured(c):
+        weight = Weight({s: c * v for s, v in base.items()}, dist)
+        return measure_weighted_stability(ops, weight, p=p, kind=kind, samples=5, seed=1).measured
+
+    ref = measured(1.0)
+    assert measured(2.0**600) == ref and measured(2.0**-600) == ref
+    for c in (1e160, 1e-160):
+        assert abs(measured(c) - ref) <= 1e-12 * ref
+    if (p, kind) == (2.0, "Lp"):
+        assert abs(ref - 1.3535) < 1e-4
+
+
+def test_weight_with_subnormal_squares_is_refused(scaled_setup):
+    ops, dist, base = scaled_setup
+    wide = dict.fromkeys(dist.ids, 1e-160)
+    wide[dist.ids[0]] = 1.0  # the smallest scaled square is about 1e-320
+    with pytest.raises(StabilityError, match="too wide"):
+        measure_weighted_stability(ops, Weight(wide, dist), p=2.0, kind="Lp")
+    weight = Weight(base, dist)
+    in_range = Weight({s: v / 2 for s, v in base.items()}, dist)
+    assert _unit_scaled(in_range) is in_range  # maximum 0.5: nothing to scale
+    assert _unit_scaled(weight).values == in_range.values
 
 
 def test_regularized_h_grading(mesh3d):
