@@ -65,11 +65,14 @@ matmul, and the weighted stiffness one stacked Gram product.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import NamedTuple, Sequence
+from functools import cache, cached_property
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -94,6 +97,69 @@ from .polyspace import (
 )
 
 DENSE_SOLVE_LIMIT = 5000
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the block on one BLAS thread, then restore the previous thread
+    counts, on an exception too.
+
+    Caps both OpenBLAS copies that numpy and scipy bundle, through their own
+    thread calls (_openblas_thread_calls), since each has its own count.  A
+    second thread does not pay on the small dense solves, factorizations and
+    eigenproblems of this package.  Measured on 2 cores with OpenBLAS 0.3.31:
+    below order 500 it gains at most 1.1x for eigh and eigvalsh and 1.6x for
+    cho_factor + cho_solve and gemm on an idle machine, and loses up to 2x
+    (gemm) to 6x (cho_factor + cho_solve) when another process keeps the
+    second core busy.  From order 500 two threads win 1.05x to 1.9x on an
+    idle machine; the block is capped whatever its size all the same, as the
+    measured workloads stay below 400 dofs.  Outside these blocks
+    OPENBLAS_NUM_THREADS governs.  Under the cap the results do not depend
+    on that variable; OpenBLAS's threaded kernels can round differently, in
+    the last bits.  Does nothing when no bundled OpenBLAS with these calls
+    is loaded.  The counts are per process: two Python threads inside the
+    block at once can leave them at one afterwards, which changes speed,
+    not correctness.
+    """
+    calls = _openblas_thread_calls()
+    saved = [get() for get, _ in calls]
+    for _, put in calls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(calls, saved):
+            put(count)
+
+
+@cache
+def _openblas_thread_calls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """(get, set) thread-count calls of each bundled OpenBLAS copy in the
+    process's loaded-library list: scipy_openblas_{get,set}_num_threads64_
+    (numpy's, 64-bit integers) or scipy_openblas_{get,set}_num_threads
+    (scipy's).  Empty when the list cannot be read or holds none.  Looked up
+    once, on first use, after this module has loaded numpy and scipy.linalg."""
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return ()
+    paths = dict.fromkeys(f[5].rstrip("\n") for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5]))
+    calls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                calls.append((get, put))
+                break
+    return tuple(calls)
 
 
 def cr_q_bound(dim: int) -> float:
@@ -272,27 +338,28 @@ class Operators:
         # global (row, col, [form, apply, patch]) triplets, patch by patch; the
         # empty first entry serves a space without patches (no dofs)
         triplets = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty((0, 3)),)]
-        for vertex, prows, pjs, ppids, gcols, pcpos in _vertex_patches(space):
-            m_patch, n_g = int(ppids.max()) + 1, len(gcols)  # patch dofs are numbered 0, 1, ...
-            # index -1 (banned patch dof, removed trace dof) lands in a scratch
-            # row or column past the end; np.add.at adds in (member, a, b)
-            # order, and every member writes the same nodal value of a pair
-            vols = space.geometry.volumes[prows, None, None]
-            gmat = np.zeros((m_patch + 1, m_patch + 1))
-            np.add.at(gmat, (ppids[:, :, None], ppids[:, None, :]), vols * gram_f[pjs])
-            rmat = np.zeros((m_patch + 1, n_g + 1))
-            np.add.at(rmat, (ppids[:, :, None], pcpos[:, None, :]), vols * cross_f[pjs])
-            wmat = np.zeros((n_g + 1, m_patch + 1))
-            wmat[pcpos[:, :, None], ppids[:, None, :]] = nodal[pjs]
-            gmat, rmat, wmat = (np.ascontiguousarray(a[:-1, :-1]) for a in (gmat, rmat, wmat))
-            try:
-                gchol = scipy.linalg.cho_factor(gmat)
-            except scipy.linalg.LinAlgError as exc:
-                raise ProjectionError(f"singular patch system at vertex {vertex}") from exc
-            ginv = scipy.linalg.cho_solve(gchol, np.hstack([rmat, wmat.T]))  # G^-1 [R | W^T]
-            ginv_r, ginv_w = ginv[:, :n_g], ginv[:, n_g:]
-            blocks = np.stack([rmat.T @ ginv_r, wmat @ ginv_r, wmat @ ginv_w], axis=-1)
-            triplets.append((np.repeat(gcols, n_g), np.tile(gcols, n_g), blocks.reshape(-1, 3)))
+        with one_blas_thread():
+            for vertex, prows, pjs, ppids, gcols, pcpos in _vertex_patches(space):
+                m_patch, n_g = int(ppids.max()) + 1, len(gcols)  # patch dofs are numbered 0, 1, ...
+                # index -1 (banned patch dof, removed trace dof) lands in a scratch
+                # row or column past the end; np.add.at adds in (member, a, b)
+                # order, and every member writes the same nodal value of a pair
+                vols = space.geometry.volumes[prows, None, None]
+                gmat = np.zeros((m_patch + 1, m_patch + 1))
+                np.add.at(gmat, (ppids[:, :, None], ppids[:, None, :]), vols * gram_f[pjs])
+                rmat = np.zeros((m_patch + 1, n_g + 1))
+                np.add.at(rmat, (ppids[:, :, None], pcpos[:, None, :]), vols * cross_f[pjs])
+                wmat = np.zeros((n_g + 1, m_patch + 1))
+                wmat[pcpos[:, :, None], ppids[:, None, :]] = nodal[pjs]
+                gmat, rmat, wmat = (np.ascontiguousarray(a[:-1, :-1]) for a in (gmat, rmat, wmat))
+                try:
+                    gchol = scipy.linalg.cho_factor(gmat)
+                except scipy.linalg.LinAlgError as exc:
+                    raise ProjectionError(f"singular patch system at vertex {vertex}") from exc
+                ginv = scipy.linalg.cho_solve(gchol, np.hstack([rmat, wmat.T]))  # G^-1 [R | W^T]
+                ginv_r, ginv_w = ginv[:, :n_g], ginv[:, n_g:]
+                blocks = np.stack([rmat.T @ ginv_r, wmat @ ginv_r, wmat @ ginv_w], axis=-1)
+                triplets.append((np.repeat(gcols, n_g), np.tile(gcols, n_g), blocks.reshape(-1, 3)))
         rows, cols, vals = (np.concatenate([t[i] for t in triplets]) for i in range(3))
         self.form_matrix, self.apply_matrix, self.patch_matrix = _csr_in_order(rows, cols, vals, space.n_dofs)
 
@@ -305,7 +372,8 @@ class Operators:
             return
         n = self.space.n_dofs
         if n <= DENSE_SOLVE_LIMIT:
-            chol = scipy.linalg.cho_factor(self.mass.toarray())
+            with one_blas_thread():
+                chol = scipy.linalg.cho_factor(self.mass.toarray())
             self._solver = lambda b: scipy.linalg.cho_solve(chol, b)
         else:
             mass = self.mass
@@ -360,14 +428,15 @@ class Operators:
         if not sub:
             return None
         block = m_right[np.ix_(sub, sub)].toarray()
-        w, u = np.linalg.eigh(_sym(block))
-        keep = w > max(w.max(), 0.0) * 1e-14
-        if not np.any(keep):
-            return None
-        half = u[:, keep] * np.sqrt(w[keep])
-        cols = np.zeros((self.space.n_dofs, half.shape[1]))
-        cols[sub, :] = half
-        y = self.solve_mass_multi(cols)
+        with one_blas_thread():
+            w, u = np.linalg.eigh(_sym(block))
+            keep = w > max(w.max(), 0.0) * 1e-14
+            if not np.any(keep):
+                return None
+            half = u[:, keep] * np.sqrt(w[keep])
+            cols = np.zeros((self.space.n_dofs, half.shape[1]))
+            cols[sub, :] = half
+            y = self.solve_mass_multi(cols)
         y.setflags(write=False)  # shared by every caller
         return y
 
@@ -439,13 +508,14 @@ class Operators:
             raise ProjectionError("certification limited to dense-solver sizes")
         b = _sym(self.form_matrix.toarray())
         m = _sym(self.mass.toarray())
-        w, vecs = scipy.linalg.eigh(b, m)
-        lam_min, lam_max = float(w[0]), float(w[-1])
-        residual = 0.0
-        for pos in (0, n - 1):
-            x = vecs[:, pos]
-            r = b @ x - w[pos] * (m @ x)
-            residual = max(residual, float(np.linalg.norm(r) / max(np.linalg.norm(b @ x), 1e-30)))
+        with one_blas_thread():
+            w, vecs = scipy.linalg.eigh(b, m)
+            lam_min, lam_max = float(w[0]), float(w[-1])
+            residual = 0.0
+            for pos in (0, n - 1):
+                x = vecs[:, pos]
+                r = b @ x - w[pos] * (m @ x)
+                residual = max(residual, float(np.linalg.norm(r) / max(np.linalg.norm(b @ x), 1e-30)))
         if lam_min <= 0:
             raise ProjectionError(f"operator not elliptic: lambda_min={lam_min}")
         kappa = lam_max / lam_min

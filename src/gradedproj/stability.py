@@ -38,7 +38,7 @@ from .mesh import (  # noqa: F401  (max_operator and the regularized grading are
     regularized_h_grading,
 )
 from .polyspace import CRSpace, LagrangeSpace, quadrature_basis, simplex_quadrature
-from .projection import Operators, TwoMeshLink, weighted_mass, weighted_stiffness
+from .projection import Operators, TwoMeshLink, one_blas_thread, weighted_mass, weighted_stiffness
 
 
 # -- weights ----------------------------------------------------------------------
@@ -167,11 +167,12 @@ def measure_weighted_stability(
     wc = weight.as_floats()
     wf = _fine_weights(weight, link)
 
-    if p == 2 and kind in ("Lp", "W1p"):
-        wc2, wf2 = ({s: v * v for s, v in w.items()} for w in (wc, wf))
-        measured = _exact_weighted_ratio(ops, link, wc2, wf2, gradient=kind == "W1p")
-    else:
-        measured = _sampled_weighted_ratio(ops, link, weight, wc, wf, p, kind, samples, seed)
+    with one_blas_thread():
+        if p == 2 and kind in ("Lp", "W1p"):
+            wc2, wf2 = ({s: v * v for s, v in w.items()} for w in (wc, wf))
+            measured = _exact_weighted_ratio(ops, link, wc2, wf2, gradient=kind == "W1p")
+        else:
+            measured = _sampled_weighted_ratio(ops, link, weight, wc, wf, p, kind, samples, seed)
 
     bound = None
     applicable = False

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gradedproj
-from gradedproj.cli import main, round4
+from gradedproj.cli import closure_growth, main, round4
 from gradedproj.mesh import SimplicialMesh, kuhn_initial_mesh, marking_policy
 from gradedproj.polyspace import LagrangeSpace
 from oracles import save_mesh
@@ -302,6 +302,57 @@ def test_closure_bench_command(tmp_path):
     assert "round\tmarked\telements\tratio" in text
 
 
+def _through(points):
+    """R_1..R_n linear between the given (k, R_k) points, n the last k."""
+    ks, rs = zip(*points)
+    return list(np.interp(np.arange(1, ks[-1] + 1), ks, rs))
+
+
+@pytest.mark.parametrize(
+    "ratios, want",
+    [
+        ([5.0] * 159, None),  # under 160 rounds: undecided
+        ([0.0] * 80 + [5.0] * 80, None),  # nothing marked before round 81: no base to compare with
+        ([6.0 - 6.0 / (k + 1) for k in range(1, 161)], None),  # a bounded approach
+        ([1.0 + k for k in range(1, 161)], (160, 81.0, 161.0)),  # linear growth: 161 / 81
+        ([2.0] * 200 + [3.1] * 120, (320, 2.0, 3.1)),  # the whole run: R_320 / R_160
+        ([1.0] * 80 + [2.0] * 120, None),  # a settled jump: R_200 / R_100 = 1 (R_160 / R_80 = 2 is not a point)
+        ([k**0.5 for k in range(1, 641)], None),  # sqrt(k) growth is not detected
+        # the d = 3 seed-8 transient: R_80 / R_40 = 1.68, then 1.16 and 1.13
+        (_through([(1, 4.0), (40, 18.75), (80, 31.48), (160, 36.39), (320, 40.95)]), None),
+    ],
+)
+def test_closure_growth_rule(ratios, want):
+    assert closure_growth(ratios) == want
+
+
+def test_closure_bench_passes_a_d3_transient(tmp_path):
+    # R_80 / R_40 = 31.48 / 18.75 = 1.68 on this run; R_160 / R_80 = 1.16
+    argv = "closure-bench --dim 3 --rounds 160 --policy random-count:4 --seed 8 --out cb".split()
+    assert run(tmp_path, *argv) == 0
+
+
+def test_closure_bench_gate_fires_on_unbounded_growth(tmp_path, monkeypatch):
+    # a broken closure that after round k also bisects k elements of lowest
+    # level: the new elements grow quadratically in k, the marks linearly, so
+    # the ratio grows linearly (R_160 / R_80 = 1.75)
+    refine_lg = SimplicialMesh.refine_lg
+    calls = []
+
+    def mutated(mesh, marked, alpha):
+        refine_lg(mesh, marked, alpha)
+        calls.append(1)
+        ids = sorted(mesh.active_ids(), key=lambda s: mesh.simplices[s].level)
+        mesh.refine_closure(ids[: len(calls)])
+        return mesh
+
+    monkeypatch.setattr(SimplicialMesh, "refine_lg", mutated)
+    argv = "closure-bench --dim 2 --rounds 160 --policy random-count:4 --out cb".split()
+    assert run(tmp_path, *argv) == 2
+    monkeypatch.setattr(SimplicialMesh, "refine_lg", refine_lg)
+    assert run(tmp_path, *argv) == 0
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_closure_bench_alpha_0_runs_plain_closure(tmp_path, dim):
     # --alpha 0 means plain closure, as on every other command
@@ -449,8 +500,6 @@ def test_overlapping_mesh_exits_3(tmp_path):
     assert run(tmp_path, "certify", "--dim", "2", "--degree", "1", "--mesh", str(path), "--rounds", "0", "--out", "x") == 3
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the closure-bench growth gate fires on the README example "
-                                       "(growth trend at round 30)")
 def test_readme_closure_bench_exits_0(tmp_path):
     assert run(tmp_path, *"closure-bench --dim 2 --rounds 40 --policy random-count:4 --out out/bench".split()) == 0
 
@@ -529,11 +578,9 @@ def test_import_loads_no_numeric_stack(tmp_path):
     ids=["tables", "stability", "refine", "grading", "closure-bench"],
 )
 def test_command_import_layers(tmp_path, line, unwanted):
-    # the README command lines, each in a fresh interpreter, run to the end:
-    # exit 0, or 2 where a gate fires (the closure-bench example trips its
-    # trend gate)
+    # the README command lines, each in a fresh interpreter, run to the end
     code, loaded = _modules_loaded(tmp_path, f"from gradedproj.cli import main\ncode = main({line.split()!r})")
-    assert code in (0, 2)
+    assert code == 0
     assert not loaded & unwanted, sorted(loaded & unwanted)
 
 

@@ -42,6 +42,7 @@ from gradedproj.projection import (
     TwoMeshLink,
     _random_poly,
     _vertex_patches,
+    one_blas_thread,
     weighted_mass,
     weighted_stiffness,
 )
@@ -349,12 +350,13 @@ def loop_patch_operator(space):
                     for a, pa in enumerate(local_ids):
                         if pa >= 0:
                             wmat[gpos[g], pa] = lam_at_hi[mloc, local_j] * eval_low[mloc, a]
-        gchol = scipy.linalg.cho_factor(gmat)
-        ginv_r = scipy.linalg.cho_solve(gchol, rmat)
-        cols = np.array(gcols)
-        form[np.ix_(cols, cols)] += rmat.T @ ginv_r
-        apply_m[np.ix_(cols, cols)] += wmat @ ginv_r
-        patch_m[np.ix_(cols, cols)] += wmat @ scipy.linalg.cho_solve(gchol, wmat.T)
+        with one_blas_thread():  # the BLAS threads of the patch pass in Operators
+            gchol = scipy.linalg.cho_factor(gmat)
+            ginv_r = scipy.linalg.cho_solve(gchol, rmat)
+            cols = np.array(gcols)
+            form[np.ix_(cols, cols)] += rmat.T @ ginv_r
+            apply_m[np.ix_(cols, cols)] += wmat @ ginv_r
+            patch_m[np.ix_(cols, cols)] += wmat @ scipy.linalg.cho_solve(gchol, wmat.T)
         patches.append((rows, gchol, cols, wmat, m_patch))
     return form.tocsr(), apply_m.tocsr(), patch_m.tocsr(), patches
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# names whose signatures the benchmark and the scripts rely on (ROADMAP item 5)
+# names whose signatures the benchmark and the scripts rely on (ROADMAP item 7)
 KEPT = {
     "BarycentricPoly", "ElementwisePoly", "reference_element", "lambda_nodal_product_table", "multi_indices",
     "conformity_violations", "hanging_vertex_violations", "accelerated_iterate", "measure_decay",

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from exact_algebra import evaluate, frac_mat_mul, monomial, node_coords, nodal_p
 from fraction_geometry import barycentric_coordinates, coord, frac_mat_inv
 from gradedproj.mesh import element_distance, kuhn_initial_mesh
 from gradedproj.polyspace import BarycentricPoly, CRSpace, LagrangeSpace, nodal_mass_table
+import gradedproj.projection as projection
+from gradedproj.cli import main
 from gradedproj.projection import (
     ElementwisePoly,
     Operators,
@@ -16,6 +19,7 @@ from gradedproj.projection import (
     accelerated_iterate,
     cr_q_bound,
     measure_decay,
+    one_blas_thread,
     q_new,
     weighted_mass,
     weighted_stiffness,
@@ -686,3 +690,72 @@ def test_integrand_off_the_space_raises(mesh2d, kind, case):
         with pytest.raises(ProjectionError) as err:
             run(u)
         assert "\n" not in str(err.value)
+
+
+# -- one BLAS thread for small dense work --------------------------------------------
+
+
+@pytest.fixture
+def blas_calls():
+    """The bundled OpenBLAS thread calls, each set to 2 threads for the test
+    and put back after it."""
+    calls = projection._openblas_thread_calls()
+    if not calls:
+        pytest.skip("no bundled OpenBLAS with its own thread calls is loaded")
+    saved = [get() for get, _ in calls]
+    for _, put in calls:
+        put(2)
+    yield calls
+    for (_, put), count in zip(calls, saved):
+        put(count)
+
+
+def _counts(calls):
+    return [get() for get, _ in calls]
+
+
+def test_one_blas_thread_caps_and_restores(blas_calls):
+    with one_blas_thread():
+        assert _counts(blas_calls) == [1] * len(blas_calls)
+        with one_blas_thread():  # nested: the inner block restores the cap
+            pass
+        assert _counts(blas_calls) == [1] * len(blas_calls)
+    assert _counts(blas_calls) == [2] * len(blas_calls)
+    with pytest.raises(ZeroDivisionError):
+        with one_blas_thread():
+            1 / 0
+    assert _counts(blas_calls) == [2] * len(blas_calls)
+
+
+def test_one_blas_thread_without_openblas_does_nothing(blas_calls, monkeypatch):
+    monkeypatch.setattr(projection, "_openblas_thread_calls", lambda: ())
+    with one_blas_thread():
+        assert _counts(blas_calls) == [2] * len(blas_calls)
+    assert _counts(blas_calls) == [2] * len(blas_calls)
+
+
+def test_one_blas_thread_keeps_the_bits(blas_calls, monkeypatch, tmp_path):
+    # a criterion-3 certificate (245 dofs) and the README weighted-ratio
+    # measurement, three ways: the caller at two threads under the cap, the
+    # caller at one thread with the cap bypassed, and the caller at two
+    # threads with the cap bypassed.  The first two must agree bit for bit:
+    # that fails if the cap does not reach the arithmetic.  Against the
+    # third, bit identity of kappa cannot hold (OpenBLAS's threaded kernels
+    # give it other last bits on meshes of a few hundred dofs), so kappa is
+    # held to 1e-14 relative there, and the weighted ratio to its bits.
+    mesh = randomly_refined(3, 4, alpha=1, seed=207, fraction=0.15)
+    stabm = "stability --dim 2 --degree 1 --gamma-rho 2 --measure --out".split()
+    discovered = projection._openblas_thread_calls
+    results = []
+    for threads, capped in ((2, True), (1, False), (2, False)):
+        for _, put in blas_calls:
+            put(threads)
+        monkeypatch.setattr(projection, "_openblas_thread_calls", discovered if capped else lambda: ())
+        cert = Operators(LagrangeSpace(mesh, 3)).certify()
+        out = tmp_path / f"{threads}-{capped}"
+        assert main(stabm + [str(out)]) == 0
+        measured = json.loads((out / "stability_verdict.json").read_text())["measurement"]["measured"]
+        results.append((cert.kappa, measured))
+    assert results[0] == results[1]
+    assert results[2][1] == results[0][1]
+    assert abs(results[2][0] - results[0][0]) <= 1e-14 * results[0][0]
