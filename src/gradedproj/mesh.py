@@ -24,12 +24,17 @@ common star.  Beside each star it keeps the star's level histogram (level ->
 count), the number of vertices by star level span, and one histogram of the
 levels of all active simplices, all updated where the stars are; so the
 grading questions (is some star steeper than alpha, which star, the maximal
-level) read counts and never scan the mesh.  After each closure round the
-limited-grading loop reads only the stars of the simplices that round
-created.  That is enough: the mesh is limited-graded on entry (checked by
-the span counts), and a steep pair of two older simplices would have been
-steep before the round, so its lagging member was marked and bisected in
-it; every steep star thus holds a new simplex.
+level) read counts and never scan the mesh.  A bisection is one fused
+update: each vertex of the parent, and the midpoint, has its star and its
+histogram touched once, the histogram moving one count from the parent's
+level to the children's, and the span counts change only when a histogram
+gains or loses a level.  Each simplex stores one exact level-0 volume V_0,
+shared with its descendants, and volume() returns V_0 * 2**-level.  After
+each closure round the limited-grading loop reads only the stars of the
+simplices that round created.  That is enough: the mesh is limited-graded
+on entry (checked by the span counts), and a steep pair of two older
+simplices would have been steep before the round, so its lagging member was
+marked and bisected in it; every steep star thus holds a new simplex.
 
 Topological identity has one kernel, first_appearance, which numbers the
 rows of an integer key table by one stable lexsort.  node_table keys the
@@ -88,7 +93,7 @@ class GradingError(MeshError):
         self.pair = pair
 
 
-@dataclass
+@dataclass(slots=True)
 class TaggedSimplex:
     index: int
     vertices: tuple[int, ...]  # bisection order
@@ -110,14 +115,27 @@ class SimplicialMesh:
         self.exponent = 0
         self.simplices: dict[int, TaggedSimplex] = {}
         self._active: set[int] = set()
-        self.gamma_faces: set[frozenset[int]] = set()
+        self._gamma_faces: set[frozenset[int]] = set()
+        self._gamma_vertices: set[int] = set()  # vertices of the gamma faces
         self._stars: list[set[int]] = []  # vertex id -> active simplices containing it
         self._star_levels: list[dict[int, int]] = []  # vertex id -> {level: count} over its star
         self._span_counts: dict[int, int] = {}  # star level span > 0 -> number of vertices
         self._level_counts: dict[int, int] = {}  # level -> number of active simplices
-        self._volumes: dict[int, Fraction] = {}
-        self._edge_mid: dict[frozenset[int], int] = {}
+        self._volumes: dict[int, Fraction] = {}  # simplex id -> level-0 volume, volume * 2**level
+        self._edge_mid: dict[tuple[int, int], int] = {}  # edge (a, b), a < b -> midpoint vertex id
         self._next_simplex = 0
+
+    @property
+    def gamma_faces(self) -> frozenset[frozenset[int]]:
+        """The marked boundary faces (vertex id sets); bisection splits them.
+        Read-only: assign a new set to change them, so the set of their
+        vertices follows."""
+        return frozenset(self._gamma_faces)
+
+    @gamma_faces.setter
+    def gamma_faces(self, faces: Iterable[frozenset[int]]) -> None:
+        self._gamma_faces = set(faces)
+        self._gamma_vertices = {v for face in self._gamma_faces for v in face}
 
     # -- basic structure ---------------------------------------------------
 
@@ -137,7 +155,8 @@ class SimplicialMesh:
         return len(self._active)
 
     def volume(self, sid: int) -> Fraction:
-        return self._volumes[sid]
+        """Exact volume: the stored level-0 volume over 2**level."""
+        return self._volumes[sid] / (1 << self.simplices[sid].level)
 
     def total_volume(self) -> Fraction:
         return sum((self.volume(s) for s in self._active), Fraction(0))
@@ -153,40 +172,35 @@ class SimplicialMesh:
         return {s: 2.0 ** (-self.simplices[s].level / d) for s in self._active}
 
     def _add_simplex(self, vertices: tuple[int, ...], tag: int, level: int, parent: int | None, volume: Fraction) -> int:
-        """Register a new active simplex, with the next index and its exact volume."""
+        """Register a new active simplex of a loaded or initial mesh, with the
+        next index and its exact volume."""
         sid = self._next_simplex
         self._next_simplex += 1
         self.simplices[sid] = TaggedSimplex(sid, vertices, tag, level, parent)
         self._active.add(sid)
-        self._volumes[sid] = volume
+        self._volumes[sid] = volume * (1 << level)
         _count(self._level_counts, level, 1)
         for v in vertices:
             self._stars[v].add(sid)
-            self._count_star_level(v, level, 1)
+            hist = self._star_levels[v]
+            if level in hist:
+                hist[level] += 1
+            else:
+                self._rekey(hist, None, level, 1)
         return sid
 
-    def _deactivate(self, sid: int) -> None:
-        simplex = self.simplices[sid]
-        simplex.active = False
-        self._active.discard(sid)
-        _count(self._level_counts, simplex.level, -1)
-        for v in simplex.vertices:
-            self._stars[v].discard(sid)
-            self._count_star_level(v, simplex.level, -1)
-
-    def _count_star_level(self, v: int, level: int, step: int) -> None:
-        """Add step to the count of level in the star histogram of v; when a
-        level appears or vanishes, move v to its new span in the span counts."""
-        hist = self._star_levels[v]
-        count = hist.get(level, 0)
-        if count and count + step:
-            hist[level] = count + step
-            return
+    def _rekey(self, hist: dict[int, int], old: int | None, new: int, gain: int) -> None:
+        """Move one count of a star histogram off level old (None: none) and
+        add gain at level new, where a level appears or vanishes: the vertex
+        leaves its old span in the span counts and joins its new one."""
+        spans = self._span_counts
         if len(hist) > 1:
-            _count(self._span_counts, max(hist) - min(hist), -1)
-        _count(hist, level, step)
+            _count(spans, max(hist) - min(hist), -1)
+        if old is not None:
+            _count(hist, old, -1)
+        hist[new] = hist.get(new, 0) + gain
         if len(hist) > 1:
-            _count(self._span_counts, max(hist) - min(hist), 1)
+            _count(spans, max(hist) - min(hist), 1)
 
     def copy(self) -> "SimplicialMesh":
         other = SimplicialMesh(self.dim)
@@ -197,7 +211,8 @@ class SimplicialMesh:
             for sid, s in self.simplices.items()
         }
         other._active = set(self._active)
-        other.gamma_faces = set(self.gamma_faces)
+        other._gamma_faces = set(self._gamma_faces)
+        other._gamma_vertices = set(self._gamma_vertices)
         other._stars = [set(star) for star in self._stars]
         other._star_levels = [dict(hist) for hist in self._star_levels]
         other._span_counts = dict(self._span_counts)
@@ -216,25 +231,73 @@ class SimplicialMesh:
     def bisect(self, sid: int) -> tuple[int, int, int]:
         """Bisect one active simplex; returns (child1, child2, new_vertex).
 
+        One fused update: child1 holds every parent vertex but x_k, child2
+        every one but x_0, both hold the midpoint z.  So each star loses the
+        parent and gains the children its vertex is in, and its histogram
+        moves one count from the parent's level to the children's, once per
+        vertex (one more count where the vertex is in both children).
+
         The mesh may be nonconforming afterwards; callers are responsible for
         closure.
         """
         if sid not in self._active:
             raise MeshError(f"simplex {sid} is not active")
         s = self.simplices[sid]
-        k = s.tag
-        v = s.vertices
+        k, v, level = s.tag, s.vertices, s.level
         a, b = v[0], v[k]
-        key = frozenset((a, b))
+        key = (a, b) if a < b else (b, a)
         zid = self._edge_mid.get(key)
         if zid is None:
             zid = self._edge_mid[key] = self._add_midpoint(a, b)
-        new_tag = k - 1 if k > 1 else self.dim
-        half = self.volume(sid) / 2
-        self._deactivate(sid)
-        self._split_gamma(s, a, b, zid)
-        c1 = self._add_simplex(v[:k] + (zid,) + v[k + 1 :], new_tag, s.level + 1, sid, half)
-        c2 = self._add_simplex(v[1 : k + 1] + (zid,) + v[k + 1 :], new_tag, s.level + 1, sid, half)
+        if a in self._gamma_vertices and b in self._gamma_vertices:
+            self._split_gamma(v, a, b, zid)
+        up = level + 1
+        tag = k - 1 if k > 1 else self.dim
+        c1 = self._next_simplex
+        c2 = c1 + 1
+        self._next_simplex = c1 + 2
+        s.active = False
+        simplices = self.simplices
+        simplices[c1] = TaggedSimplex(c1, v[:k] + (zid,) + v[k + 1 :], tag, up, sid)
+        simplices[c2] = TaggedSimplex(c2, v[1 : k + 1] + (zid,) + v[k + 1 :], tag, up, sid)
+        active = self._active
+        active.discard(sid)
+        active.add(c1)
+        active.add(c2)
+        volumes = self._volumes
+        volumes[c1] = volumes[c2] = volumes[sid]
+        counts = self._level_counts
+        _count(counts, level, -1)
+        counts[up] = counts.get(up, 0) + 2
+        stars, hists = self._stars, self._star_levels
+        for u in v:
+            star = stars[u]
+            star.discard(sid)
+            if u == a:
+                star.add(c1)
+                gain = 1
+            elif u == b:
+                star.add(c2)
+                gain = 1
+            else:
+                star.add(c1)
+                star.add(c2)
+                gain = 2
+            hist = hists[u]
+            n, m = hist[level], hist.get(up)
+            if n > 1 and m:
+                hist[level] = n - 1
+                hist[up] = m + gain
+            else:
+                self._rekey(hist, level, up, gain)
+        star = stars[zid]
+        star.add(c1)
+        star.add(c2)
+        hist = hists[zid]
+        if up in hist:
+            hist[up] += 2
+        else:
+            self._rekey(hist, None, up, 2)
         return c1, c2, zid
 
     def _add_midpoint(self, a: int, b: int) -> int:
@@ -250,23 +313,27 @@ class SimplicialMesh:
         self.points = [tuple(x << 1 for x in p) for p in self.points]
         return self.add_vertex(total)
 
-    def _split_gamma(self, s: TaggedSimplex, a: int, b: int, zid: int) -> None:
-        if not self.gamma_faces:
-            return
-        vset = set(s.vertices)
-        for drop in s.vertices:
-            face = frozenset(vset - {drop})
-            if face in self.gamma_faces and a in face and b in face:
-                self.gamma_faces.discard(face)
-                self.gamma_faces.add(face - {a} | {zid})
-                self.gamma_faces.add(face - {b} | {zid})
+    def _split_gamma(self, vertices: tuple[int, ...], a: int, b: int, zid: int) -> None:
+        """Replace each gamma face of the simplex that holds the split edge
+        (a, b), the face opposite a vertex other than a and b, by its two
+        halves at the midpoint zid."""
+        gamma = self._gamma_faces
+        for drop in vertices:
+            if drop == a or drop == b:
+                continue
+            face = frozenset(x for x in vertices if x != drop)
+            if face in gamma:
+                gamma.discard(face)
+                gamma.add(face - {a} | {zid})
+                gamma.add(face - {b} | {zid})
+                self._gamma_vertices.add(zid)
 
     def hanging_edge(self, sid: int) -> tuple[int, int] | None:
         """First already-split edge of a simplex (its midpoint vertex exists);
         closure bisects the owners of such edges."""
         split = self._edge_mid
         for a, b in combinations(self.simplices[sid].vertices, 2):
-            if frozenset((a, b)) in split:
+            if ((a, b) if a < b else (b, a)) in split:
                 return a, b
         return None
 
@@ -302,6 +369,11 @@ class SimplicialMesh:
         work.extend(sorted(self._stars[a] & self._stars[b]))
 
     def refine_uniform(self, sweeps: int = 1) -> "SimplicialMesh":
+        """Per sweep, the conforming closure of marking every active simplex.
+        The closure goes on bisecting the children that a neighbor's
+        bisection left with a split edge, so a sweep more than doubles the
+        element count in general (on one graded mesh 140 elements become
+        327, not 280)."""
         for _ in range(sweeps):
             self.refine_closure(self.active_ids())
         return self

@@ -1,5 +1,6 @@
 """Helpers of the mesh, projection and stability layers that only the tests
 use: a one-simplex mesh, saving a mesh file, graph connectivity, the
+unfused bisection kernel the one-pass bisection replaced, the
 per-element evaluation and the Fraction norm of elementwise polynomials that
 the stacked coefficient table replaced, the unaccelerated iteration with the
 Chebyshev error factor it is compared against, the masked projection norm
@@ -9,12 +10,14 @@ factors replaced, and the volume-decay constants of a weight."""
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from gradedproj.analytic import StabilityError
-from gradedproj.mesh import UNREACHABLE, ElementDistance, SimplicialMesh, level_gap
+from gradedproj.mesh import UNREACHABLE, ElementDistance, MeshError, SimplicialMesh, TaggedSimplex, _count, level_gap
 from gradedproj.polyspace import BarycentricPoly, monomial_values
 from gradedproj.projection import ElementwisePoly, Operators, _masked_norm, weighted_mass, weighted_stiffness
 
@@ -40,6 +43,102 @@ def save_mesh(mesh: SimplicialMesh, path) -> None:
 
 def connected(dist: ElementDistance) -> bool:
     return bool(np.all(dist.from_source(dist.ids[0]) != UNREACHABLE)) if dist.n else True
+
+
+class UnfusedBisectionMesh(SimplicialMesh):
+    """The bisection kernel before the fused step, verbatim: each simplex's
+    exact volume in _volumes (a child gets its parent's divided by 2), the
+    parent deactivated and each child added with one histogram step per
+    vertex (3(d+1) in all), frozenset edge keys, and every face of the
+    parent looked up in the gamma faces.  Closure and grading are inherited,
+    so they run on this kernel."""
+
+    @classmethod
+    def of(cls, mesh: SimplicialMesh) -> "UnfusedBisectionMesh":
+        other = mesh.copy()
+        other.__class__ = cls
+        other._volumes = {sid: mesh.volume(sid) for sid in mesh.simplices}
+        other._edge_mid = {frozenset(edge): z for edge, z in mesh._edge_mid.items()}
+        return other
+
+    def copy(self) -> "UnfusedBisectionMesh":
+        other = super().copy()
+        other.__class__ = type(self)
+        return other
+
+    def volume(self, sid: int) -> Fraction:
+        return self._volumes[sid]
+
+    def _add_simplex(self, vertices, tag, level, parent, volume) -> int:
+        sid = self._next_simplex
+        self._next_simplex += 1
+        self.simplices[sid] = TaggedSimplex(sid, vertices, tag, level, parent)
+        self._active.add(sid)
+        self._volumes[sid] = volume
+        _count(self._level_counts, level, 1)
+        for v in vertices:
+            self._stars[v].add(sid)
+            self._count_star_level(v, level, 1)
+        return sid
+
+    def _deactivate(self, sid: int) -> None:
+        simplex = self.simplices[sid]
+        simplex.active = False
+        self._active.discard(sid)
+        _count(self._level_counts, simplex.level, -1)
+        for v in simplex.vertices:
+            self._stars[v].discard(sid)
+            self._count_star_level(v, simplex.level, -1)
+
+    def _count_star_level(self, v: int, level: int, step: int) -> None:
+        hist = self._star_levels[v]
+        count = hist.get(level, 0)
+        if count and count + step:
+            hist[level] = count + step
+            return
+        if len(hist) > 1:
+            _count(self._span_counts, max(hist) - min(hist), -1)
+        _count(hist, level, step)
+        if len(hist) > 1:
+            _count(self._span_counts, max(hist) - min(hist), 1)
+
+    def bisect(self, sid: int) -> tuple[int, int, int]:
+        if sid not in self._active:
+            raise MeshError(f"simplex {sid} is not active")
+        s = self.simplices[sid]
+        k = s.tag
+        v = s.vertices
+        a, b = v[0], v[k]
+        key = frozenset((a, b))
+        zid = self._edge_mid.get(key)
+        if zid is None:
+            zid = self._edge_mid[key] = self._add_midpoint(a, b)
+        new_tag = k - 1 if k > 1 else self.dim
+        half = self.volume(sid) / 2
+        self._deactivate(sid)
+        self._split_gamma(s, a, b, zid)
+        c1 = self._add_simplex(v[:k] + (zid,) + v[k + 1 :], new_tag, s.level + 1, sid, half)
+        c2 = self._add_simplex(v[1 : k + 1] + (zid,) + v[k + 1 :], new_tag, s.level + 1, sid, half)
+        return c1, c2, zid
+
+    def _split_gamma(self, s: TaggedSimplex, a: int, b: int, zid: int) -> None:
+        gamma = self._gamma_faces
+        if not gamma:
+            return
+        vset = set(s.vertices)
+        for drop in s.vertices:
+            face = frozenset(vset - {drop})
+            if face in gamma and a in face and b in face:
+                gamma.discard(face)
+                gamma.add(face - {a} | {zid})
+                gamma.add(face - {b} | {zid})
+
+    def hanging_edge(self, sid: int) -> tuple[int, int] | None:
+        split = self._edge_mid
+        for a, b in combinations(self.simplices[sid].vertices, 2):
+            if frozenset((a, b)) in split:
+                return a, b
+        return None
 
 
 # -- elementwise polynomials ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -14,6 +15,7 @@ from gradedproj.mesh import (
     GradingError,
     MeshError,
     SimplicialMesh,
+    TaggedSimplex,
     UNREACHABLE,
     boundary_faces,
     closure_benchmark,
@@ -26,9 +28,10 @@ from gradedproj.mesh import (
     marking_policy,
     max_operator,
 )
+from gradedproj.polyspace import LagrangeSpace
 from conftest import distance_matrix, neighbor_lists, randomly_refined
-from fraction_geometry import coord, coord_ids, diameter2, midpoint, similarity_classes
-from oracles import connected, reference_simplex_mesh, save_mesh
+from fraction_geometry import coord, coord_ids, det_volume, diameter2, midpoint, similarity_classes
+from oracles import UnfusedBisectionMesh, connected, reference_simplex_mesh, save_mesh
 
 
 class CoordinateClosureMesh(SimplicialMesh):
@@ -866,3 +869,178 @@ def test_grading_of_and_max_operator_reject_bad_values(value):
             max_operator({a: 1.0, b: value}, 2.0, dist)
     with pytest.raises(StabilityError):
         max_operator({a: 1.0, b: 1.0}, value, dist)
+
+
+# -- the fused bisection step against the unfused kernel ----------------------------
+
+
+def _assert_same_meshes(ours: SimplicialMesh, oracle: UnfusedBisectionMesh) -> None:
+    # the mesh file, every simplex record (active or not), every exact
+    # volume, the edge map and the incidence counts agree
+    assert ours.to_json_dict() == oracle.to_json_dict()
+    assert ours.simplices == oracle.simplices
+    volumes = {sid: ours.volume(sid) for sid in ours.simplices}
+    assert all(type(v) is Fraction for v in volumes.values())
+    assert volumes == {sid: oracle.volume(sid) for sid in oracle.simplices}
+    assert ours._edge_mid == {tuple(sorted(edge)): z for edge, z in oracle._edge_mid.items()}
+    assert ours.gamma_faces == oracle.gamma_faces
+    assert ours._gamma_vertices == {v for face in ours.gamma_faces for v in face}
+    assert ours._stars == oracle._stars and ours._star_levels == oracle._star_levels
+    assert ours._span_counts == oracle._span_counts and ours._level_counts == oracle._level_counts
+
+
+_STEPS = ("lg1", "lg2", "lg3", "closure", "uniform")
+_POLICIES = ("random:0.3", "random-count:3", "corner")
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@given(
+    rounds=st.lists(
+        st.tuples(st.sampled_from(_STEPS), st.sampled_from(_POLICIES), st.integers(0, 2**16)), min_size=4, max_size=10
+    ),
+    copy_at=st.integers(1, 3),
+    reload_at=st.integers(1, 3),
+)
+def test_fused_bisection_matches_unfused_kernel(dim, rounds, copy_at, reload_at):
+    # BiSecLG(1..3), plain closure and uniform sweeps under random, count and
+    # corner marking, with a copy() and a JSON reload midway: the fused step
+    # leaves the same mesh, records, volumes and counts as the unfused one
+    limit = {2: 300, 3: 300, 4: 150}[dim]
+    ours = kuhn_initial_mesh(dim, 1)
+    oracle = UnfusedBisectionMesh.of(ours)
+    for i, (step, policy, seed) in enumerate(rounds):
+        if i == copy_at:
+            ours, oracle = ours.copy(), oracle.copy()
+        if i == reload_at:
+            ours, oracle = _reload(ours), _reload(oracle, UnfusedBisectionMesh)
+        if step == "uniform":
+            if 3 * ours.n_active > limit:
+                continue
+            ours.refine_uniform(1)
+            oracle.refine_uniform(1)
+        elif ours.n_active > limit:
+            break
+        else:
+            pick = marking_policy(policy)
+            marked = pick(ours, np.random.default_rng(seed))
+            assert marked == pick(oracle, np.random.default_rng(seed))
+            pairs = []
+            for mesh in (ours, oracle):
+                try:
+                    mesh.refine_lg(marked, int(step[2:])) if step != "closure" else mesh.refine_closure(marked)
+                    pairs.append(None)
+                except GradingError as err:  # a plain closure round may leave the mesh steep
+                    pairs.append(err.pair)
+            assert pairs[0] == pairs[1]
+        _assert_same_meshes(ours, oracle)
+        _assert_level_counts(ours)
+
+
+def test_loaded_levels_keep_exact_volumes():
+    # a mesh file of levels > 0: each simplex keeps the volume its corners
+    # give, stored as volume * 2**level, and its children get exactly half
+    source = randomly_refined(3, 3, seed=5, fraction=0.2)
+    data = json.loads(json.dumps(source.to_json_dict()))
+    ours, oracle = SimplicialMesh.from_json_dict(data), UnfusedBisectionMesh.from_json_dict(data)
+    assert ours.max_level() > 1
+    assert [ours.volume(s) for s in ours.active_ids()] == [source.volume(s) for s in source.active_ids()]
+    for sid in ours.active_ids():
+        assert ours.volume(sid) == det_volume(ours, ours.simplices[sid].vertices)
+    _assert_same_meshes(ours, oracle)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        marked = marking_policy("random:0.2")(ours, rng)
+        ours.refine_lg(marked, 1)
+        oracle.refine_lg(marked, 1)
+        _assert_same_meshes(ours, oracle)
+    for sid, s in ours.simplices.items():
+        if s.parent is not None:
+            assert 2 * ours.volume(sid) == ours.volume(s.parent)
+    assert ours.total_volume() == 1
+
+
+def _two_triangles() -> SimplicialMesh:
+    # two triangles far apart, of levels 0 and 1, one edge of each marked
+    return SimplicialMesh.from_json_dict({
+        "version": 1,
+        "dim": 2,
+        "vertices": [[[x, 0], [y, 0]] for x, y in [(0, 0), (1, 0), (0, 1), (5, 0), (6, 0), (5, 1)]],
+        "simplices": [{"v": [0, 1, 2], "tag": 2, "level": 0}, {"v": [3, 4, 5], "tag": 2, "level": 1}],
+        "gamma_faces": [[0, 1], [4, 5]],
+    })
+
+
+def _kuhn_side(dim: int, cells: int) -> SimplicialMesh:
+    # a Kuhn mesh whose gamma faces are those on the side x = 0 only
+    mesh = kuhn_initial_mesh(dim, cells)
+    mesh.gamma_faces = {face for face in mesh.gamma_faces if all(mesh.points[v][0] == 0 for v in face)}
+    return mesh
+
+
+@pytest.mark.parametrize("build", [_two_triangles, lambda: _kuhn_side(2, 2), lambda: _kuhn_side(3, 1)])
+def test_partial_gamma_splits_as_unfused_kernel(build):
+    # only some boundary faces are gamma faces: the fused step splits exactly
+    # the faces the unfused kernel splits, so zero-trace spaces agree too
+    ours = build()
+    oracle = UnfusedBisectionMesh.of(ours)
+    rng = np.random.default_rng(2)
+    for _ in range(4):
+        marked = marking_policy("random:0.4")(ours, rng)
+        ours.refine_closure(marked)
+        oracle.refine_closure(marked)
+        _assert_same_meshes(ours, oracle)
+    ours.refine_uniform(1)
+    oracle.refine_uniform(1)
+    _assert_same_meshes(ours, oracle)
+    assert ours.gamma_faces < boundary_faces(ours)
+    for degree in (1, 2):
+        a, b = LagrangeSpace(ours, degree, zero_trace=True), LagrangeSpace(oracle, degree, zero_trace=True)
+        assert a.trace_faces.any() and a.n_dofs == b.n_dofs
+        assert np.array_equal(a.trace_faces, b.trace_faces) and np.array_equal(a.dofs, b.dofs)
+
+
+def test_loaded_level_one_triangle_halves():
+    # the level-1 triangle of area 1/2 keeps it, its children get 1/4
+    mesh = _two_triangles()
+    assert mesh.volume(1) == Fraction(1, 2) and mesh._volumes[1] == 1
+    c1, c2, _ = mesh.bisect(1)
+    assert mesh.volume(c1) == mesh.volume(c2) == Fraction(1, 4)
+    assert mesh.total_volume() == 1
+
+
+def _mutable_parts(obj) -> set[int]:
+    # ids of the containers and simplex records reachable from obj
+    found, stack = set(), [obj]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, dict):
+            found.add(id(x))
+            stack.extend(x.values())
+        elif isinstance(x, (list, set)):
+            found.add(id(x))
+            stack.extend(x)
+        elif isinstance(x, TaggedSimplex):
+            found.add(id(x))
+    return found
+
+
+def test_copy_shares_no_mutable_state():
+    # the fine-space pattern, mesh.copy() then refine_uniform: the copy holds
+    # every attribute __init__ sets, equal to the original's and sharing no
+    # mutable part with it, and refining the copy leaves the original as it was
+    mesh = randomly_refined(2, 6, seed=11)
+    blank = SimplicialMesh(2)
+    assert all(value != getattr(blank, name) for name, value in vars(mesh).items() if name != "dim")
+    other = mesh.copy()
+    assert vars(other).keys() == vars(blank).keys()
+    assert vars(other) == vars(mesh)
+    assert not _mutable_parts(vars(mesh)) & _mutable_parts(vars(other))
+    before = copy.deepcopy(vars(mesh))
+    json_before = mesh.to_json_dict()
+    volumes = {sid: mesh.volume(sid) for sid in mesh.simplices}
+    other.refine_uniform(1)
+    assert other.n_active > 2 * mesh.n_active
+    assert vars(mesh) == before
+    assert mesh.to_json_dict() == json_before
+    assert {sid: mesh.volume(sid) for sid in mesh.simplices} == volumes
+    _assert_level_counts(mesh)
