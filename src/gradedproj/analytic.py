@@ -175,35 +175,23 @@ def stability_range(
     t_of_p = 0.5 if p_val == math.inf else abs(0.5 - 1.0 / p_val)
     admissible = admissible_at(t_of_p)
 
+    p_lower = p_upper = None
     if gamma_h == 1.0 or gmax == math.inf:
         all_p = admissible_at(0.5)
-        return StabilityVerdict(
-            dim, degree, gamma_h, gamma_rho, kind, p_val, admissible,
-            all_p=all_p, empty=not all_p and not admissible_at(0.0),
-            p_lower=None if all_p else None, p_upper=None,
-            p_lower_display=None, p_upper_display=None, gamma_max_bound=gmax,
-        )
-
-    t_star = (math.log(gmax) - math.log(gamma_rho) - s * math.log(gamma_h)) / (dim * math.log(gamma_h))
-    if t_star <= 0:
-        return StabilityVerdict(
-            dim, degree, gamma_h, gamma_rho, kind, p_val, False,
-            all_p=False, empty=True, p_lower=None, p_upper=None,
-            p_lower_display=None, p_upper_display=None, gamma_max_bound=gmax,
-        )
-    if t_star > 0.5:
-        return StabilityVerdict(
-            dim, degree, gamma_h, gamma_rho, kind, p_val, admissible,
-            all_p=True, empty=False, p_lower=None, p_upper=None,
-            p_lower_display=None, p_upper_display=None, gamma_max_bound=gmax,
-        )
-    p_lower = 2.0 / (1.0 + 2.0 * t_star)
-    p_upper = math.inf if t_star >= 0.5 else 2.0 / (1.0 - 2.0 * t_star)
+        empty = not all_p and not admissible_at(0.0)
+    else:
+        t_star = (math.log(gmax) - math.log(gamma_rho) - s * math.log(gamma_h)) / (dim * math.log(gamma_h))
+        all_p, empty = t_star > 0.5, t_star <= 0
+        if empty:
+            admissible = False  # the float admissible_at can disagree with t_star at the boundary
+        elif not all_p:
+            p_lower = 2.0 / (1.0 + 2.0 * t_star)
+            p_upper = math.inf if t_star >= 0.5 else 2.0 / (1.0 - 2.0 * t_star)
     return StabilityVerdict(
         dim, degree, gamma_h, gamma_rho, kind, p_val, admissible,
-        all_p=False, empty=False, p_lower=p_lower, p_upper=p_upper,
-        p_lower_display=_round_up4(p_lower),
-        p_upper_display=None if p_upper == math.inf else _round_down4(p_upper),
+        all_p=all_p, empty=empty, p_lower=p_lower, p_upper=p_upper,
+        p_lower_display=None if p_lower is None else _round_up4(p_lower),
+        p_upper_display=None if p_upper in (None, math.inf) else _round_down4(p_upper),
         gamma_max_bound=gmax,
     )
 

@@ -119,26 +119,15 @@ def write_tsv(path: Path, header: list[str], columns: list[str], rows: list[list
 
 
 def build_mesh(args) -> SimplicialMesh:
-    import numpy as np
-
-    from .mesh import SimplicialMesh, kuhn_initial_mesh, marking_policy
+    from .mesh import SimplicialMesh, closure_benchmark, kuhn_initial_mesh
 
     if getattr(args, "mesh", None):
         mesh = SimplicialMesh.load(args.mesh)
     else:
         mesh = kuhn_initial_mesh(args.dim, getattr(args, "cells", 1))
     rounds = getattr(args, "rounds", 0)
-    if rounds:
-        pick = marking_policy(args.policy)
-        rng = np.random.default_rng(args.seed)
-        for _ in range(rounds):
-            marked = pick(mesh, rng)
-            if not marked:
-                continue
-            if args.alpha > 0:
-                mesh.refine_lg(marked, args.alpha)
-            else:
-                mesh.refine_closure(marked)
+    if rounds > 0:  # --rounds 0 never reads --policy
+        closure_benchmark(mesh, args.policy, rounds, alpha=args.alpha, seed=args.seed)
     return mesh
 
 

@@ -217,7 +217,7 @@ def _exact_weighted_ratio(ops, link, wc2, wf2, gradient: bool) -> float:
     ProjectionError.
     """
     coarse, fine = link.coarse, link.fine
-    x = ops.solve_mass_multi(link.mixed_mass().toarray())  # projection matrix fine -> coarse coefficients
+    x = ops.solve_mass(link.mixed_mass().toarray())  # projection matrix fine -> coarse coefficients
     form = weighted_stiffness if gradient else weighted_mass
     top = form(coarse, wc2).toarray()
     bot = form(fine, wf2).toarray()

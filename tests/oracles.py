@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from gradedproj.analytic import StabilityError
-from gradedproj.mesh import UNREACHABLE, ElementDistance, MeshError, SimplicialMesh, TaggedSimplex, _count, level_gap
+from gradedproj.analytic import StabilityError, StabilityVerdict, _round_down4, _round_up4, gamma_max_bound
+from gradedproj.mesh import UNREACHABLE, ElementDistance, MeshError, SimplicialMesh, TaggedSimplex, _count, level_gap, marking_policy
 from gradedproj.polyspace import BarycentricPoly, monomial_values
 from gradedproj.projection import ElementwisePoly, Operators, _masked_norm, weighted_mass, weighted_stiffness
 
@@ -141,6 +141,24 @@ class UnfusedBisectionMesh(SimplicialMesh):
         return None
 
 
+def refine_rounds(mesh: SimplicialMesh, policy: str, rounds: int, alpha: int, seed: int) -> SimplicialMesh:
+    """The CLI's own marking loop before it ran through closure_benchmark,
+    verbatim: pick, then BiSecLG(alpha), or plain closure for alpha = 0; no
+    rounds read no policy."""
+    if rounds:
+        pick = marking_policy(policy)
+        rng = np.random.default_rng(seed)
+        for _ in range(rounds):
+            marked = pick(mesh, rng)
+            if not marked:
+                continue
+            if alpha > 0:
+                mesh.refine_lg(marked, alpha)
+            else:
+                mesh.refine_closure(marked)
+    return mesh
+
+
 # -- elementwise polynomials ---------------------------------------------------------------
 
 
@@ -203,7 +221,7 @@ def _exact_weighted_ratio(ops, link, wc2, wf2, gradient: bool) -> float:
     kernel dropped by a relative cutoff of 1e-12, and every eigenvalue of X^T
     T X on the rest."""
     coarse, fine = link.coarse, link.fine
-    x = ops.solve_mass_multi(link.mixed_mass().toarray())  # projection matrix fine -> coarse coefficients
+    x = ops.solve_mass(link.mixed_mass().toarray())  # projection matrix fine -> coarse coefficients
     form = weighted_stiffness if gradient else weighted_mass
     top = form(coarse, wc2).toarray()
     bot = form(fine, wf2).toarray()
@@ -222,7 +240,7 @@ def dense_top_rayleigh(ops, link, wc2, wf2, gradient: bool) -> float:
     """The Rayleigh quotient (X u)^T T (X u) / u^T B u of the top eigenvector u
     the dense engine finds, formed directly from the two forms."""
     coarse, fine = link.coarse, link.fine
-    x = ops.solve_mass_multi(link.mixed_mass().toarray())
+    x = ops.solve_mass(link.mixed_mass().toarray())
     form = weighted_stiffness if gradient else weighted_mass
     top = form(coarse, wc2).toarray()
     bot = form(fine, wf2).toarray()
@@ -267,3 +285,66 @@ def volume_decay_constant(mesh: SimplicialMesh, gamma: float, dist: ElementDista
         return VolumeDecayReport(gamma, gamma_h, max_ratio, None, None, True)
     factor = math.log(gamma_h) / math.log(gamma / gamma_h**mesh.dim)
     return VolumeDecayReport(gamma, gamma_h, max_ratio, factor, max_ratio / factor, False)
+
+
+# -- admissible p-intervals -----------------------------------------------------------------
+
+
+def four_branch_stability_range(dim, degree, gamma_h=None, gamma_rho=1.0, kind="Lp", p=2.0) -> StabilityVerdict:
+    """analytic.stability_range with one StabilityVerdict per branch, verbatim."""
+    if dim < 1:
+        raise StabilityError("dim must be >= 1")
+    if kind not in ("Lp", "W1p"):
+        raise StabilityError(f"unknown stability kind {kind!r}")
+    if not 1 <= gamma_rho < math.inf:
+        raise StabilityError("gamma_rho must be finite and >= 1")
+    is_cr = degree == "CR"
+    if gamma_h is None:
+        if not is_cr:
+            raise StabilityError("gamma_h required for Lagrange verdicts")
+        gamma_h = 2.0 ** (1.0 / dim)
+    if not 1 <= gamma_h < math.inf:
+        raise StabilityError("gamma_h must be finite and >= 1")
+    gmax = gamma_max_bound(dim, degree)
+    s = 1 if kind == "W1p" else 0
+
+    def admissible_at(t: float) -> bool:
+        return gamma_rho * gamma_h ** (s + dim * t) < gmax
+
+    p_val = math.inf if p in (None, math.inf) else float(p)
+    if not p_val >= 1:
+        raise StabilityError("p must be in [1, inf]")
+    t_of_p = 0.5 if p_val == math.inf else abs(0.5 - 1.0 / p_val)
+    admissible = admissible_at(t_of_p)
+
+    if gamma_h == 1.0 or gmax == math.inf:
+        all_p = admissible_at(0.5)
+        return StabilityVerdict(
+            dim, degree, gamma_h, gamma_rho, kind, p_val, admissible,
+            all_p=all_p, empty=not all_p and not admissible_at(0.0),
+            p_lower=None if all_p else None, p_upper=None,
+            p_lower_display=None, p_upper_display=None, gamma_max_bound=gmax,
+        )
+
+    t_star = (math.log(gmax) - math.log(gamma_rho) - s * math.log(gamma_h)) / (dim * math.log(gamma_h))
+    if t_star <= 0:
+        return StabilityVerdict(
+            dim, degree, gamma_h, gamma_rho, kind, p_val, False,
+            all_p=False, empty=True, p_lower=None, p_upper=None,
+            p_lower_display=None, p_upper_display=None, gamma_max_bound=gmax,
+        )
+    if t_star > 0.5:
+        return StabilityVerdict(
+            dim, degree, gamma_h, gamma_rho, kind, p_val, admissible,
+            all_p=True, empty=False, p_lower=None, p_upper=None,
+            p_lower_display=None, p_upper_display=None, gamma_max_bound=gmax,
+        )
+    p_lower = 2.0 / (1.0 + 2.0 * t_star)
+    p_upper = math.inf if t_star >= 0.5 else 2.0 / (1.0 - 2.0 * t_star)
+    return StabilityVerdict(
+        dim, degree, gamma_h, gamma_rho, kind, p_val, admissible,
+        all_p=False, empty=False, p_lower=p_lower, p_upper=p_upper,
+        p_lower_display=_round_up4(p_lower),
+        p_upper_display=None if p_upper == math.inf else _round_down4(p_upper),
+        gamma_max_bound=gmax,
+    )

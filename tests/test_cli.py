@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,10 +11,10 @@ import numpy as np
 import pytest
 
 import gradedproj
-from gradedproj.cli import closure_growth, main, round4
+from gradedproj.cli import build_mesh, closure_growth, main, round4
 from gradedproj.mesh import SimplicialMesh, kuhn_initial_mesh, marking_policy
 from gradedproj.polyspace import LagrangeSpace
-from oracles import save_mesh
+from oracles import refine_rounds, save_mesh
 
 
 def run(tmp_path, *argv):
@@ -31,6 +32,18 @@ def test_round4_half_even():
     assert round4(0.12345) == "0.1234"  # ties to even
     assert round4(0.12355) == "0.1236"
     assert round4(float("inf")) == "inf"
+
+
+@pytest.mark.parametrize("dim,alpha,policy,rounds", [
+    (2, 1, "corner", 12), (2, 0, "random:0.3", 6), (2, 2, "random-count:4", 10),
+    (3, 1, "corner", 8), (3, 0, "uniform", 2), (2, 1, "no-such-policy", 0),
+])
+def test_build_mesh_matches_marking_loop(dim, alpha, policy, rounds):
+    # the CLI meshes run through closure_benchmark, as the loop they replace;
+    # --rounds 0 leaves the mesh as built and never reads --policy
+    args = argparse.Namespace(dim=dim, cells=1, alpha=alpha, policy=policy, rounds=rounds, seed=3, mesh=None)
+    want = refine_rounds(kuhn_initial_mesh(dim, 1), policy, rounds, alpha, 3)
+    assert build_mesh(args).to_json_dict() == want.to_json_dict()
 
 
 def test_refine_writes_mesh_and_report(tmp_path):

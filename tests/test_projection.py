@@ -7,7 +7,7 @@ import pytest
 
 from exact_algebra import evaluate, frac_mat_mul, monomial, node_coords, nodal_poly, poly_from_nodal, poly_sub, substitute
 from fraction_geometry import barycentric_coordinates, coord, frac_mat_inv
-from gradedproj.mesh import element_distance, kuhn_initial_mesh
+from gradedproj.mesh import closure_benchmark, element_distance, kuhn_initial_mesh
 from gradedproj.polyspace import BarycentricPoly, CRSpace, LagrangeSpace, nodal_mass_table
 import gradedproj.projection as projection
 from gradedproj.cli import main
@@ -628,48 +628,64 @@ def test_weighted_matrices(mesh2d):
     assert lin @ (kw @ lin) == pytest.approx(2.0 * 5.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["P2", "CR", "P1z"])
-def test_cg_mass_path_matches_dense_cholesky(mesh2d, kind, monkeypatch):
-    # past DENSE_SOLVE_LIMIT dofs the mass solves run plain CG, column by
-    # column, and certify refuses; a limit of 0 takes that path on a small mesh
-    import gradedproj.projection as projection
+def _corner_graded_mesh():
+    # 2D Kuhn square after 20 corner rounds of BiSecLG(1): mass diagonal
+    # spanning 2^18, where unpreconditioned CG on M did not converge
+    mesh = kuhn_initial_mesh(2, 1)
+    closure_benchmark(mesh, "corner", 20, alpha=1)
+    return mesh
+
+
+@pytest.mark.parametrize("kind", ["P2", "CR", "P1z", "P1-graded"])
+def test_sparse_mass_path_matches_dense_cholesky(mesh2d, kind, monkeypatch):
+    # past DENSE_SOLVE_LIMIT dofs the mass solves run one sparse LU of M, for
+    # a vector and a block alike, and certify refuses; a limit of 0 takes
+    # that path on a small mesh
+    mesh = _corner_graded_mesh() if kind == "P1-graded" else mesh2d
 
     def space():
         if kind == "CR":
-            return CRSpace(mesh2d)
-        return LagrangeSpace(mesh2d, int(kind[1]), zero_trace=kind.endswith("z"))
+            return CRSpace(mesh)
+        return LagrangeSpace(mesh, int(kind[1]), zero_trace=kind == "P1z")
 
     dense = Operators(space())
+    if kind == "P1-graded":
+        assert dense.space.n_dofs == 148
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal((dense.space.n_dofs, 3))
-    want_one, want_multi = dense.solve_mass(rhs[:, 0]), dense.solve_mass_multi(rhs)
+    want_one, want_block = dense.solve_mass(rhs[:, 0]), dense.solve_mass(rhs)
     monkeypatch.setattr(projection, "DENSE_SOLVE_LIMIT", 0)
-    cg = Operators(space())
-    got_one, got_multi = cg.solve_mass(rhs[:, 0]), cg.solve_mass_multi(rhs)
+    sparse = Operators(space())
+    got_one, got_block = sparse.solve_mass(rhs[:, 0]), sparse.solve_mass(rhs)
+    assert got_one.shape == want_one.shape
     assert np.linalg.norm(got_one - want_one) <= 1e-12 * np.linalg.norm(want_one)
-    assert got_multi.shape == want_multi.shape
-    assert np.linalg.norm(got_multi - want_multi) <= 1e-12 * np.linalg.norm(want_multi)
+    assert got_block.shape == want_block.shape
+    assert np.linalg.norm(got_block - want_block) <= 1e-12 * np.linalg.norm(want_block)
     with pytest.raises(ProjectionError):
-        cg.certify()
+        sparse.certify()
 
 
-@pytest.mark.parametrize("kind", ["P1", "CR"])
-def test_dense_mass_solves_check_every_column(mesh2d, kind):
-    # a wrong dense solver is caught in the batched solve as in the single
-    # one, in any column; a zero right-hand side passes with a zero solution
-    ops = Operators(CRSpace(mesh2d) if kind == "CR" else LagrangeSpace(mesh2d, 1))
+@pytest.mark.parametrize("kind", ["P1", "CR", "P1-sparse", "CR-sparse"])
+def test_dense_mass_solves_check_every_column(mesh2d, kind, monkeypatch):
+    # a wrong solver is caught in the block solve as in the vector one, in
+    # any column, on the dense path and (limit 0) the sparse one; a zero
+    # right-hand side passes with a zero solution
+    if kind.endswith("-sparse"):
+        monkeypatch.setattr(projection, "DENSE_SOLVE_LIMIT", 0)
+    ops = Operators(CRSpace(mesh2d) if kind.startswith("CR") else LagrangeSpace(mesh2d, 1))
     rhs = np.random.default_rng(2).standard_normal((ops.space.n_dofs, 3))
     rhs[:, 1] = 0.0
-    exact = ops.solve_mass_multi(rhs)
+    exact = ops.solve_mass(rhs)
+    assert not np.any(exact[:, 1])
     off = exact.copy()
     off[:, 2] *= 1 + 1e-6
     ops._solver = lambda b: off if b.ndim == 2 else off[:, 2]
     with pytest.raises(ProjectionError, match="residual"):
-        ops.solve_mass_multi(rhs)
+        ops.solve_mass(rhs)
     with pytest.raises(ProjectionError, match="residual"):
         ops.solve_mass(rhs[:, 2])
     ops._solver = lambda b: exact
-    assert ops.solve_mass_multi(rhs) is exact
+    assert ops.solve_mass(rhs) is exact
 
 
 @pytest.mark.parametrize("kind", ["P2", "CR"])

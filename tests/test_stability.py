@@ -35,7 +35,7 @@ from gradedproj.analytic import ProjectionError
 from gradedproj.stability import _exact_weighted_ratio, _fine_weights, _scaled_cholesky, _unit_scaled, _weighted_p_norm, fine_link
 from conftest import distance_matrix, randomly_refined
 from oracles import _exact_weighted_ratio as dense_weighted_ratio
-from oracles import dense_top_rayleigh, masked_projection_norm, reference_simplex_mesh, volume_decay_constant
+from oracles import dense_top_rayleigh, four_branch_stability_range, masked_projection_norm, reference_simplex_mesh, volume_decay_constant
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +247,39 @@ def test_stability_range_weighted_and_cr():
         stability_range(2, 1, None, 1.0, "Lp")
     with pytest.raises(StabilityError):
         stability_range(2, 1, 2.0, 0.5, "Lp")
+
+
+@given(
+    dim=st.integers(1, 5),
+    degree=st.sampled_from([1, 2, 3, 4, math.inf, "CR"]),
+    gamma_h=st.one_of(st.just(1.0), st.floats(1.0, 8.0)),
+    gamma_rho=st.one_of(st.just(1.0), st.floats(1.0, 4.0)),
+    kind=st.sampled_from(["Lp", "W1p"]),
+    p=st.one_of(st.sampled_from([1.0, 2.0, math.inf]), st.floats(1.0, 50.0)),
+)
+def test_stability_range_matches_four_branch_oracle(dim, degree, gamma_h, gamma_rho, kind, p):
+    assert stability_range(dim, degree, gamma_h, gamma_rho, kind, p) == four_branch_stability_range(
+        dim, degree, gamma_h, gamma_rho, kind, p
+    )
+
+
+@pytest.mark.parametrize("kind", ["Lp", "W1p"])
+@pytest.mark.parametrize("dim,degree", [(d, k) for d in (2, 3, 4) for k in (1, 2, 3, "CR") if (d, k) != (2, "CR")])
+def test_stability_range_matches_four_branch_oracle_at_the_edges(dim, degree, kind):
+    # gamma_rho placed so that t* sits at 0 or 1/2, give or take an ulp: the
+    # float admissible_at and the log-based t* may disagree there (CR in
+    # d = 2 has no finite grading bound, so no edge)
+    gmax = gamma_max_bound(dim, degree)
+    s = 1 if kind == "W1p" else 0
+    for gamma_h in (2.0 ** (1 / dim), 2.0 ** (2 / dim), 1.1):
+        for t in (0.0, 0.5):
+            edge = gmax / gamma_h ** (s + dim * t)
+            for gamma_rho in (edge, math.nextafter(edge, 0), math.nextafter(edge, math.inf)):
+                if not 1 <= gamma_rho < math.inf:
+                    continue
+                for p in (1.0, 2.0, math.inf):
+                    args = (dim, degree, gamma_h, gamma_rho, kind, p)
+                    assert stability_range(*args) == four_branch_stability_range(*args)
 
 
 def test_gamma_max_bounds():
