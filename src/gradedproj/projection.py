@@ -31,13 +31,16 @@ and
 
 G_i the patch Gram matrix.  For the Crouzeix-Raviart space C u =
 sum_F <u, psi_F> psi_F / ||psi_F||^2, so P = D^-1 with D the diagonal of
-the mass matrix.  Operators builds P once, in the pass over the vertex
-patches (_vertex_patches) that builds the form matrix R^T G^-1 R and the
-apply matrix W G^-1 R (one Cholesky solve of G against [R | W^T] per patch);
-apply_C is P times rhs.  The three are summed in patch order by one ordered
-sum, so their bits do not depend on how scipy orders duplicate triplets, and
-the form and apply matrices are not formed as M P M and P M, which round
-differently.
+the mass matrix.  Operators builds P once, in the one stacked pass over
+the vertex patches that builds the form matrix R^T G^-1 R and the apply
+matrix W G^-1 R; apply_C is P times rhs.  The patch table (_vertex_patches)
+holds every patch at once; one np.bincount fills the G of every patch into
+one flat buffer, another every R, one fancy assignment every W; then each
+patch factors its G and solves it against [R | W^T] by one LAPACK potrf and
+one potrs, called directly.  The three matrices are summed in patch order by
+one ordered sum into a pattern sorted once (_csr_in_order), so their bits do
+not depend on how scipy orders duplicate triplets, and the form and apply
+matrices are not formed as M P M and P M, which round differently.
 
 The one integrand kind is ElementwisePoly, a polynomial per element: rhs,
 and through it project and apply_C, integrates it by a rule exact for its
@@ -80,7 +83,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .analytic import ProjectionError, q_new
-from .mesh import ElementDistance, SimplicialMesh, first_appearance, node_table
+from .mesh import ElementDistance, SimplicialMesh, _ranges, first_appearance, node_table
 from .polyspace import (
     BarycentricPoly,
     CRSpace,
@@ -109,14 +112,15 @@ def one_blas_thread() -> Iterator[None]:
     second thread does not pay on the small dense solves, factorizations and
     eigenproblems of this package.  Measured on 2 cores with OpenBLAS 0.3.31:
     below order 500 it gains at most 1.1x for eigh and eigvalsh and 1.6x for
-    cho_factor + cho_solve and gemm on an idle machine, and loses up to 2x
-    (gemm) to 6x (cho_factor + cho_solve) when another process keeps the
-    second core busy.  From order 500 two threads win 1.05x to 1.9x on an
-    idle machine; the block is capped whatever its size all the same, as the
-    measured workloads stay below 400 dofs.  Outside these blocks
-    OPENBLAS_NUM_THREADS governs.  Under the cap the results do not depend
-    on that variable; OpenBLAS's threaded kernels can round differently, in
-    the last bits.  Does nothing when no bundled OpenBLAS with these calls
+    a Cholesky factor and solve (potrf + potrs, as the patch pass calls them
+    and scipy's cho_factor + cho_solve wrap them) and gemm on an idle
+    machine, and loses up to 2x (gemm) to 6x (factor and solve) when another
+    process keeps the second core busy.  From order 500 two threads win 1.05x
+    to 1.9x on an idle machine; the block is capped whatever its size all the
+    same, as the measured workloads stay below 400 dofs.  Outside these
+    blocks OPENBLAS_NUM_THREADS governs.  Under the cap the results do not
+    depend on that variable; OpenBLAS's threaded kernels can round
+    differently, in the last bits.  Does nothing when no bundled OpenBLAS with these calls
     is loaded.  The counts are per process: two Python threads inside the
     block at once can leave them at one afterwards, which changes speed,
     not correctness.
@@ -328,40 +332,59 @@ class Operators:
 
     def _assemble_patches(self):
         space = self.space
-        K, d = space.degree, self.dim
+        K, d, n = space.degree, self.dim, space.n_dofs
         # float tables indexed by the patch vertex's local number j
         gram_f = np.array(lambda_nodal_product_table(d, K - 1, K - 1), dtype=float)
         cross_f = np.array(lambda_nodal_product_table(d, K - 1, K), dtype=float)
         low_at_hi = np.array(nodal_values_at_nodes(d, K - 1, K), dtype=float)
         # nodal[j, m, a]: value of lambda_j psi_a at high node m
         nodal = np.array(space.ref.node_coords, dtype=float).T[:, :, None] * low_at_hi
-        # global (row, col, [form, apply, patch]) triplets, patch by patch; the
-        # empty first entry serves a space without patches (no dofs)
-        triplets = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty((0, 3)),)]
+        t = _vertex_patches(space)
+        sizes, n_cols = t.sizes, np.diff(t.col_starts)
+        # G, R and W of every patch, C order, one after another in flat buffers
+        g_at = np.cumsum(sizes * sizes) - sizes * sizes
+        r_at = np.cumsum(sizes * n_cols) - sizes * n_cols  # W (n_g x m) takes R's places
+        member_g, member_r = g_at[t.patch, None, None], r_at[t.patch, None, None]
+        pids, cpos, m = t.pids, t.cpos, sizes[t.patch, None, None]
+        vols = space.geometry.volumes[t.rows, None, None]
+        # index -1 (banned patch dof, removed trace dof) is skipped; bincount
+        # adds in (patch, member, a, b) order, and every member writes the
+        # same nodal value of a pair
+        pairs = (pids[:, :, None] >= 0) & (pids[:, None, :] >= 0)
+        at = (member_g + pids[:, :, None] * m + pids[:, None, :])[pairs]
+        gbuf = np.bincount(at, (vols * gram_f[t.js])[pairs], minlength=(sizes * sizes).sum())
+        pairs = (pids[:, :, None] >= 0) & (cpos[:, None, :] >= 0)
+        at = (member_r + pids[:, :, None] * n_cols[t.patch, None, None] + cpos[:, None, :])[pairs]
+        rbuf = np.bincount(at, (vols * cross_f[t.js])[pairs], minlength=(sizes * n_cols).sum())
+        pairs = np.swapaxes(pairs, 1, 2)
+        wbuf = np.zeros(len(rbuf))
+        wbuf[(member_r + cpos[:, :, None] * m + pids[:, None, :])[pairs]] = nodal[t.js][pairs]
+        if not (np.isfinite(gbuf).all() and np.isfinite(rbuf).all()):
+            raise ProjectionError("non-finite patch system")
+        # the keys row * n + col of the blocks gcols x gcols of the patches
+        # with a patch dof, row-major, patch after patch
+        live = sizes > 0
+        entry = np.repeat(live, n_cols)
+        first, width = np.repeat(t.col_starts[:-1], n_cols)[entry], np.repeat(n_cols, n_cols)[entry]
+        keys = np.repeat(t.cols[entry] * n, width)
+        keys += t.cols[_ranges(first, first + width)]
+        k_at = np.cumsum(n_cols[live] ** 2) - n_cols[live] ** 2
+        vals = [np.empty(len(keys)) for _ in range(3)]  # form, apply and patch values there
+        potrf, potrs = scipy.linalg.lapack.dpotrf, scipy.linalg.lapack.dpotrs
+        spans = zip(*(a[live].tolist() for a in (t.vertices, sizes, n_cols, g_at, r_at)), k_at.tolist())
         with one_blas_thread():
-            for vertex, prows, pjs, ppids, gcols, pcpos in _vertex_patches(space):
-                m_patch, n_g = int(ppids.max()) + 1, len(gcols)  # patch dofs are numbered 0, 1, ...
-                # index -1 (banned patch dof, removed trace dof) lands in a scratch
-                # row or column past the end; np.add.at adds in (member, a, b)
-                # order, and every member writes the same nodal value of a pair
-                vols = space.geometry.volumes[prows, None, None]
-                gmat = np.zeros((m_patch + 1, m_patch + 1))
-                np.add.at(gmat, (ppids[:, :, None], ppids[:, None, :]), vols * gram_f[pjs])
-                rmat = np.zeros((m_patch + 1, n_g + 1))
-                np.add.at(rmat, (ppids[:, :, None], pcpos[:, None, :]), vols * cross_f[pjs])
-                wmat = np.zeros((n_g + 1, m_patch + 1))
-                wmat[pcpos[:, :, None], ppids[:, None, :]] = nodal[pjs]
-                gmat, rmat, wmat = (np.ascontiguousarray(a[:-1, :-1]) for a in (gmat, rmat, wmat))
-                try:
-                    gchol = scipy.linalg.cho_factor(gmat)
-                except scipy.linalg.LinAlgError as exc:
-                    raise ProjectionError(f"singular patch system at vertex {vertex}") from exc
-                ginv = scipy.linalg.cho_solve(gchol, np.hstack([rmat, wmat.T]))  # G^-1 [R | W^T]
+            for vertex, m_p, n_g, g0, r0, k0 in spans:
+                gmat = gbuf[g0 : g0 + m_p * m_p].reshape(m_p, m_p)
+                rmat = rbuf[r0 : r0 + m_p * n_g].reshape(m_p, n_g)
+                wmat = wbuf[r0 : r0 + m_p * n_g].reshape(n_g, m_p)
+                gchol, info = potrf(gmat, lower=0, clean=0)
+                if info > 0:
+                    raise ProjectionError(f"singular patch system at vertex {vertex}")
+                ginv = potrs(gchol, np.concatenate((rmat, wmat.T), axis=1), lower=0)[0]  # G^-1 [R | W^T]
                 ginv_r, ginv_w = ginv[:, :n_g], ginv[:, n_g:]
-                blocks = np.stack([rmat.T @ ginv_r, wmat @ ginv_r, wmat @ ginv_w], axis=-1)
-                triplets.append((np.repeat(gcols, n_g), np.tile(gcols, n_g), blocks.reshape(-1, 3)))
-        rows, cols, vals = (np.concatenate([t[i] for t in triplets]) for i in range(3))
-        self.form_matrix, self.apply_matrix, self.patch_matrix = _csr_in_order(rows, cols, vals, space.n_dofs)
+                for out, block in zip(vals, (rmat.T @ ginv_r, wmat @ ginv_r, wmat @ ginv_w)):
+                    out[k0 : k0 + n_g * n_g] = block.ravel()
+        self.form_matrix, self.apply_matrix, self.patch_matrix = _csr_in_order(keys, vals, n)
 
     # solves --------------------------------------------------------------------
 
@@ -372,7 +395,11 @@ class Operators:
         a graded mesh is ill conditioned: its diagonal follows the element
         volumes, and spans 1.4e13 on the P3 space (8164 dofs) of a 24x24 Kuhn
         square after 40 corner rounds, where unpreconditioned CG stalls.
-        solve_mass checks the residuals."""
+        The LU orders M symmetrically (minimum degree on M + M^T, diagonal
+        pivots): on the d=3 P2 space of 6439 dofs (a 6x6x6 Kuhn cube after 10
+        corner rounds of BiSecLG(1)) its L + U hold 1.29M nonzeros against
+        3.77M under splu's default column ordering, and it factors about 3x
+        faster.  solve_mass checks the residuals."""
         if self._solver is not None:
             return
         if self.space.n_dofs <= DENSE_SOLVE_LIMIT:
@@ -380,7 +407,9 @@ class Operators:
                 chol = scipy.linalg.cho_factor(self.mass.toarray())
             self._solver = lambda b: scipy.linalg.cho_solve(chol, b)
         else:
-            self._solver = spla.splu(self.mass).solve  # self.mass is CSC
+            self._solver = spla.splu(
+                self.mass, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0, options={"SymmetricMode": True}
+            ).solve  # self.mass is CSC
 
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
         """M^-1 rhs for a vector or a block of columns, each column held to
@@ -530,15 +559,31 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _vertex_patches(space):
-    """Per vertex patch of a Lagrange space that carries a patch dof, in
-    vertex order: the vertex; the members (element row rows[k] of space.dofs,
-    local vertex js[k]) in row order; their patch dof numbers pids[k, a], -1
-    where the trace bans them; the global dofs gcols they touch, in order of
-    first appearance; and the place cpos[k, b] in gcols of each member dof, -1
-    for a removed trace dof.  A trace face jf != j of a member bans the low
-    nodes on it (alpha[jf] == 0) in the patch of its vertex j, and for the
-    whole patch: continuity pins their nodal values everywhere."""
+class PatchTable(NamedTuple):
+    """The vertex patches of a Lagrange space, stacked: patch p around
+    vertices[p], in vertex order, has the members k with patch[k] = p,
+    side by side (element row rows[k] of space.dofs, local vertex js[k]), in
+    row order; their patch dof numbers pids[k, a], 0 .. sizes[p] - 1, -1 where
+    the trace bans them; the global dofs they touch, cols[col_starts[p] :
+    col_starts[p + 1]], in order of first appearance; and the place cpos[k, b]
+    there of each member dof, -1 for a removed trace dof.  A patch of size 0
+    carries no patch dof and no patch system."""
+
+    vertices: np.ndarray
+    rows: np.ndarray
+    js: np.ndarray
+    patch: np.ndarray
+    pids: np.ndarray
+    sizes: np.ndarray
+    cpos: np.ndarray
+    col_starts: np.ndarray
+    cols: np.ndarray
+
+
+def _vertex_patches(space) -> PatchTable:
+    """The patch table of a Lagrange space.  A trace face jf != j of a member
+    bans the low nodes on it (alpha[jf] == 0) in the patch of its vertex j,
+    and for the whole patch: continuity pins their nodal values everywhere."""
     d = space.mesh.dim
     alphas = np.array(multi_indices(d, space.degree - 1))
     keys = first_appearance(node_table(space.vertices, alphas))[0].reshape(len(space.vertices), -1)
@@ -547,14 +592,9 @@ def _vertex_patches(space):
     order = np.argsort(flat, kind="stable")
     rows, js = np.divmod(order, d + 1)
     patch, starts = first_appearance(flat[order, None])
-    bounds = np.r_[starts, len(order)]
-    pids, n_pids, _ = _patch_numbers(patch, keys[rows], banned[rows, js])
+    pids, sizes, _ = _patch_numbers(patch, keys[rows], banned[rows, js])
     cpos, n_cols, cols = _patch_numbers(patch, space.dofs[rows], space.dofs[rows] < 0)
-    col_bounds = np.r_[0, np.cumsum(n_cols)]
-    for p in np.flatnonzero(n_pids).tolist():
-        members = slice(bounds[p], bounds[p + 1])
-        gcols = cols[col_bounds[p] : col_bounds[p + 1]]
-        yield flat[order[starts[p]]], rows[members], js[members], pids[members], gcols, cpos[members]
+    return PatchTable(flat[order[starts]], rows, js, patch, pids, sizes, cpos, np.r_[0, np.cumsum(n_cols)], cols)
 
 
 def _patch_numbers(patch: np.ndarray, ids: np.ndarray, banned: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -569,25 +609,33 @@ def _patch_numbers(patch: np.ndarray, ids: np.ndarray, banned: np.ndarray) -> tu
     return local.reshape(ids.shape), counts, ids.ravel()[first]
 
 
-def _csr_in_order(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> list[sp.csr_matrix]:
-    """n x n CSR matrices, one per column of vals, each with its duplicate
-    (row, col) triplets summed in the order given, with np.add.at into the
-    one distinct pattern; exact zeros are dropped.
+def _csr_in_order(keys: np.ndarray, values: Sequence[np.ndarray], n: int) -> list[sp.csr_matrix]:
+    """n x n CSR matrices, one per value array, at the triplet keys row * n +
+    col, each with its duplicate keys summed in the order given (np.bincount
+    adds as np.add.at into zeros does) into the one distinct pattern, whose
+    sorted keys give the int32 indptr and indices once; exact zeros are
+    dropped.
 
     The patch operator sums its blocks in patch order.  scatter_matrix cannot
     give that: scipy's COO->CSR conversion sums duplicates in an order of its
     own choosing, which gives the form matrix other last bits."""
-    order = np.argsort(rows * n + cols)  # equal keys share one place, in any order
-    ranked = (rows * n + cols)[order]
+    order = np.argsort(keys)  # equal keys share one place, in any order
+    ranked = keys[order]
     new = np.diff(ranked, prepend=-1) != 0
+    rows, cols = np.divmod(ranked[new], n)
+    del ranked  # the per-triplet arrays held at once: keys, values, order, place, inverse
+    place = np.cumsum(new)
+    place -= 1
     inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(new) - 1  # each triplet's place in the pattern
-    keys = ranked[new]
+    inverse[order] = place  # each triplet's place in the pattern
+    del order, place
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = cols.astype(np.int32)
     out = []
-    for column in vals.T:
-        data = np.zeros(len(keys))
-        np.add.at(data, inverse, column)
-        matrix = sp.csr_matrix((data, np.divmod(keys, n)), shape=(n, n))
+    for column in values:
+        data = np.bincount(inverse, column, minlength=len(indices)).astype(float, copy=False)  # float when empty too
+        matrix = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
         matrix.eliminate_zeros()
         out.append(matrix)
     return out

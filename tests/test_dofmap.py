@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from exact_algebra import evaluate, nodal_poly, node_coords as exact_node_coords
 from fraction_geometry import coord
-from gradedproj.mesh import SimplicialMesh, kuhn_initial_mesh
+from gradedproj.mesh import SimplicialMesh, closure_benchmark, kuhn_initial_mesh
 from gradedproj.polyspace import (
     BarycentricPoly,
     CRSpace,
@@ -588,6 +588,32 @@ def test_patch_table_matches_member_loops(meshes, dim, degree, zero_trace, shuff
     assert_apply_C_matches(ops, patch_m, patches, u)
 
 
+@pytest.fixture(scope="module")
+def corner_meshes():
+    # Kuhn cells after corner rounds of BiSecLG(1): volumes graded toward the
+    # origin, patches of many sizes, trace faces at every level
+    out = {}
+    for dim, rounds in ((2, 10), (3, 4)):
+        out[dim] = kuhn_initial_mesh(dim, 1)
+        closure_benchmark(out[dim], "corner", rounds, alpha=1)
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("zero_trace", [False, True])
+def test_patch_table_matches_member_loops_on_graded_meshes(corner_meshes, dim, degree, zero_trace):
+    space = LagrangeSpace(corner_meshes[dim], degree, zero_trace=zero_trace)
+    ops = Operators(space)
+    form, apply_m, patch_m, patches = loop_patch_operator(space)
+    assert np.count_nonzero(_vertex_patches(space).sizes) == len(patches)
+    assert_same_csr(ops.form_matrix, form)
+    assert_same_csr(ops.apply_matrix, apply_m)
+    assert_same_csr(ops.patch_matrix, patch_m)
+    u = _random_poly(space.mesh, space.element_ids[::3], degree + 1, np.random.default_rng(degree))
+    assert_apply_C_matches(ops, patch_m, patches, u)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("degree", [1, 2])
 def test_patch_table_on_trace_dominated_cells(dim, degree):
@@ -595,7 +621,7 @@ def test_patch_table_on_trace_dominated_cells(dim, degree):
     space = LagrangeSpace(kuhn_initial_mesh(dim, 1), degree, zero_trace=True)
     ops = Operators(space)
     form, apply_m, patch_m, patches = loop_patch_operator(space)
-    assert space.n_dofs == degree - 1 and len(list(_vertex_patches(space))) == len(patches)
+    assert space.n_dofs == degree - 1 and np.count_nonzero(_vertex_patches(space).sizes) == len(patches)
     assert_same_csr(ops.form_matrix, form)
     assert_same_csr(ops.apply_matrix, apply_m)
     assert_same_csr(ops.patch_matrix, patch_m)

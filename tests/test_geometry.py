@@ -252,27 +252,28 @@ def test_bisection_stops_at_the_exponent_bound():
 # -- the patch sparsity pattern ------------------------------------------------------
 
 
-def _csr_by_unique(rows, cols, vals, n):
-    """The former pattern builder, for one column of values: np.unique with
-    the inverse."""
-    keys, inverse = np.unique(rows * n + cols, return_inverse=True)
-    data = np.zeros(len(keys))
+def _csr_by_unique(keys, vals, n):
+    """The former pattern builder, for one array of values: np.unique with
+    the inverse, np.add.at into zeros and a COO conversion."""
+    pattern, inverse = np.unique(keys, return_inverse=True)
+    data = np.zeros(len(pattern))
     np.add.at(data, inverse, vals)
-    out = sp.csr_matrix((data, np.divmod(keys, n)), shape=(n, n))
+    out = sp.csr_matrix((data, np.divmod(pattern, n)), shape=(n, n))
     out.eliminate_zeros()
     return out
 
 
 def test_patch_pattern_matches_unique_oracle(monkeypatch):
     # the form, apply and patch matrices of every criterion-3 mesh, each
-    # column of the one call against its own unique-based build, bit for bit
+    # value array of the one call against its own unique-based build, bit
+    # for bit
     built = []
     sort_based = projection._csr_in_order
 
-    def both(rows, cols, vals, n):
-        got = sort_based(rows, cols, vals, n)
-        assert vals.shape[1] == len(got) == 3
-        built.extend(zip(got, (_csr_by_unique(rows, cols, column, n) for column in vals.T)))
+    def both(keys, values, n):
+        got = sort_based(keys, values, n)
+        assert len(values) == len(got) == 3
+        built.extend(zip(got, (_csr_by_unique(keys, column, n) for column in values)))
         return got
 
     monkeypatch.setattr(projection, "_csr_in_order", both)

@@ -628,20 +628,21 @@ def test_weighted_matrices(mesh2d):
     assert lin @ (kw @ lin) == pytest.approx(2.0 * 5.0, rel=1e-12)
 
 
-def _corner_graded_mesh():
-    # 2D Kuhn square after 20 corner rounds of BiSecLG(1): mass diagonal
-    # spanning 2^18, where unpreconditioned CG on M did not converge
-    mesh = kuhn_initial_mesh(2, 1)
-    closure_benchmark(mesh, "corner", 20, alpha=1)
+def _corner_graded_mesh(dim=2, rounds=20):
+    # a Kuhn cell after corner rounds of BiSecLG(1); the 2D default has a
+    # mass diagonal spanning 2^18, where unpreconditioned CG on M did not
+    # converge
+    mesh = kuhn_initial_mesh(dim, 1)
+    closure_benchmark(mesh, "corner", rounds, alpha=1)
     return mesh
 
 
-@pytest.mark.parametrize("kind", ["P2", "CR", "P1z", "P1-graded"])
+@pytest.mark.parametrize("kind", ["P2", "CR", "P1z", "P1-graded", "P2-graded-3d"])
 def test_sparse_mass_path_matches_dense_cholesky(mesh2d, kind, monkeypatch):
-    # past DENSE_SOLVE_LIMIT dofs the mass solves run one sparse LU of M, for
-    # a vector and a block alike, and certify refuses; a limit of 0 takes
-    # that path on a small mesh
-    mesh = _corner_graded_mesh() if kind == "P1-graded" else mesh2d
+    # past DENSE_SOLVE_LIMIT dofs the mass solves run one sparse LU of M
+    # (symmetric ordering, diagonal pivots), for a vector and a block alike,
+    # and certify refuses; a limit of 0 takes that path on a small mesh
+    mesh = {"P1-graded": _corner_graded_mesh, "P2-graded-3d": lambda: _corner_graded_mesh(3, 8)}.get(kind, lambda: mesh2d)()
 
     def space():
         if kind == "CR":
@@ -651,6 +652,9 @@ def test_sparse_mass_path_matches_dense_cholesky(mesh2d, kind, monkeypatch):
     dense = Operators(space())
     if kind == "P1-graded":
         assert dense.space.n_dofs == 148
+    if kind == "P2-graded-3d":
+        volumes = dense.space.geometry.volumes
+        assert dense.space.n_dofs == 581 and volumes.max() / volumes.min() == 16.0
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal((dense.space.n_dofs, 3))
     want_one, want_block = dense.solve_mass(rhs[:, 0]), dense.solve_mass(rhs)
@@ -663,6 +667,42 @@ def test_sparse_mass_path_matches_dense_cholesky(mesh2d, kind, monkeypatch):
     assert np.linalg.norm(got_block - want_block) <= 1e-12 * np.linalg.norm(want_block)
     with pytest.raises(ProjectionError):
         sparse.certify()
+
+
+def _with_volume(space, rows, value):
+    """space with the float volume of the given element rows replaced."""
+    volumes = space.geometry.volumes.copy()
+    volumes[rows] = value
+    space.geometry = space.geometry._replace(volumes=volumes)
+    return space
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_singular_patch_system_names_its_vertex(dim):
+    # P1: the patch Gram matrix of a vertex is the 1 x 1 sum of its member
+    # volumes times a positive table entry, so zero volumes around one vertex
+    # make exactly the patches whose members all lie there singular; the
+    # first of them in vertex order is named
+    mesh = randomly_refined(dim, 3, seed=dim)
+    space = LagrangeSpace(mesh, 1)
+    vertex = mesh.simplices[mesh.active_ids()[len(mesh.active_ids()) // 2]].vertices[0]
+    rows = np.flatnonzero((space.vertices == vertex).any(axis=1))
+    table = projection._vertex_patches(space)
+    singular = [v for p, v in enumerate(table.vertices.tolist()) if np.isin(table.rows[table.patch == p], rows).all()]
+    assert vertex in singular
+    with pytest.raises(ProjectionError, match=f"^singular patch system at vertex {singular[0]}$"):
+        Operators(_with_volume(space, rows, 0.0))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf * 0 in a table product
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_non_finite_patch_system_raises_projection_error(mesh2d, degree, value):
+    # a non-finite entry in any patch system is a ProjectionError (the CLI's
+    # exit 3), not a bare ValueError from the LAPACK wrappers
+    space = _with_volume(LagrangeSpace(mesh2d, degree), [len(mesh2d.active_ids()) - 1], value)
+    with pytest.raises(ProjectionError, match="non-finite patch system"):
+        Operators(space)
 
 
 @pytest.mark.parametrize("kind", ["P1", "CR", "P1-sparse", "CR-sparse"])

@@ -290,20 +290,21 @@ def test_patch_numbers_match_unique_numbering(name, degree):
     keys = np.array([[key_ids.setdefault(node_key(vs, a), len(key_ids)) for a in low] for vs in space.vertices.tolist()])
     banned = np.array([[any(a[jf] == 0 for jf in np.flatnonzero(flags[r]) if jf != j) for a in low]
                        for r in range(len(keys)) for j in range(mesh.dim + 1)]).reshape(len(keys), mesh.dim + 1, -1)
-    patches = _vertex_patches(space)
+    table = _vertex_patches(space)
     flat = space.vertices.ravel()
-    for vertex in np.unique(flat):
+    assert np.array_equal(table.vertices, np.unique(flat)) and len(table.patch) == len(flat)
+    assert np.array_equal(table.patch, np.sort(table.patch))
+    assert table.col_starts[0] == 0 and table.col_starts[-1] == len(table.cols)
+    for p, vertex in enumerate(table.vertices.tolist()):
         rows, js = np.divmod(np.flatnonzero(flat == vertex), mesh.dim + 1)
         member_keys = keys[rows]
         pids, _ = unique_first_appearance(np.where(np.isin(member_keys, member_keys[banned[rows, js]]), -1, member_keys))
-        if pids.max() < 0:
-            continue
         cpos, gcols = unique_first_appearance(space.dofs[rows])
-        got_vertex, got_rows, got_js, got_pids, got_gcols, got_cpos = next(patches)
-        assert got_vertex == vertex and np.array_equal(got_rows, rows) and np.array_equal(got_js, js)
-        assert np.array_equal(got_pids, pids) and np.array_equal(got_gcols, gcols)
-        assert np.array_equal(got_cpos, cpos)
-    assert next(patches, None) is None
+        members = table.patch == p
+        assert np.array_equal(table.rows[members], rows) and np.array_equal(table.js[members], js)
+        assert np.array_equal(table.pids[members], pids) and table.sizes[p] == pids.max() + 1
+        assert np.array_equal(table.cols[table.col_starts[p] : table.col_starts[p + 1]], gcols)
+        assert np.array_equal(table.cpos[members], cpos)
 
 
 def test_patch_numbers_ban_per_patch():
