@@ -39,7 +39,7 @@ def run(out_dir: str = "out/decay", seed: int = 0) -> int:
         shells = dist.from_source(src[0])
         rows = []
         for delta in sorted({int(x) for x in shells if x > 0}):
-            members = [dist.ids[i] for i in range(dist.n) if shells[i] == delta]
+            members = [dist.ids[i] for i in np.flatnonzero(shells == delta)]
             rows.append(measure_decay(ops, dist, members, src, trials=2, seed=seed + delta))
         name = f"decay_d{dim}_{degree}.tsv"
         write_decay_tsv(out / name, rows, [f"dim={dim} degree={degree} elements={mesh.n_active}"])

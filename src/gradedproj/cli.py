@@ -241,7 +241,7 @@ def cmd_decay(args) -> int:
 
     rows = [
         measure_decay(
-            ops, dist, [dist.ids[i] for i in range(dist.n) if shells[i] == delta], source,
+            ops, dist, [dist.ids[i] for i in np.flatnonzero(shells == delta)], source,
             trials=args.trials, seed=args.seed + delta,
         )
         for delta in deltas

@@ -51,6 +51,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -683,6 +684,12 @@ class ElementDistance:
     kind "vertex": neighbors share at least a vertex (so distance 1 means a
     nonempty intersection on a conforming mesh).  kind "face": neighbors share
     a full (d-1)-face.  Distances to unreachable elements are UNREACHABLE.
+
+    The breadth-first row of each source set is computed once and kept,
+    read-only, under the set's sorted positions, the way Operators keeps one
+    decay source block per set: a decay profile reads every shell's distance
+    from the one row of its source.  The element graph is fixed at
+    construction, so a kept row never goes stale.
     """
 
     def __init__(self, mesh: SimplicialMesh, kind: str = "vertex"):
@@ -692,13 +699,25 @@ class ElementDistance:
         self.pos = {sid: i for i, sid in enumerate(self.ids)}
         table = vertex_table(mesh, self.ids)
         self.indptr, self.indices = _shared_id_graph(element_faces(table)[0] if kind == "face" else table)
+        self._rows: dict[tuple[int, ...], np.ndarray] = {}
 
     @property
     def n(self) -> int:
         return len(self.ids)
 
     def from_source(self, sid: int) -> np.ndarray:
-        return self._bfs([self.pos[sid]])
+        """Distances from sid to every element, in ids order: a copy of the
+        kept row, free to write into."""
+        return self._row((self.pos[sid],)).copy()
+
+    def _row(self, sources: tuple[int, ...]) -> np.ndarray:
+        """The read-only row of distances from the nearest of the sources
+        (sorted distinct positions), built on first use."""
+        row = self._rows.get(sources)
+        if row is None:
+            row = self._rows[sources] = self._bfs(list(sources))
+            row.setflags(write=False)
+        return row
 
     def _bfs(self, sources: list[int]) -> np.ndarray:
         """Distances from the nearest source, one frontier array per level."""
@@ -712,13 +731,37 @@ class ElementDistance:
             frontier = np.flatnonzero(dist == level)
         return dist
 
+    @cached_property
+    def _components(self) -> np.ndarray:
+        """A label per element, equal exactly within a connected component:
+        each round hooks the label of every edge's first end onto the smaller
+        label of its second and then jumps pointers until every label is its
+        own, until no round changes a label.  Labels only shrink, so rounds
+        end; at the end the labels agree across every edge (the graph is
+        symmetric)."""
+        labels, rows = np.arange(self.n), _rows(self)
+        while True:
+            hooked = labels.copy()
+            np.minimum.at(hooked, labels[rows], labels[self.indices])
+            while not np.array_equal(hooked, jumped := hooked[hooked]):
+                hooked = jumped
+            if np.array_equal(hooked, labels):
+                return labels
+            labels = hooked
+
     def dist_sets(self, left: Iterable[int], right: Iterable[int]) -> int:
+        """The least distance between an element of left and one of right,
+        read from the kept row of right; UNREACHABLE when some element of
+        right has no element of left in its component."""
         left = [self.pos[s] for s in left]
         right = [self.pos[s] for s in right]
         if not left or not right:
             raise MeshError("element sets must be nonempty")
-        vals = self._bfs(left)[right]
-        return UNREACHABLE if np.any(vals == UNREACHABLE) else int(vals.min())
+        labels = self._components
+        if not np.isin(labels[right], labels[left]).all():
+            return UNREACHABLE
+        vals = self._row(tuple(sorted(set(right))))[left]
+        return int(vals[vals != UNREACHABLE].min())
 
 
 def element_distance(mesh: SimplicialMesh, kind: str = "vertex") -> ElementDistance:

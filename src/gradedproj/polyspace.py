@@ -96,7 +96,7 @@ class BarycentricPoly:
 
     def __init__(self, dim: int, coeffs: dict[MultiIndex, Fraction] | None = None):
         self.dim = dim
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v != 0}
+        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}  # truth is v != 0, without Fraction.__eq__
 
     def degree(self) -> int:
         return max((sum(k) for k in self.coeffs), default=0)

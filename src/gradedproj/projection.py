@@ -57,6 +57,14 @@ rounds it once per element.  The decay parameter uses the closed-form
 condition bounds (bound_kappa); the spectrum of the local operator S behind
 them is checked by the tests (acceptance criterion 1), not computed here.
 
+Mass solves factor M once: a dense Cholesky by direct LAPACK calls up to
+DENSE_SOLVE_LIMIT dofs, one sparse LU beyond; either solves a block of
+columns, each with the bits of its one-column solve.  So the decay
+measurement draws the random trials of a shell first, projects them by one
+block solve and reads the exact masked norm and the sampled bound from one
+sparse product; the shell's distance comes from the one breadth-first row
+that the ElementDistance keeps for the source.
+
 Reference tables and local basis values come from gradedproj.polyspace: the
 exact product tables of the patch Gram and cross matrices, the nodal values
 of the low-degree basis at the high nodes, the gradient products of the
@@ -399,13 +407,25 @@ class Operators:
         pivots): on the d=3 P2 space of 6439 dofs (a 6x6x6 Kuhn cube after 10
         corner rounds of BiSecLG(1)) its L + U hold 1.29M nonzeros against
         3.77M under splu's default column ordering, and it factors about 3x
-        faster.  solve_mass checks the residuals."""
+        faster.  The dense factor calls LAPACK's potrf and potrs directly, as
+        the patch pass does, with the bits of scipy's cho_factor and
+        cho_solve; a non-finite or indefinite M raises ProjectionError.
+        solve_mass checks the residuals."""
         if self._solver is not None:
             return
-        if self.space.n_dofs <= DENSE_SOLVE_LIMIT:
+        n = self.space.n_dofs
+        if n == 0:  # potrs rejects an empty system
+            self._solver = lambda b: np.zeros(np.shape(b))
+        elif n <= DENSE_SOLVE_LIMIT:
+            dense = self.mass.toarray()
+            if not np.isfinite(dense).all():
+                raise ProjectionError("non-finite mass matrix")
+            potrf, potrs = scipy.linalg.lapack.dpotrf, scipy.linalg.lapack.dpotrs
             with one_blas_thread():
-                chol = scipy.linalg.cho_factor(self.mass.toarray())
-            self._solver = lambda b: scipy.linalg.cho_solve(chol, b)
+                chol, info = potrf(dense, lower=0, clean=0)
+            if info > 0:
+                raise ProjectionError(f"mass matrix not positive definite (leading minor {info})")
+            self._solver = lambda b: potrs(chol, b, lower=0)[0]
         else:
             self._solver = spla.splu(
                 self.mass, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0, options={"SymmetricMode": True}
@@ -418,8 +438,10 @@ class Operators:
         return self._checked(self._solver(rhs), rhs)
 
     def _checked(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """x, once every column has a residual ||M x - b|| of at most
-        1e-12 ||b|| max(1, n) (a zero column b passes)."""
+        """x, once it is finite and every column has a residual ||M x - b||
+        of at most 1e-12 ||b|| max(1, n) (a zero column b passes)."""
+        if not np.isfinite(x).all():  # a non-finite rhs gives non-finite x, and no residual shows it
+            raise ProjectionError("mass solve gave non-finite values")
         res = np.linalg.norm(self.mass @ x - rhs, axis=0)
         scale = np.linalg.norm(rhs, axis=0)
         rel = np.divide(res, scale, out=np.zeros_like(res), where=scale > 0)
@@ -466,15 +488,16 @@ class Operators:
         supported on elements of the space."""
         if u.mesh is not self.mesh:
             raise ProjectionError("ElementwisePoly must live on the operator mesh")
-        outside = set(u.polys).difference(self.space.element_ids)
-        if outside:
-            raise ProjectionError(f"ElementwisePoly is supported on element {min(outside)}, which is not in the space")
         element_ids = u.support()
+        try:  # a lookup per support element, not a set of the whole space per call
+            rows = self.space.rows(element_ids)
+        except KeyError as exc:  # the support ascends: the least element outside the space
+            raise ProjectionError(f"ElementwisePoly is supported on element {exc.args[0]}, which is not in the space") from None
         pts, wts, basis = self._quad(self.space.degree + u.degree())
-        vols = self.space.geometry.volumes[self.space.rows(element_ids), None, None]
+        vols = self.space.geometry.volumes[rows, None, None]
         # one BLAS call per element, with the bits of a separate (vol * weighted) @ values
         local = np.matmul(vols * (basis.T * wts), u.element_values(element_ids, pts)[:, :, None])
-        dofs = self.space.dof_rows(element_ids)
+        dofs = self.space.dofs[rows]
         keep = dofs >= 0
         out = np.zeros(self.space.n_dofs)
         np.add.at(out, dofs[keep], local.reshape(dofs.shape)[keep])  # element by element, in order
@@ -746,18 +769,6 @@ class DecayMeasurement:
     bound: float
 
 
-def _masked_norm(ops: Operators, m_left: sp.csr_matrix, right: Sequence[int]) -> float:
-    """Exact operator norm of u |-> 1_L Q (1_{L'} u) on L2, for the mass m_left
-    over L, via the low-rank symmetric eigenproblem over the dofs supported
-    near L' (the source block of ops.source_block)."""
-    y = ops.source_block(right)
-    if y is None:
-        return 0.0
-    small = _sym(y.T @ (m_left @ y))
-    ev = np.linalg.eigvalsh(small)
-    return math.sqrt(max(float(ev[-1]), 0.0))
-
-
 def measure_decay(
     ops: Operators,
     dist: ElementDistance,
@@ -768,7 +779,19 @@ def measure_decay(
     q: float | None = None,
 ) -> DecayMeasurement:
     """Exact masked-operator norm against the decay bound min(2 q^(delta-1), 1),
-    plus a random-sampling lower bound as an independent check."""
+    plus a random-sampling lower bound as an independent check.
+
+    The exact norm of u |-> 1_L Q (1_{L'} u) on L2 (L = left, L' = right) is
+    the root of the top eigenvalue of Y^T M_L Y, Y the source block of
+    ops.source_block and M_L the mass over L.  The sampled bound is the
+    largest ||1_L Q u|| / ||u|| over `trials` random polynomials u on L'.
+    All are drawn first, which consumes the generator as drawing each just
+    before its projection would (norm2 and the solve draw nothing); those
+    of nonzero norm are projected by one block solve X, and one sparse
+    product M_L [Y | X] serves both.  Each quotient's dot product runs on
+    contiguous copies of its two columns: a column of the block solve has
+    the bits of its one-column solve, and a strided dot product would add
+    in another order."""
     left = sorted(left)
     right = sorted(right)
     if not left or not right:
@@ -777,26 +800,36 @@ def measure_decay(
     qq = q if q is not None else ops.q_bound()
     bound = min(2.0 * qq ** max(delta - 1, 0), 1.0) if delta >= 1 else 1.0
     m_left = ops.space.element_mass(left)
-    exact = _masked_norm(ops, m_left, right)
-    sampled = 0.0
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        u = _random_poly(ops.mesh, right, ops.space.degree + 1, rng)
-        norm_u = u.norm2()
-        if norm_u == 0:
-            continue
-        x = ops.project(u)
-        val = math.sqrt(max(float(x @ (m_left @ x)), 0.0)) / norm_u
-        sampled = max(sampled, val)
+    drawn = [_random_poly(ops.mesh, right, ops.space.degree + 1, rng) for _ in range(trials)]
+    live = [(u, norm_u) for u in drawn if (norm_u := u.norm2()) != 0]
+    y = ops.source_block(right)
+    blocks = [] if y is None else [y]
+    if live:
+        blocks.append(ops.solve_mass(np.column_stack([ops.rhs(u) for u, _ in live])))
+    exact = sampled = 0.0
+    if blocks:
+        products = m_left @ np.hstack(blocks)
+        if y is not None:
+            ev = np.linalg.eigvalsh(_sym(y.T @ products[:, : y.shape[1]]))
+            exact = math.sqrt(max(float(ev[-1]), 0.0))
+        if live:
+            xs, m_xs = np.ascontiguousarray(blocks[-1].T), np.ascontiguousarray(products[:, -len(live) :].T)
+            for x, m_x, (_, norm_u) in zip(xs, m_xs, live):
+                sampled = max(sampled, math.sqrt(max(float(x @ m_x), 0.0)) / norm_u)
     return DecayMeasurement(delta=delta, exact_norm=exact, sampled=sampled, bound=bound)
 
 
+_QUARTERS = tuple(Fraction(n, 4) for n in range(-9, 10))
+
+
 def _random_poly(mesh: SimplicialMesh, support: Sequence[int], degree: int, rng) -> ElementwisePoly:
+    """A polynomial of the degree on each support element, every barycentric
+    monomial's coefficient drawn from n / 4, n = -9 .. 9, in support order."""
+    monos = multi_indices(mesh.dim, degree)
     polys = {}
     for sid in support:
-        monos = multi_indices(mesh.dim, degree)
-        coeffs = {m: Fraction(int(rng.integers(-9, 10)), 4) for m in monos}
-        polys[sid] = BarycentricPoly(mesh.dim, coeffs)
+        polys[sid] = BarycentricPoly(mesh.dim, {m: _QUARTERS[int(rng.integers(-9, 10)) + 9] for m in monos})
     return ElementwisePoly(mesh, polys)
 
 

@@ -276,14 +276,13 @@ def _sampled_weighted_ratio(ops, link, weight, wc, wf, p, kind, samples, seed) -
             vec[dofs[dofs >= 0]] = 1.0
             if vec.any():
                 candidates.append(vec)
+    live = [(vec, denom) for vec in candidates if not (denom := _weighted_p_norm(fine, vec, wf, p, kind)) <= 0]
     best = 0.0
-    for vec in candidates:
-        denom = _weighted_p_norm(fine, vec, wf, p, kind)
-        if denom <= 0:
-            continue
-        qc = ops.solve_mass(link.mixed_mass() @ vec)
-        numer = _weighted_p_norm(ops.space, qc, wc, p, kind)
-        best = max(best, numer / denom)
+    if live:
+        # one block solve; a column of it has the bits of its one-column solve
+        qcs = ops.solve_mass(link.mixed_mass() @ np.column_stack([vec for vec, _ in live]))
+        for qc, (_, denom) in zip(np.ascontiguousarray(qcs.T), live):
+            best = max(best, _weighted_p_norm(ops.space, qc, wc, p, kind) / denom)
     return best
 
 

@@ -4,8 +4,12 @@ unfused bisection kernel the one-pass bisection replaced, the
 per-element evaluation and the Fraction norm of elementwise polynomials that
 the stacked coefficient table replaced, the unaccelerated iteration with the
 Chebyshev error factor it is compared against, the masked projection norm
-over two element sets, the dense weighted-ratio engine the scaled Cholesky
-factors replaced, and the volume-decay constants of a weight."""
+over two element sets, the per-trial decay measurement, the per-call
+breadth-first set distance, the Fraction-per-coefficient random polynomial
+and the per-candidate sampled weighted ratio that the block trials, the kept
+distance rows, the table of quarters and the block solve replaced, the
+dense weighted-ratio engine the scaled Cholesky factors replaced, and the
+volume-decay constants of a weight."""
 
 import json
 import math
@@ -16,10 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from gradedproj.analytic import StabilityError, StabilityVerdict, _round_down4, _round_up4, gamma_max_bound
+from gradedproj.analytic import ProjectionError, StabilityError, StabilityVerdict, _round_down4, _round_up4, gamma_max_bound
 from gradedproj.mesh import UNREACHABLE, ElementDistance, MeshError, SimplicialMesh, TaggedSimplex, _count, level_gap, marking_policy
-from gradedproj.polyspace import BarycentricPoly, monomial_values
-from gradedproj.projection import ElementwisePoly, Operators, _masked_norm, weighted_mass, weighted_stiffness
+from gradedproj.polyspace import BarycentricPoly, monomial_values, multi_indices
+from gradedproj.projection import DecayMeasurement, ElementwisePoly, Operators, _sym, weighted_mass, weighted_stiffness
+from gradedproj.stability import _weighted_p_norm, layer_decomposition
 
 # -- meshes ---------------------------------------------------------------------------
 
@@ -43,6 +48,17 @@ def save_mesh(mesh: SimplicialMesh, path) -> None:
 
 def connected(dist: ElementDistance) -> bool:
     return bool(np.all(dist.from_source(dist.ids[0]) != UNREACHABLE)) if dist.n else True
+
+
+def bfs_dist_sets(dist: ElementDistance, left, right) -> int:
+    """ElementDistance.dist_sets before the kept rows, verbatim: one
+    breadth-first search from left per call, read at right."""
+    left = [dist.pos[s] for s in left]
+    right = [dist.pos[s] for s in right]
+    if not left or not right:
+        raise MeshError("element sets must be nonempty")
+    vals = dist._bfs(left)[right]
+    return UNREACHABLE if np.any(vals == UNREACHABLE) else int(vals.min())
 
 
 class UnfusedBisectionMesh(SimplicialMesh):
@@ -212,6 +228,58 @@ def masked_projection_norm(ops: Operators, left: Sequence[int], right: Sequence[
     return _masked_norm(ops, ops.space.element_mass(left), right)
 
 
+# -- decay measurement -------------------------------------------------------------------------
+
+
+def _masked_norm(ops: Operators, m_left, right: Sequence[int]) -> float:
+    """Exact operator norm of u |-> 1_L Q (1_{L'} u) on L2, for the mass m_left
+    over L, via the low-rank symmetric eigenproblem over the dofs supported
+    near L' (the source block of ops.source_block)."""
+    y = ops.source_block(right)
+    if y is None:
+        return 0.0
+    small = _sym(y.T @ (m_left @ y))
+    ev = np.linalg.eigvalsh(small)
+    return math.sqrt(max(float(ev[-1]), 0.0))
+
+
+def loop_measure_decay(ops: Operators, dist: ElementDistance, left, right, trials=5, seed=0, q=None) -> DecayMeasurement:
+    """projection.measure_decay before the block trials, verbatim: the masked
+    norm from its own sparse product, then one draw, projection and dot
+    product per trial; distances from bfs_dist_sets."""
+    left = sorted(left)
+    right = sorted(right)
+    if not left or not right:
+        raise ProjectionError("element sets must be nonempty")
+    delta = bfs_dist_sets(dist, left, right)
+    qq = q if q is not None else ops.q_bound()
+    bound = min(2.0 * qq ** max(delta - 1, 0), 1.0) if delta >= 1 else 1.0
+    m_left = ops.space.element_mass(left)
+    exact = _masked_norm(ops, m_left, right)
+    sampled = 0.0
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        u = fraction_random_poly(ops.mesh, right, ops.space.degree + 1, rng)
+        norm_u = u.norm2()
+        if norm_u == 0:
+            continue
+        x = ops.project(u)
+        val = math.sqrt(max(float(x @ (m_left @ x)), 0.0)) / norm_u
+        sampled = max(sampled, val)
+    return DecayMeasurement(delta=delta, exact_norm=exact, sampled=sampled, bound=bound)
+
+
+def fraction_random_poly(mesh: SimplicialMesh, support: Sequence[int], degree: int, rng) -> ElementwisePoly:
+    """projection._random_poly before the table of quarters, verbatim: a new
+    Fraction per coefficient."""
+    polys = {}
+    for sid in support:
+        monos = multi_indices(mesh.dim, degree)
+        coeffs = {m: Fraction(int(rng.integers(-9, 10)), 4) for m in monos}
+        polys[sid] = BarycentricPoly(mesh.dim, coeffs)
+    return ElementwisePoly(mesh, polys)
+
+
 # -- weighted ratio ----------------------------------------------------------------------------
 
 
@@ -234,6 +302,37 @@ def _exact_weighted_ratio(ops, link, wc2, wf2, gradient: bool) -> float:
     small = basis.T @ a @ basis
     ev = np.linalg.eigvalsh(0.5 * (small + small.T))
     return math.sqrt(max(float(ev[-1]), 0.0))
+
+
+def loop_sampled_weighted_ratio(ops, link, weight, wc, wf, p, kind, samples, seed) -> float:
+    """stability._sampled_weighted_ratio before the block solve, verbatim:
+    one mass solve per candidate."""
+    rng = np.random.default_rng(seed)
+    fine = link.fine
+    layers = layer_decomposition(weight)
+    candidates = []
+    for _ in range(samples):
+        candidates.append(rng.standard_normal(fine.n_dofs))
+    children: dict[int, list[int]] = {}
+    for fs, anc in link.ancestors.items():
+        children.setdefault(anc, []).append(fs)
+    keys = sorted(layers)
+    for key in (keys[0], keys[-1]):
+        for sid in layers[key][:2]:
+            dofs = fine.dof_rows(children.get(sid, []))
+            vec = np.zeros(fine.n_dofs)
+            vec[dofs[dofs >= 0]] = 1.0
+            if vec.any():
+                candidates.append(vec)
+    best = 0.0
+    for vec in candidates:
+        denom = _weighted_p_norm(fine, vec, wf, p, kind)
+        if denom <= 0:
+            continue
+        qc = ops.solve_mass(link.mixed_mass() @ vec)
+        numer = _weighted_p_norm(ops.space, qc, wc, p, kind)
+        best = max(best, numer / denom)
+    return best
 
 
 def dense_top_rayleigh(ops, link, wc2, wf2, gradient: bool) -> float:
