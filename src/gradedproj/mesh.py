@@ -159,6 +159,25 @@ class SimplicialMesh:
         """Exact volume: the stored level-0 volume over 2**level."""
         return self._volumes[sid] / (1 << self.simplices[sid].level)
 
+    def float_volumes(self, element_ids: Sequence[int]) -> np.ndarray:
+        """float(volume(sid)) for each sid, without a Fraction per element:
+        each distinct level-0 volume is divided once by 2**l for the least
+        level l of its elements and rounded to a float, then scaled by
+        np.ldexp, which is exact in the normal range; a subnormal result is
+        rounded from its Fraction instead."""
+        level0 = [self._volumes[sid] for sid in element_ids]
+        levels = np.array([self.simplices[sid].level for sid in element_ids], dtype=np.int64)
+        family: dict[int, int] = {}  # id of a shared level-0 volume -> its number
+        codes = np.array([family.setdefault(id(v), len(family)) for v in level0], dtype=np.int64)
+        shared = list({id(v): v for v in level0}.values())  # in the order family numbers them
+        low = np.full(len(shared), levels.max(initial=0))
+        np.minimum.at(low, codes, levels)
+        base = np.array([float(v / (1 << l)) for v, l in zip(shared, low.tolist())])
+        out = np.ldexp(base[codes], low[codes] - levels)
+        for r in np.flatnonzero(out < np.finfo(float).tiny).tolist():
+            out[r] = float(self.volume(element_ids[r]))
+        return out
+
     def total_volume(self) -> Fraction:
         return sum((self.volume(s) for s in self._active), Fraction(0))
 
@@ -189,6 +208,25 @@ class SimplicialMesh:
             else:
                 self._rekey(hist, None, level, 1)
         return sid
+
+    def _add_level0(self, points: list, table: np.ndarray, tag: int, volume: Fraction) -> None:
+        """Fill an empty mesh at once: the vertices points, and one active
+        level-0 simplex of the tag and the exact volume (one shared Fraction)
+        per row of the vertex table, numbered in row order.  The stores are
+        those that add_vertex and _add_simplex would fill one at a time; every
+        star holds one level, so no span is counted."""
+        self.points = [tuple(point) for point in points]
+        simplices, stars = self.simplices, [set() for _ in self.points]
+        for sid, verts in enumerate(map(tuple, table.tolist())):
+            simplices[sid] = TaggedSimplex(sid, verts, tag, 0, None)
+            for v in verts:
+                stars[v].add(sid)
+        self._stars = stars
+        self._star_levels = [{0: len(star)} if star else {} for star in stars]
+        self._active = set(self.simplices)
+        self._volumes = dict.fromkeys(self.simplices, volume)
+        self._level_counts = {0: len(table)} if len(table) else {}
+        self._next_simplex = len(table)
 
     def _rekey(self, hist: dict[int, int], old: int | None, new: int, gain: int) -> None:
         """Move one count of a star histogram off level old (None: none) and
@@ -590,10 +628,7 @@ def kuhn_initial_mesh(dim: int, cells_per_axis: int = 1, mark_boundary: bool = T
     paths = np.concatenate([np.zeros((len(steps), 1, dim), dtype=np.int64), np.cumsum(steps, axis=1)], axis=1)
     corners = (offsets[:, None, None, :] + paths[None]).reshape(-1, dim)
     ids, first = first_appearance(corners)
-    for point in corners[first].tolist():
-        mesh.add_vertex(tuple(point))
-    for verts in ids.reshape(-1, dim + 1).tolist():
-        mesh._add_simplex(tuple(verts), dim, 0, None, Fraction(1, math.factorial(dim)))
+    mesh._add_level0(corners[first].tolist(), ids.reshape(-1, dim + 1), dim, Fraction(1, math.factorial(dim)))
     if mark_boundary:
         mesh.gamma_faces = boundary_faces(mesh)
     return mesh

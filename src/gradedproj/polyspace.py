@@ -364,7 +364,7 @@ class _ElementSpace:
         # needs only the quotient in float range, not the numerator n
         coords = (np.array(mesh.points, dtype=object) / (1 << mesh.exponent)).astype(float)
         vertices = coords[self.vertices]
-        volumes = np.array([float(mesh.volume(sid)) for sid in self.element_ids])
+        volumes = mesh.float_volumes(self.element_ids)
         inv = np.linalg.inv(np.swapaxes(vertices[:, 1:] - vertices[:, :1], 1, 2))
         gradients = np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
         for table in (vertices, volumes, gradients):

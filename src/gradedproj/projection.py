@@ -59,11 +59,12 @@ them is checked by the tests (acceptance criterion 1), not computed here.
 
 Mass solves factor M once: a dense Cholesky by direct LAPACK calls up to
 DENSE_SOLVE_LIMIT dofs, one sparse LU beyond; either solves a block of
-columns, each with the bits of its one-column solve.  So the decay
-measurement draws the random trials of a shell first, projects them by one
-block solve and reads the exact masked norm and the sampled bound from one
-sparse product; the shell's distance comes from the one breadth-first row
-that the ElementDistance keeps for the source.
+columns, each with the bits of its one-column solve.  The decay
+measurement solves once per source set R, against the columns of the
+identity at the dofs of R, and keeps that block (SourceBlock); each shell L
+then reads the exact masked norm and the sampled bound from one small form
+gathered from L's own elements, and its distance from the one breadth-first
+row that the ElementDistance keeps for the source.
 
 Reference tables and local basis values come from gradedproj.polyspace: the
 exact product tables of the patch Gram and cross matrices, the nodal values
@@ -311,6 +312,37 @@ class SpectralCertificate:
         }
 
 
+class SourceBlock(NamedTuple):
+    """What the decay measurement keeps of one source set R, read-only:
+    dofs, the sorted dofs S of R; solves, Z = M^-1 E_S (E_S the columns of
+    the identity at S) with one more row of zeros, which a dof of -1 reads;
+    half, H = M_R^1/2 on S, M_R the mass over R, from the eigenpairs above
+    1e-14 of the largest (None when M_R vanishes).  Z is n x |S|; no
+    per-element table is kept."""
+
+    dofs: np.ndarray
+    solves: np.ndarray
+    half: np.ndarray | None
+
+    def shell_form(self, space, left: Sequence[int]) -> np.ndarray:
+        """F_L = Z^T M_L Z = sum over T in L of |T| Z_T^T Mhat Z_T (M_L the
+        mass over L, Mhat the unit-volume element mass, Z_T the rows of Z at
+        the dofs of T), from L's rows of the dof table: one gather and one
+        contraction."""
+        rows = space.rows(left)
+        z = self.solves[space.dofs[rows]]  # (|L|, local dofs, |S|)
+        scaled = space.geometry.volumes[rows, None, None] * z
+        return np.tensordot(scaled, space.local_mass() @ z, axes=([0, 1], [0, 1]))
+
+    def masked_norm(self, form: np.ndarray) -> float:
+        """||1_L Q 1_R|| on L2 from the shell form F_L: the root of the top
+        eigenvalue of H^T F_L H, 0 when M_R vanishes."""
+        if self.half is None:
+            return 0.0
+        ev = np.linalg.eigvalsh(_sym(self.half.T @ form @ self.half))
+        return math.sqrt(max(float(ev[-1]), 0.0))
+
+
 class Operators:
     """Mass matrix, projection and approximating operator for one space."""
 
@@ -320,7 +352,7 @@ class Operators:
         self.dim = space.mesh.dim
         self.mass = space.mass_matrix().tocsc()
         self._solver = None
-        self._source_blocks: dict[tuple[int, ...], np.ndarray | None] = {}
+        self._source_blocks: dict[tuple[int, ...], SourceBlock | None] = {}
         if isinstance(space, CRSpace):
             self._assemble_cr()
         else:
@@ -449,36 +481,34 @@ class Operators:
             raise ProjectionError(f"mass solve residual {np.max(rel):.3e} too large")
         return x
 
-    def source_block(self, right: Sequence[int]) -> np.ndarray | None:
-        """Y = M^-1 [M_R^1/2] for the element set R = right: M_R the mass
-        over R restricted to the dofs of R, M_R^1/2 its square root from the
-        eigenpairs above 1e-14 of the largest, zero outside those dofs.
-        None when R carries no dof or M_R vanishes.  Y depends only on the
-        operators and the set, so it is built once per set, from its sorted
-        ids, and kept in a dict under them: the decay shells around one
-        source share it, read-only."""
+    def source_block(self, right: Sequence[int]) -> SourceBlock | None:
+        """The SourceBlock of the element set R = right, None when R carries
+        no dof.  It depends only on the operators and the set, so it is built
+        once per set, from its sorted ids, and kept in a dict under them: the
+        decay shells around one source share it, read-only."""
         key = tuple(sorted(right))
         if key not in self._source_blocks:
             self._source_blocks[key] = self._build_source_block(list(key))
         return self._source_blocks[key]
 
-    def _build_source_block(self, right: list[int]) -> np.ndarray | None:
-        m_right = self.space.element_mass(right)
-        sub = sorted({g for sid in right for g in self.space.cell_dofs(sid) if g >= 0})
-        if not sub:
+    def _build_source_block(self, right: list[int]) -> SourceBlock | None:
+        space = self.space
+        dofs = space.dof_rows(right)
+        sub = np.unique(dofs[dofs >= 0])
+        if not len(sub):
             return None
-        block = m_right[np.ix_(sub, sub)].toarray()
+        block = space.element_mass(right)[np.ix_(sub, sub)].toarray()
+        unit = np.zeros((space.n_dofs, len(sub)))
+        unit[sub, np.arange(len(sub))] = 1.0
         with one_blas_thread():
             w, u = np.linalg.eigh(_sym(block))
             keep = w > max(w.max(), 0.0) * 1e-14
-            if not np.any(keep):
-                return None
-            half = u[:, keep] * np.sqrt(w[keep])
-            cols = np.zeros((self.space.n_dofs, half.shape[1]))
-            cols[sub, :] = half
-            y = self.solve_mass(cols)
-        y.setflags(write=False)  # shared by every caller
-        return y
+            half = u[:, keep] * np.sqrt(w[keep]) if np.any(keep) else None
+            solves = np.vstack((self.solve_mass(unit), np.zeros(len(sub))))  # dof -1 reads the zero row
+        for table in (sub, solves, half):
+            if table is not None:
+                table.setflags(write=False)  # shared by every caller
+        return SourceBlock(sub, solves, half)
 
     # right-hand sides -------------------------------------------------------------
 
@@ -781,17 +811,21 @@ def measure_decay(
     """Exact masked-operator norm against the decay bound min(2 q^(delta-1), 1),
     plus a random-sampling lower bound as an independent check.
 
-    The exact norm of u |-> 1_L Q (1_{L'} u) on L2 (L = left, L' = right) is
-    the root of the top eigenvalue of Y^T M_L Y, Y the source block of
-    ops.source_block and M_L the mass over L.  The sampled bound is the
-    largest ||1_L Q u|| / ||u|| over `trials` random polynomials u on L'.
-    All are drawn first, which consumes the generator as drawing each just
-    before its projection would (norm2 and the solve draw nothing); those
-    of nonzero norm are projected by one block solve X, and one sparse
-    product M_L [Y | X] serves both.  Each quotient's dot product runs on
-    contiguous copies of its two columns: a column of the block solve has
-    the bits of its one-column solve, and a strided dot product would add
-    in another order."""
+    Both come from one solve per source.  A function on R = right (L =
+    left) has its moments on the dofs S of R, so Q maps it into the span of
+    the columns of Z = M^-1 E_S, kept with H = M_R^1/2 on S in
+    ops.source_block(R).  The shell then needs only the |S| x |S| form F_L =
+    Z^T M_L Z, built from L's own elements (SourceBlock.shell_form): the
+    exact norm of u |-> 1_L Q (1_R u) on L2 is the root of the top
+    eigenvalue of H^T F_L H, and the sampled bound is the largest
+    sqrt(b_u^T F_L b_u) / ||u||, b_u the moments of u on S, over `trials`
+    random polynomials u on R.  All are drawn first, which consumes the
+    generator as drawing each just before its projection would (norm2 and
+    the moments draw nothing).  Each masked norm is the root of a sum of
+    squares: below about 1e-154 that sum is subnormal, and the norm keeps
+    few correct digits (or reads 0.0) however it is formed; in `decay --dim
+    2 --degree 1 --cells 224 --rounds 20 --policy corner` the shells from
+    delta = 282 on read 0.0, as they did with one solve per shell."""
     left = sorted(left)
     right = sorted(right)
     if not left or not right:
@@ -799,24 +833,18 @@ def measure_decay(
     delta = dist.dist_sets(left, right)
     qq = q if q is not None else ops.q_bound()
     bound = min(2.0 * qq ** max(delta - 1, 0), 1.0) if delta >= 1 else 1.0
-    m_left = ops.space.element_mass(left)
     rng = np.random.default_rng(seed)
     drawn = [_random_poly(ops.mesh, right, ops.space.degree + 1, rng) for _ in range(trials)]
     live = [(u, norm_u) for u in drawn if (norm_u := u.norm2()) != 0]
-    y = ops.source_block(right)
-    blocks = [] if y is None else [y]
-    if live:
-        blocks.append(ops.solve_mass(np.column_stack([ops.rhs(u) for u, _ in live])))
+    source = ops.source_block(right)
     exact = sampled = 0.0
-    if blocks:
-        products = m_left @ np.hstack(blocks)
-        if y is not None:
-            ev = np.linalg.eigvalsh(_sym(y.T @ products[:, : y.shape[1]]))
-            exact = math.sqrt(max(float(ev[-1]), 0.0))
+    if source is not None:
+        form = source.shell_form(ops.space, left)
+        exact = source.masked_norm(form)
         if live:
-            xs, m_xs = np.ascontiguousarray(blocks[-1].T), np.ascontiguousarray(products[:, -len(live) :].T)
-            for x, m_x, (_, norm_u) in zip(xs, m_xs, live):
-                sampled = max(sampled, math.sqrt(max(float(x @ m_x), 0.0)) / norm_u)
+            moments = np.column_stack([ops.rhs(u)[source.dofs] for u, _ in live])
+            squares = (moments * (form @ moments)).sum(axis=0).tolist()
+            sampled = max(math.sqrt(max(sq, 0.0)) / norm_u for sq, (_, norm_u) in zip(squares, live))
     return DecayMeasurement(delta=delta, exact_norm=exact, sampled=sampled, bound=bound)
 
 

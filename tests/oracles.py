@@ -1,29 +1,50 @@
 """Helpers of the mesh, projection and stability layers that only the tests
 use: a one-simplex mesh, saving a mesh file, graph connectivity, the
-unfused bisection kernel the one-pass bisection replaced, the
-per-element evaluation and the Fraction norm of elementwise polynomials that
-the stacked coefficient table replaced, the unaccelerated iteration with the
-Chebyshev error factor it is compared against, the masked projection norm
-over two element sets, the per-trial decay measurement, the per-call
-breadth-first set distance, the Fraction-per-coefficient random polynomial
-and the per-candidate sampled weighted ratio that the block trials, the kept
-distance rows, the table of quarters and the block solve replaced, the
-dense weighted-ratio engine the scaled Cholesky factors replaced, and the
-volume-decay constants of a weight."""
+per-simplex Kuhn mesh the bulk build replaced, the unfused bisection kernel
+the one-pass bisection replaced, the per-element evaluation and the
+Fraction norm of elementwise polynomials that the stacked coefficient table
+replaced, the unaccelerated iteration with the Chebyshev error factor it is
+compared against, the masked projection norm over two element sets, the
+per-shell block decay measurement and source block that the one solve per
+source replaced, the per-call breadth-first set distance, the
+Fraction-per-coefficient random polynomial and the per-candidate sampled
+weighted ratio that the kept distance rows, the table of quarters and the
+block solve replaced, the dense weighted-ratio engine the scaled Cholesky
+factors replaced, and the volume-decay constants of a weight."""
 
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 from typing import Sequence
 
 import numpy as np
 
 from gradedproj.analytic import ProjectionError, StabilityError, StabilityVerdict, _round_down4, _round_up4, gamma_max_bound
-from gradedproj.mesh import UNREACHABLE, ElementDistance, MeshError, SimplicialMesh, TaggedSimplex, _count, level_gap, marking_policy
+from gradedproj.mesh import (
+    UNREACHABLE,
+    ElementDistance,
+    MeshError,
+    SimplicialMesh,
+    TaggedSimplex,
+    _count,
+    boundary_faces,
+    first_appearance,
+    level_gap,
+    marking_policy,
+)
 from gradedproj.polyspace import BarycentricPoly, monomial_values, multi_indices
-from gradedproj.projection import DecayMeasurement, ElementwisePoly, Operators, _sym, weighted_mass, weighted_stiffness
+from gradedproj.projection import (
+    DecayMeasurement,
+    ElementwisePoly,
+    Operators,
+    _random_poly,
+    _sym,
+    one_blas_thread,
+    weighted_mass,
+    weighted_stiffness,
+)
 from gradedproj.stability import _weighted_p_norm, layer_decomposition
 
 # -- meshes ---------------------------------------------------------------------------
@@ -37,6 +58,29 @@ def reference_simplex_mesh(dim: int, mark_boundary: bool = False) -> SimplicialM
     return SimplicialMesh.from_json_dict(
         {"version": 1, "dim": dim, "vertices": vertices, "simplices": [simplex], "gamma_faces": faces}
     )
+
+
+def loop_kuhn_initial_mesh(dim: int, cells_per_axis: int = 1, mark_boundary: bool = True) -> SimplicialMesh:
+    """mesh.kuhn_initial_mesh before the bulk build, verbatim: one
+    add_vertex per vertex and one _add_simplex, with a Fraction volume of
+    its own, per simplex."""
+    if not 1 <= dim <= 8:
+        raise MeshError(f"unsupported dimension {dim}")
+    if cells_per_axis < 1:
+        raise MeshError("cells_per_axis must be >= 1")
+    mesh = SimplicialMesh(dim)
+    offsets = np.array(list(product(range(cells_per_axis), repeat=dim)), dtype=np.int64)
+    steps = np.eye(dim, dtype=np.int64)[np.array(list(permutations(range(dim))))]  # unit step k along perm[k]
+    paths = np.concatenate([np.zeros((len(steps), 1, dim), dtype=np.int64), np.cumsum(steps, axis=1)], axis=1)
+    corners = (offsets[:, None, None, :] + paths[None]).reshape(-1, dim)
+    ids, first = first_appearance(corners)
+    for point in corners[first].tolist():
+        mesh.add_vertex(tuple(point))
+    for verts in ids.reshape(-1, dim + 1).tolist():
+        mesh._add_simplex(tuple(verts), dim, 0, None, Fraction(1, math.factorial(dim)))
+    if mark_boundary:
+        mesh.gamma_faces = boundary_faces(mesh)
+    return mesh
 
 
 def save_mesh(mesh: SimplicialMesh, path) -> None:
@@ -224,48 +268,68 @@ def chebyshev_error_bound(q: float, nu: int) -> float:
 
 
 def masked_projection_norm(ops: Operators, left: Sequence[int], right: Sequence[int]) -> float:
-    """Exact operator norm of u |-> 1_L Q (1_{L'} u) on L2."""
-    return _masked_norm(ops, ops.space.element_mass(left), right)
+    """Exact operator norm of u |-> 1_L Q (1_{L'} u) on L2, from the kept
+    source block of L' and the shell form of L."""
+    source = ops.source_block(right)
+    return 0.0 if source is None else source.masked_norm(source.shell_form(ops.space, left))
 
 
 # -- decay measurement -------------------------------------------------------------------------
 
 
-def _masked_norm(ops: Operators, m_left, right: Sequence[int]) -> float:
-    """Exact operator norm of u |-> 1_L Q (1_{L'} u) on L2, for the mass m_left
-    over L, via the low-rank symmetric eigenproblem over the dofs supported
-    near L' (the source block of ops.source_block)."""
-    y = ops.source_block(right)
-    if y is None:
-        return 0.0
-    small = _sym(y.T @ (m_left @ y))
-    ev = np.linalg.eigvalsh(small)
-    return math.sqrt(max(float(ev[-1]), 0.0))
+def block_source_block(ops: Operators, right: Sequence[int]) -> np.ndarray | None:
+    """Operators.source_block before the per-source solve, verbatim but
+    without its dict: Y = M^-1 [M_R^1/2] for the element set R = right: M_R
+    the mass over R restricted to the dofs of R, M_R^1/2 its square root
+    from the eigenpairs above 1e-14 of the largest, zero outside those dofs.
+    None when R carries no dof or M_R vanishes."""
+    right = sorted(right)
+    m_right = ops.space.element_mass(right)
+    sub = sorted({g for sid in right for g in ops.space.cell_dofs(sid) if g >= 0})
+    if not sub:
+        return None
+    block = m_right[np.ix_(sub, sub)].toarray()
+    with one_blas_thread():
+        w, u = np.linalg.eigh(_sym(block))
+        keep = w > max(w.max(), 0.0) * 1e-14
+        if not np.any(keep):
+            return None
+        half = u[:, keep] * np.sqrt(w[keep])
+        cols = np.zeros((ops.space.n_dofs, half.shape[1]))
+        cols[sub, :] = half
+        return ops.solve_mass(cols)
 
 
-def loop_measure_decay(ops: Operators, dist: ElementDistance, left, right, trials=5, seed=0, q=None) -> DecayMeasurement:
-    """projection.measure_decay before the block trials, verbatim: the masked
-    norm from its own sparse product, then one draw, projection and dot
-    product per trial; distances from bfs_dist_sets."""
+def block_measure_decay(ops: Operators, dist: ElementDistance, left, right, trials=5, seed=0, q=None) -> DecayMeasurement:
+    """projection.measure_decay before the per-source solve, verbatim but for
+    block_source_block: the trials drawn first and projected by one block
+    solve per shell, and one sparse product M_L [Y | X] of the mass over L
+    for the exact masked norm and the sampled bound."""
     left = sorted(left)
     right = sorted(right)
     if not left or not right:
         raise ProjectionError("element sets must be nonempty")
-    delta = bfs_dist_sets(dist, left, right)
+    delta = dist.dist_sets(left, right)
     qq = q if q is not None else ops.q_bound()
     bound = min(2.0 * qq ** max(delta - 1, 0), 1.0) if delta >= 1 else 1.0
     m_left = ops.space.element_mass(left)
-    exact = _masked_norm(ops, m_left, right)
-    sampled = 0.0
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        u = fraction_random_poly(ops.mesh, right, ops.space.degree + 1, rng)
-        norm_u = u.norm2()
-        if norm_u == 0:
-            continue
-        x = ops.project(u)
-        val = math.sqrt(max(float(x @ (m_left @ x)), 0.0)) / norm_u
-        sampled = max(sampled, val)
+    drawn = [_random_poly(ops.mesh, right, ops.space.degree + 1, rng) for _ in range(trials)]
+    live = [(u, norm_u) for u in drawn if (norm_u := u.norm2()) != 0]
+    y = block_source_block(ops, right)
+    blocks = [] if y is None else [y]
+    if live:
+        blocks.append(ops.solve_mass(np.column_stack([ops.rhs(u) for u, _ in live])))
+    exact = sampled = 0.0
+    if blocks:
+        products = m_left @ np.hstack(blocks)
+        if y is not None:
+            ev = np.linalg.eigvalsh(_sym(y.T @ products[:, : y.shape[1]]))
+            exact = math.sqrt(max(float(ev[-1]), 0.0))
+        if live:
+            xs, m_xs = np.ascontiguousarray(blocks[-1].T), np.ascontiguousarray(products[:, -len(live) :].T)
+            for x, m_x, (_, norm_u) in zip(xs, m_xs, live):
+                sampled = max(sampled, math.sqrt(max(float(x @ m_x), 0.0)) / norm_u)
     return DecayMeasurement(delta=delta, exact_norm=exact, sampled=sampled, bound=bound)
 
 

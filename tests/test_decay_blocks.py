@@ -1,8 +1,14 @@
 """Differential tests of the block work in the decay measurement and the
-sampled weighted ratio against the per-trial, per-candidate and per-shell
+sampled weighted ratio against the per-shell, per-candidate and per-call
 code they replaced (kept verbatim in oracles.py): the kept distance rows of
-ElementDistance, the block trials of measure_decay, the block solve of
-_sampled_weighted_ratio, the block mass solve and the dense mass factor."""
+ElementDistance, the one solve per source of measure_decay, the block solve
+of _sampled_weighted_ratio, the block mass solve and the dense mass factor.
+
+measure_decay is held to the per-shell block code (oracles.
+block_measure_decay) to 1e-12 relative, not bit for bit: the per-source
+form F_L = Z^T M_L Z sums the same products in another order.  Below
+1e-150 both lose relative accuracy (a masked norm under about 1e-154 has a
+subnormal square), so only which rows are zero is compared there."""
 
 import math
 from fractions import Fraction
@@ -18,7 +24,7 @@ from gradedproj.polyspace import BarycentricPoly, CRSpace, LagrangeSpace
 from gradedproj.projection import Operators, ProjectionError, _random_poly, measure_decay, one_blas_thread
 from gradedproj.stability import Weight, _fine_weights, _sampled_weighted_ratio, _unit_scaled, fine_link
 from conftest import randomly_refined
-from oracles import bfs_dist_sets, fraction_random_poly, loop_measure_decay, loop_sampled_weighted_ratio
+from oracles import bfs_dist_sets, block_measure_decay, fraction_random_poly, loop_sampled_weighted_ratio
 
 # the stability workload's cases (name, d, degree, kind, p, target elements)
 STABILITY_CASES = [
@@ -58,18 +64,28 @@ def shells_of(dist, source):
 # -- decay rows -----------------------------------------------------------------------------
 
 
+def assert_rows_agree(got, want):
+    """Equal delta and bound; exact and sampled zero alike, and within 1e-12
+    relative wherever the oracle's value exceeds 1e-150."""
+    assert (got.delta, got.bound) == (want.delta, want.bound)
+    for a, b in ((got.exact_norm, want.exact_norm), (got.sampled, want.sampled)):
+        assert (a == 0.0) == (b == 0.0)
+        if b > 1e-150:
+            assert abs(a - b) <= 1e-12 * b, (got, want)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("index", range(len(STABILITY_CASES)))
 def test_decay_rows_match_trial_loop_on_stability_workload(seed, index):
     # every shell of the workload's decay profile, two trials each, as the
-    # workload runs it: the rows are == the per-trial loop's, bit for bit
+    # workload runs it: the rows agree with the per-shell block code's
     ops, dist, anchor, _, rng, _, _ = stability_case(seed, index)
     shells = shells_of(dist, anchor)
     assert len(shells) >= 3
     for delta, members in shells:
         trial_seed = int(rng.integers(1 << 30))
         got = measure_decay(ops, dist, members, [anchor], trials=2, seed=trial_seed)
-        assert got == loop_measure_decay(ops, dist, members, [anchor], trials=2, seed=trial_seed)
+        assert_rows_agree(got, block_measure_decay(ops, dist, members, [anchor], trials=2, seed=trial_seed))
         assert got.delta == delta
 
 
@@ -84,8 +100,22 @@ def test_decay_rows_match_trial_loop_on_readme_decay_mesh():
     for trials in (args.trials, 0, 7):
         for delta, members in shells_of(dist, source[0]):
             got = measure_decay(ops, dist, members, source, trials=trials, seed=args.seed + delta)
-            assert got == loop_measure_decay(ops, dist, members, source, trials=trials, seed=args.seed + delta)
+            assert_rows_agree(got, block_measure_decay(ops, dist, members, source, trials=trials, seed=args.seed + delta))
             assert (got.sampled == 0.0) == (trials == 0)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_decay_rows_match_block_code_on_zero_trace_spaces(mesh2d, degree):
+    # removed trace dofs (-1 in the dof table) in the shells and in the
+    # source: a boundary source of one and of three elements
+    ops = Operators(LagrangeSpace(mesh2d, degree, zero_trace=True))
+    dist = element_distance(mesh2d, "vertex")
+    boundary = [s for s in dist.ids if (ops.space.dof_rows([s]) < 0).any()]
+    for source in ([boundary[0]], boundary[-3:]):
+        for delta, members in shells_of(dist, source[0])[:6]:
+            got = measure_decay(ops, dist, members, source, trials=3, seed=delta)
+            assert_rows_agree(got, block_measure_decay(ops, dist, members, source, trials=3, seed=delta))
+            assert got.exact_norm > 0 and got.sampled > 0
 
 
 def test_decay_rows_with_empty_blocks_match_trial_loop(mesh2d):
@@ -98,7 +128,7 @@ def test_decay_rows_with_empty_blocks_match_trial_loop(mesh2d):
     assert ops.source_block([a]) is None
     for trials in (0, 3):
         got = measure_decay(ops, dist, [b], [a], trials=trials, seed=4)
-        assert got == loop_measure_decay(ops, dist, [b], [a], trials=trials, seed=4)
+        assert_rows_agree(got, block_measure_decay(ops, dist, [b], [a], trials=trials, seed=4))
         assert got.exact_norm == got.sampled == 0.0
     # every draw of norm zero: the rows agree with a block of no trials
     ops = Operators(LagrangeSpace(mesh2d, 1))
@@ -109,7 +139,7 @@ def test_decay_rows_with_empty_blocks_match_trial_loop(mesh2d):
         mp.setattr(projection, "_random_poly", _zero_poly)
         got = measure_decay(ops, dist, members, src, trials=3, seed=0)
     assert got.sampled == 0.0
-    assert got.exact_norm == loop_measure_decay(ops, dist, members, src, trials=0, seed=0).exact_norm
+    assert_rows_agree(got, block_measure_decay(ops, dist, members, src, trials=0, seed=0))
 
 
 def _zero_poly(mesh, support, degree, rng):

@@ -31,7 +31,7 @@ from gradedproj.mesh import (
 from gradedproj.polyspace import LagrangeSpace
 from conftest import distance_matrix, neighbor_lists, randomly_refined
 from fraction_geometry import coord, coord_ids, det_volume, diameter2, midpoint, similarity_classes
-from oracles import UnfusedBisectionMesh, connected, reference_simplex_mesh, save_mesh
+from oracles import UnfusedBisectionMesh, connected, loop_kuhn_initial_mesh, reference_simplex_mesh, save_mesh
 
 
 class CoordinateClosureMesh(SimplicialMesh):
@@ -171,6 +171,49 @@ def test_kuhn_levels_tags_volume():
             assert m.volume(sid) > 0
         assert m.total_volume() == 1
         assert not hanging_vertex_violations(m)
+
+
+@pytest.mark.parametrize("dim,cells", [(1, 1), (1, 5), (2, 1), (2, 3), (2, 7), (3, 1), (3, 2), (3, 4), (4, 1), (4, 2)])
+@pytest.mark.parametrize("mark_boundary", [True, False])
+def test_kuhn_bulk_build_matches_simplex_loop(dim, cells, mark_boundary):
+    # every store of the mesh equals the one add_vertex / _add_simplex loop
+    # builds, each star iterates in the same order, and refinement goes on alike
+    ours = kuhn_initial_mesh(dim, cells, mark_boundary)
+    oracle = loop_kuhn_initial_mesh(dim, cells, mark_boundary)
+    assert vars(ours) == vars(oracle)
+    assert [list(star) for star in ours._stars] == [list(star) for star in oracle._stars]
+    assert {id(v) for v in ours._volumes.values()} == {id(ours._volumes[0])}  # one shared Fraction
+    for mesh in (ours, oracle):
+        mesh.refine_lg(marking_policy("random:0.3")(mesh, np.random.default_rng(dim + cells)), 1)
+    assert vars(ours) == vars(oracle)
+
+
+def _long_mantissa_triangle(exponent: int) -> SimplicialMesh:
+    # a triangle whose volume needs more than 53 bits, at the scale 2**-exponent
+    a, b = (1 << 40) + 1, (1 << 40) + 3
+    return SimplicialMesh.from_json_dict({
+        "version": 1, "dim": 2, "gamma_faces": [],
+        "vertices": [[[0, 0], [0, 0]], [[a, exponent], [1, exponent]], [[3, exponent], [b, exponent]]],
+        "simplices": [{"v": [0, 1, 2], "tag": 2, "level": 0}],
+    })
+
+
+@pytest.mark.parametrize("build", [
+    lambda: randomly_refined(2, 8, seed=3),
+    lambda: randomly_refined(3, 4, alpha=2, seed=5, fraction=0.2),
+    lambda: SimplicialMesh.from_json_dict(json.loads(json.dumps(randomly_refined(3, 3, seed=5, fraction=0.2).to_json_dict()))),
+    lambda: _long_mantissa_triangle(40).refine_uniform(5),
+    lambda: _long_mantissa_triangle(560).refine_uniform(5),  # subnormal volumes
+])
+def test_float_volumes_match_fraction_volumes(build):
+    # graded d = 2 and d = 3 meshes, a reloaded one (a level-0 volume per
+    # simplex, levels > 0), and long-mantissa volumes in the normal and the
+    # subnormal range: the bits of float(volume(sid)), inactive ids too
+    mesh = build()
+    for ids in (mesh.active_ids(), sorted(mesh.simplices), []):
+        got = mesh.float_volumes(ids)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array([float(mesh.volume(sid)) for sid in ids], dtype=float).tobytes()
 
 
 def test_kuhn_rejects_bad_input():

@@ -419,13 +419,17 @@ def test_masked_norm_against_dense_oracle():
     assert abs(fast - dense) < 1e-10
 
 
-def test_decay_source_blocks_are_shared_and_keyed_by_the_set(mesh2d):
-    # the source block Y = M^-1 [M_R^1/2] depends only on the operators and the
-    # source set: shells measured in turn around two source sets on one
-    # Operators give the bits of a fresh Operators each time, and an unsorted
-    # list of the same set finds the same block
+def test_decay_source_blocks_are_shared_and_keyed_by_the_set(mesh2d, monkeypatch):
+    # the source block (the solve Z = M^-1 E_S and H = M_R^1/2) depends only
+    # on the operators and the source set: shells measured in turn around two
+    # source sets on one Operators give the bits of a fresh Operators each
+    # time, an unsorted list of the same set finds the same block, and the
+    # one Operators solves once per set, never per shell
     space = LagrangeSpace(mesh2d, 2)
     ops = Operators(space)
+    solves = []
+    solve_mass = ops.solve_mass
+    monkeypatch.setattr(ops, "solve_mass", lambda rhs: solves.append(rhs.shape) or solve_mass(rhs))
     dist = element_distance(mesh2d, "vertex")
     sources = ([dist.ids[0], dist.ids[1]], [dist.ids[-1]])
     shells = [dist.from_source(src[0]) for src in sources]
@@ -438,6 +442,7 @@ def test_decay_source_blocks_are_shared_and_keyed_by_the_set(mesh2d):
     block = ops.source_block(sources[0])
     assert ops.source_block(sources[0][::-1]) is block
     assert len(ops._source_blocks) == 2
+    assert solves == [(space.n_dofs, len(ops.source_block(src).dofs)) for src in sources]
 
 
 def test_two_mesh_mixed_mass_against_exact_fractions():
