@@ -96,12 +96,13 @@ class GradingError(MeshError):
 
 @dataclass(slots=True)
 class TaggedSimplex:
-    index: int
+    """One simplex, active or bisected: its key in SimplicialMesh.simplices is
+    its id, and membership in the active set says which."""
+
     vertices: tuple[int, ...]  # bisection order
     tag: int
     level: int
     parent: int | None
-    active: bool = True
 
 
 class SimplicialMesh:
@@ -196,7 +197,7 @@ class SimplicialMesh:
         next index and its exact volume."""
         sid = self._next_simplex
         self._next_simplex += 1
-        self.simplices[sid] = TaggedSimplex(sid, vertices, tag, level, parent)
+        self.simplices[sid] = TaggedSimplex(vertices, tag, level, parent)
         self._active.add(sid)
         self._volumes[sid] = volume * (1 << level)
         _count(self._level_counts, level, 1)
@@ -218,7 +219,7 @@ class SimplicialMesh:
         self.points = [tuple(point) for point in points]
         simplices, stars = self.simplices, [set() for _ in self.points]
         for sid, verts in enumerate(map(tuple, table.tolist())):
-            simplices[sid] = TaggedSimplex(sid, verts, tag, 0, None)
+            simplices[sid] = TaggedSimplex(verts, tag, 0, None)
             for v in verts:
                 stars[v].add(sid)
         self._stars = stars
@@ -245,10 +246,7 @@ class SimplicialMesh:
         other = SimplicialMesh(self.dim)
         other.points = list(self.points)
         other.exponent = self.exponent
-        other.simplices = {
-            sid: TaggedSimplex(s.index, s.vertices, s.tag, s.level, s.parent, s.active)
-            for sid, s in self.simplices.items()
-        }
+        other.simplices = {sid: TaggedSimplex(s.vertices, s.tag, s.level, s.parent) for sid, s in self.simplices.items()}
         other._active = set(self._active)
         other._gamma_faces = set(self._gamma_faces)
         other._gamma_vertices = set(self._gamma_vertices)
@@ -295,10 +293,9 @@ class SimplicialMesh:
         c1 = self._next_simplex
         c2 = c1 + 1
         self._next_simplex = c1 + 2
-        s.active = False
         simplices = self.simplices
-        simplices[c1] = TaggedSimplex(c1, v[:k] + (zid,) + v[k + 1 :], tag, up, sid)
-        simplices[c2] = TaggedSimplex(c2, v[1 : k + 1] + (zid,) + v[k + 1 :], tag, up, sid)
+        simplices[c1] = TaggedSimplex(v[:k] + (zid,) + v[k + 1 :], tag, up, sid)
+        simplices[c2] = TaggedSimplex(v[1 : k + 1] + (zid,) + v[k + 1 :], tag, up, sid)
         active = self._active
         active.discard(sid)
         active.add(c1)

@@ -31,16 +31,20 @@ and
 
 G_i the patch Gram matrix.  For the Crouzeix-Raviart space C u =
 sum_F <u, psi_F> psi_F / ||psi_F||^2, so P = D^-1 with D the diagonal of
-the mass matrix.  Operators builds P once, in the one stacked pass over
-the vertex patches that builds the form matrix R^T G^-1 R and the apply
-matrix W G^-1 R; apply_C is P times rhs.  The patch table (_vertex_patches)
-holds every patch at once; one np.bincount fills the G of every patch into
-one flat buffer, another every R, one fancy assignment every W; then each
-patch factors its G and solves it against [R | W^T] by one LAPACK potrf and
-one potrs, called directly.  The three matrices are summed in patch order by
-one ordered sum into a pattern sorted once (_csr_in_order), so their bits do
-not depend on how scipy orders duplicate triplets, and the form and apply
-matrices are not formed as M P M and P M, which round differently.
+the mass matrix.  Operators builds P and the form matrix B = R^T G^-1 R (R
+= W^T M the patch moment blocks) once, in one stacked pass over the vertex
+patches; apply_C is P times rhs, apply_C_coeffs P times M x.  The patch
+table (_vertex_patches) holds every patch at once; one np.bincount fills the
+G of every patch into one flat buffer, another every R, one fancy assignment
+every W; then each patch factors its G and solves it against [R | W^T] by
+one LAPACK potrf and one potrs, called directly.  The blocks R^T G^-1 R and
+W G^-1 W^T become the rows of two stacked CSR matrices, a row per patch and
+block row, and one sparse product with the 0/1 matrix that gathers the rows
+of each global dof sums each.  scipy's product (SMMP, Bank & Douglas 1993)
+adds the terms of an entry from 0 in the stored order of the gather row,
+which is patch order, and drops exact zeros: the bits of B and P rest on
+that order, and the member-loop oracles of the tests pin them.  B is not
+formed as M P M, which rounds differently.
 
 The one integrand kind is ElementwisePoly, a polynomial per element: rhs,
 and through it project and apply_C, integrates it by a rule exact for its
@@ -366,7 +370,6 @@ class Operators:
         if np.any(diag <= 0):
             raise ProjectionError("singular face basis function")
         dinv = sp.diags(1.0 / diag)
-        self.apply_matrix = (dinv @ m).tocsr()
         self.form_matrix = (m @ dinv @ m).tocsr()
         self.patch_matrix = dinv.tocsr()
 
@@ -401,15 +404,14 @@ class Operators:
         wbuf[(member_r + cpos[:, :, None] * m + pids[:, None, :])[pairs]] = nodal[t.js][pairs]
         if not (np.isfinite(gbuf).all() and np.isfinite(rbuf).all()):
             raise ProjectionError("non-finite patch system")
-        # the keys row * n + col of the blocks gcols x gcols of the patches
-        # with a patch dof, row-major, patch after patch
+        # one stacked row per (live patch, block row): the row of its block
+        # over the patch's gcols, owned by the global dof of the block row
         live = sizes > 0
-        entry = np.repeat(live, n_cols)
-        first, width = np.repeat(t.col_starts[:-1], n_cols)[entry], np.repeat(n_cols, n_cols)[entry]
-        keys = np.repeat(t.cols[entry] * n, width)
-        keys += t.cols[_ranges(first, first + width)]
+        stacked = np.repeat(live, n_cols)
+        first, width = np.repeat(t.col_starts[:-1], n_cols)[stacked], np.repeat(n_cols, n_cols)[stacked]
+        indices, indptr, owner = t.cols[_ranges(first, first + width)], np.r_[0, np.cumsum(width)], t.cols[stacked]
         k_at = np.cumsum(n_cols[live] ** 2) - n_cols[live] ** 2
-        vals = [np.empty(len(keys)) for _ in range(3)]  # form, apply and patch values there
+        vals = [np.empty(len(indices)) for _ in range(2)]  # form and patch blocks, row-major, patch after patch
         potrf, potrs = scipy.linalg.lapack.dpotrf, scipy.linalg.lapack.dpotrs
         spans = zip(*(a[live].tolist() for a in (t.vertices, sizes, n_cols, g_at, r_at)), k_at.tolist())
         with one_blas_thread():
@@ -421,10 +423,14 @@ class Operators:
                 if info > 0:
                     raise ProjectionError(f"singular patch system at vertex {vertex}")
                 ginv = potrs(gchol, np.concatenate((rmat, wmat.T), axis=1), lower=0)[0]  # G^-1 [R | W^T]
-                ginv_r, ginv_w = ginv[:, :n_g], ginv[:, n_g:]
-                for out, block in zip(vals, (rmat.T @ ginv_r, wmat @ ginv_r, wmat @ ginv_w)):
+                for out, block in zip(vals, (rmat.T @ ginv[:, :n_g], wmat @ ginv[:, n_g:])):
                     out[k0 : k0 + n_g * n_g] = block.ravel()
-        self.form_matrix, self.apply_matrix, self.patch_matrix = _csr_in_order(keys, vals, n)
+        # row g of gather picks the stacked rows that g owns, in patch order:
+        # the product sums each entry from 0 in that order and drops zeros
+        gather = sp.csr_matrix((np.ones(len(owner)), (owner, np.arange(len(owner)))), (n, len(owner)))
+        self.form_matrix, self.patch_matrix = (gather @ sp.csr_matrix((v, indices, indptr), (len(owner), n)) for v in vals)
+        self.form_matrix.sort_indices()
+        self.patch_matrix.sort_indices()
 
     # solves --------------------------------------------------------------------
 
@@ -544,8 +550,9 @@ class Operators:
         return self.solve_mass(self.rhs(u))
 
     def apply_C_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """C restricted to the space, in coefficients (local, one-layer support)."""
-        return self.apply_matrix @ coeffs
+        """C restricted to the space, in coefficients (local, one-layer
+        support): P times the moments M coeffs."""
+        return self.patch_matrix @ (self.mass @ coeffs)
 
     def apply_C(self, u: ElementwisePoly) -> np.ndarray:
         """C u = P <u, basis>, by a rule exact for the degree."""
@@ -660,38 +667,6 @@ def _patch_numbers(patch: np.ndarray, ids: np.ndarray, banned: np.ndarray) -> tu
     # the numbers run patch after patch: less those of the earlier patches
     local = np.where(numbers >= 0, numbers - (np.cumsum(counts) - counts)[owner], -1)
     return local.reshape(ids.shape), counts, ids.ravel()[first]
-
-
-def _csr_in_order(keys: np.ndarray, values: Sequence[np.ndarray], n: int) -> list[sp.csr_matrix]:
-    """n x n CSR matrices, one per value array, at the triplet keys row * n +
-    col, each with its duplicate keys summed in the order given (np.bincount
-    adds as np.add.at into zeros does) into the one distinct pattern, whose
-    sorted keys give the int32 indptr and indices once; exact zeros are
-    dropped.
-
-    The patch operator sums its blocks in patch order.  scatter_matrix cannot
-    give that: scipy's COO->CSR conversion sums duplicates in an order of its
-    own choosing, which gives the form matrix other last bits."""
-    order = np.argsort(keys)  # equal keys share one place, in any order
-    ranked = keys[order]
-    new = np.diff(ranked, prepend=-1) != 0
-    rows, cols = np.divmod(ranked[new], n)
-    del ranked  # the per-triplet arrays held at once: keys, values, order, place, inverse
-    place = np.cumsum(new)
-    place -= 1
-    inverse = np.empty_like(order)
-    inverse[order] = place  # each triplet's place in the pattern
-    del order, place
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    indices = cols.astype(np.int32)
-    out = []
-    for column in values:
-        data = np.bincount(inverse, column, minlength=len(indices)).astype(float, copy=False)  # float when empty too
-        matrix = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
-        matrix.eliminate_zeros()
-        out.append(matrix)
-    return out
 
 
 # -- two-mesh coupling ---------------------------------------------------------------------

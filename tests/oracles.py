@@ -132,7 +132,7 @@ class UnfusedBisectionMesh(SimplicialMesh):
     def _add_simplex(self, vertices, tag, level, parent, volume) -> int:
         sid = self._next_simplex
         self._next_simplex += 1
-        self.simplices[sid] = TaggedSimplex(sid, vertices, tag, level, parent)
+        self.simplices[sid] = TaggedSimplex(vertices, tag, level, parent)
         self._active.add(sid)
         self._volumes[sid] = volume
         _count(self._level_counts, level, 1)
@@ -143,7 +143,6 @@ class UnfusedBisectionMesh(SimplicialMesh):
 
     def _deactivate(self, sid: int) -> None:
         simplex = self.simplices[sid]
-        simplex.active = False
         self._active.discard(sid)
         _count(self._level_counts, simplex.level, -1)
         for v in simplex.vertices:

@@ -6,13 +6,14 @@ element-by-element COO loops, the per-member patch loops, the
 per-element geometry loops and the per-element polynomial evaluation and
 Fraction norm they replaced.  The kernel builds the loops' triplets with the
 same float operations, and scipy sums the duplicates of both the same way;
-the patch table adds in the loops' order (np.add.at, and one ordered sum in
-patch order); the geometry readers stack the loops' per-element BLAS and
-LAPACK calls; the coefficient table forms and adds the terms of each element
-in its key order.  So every comparison is exact (array for array), not to a
-tolerance, except for polynomials whose keys are not in the table's order,
-and for apply_C = P rhs against the patch moments integrated member by
-member, which round differently; apply_C is pinned bit for bit to the patch
+the patch table adds in the loops' order (np.add.at, and one sparse product
+that sums each entry in patch order); the geometry readers stack the loops'
+per-element BLAS and LAPACK calls; the coefficient table forms and adds the
+terms of each element in its key order.  So every comparison is exact (array
+for array), not to a tolerance, except for polynomials whose keys are not in
+the table's order, for apply_C = P rhs against the patch moments integrated
+member by member, and for apply_C_coeffs = P M x against the loops' W G^-1 R
+x, which round differently; apply_C is pinned bit for bit to the patch
 matrix P the loops build."""
 
 import math
@@ -50,6 +51,7 @@ from gradedproj.projection import (
 from gradedproj.stability import _weighted_p_norm
 from conftest import randomly_refined
 from oracles import barycentric_values, fraction_norm2
+from test_acceptance import MESH_SUITE
 from test_local_basis import (
     cr_values_at,
     lagrange_values,
@@ -403,6 +405,15 @@ def assert_apply_C_matches(ops, patch_m, patches, u):
     assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(initial=1.0)
 
 
+def assert_apply_C_coeffs_matches(ops, apply_m):
+    """apply_C_coeffs, P times the moments M x, against the loops' apply
+    matrix W G^-1 R, which rounds differently: within 1e-13 relative, for
+    random x."""
+    x = np.random.default_rng(ops.space.n_dofs).standard_normal((ops.space.n_dofs, 3))
+    want = apply_m @ x
+    assert np.abs(ops.apply_C_coeffs(x) - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(initial=1.0)
+
+
 def assert_same_csr(got, want):
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
@@ -469,7 +480,7 @@ def test_patch_keys_on_shuffled_mesh_match_exact_oracle(degree):
     ops = Operators(space)
     form_x, apply_x = _exact_operator_matrices(space)
     assert np.abs(ops.form_matrix.toarray() - np.array(form_x, dtype=float)).max() < 1e-14
-    assert np.abs(ops.apply_matrix.toarray() - np.array(apply_x, dtype=float)).max() < 1e-14
+    assert np.abs((ops.patch_matrix @ ops.mass).toarray() - np.array(apply_x, dtype=float)).max() < 1e-14
 
 
 # -- global matrices -----------------------------------------------------------------------
@@ -593,7 +604,7 @@ def test_patch_table_matches_member_loops(meshes, dim, degree, zero_trace, shuff
     ops = Operators(space)
     form, apply_m, patch_m, patches = loop_patch_operator(space)
     assert_same_csr(ops.form_matrix, form)
-    assert_same_csr(ops.apply_matrix, apply_m)
+    assert_apply_C_coeffs_matches(ops, apply_m)
     assert_same_csr(ops.patch_matrix, patch_m)
     u = _random_poly(mesh, mesh.active_ids()[::2], degree + 1, np.random.default_rng(degree))
     assert_apply_C_matches(ops, patch_m, patches, u)
@@ -619,10 +630,23 @@ def test_patch_table_matches_member_loops_on_graded_meshes(corner_meshes, dim, d
     form, apply_m, patch_m, patches = loop_patch_operator(space)
     assert np.count_nonzero(_vertex_patches(space).sizes) == len(patches)
     assert_same_csr(ops.form_matrix, form)
-    assert_same_csr(ops.apply_matrix, apply_m)
+    assert_apply_C_coeffs_matches(ops, apply_m)
     assert_same_csr(ops.patch_matrix, patch_m)
     u = _random_poly(space.mesh, space.element_ids[::3], degree + 1, np.random.default_rng(degree))
     assert_apply_C_matches(ops, patch_m, patches, u)
+
+
+def test_patch_operator_matches_member_loops_on_mesh_suite():
+    # the form and patch matrices of every criterion-3 mesh, bit for bit:
+    # the product that sums the stacked patch blocks adds each entry in
+    # patch order from 0, as the loops do
+    for dim, degree, alpha, rounds, fraction, seed in MESH_SUITE:
+        space = LagrangeSpace(randomly_refined(dim, rounds, alpha=alpha, seed=seed, fraction=fraction), degree)
+        ops = Operators(space)
+        form, apply_m, patch_m, _ = loop_patch_operator(space)
+        assert_same_csr(ops.form_matrix, form)
+        assert_same_csr(ops.patch_matrix, patch_m)
+        assert_apply_C_coeffs_matches(ops, apply_m)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -634,7 +658,7 @@ def test_patch_table_on_trace_dominated_cells(dim, degree):
     form, apply_m, patch_m, patches = loop_patch_operator(space)
     assert space.n_dofs == degree - 1 and np.count_nonzero(_vertex_patches(space).sizes) == len(patches)
     assert_same_csr(ops.form_matrix, form)
-    assert_same_csr(ops.apply_matrix, apply_m)
+    assert_apply_C_coeffs_matches(ops, apply_m)
     assert_same_csr(ops.patch_matrix, patch_m)
     u = _random_poly(space.mesh, space.element_ids, 2, np.random.default_rng(0))
     assert_apply_C_matches(ops, patch_m, patches, u)
@@ -643,13 +667,15 @@ def test_patch_table_on_trace_dominated_cells(dim, degree):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("kind", ["P1", "P2", "P3", "P1z", "P2z", "CR"])
 def test_patch_matrix_is_symmetric_and_factors_the_operator(meshes, dim, kind):
-    # P = sum W G^-1 W^T (D^-1 for CR): symmetric, P M = apply and M P M = form
+    # P = sum W G^-1 W^T (D^-1 for CR): symmetric, M P M = form, and
+    # apply_C_coeffs = P M, so M apply_C_coeffs = form
     ops = Operators(_space(meshes[dim], kind))
-    p, m = ops.patch_matrix.toarray(), ops.mass.toarray()
-    apply_m, form = ops.apply_matrix.toarray(), ops.form_matrix.toarray()
+    p, m, form = ops.patch_matrix.toarray(), ops.mass.toarray(), ops.form_matrix.toarray()
     assert np.abs(p - p.T).max() <= 1e-13 * np.abs(p).max()
-    assert np.abs(p @ m - apply_m).max() <= 1e-13 * np.abs(apply_m).max()
     assert np.abs(m @ p @ m - form).max() <= 1e-13 * np.abs(form).max()
+    x = np.random.default_rng(dim).standard_normal(ops.space.n_dofs)
+    assert np.array_equal(ops.apply_C_coeffs(x), ops.patch_matrix @ (ops.mass @ x))
+    assert np.abs(m @ ops.apply_C_coeffs(x) - form @ x).max() <= 1e-13 * np.abs(form @ x).max()
 
 
 # -- elementwise polynomials -----------------------------------------------------------------

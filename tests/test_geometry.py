@@ -2,19 +2,16 @@
 exponent, one Bareiss elimination) against the Fraction geometry it
 replaced (tests/fraction_geometry.py): the elimination itself, the hanging
 vertex and conformity scans, volumes, the float geometry table, the
-Vandermonde inverse, the JSON form of deep meshes, and the patch sparsity
-pattern against its np.unique form."""
+Vandermonde inverse and the JSON form of deep meshes."""
 
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import fraction_geometry as fg
 from exact_algebra import evaluate, monomial
-import gradedproj.projection as projection
 from conftest import randomly_refined
 from gradedproj.mesh import (
     MAX_EXPONENT,
@@ -27,7 +24,6 @@ from gradedproj.mesh import (
     marking_policy,
 )
 from gradedproj.polyspace import LagrangeSpace, reference_element
-from test_acceptance import MESH_SUITE
 
 # -- Bareiss against Gauss-Jordan on Fractions ---------------------------------------
 
@@ -247,39 +243,3 @@ def test_bisection_stops_at_the_exponent_bound():
     assert mesh.exponent == MAX_EXPONENT
     with pytest.raises(MeshError, match="exponent"):
         mesh.refine_closure(mesh.active_ids())
-
-
-# -- the patch sparsity pattern ------------------------------------------------------
-
-
-def _csr_by_unique(keys, vals, n):
-    """The former pattern builder, for one array of values: np.unique with
-    the inverse, np.add.at into zeros and a COO conversion."""
-    pattern, inverse = np.unique(keys, return_inverse=True)
-    data = np.zeros(len(pattern))
-    np.add.at(data, inverse, vals)
-    out = sp.csr_matrix((data, np.divmod(pattern, n)), shape=(n, n))
-    out.eliminate_zeros()
-    return out
-
-
-def test_patch_pattern_matches_unique_oracle(monkeypatch):
-    # the form, apply and patch matrices of every criterion-3 mesh, each
-    # value array of the one call against its own unique-based build, bit
-    # for bit
-    built = []
-    sort_based = projection._csr_in_order
-
-    def both(keys, values, n):
-        got = sort_based(keys, values, n)
-        assert len(values) == len(got) == 3
-        built.extend(zip(got, (_csr_by_unique(keys, column, n) for column in values)))
-        return got
-
-    monkeypatch.setattr(projection, "_csr_in_order", both)
-    for dim, degree, alpha, rounds, fraction, seed in MESH_SUITE:
-        projection.Operators(LagrangeSpace(randomly_refined(dim, rounds, alpha=alpha, seed=seed, fraction=fraction), degree))
-    assert len(built) == 3 * len(MESH_SUITE)
-    for got, want in built:
-        for part in ("indptr", "indices", "data"):
-            _assert_same_bits(getattr(got, part), getattr(want, part))

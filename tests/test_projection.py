@@ -205,7 +205,7 @@ def test_operator_assembly_matches_exact_oracle():
         ops = Operators(space)
         form_x, apply_x = _exact_operator_matrices(space)
         b = ops.form_matrix.toarray()
-        a = ops.apply_matrix.toarray()
+        a = (ops.patch_matrix @ ops.mass).toarray()
         n = space.n_dofs
         dev_b = max(abs(b[i, j] - float(form_x[i][j])) for i in range(n) for j in range(n))
         dev_a = max(abs(a[i, j] - float(apply_x[i][j])) for i in range(n) for j in range(n))
@@ -275,12 +275,12 @@ def test_certificate_zero_trace(mesh2d):
 
 
 def test_zero_trace_form_apply_consistency(mesh2d):
-    # the form matrix and the apply matrix describe one operator: B = M A_C
+    # the form matrix and the patch matrix describe one operator: B = M P M
     # (regression: a trace-banned patch node must be banned patch-wide)
     for degree in (1, 2):
         ops = Operators(LagrangeSpace(mesh2d, degree, zero_trace=True))
         b = ops.form_matrix.toarray()
-        ma = ops.mass.toarray() @ ops.apply_matrix.toarray()
+        ma = ops.mass.toarray() @ (ops.patch_matrix @ ops.mass).toarray()
         assert np.abs(b - ma).max() < 1e-13
 
 
