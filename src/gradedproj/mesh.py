@@ -523,25 +523,26 @@ class SimplicialMesh:
         for ids, size in [(verts, d + 1) for verts, _, _ in cells] + [(face, d) for face in gamma]:
             if len(set(ids)) != size:
                 raise MeshError(f"{list(ids)} is not {size} distinct vertices")
-        corners = _point_table(mesh)[np.array([verts for verts, _, _ in cells])]
+        table = np.array([verts for verts, _, _ in cells], dtype=np.int64)
+        corners = _point_table(mesh)[table]
         dets, _ = bareiss(corners[:, 1:] - corners[:, :1], np.zeros((len(cells), d, 0), dtype=object))
         for (verts, tag, level), det in zip(cells, dets.tolist()):
             if det == 0:
                 raise MeshError(f"degenerate simplex {list(verts)}")
             mesh._add_simplex(verts, tag, level, None, Fraction(abs(det), math.factorial(d) << (d * e)))
-        faces, face_vertices = element_faces(vertex_table(mesh, mesh.active_ids()))
-        owners = np.bincount(faces.ravel())
-        if owners.max() > 2:
-            raise MeshError(f"face {face_vertices[np.argmax(owners > 2)].tolist()} is owned by more than two simplices")
-        boundary = set(map(tuple, face_vertices[owners == 1].tolist()))
+        boundary = _boundary_faces(table)
         for face in gamma:
-            if tuple(sorted(face)) not in boundary:
+            if frozenset(face) not in boundary:
                 raise MeshError(f"gamma face {list(face)} is not a boundary face of the mesh")
         mesh.gamma_faces = {frozenset(face) for face in gamma}
         inside = conformity_violations(mesh)
         if inside:
             vid, sid = inside[0]
             raise MeshError(f"vertex {vid} lies in simplex {list(mesh.simplices[sid].vertices)} but is not its corner")
+        overlap = _overlapping_rows(mesh, table)
+        if len(overlap):
+            a, b = overlap[0].tolist()
+            raise MeshError(f"simplices {list(cells[a][0])} and {list(cells[b][0])} overlap")
         return mesh
 
     @classmethod
@@ -627,14 +628,23 @@ def kuhn_initial_mesh(dim: int, cells_per_axis: int = 1, mark_boundary: bool = T
     ids, first = first_appearance(corners)
     mesh._add_level0(corners[first].tolist(), ids.reshape(-1, dim + 1), dim, Fraction(1, math.factorial(dim)))
     if mark_boundary:
-        mesh.gamma_faces = boundary_faces(mesh)
+        mesh.gamma_faces = _boundary_faces(ids.reshape(-1, dim + 1))
     return mesh
 
 
 def boundary_faces(mesh: SimplicialMesh) -> set[frozenset[int]]:
     """Faces owned by exactly one active simplex."""
-    faces, face_vertices = element_faces(vertex_table(mesh, mesh.active_ids()))
-    return set(map(frozenset, face_vertices[np.bincount(faces.ravel()) == 1].tolist()))
+    return _boundary_faces(vertex_table(mesh, mesh.active_ids()))
+
+
+def _boundary_faces(table: np.ndarray) -> set[frozenset[int]]:
+    """The faces of the rows of a vertex table that exactly one row owns;
+    MeshError when a face has more than two owners."""
+    faces, face_vertices = element_faces(table)
+    owners = np.bincount(faces.ravel())
+    if owners.max() > 2:
+        raise MeshError(f"face {face_vertices[np.argmax(owners > 2)].tolist()} is owned by more than two simplices")
+    return set(map(frozenset, face_vertices[owners == 1].tolist()))
 
 
 # -- topology: one sorted numbering of keyed rows ------------------------------
@@ -1033,6 +1043,170 @@ def conformity_violations(mesh: SimplicialMesh, limit: int = 1) -> list[tuple[in
     det, bary = bareiss(system, np.concatenate([points[vids], ones[:, 0, :1]], axis=1)[:, :, None])
     inside = (det != 0) & (bary[:, :, 0] * det[:, None] >= 0).all(axis=1)
     return sorted(zip(vids[inside].tolist(), [ids[r] for r in rows[inside].tolist()]))[:limit]
+
+
+def overlap_violations(mesh: SimplicialMesh, limit: int = 1) -> list[tuple[int, int]]:
+    """Pairs (a, b), a < b, ascending, of active simplices whose interiors
+    intersect; at most limit of them.
+
+    An empty list proves that the interiors of the active simplices are
+    pairwise disjoint.  Exact, by the separating-axis theorem (Gottschalk,
+    Lin & Manocha 1996 for d = 3): two d-simplices A and B have disjoint
+    interiors if and only if 0 is not an interior point of A - B, that is,
+    if and only if some facet hyperplane of A - B has A on one side and B on
+    the other.  A facet of A - B is spanned by d - 1 edge directions of A
+    and B, so its normal is a generalized cross product (the cofactor
+    vector) of d - 1 of their edges: the pair is apart if and only if some
+    nonzero such n has max over A of n.x <= min over B of n.x, or the same
+    with A and B swapped.  That is 6 candidate normals in d = 2, 66 in d = 3
+    and 1140 in d = 4; only pairs whose bounding boxes meet are tested, the
+    facet normals of either simplex first, and every candidate only for the
+    pairs those leave.  The arithmetic is in integers at the mesh exponent,
+    relative to a corner of A: in int64, whose ring operations wrap modulo
+    2**64 but give the exact value wherever a bound from the pair's extent
+    shows that it fits, and in Python ints elsewhere."""
+    ids = mesh.active_ids()
+    return [(ids[a], ids[b]) for a, b in _overlapping_rows(mesh, vertex_table(mesh, ids))[:limit].tolist()]
+
+
+def _overlapping_rows(mesh: SimplicialMesh, table: np.ndarray) -> np.ndarray:
+    """Row pairs (a, b), a < b, ascending, of the simplices of a vertex
+    table whose interiors intersect (overlap_violations).  The candidates
+    come from float bounding boxes, each coordinate rounded once from its
+    numerator; rounding is monotone, so boxes that meet still meet.  A box
+    of extent below 2**k touches at most two cells of the grid of step 2**k
+    per axis; each box is joined, on that grid, with the boxes of no larger
+    extent that touch a cell of its own, in the one cell that holds the
+    greatest of their least corners."""
+    d, n = mesh.dim, len(table)
+    exact = _point_table(mesh)
+    boxes = (exact / (1 << mesh.exponent)).astype(float)[table]
+    lo, hi = boxes.min(axis=1), boxes.max(axis=1)
+    scale = np.frexp((hi - lo).max(axis=1))[1]  # extent < 2**scale
+    pick = np.array(list(product((0, 1), repeat=d)), dtype=np.int64).reshape(-1, d)
+    # interiors meet only where open boxes do, which the floats tell when
+    # each is exact: a numerator of at most 53 bits past its trailing zeros
+    strict = np.all((exact == 0) | (np.abs(exact) < (exact & -exact) * 2**53))
+    found = []
+    for k in np.unique(scale).tolist():
+        # an open box ends a cell sooner at a cell boundary, which the scaled
+        # floats tell while n 2**-(exponent + k) cannot underflow
+        high = np.ldexp(hi, -k)
+        ends = np.floor(np.ldexp(lo, -k)), np.ceil(high) - 1 if strict and mesh.exponent + k <= 1022 else np.floor(high)
+        first, last = (np.clip(x, -(2**62), 2**62).astype(np.int64) for x in ends)
+        sides = []
+        for rows in (np.flatnonzero(scale == k), np.flatnonzero(scale <= k)):
+            cells = first[rows, None] + pick
+            touched = (cells <= last[rows, None]).all(axis=2)
+            sides.append((cells[touched], np.repeat(rows, len(pick))[touched.ravel()]))
+        (big_cells, big), (small_cells, small) = sides
+        number = first_appearance(np.concatenate([big_cells, small_cells]))[0]
+        order = np.argsort(number[len(big) :], kind="stable")
+        ranked = number[len(big) :][order]
+        starts = np.searchsorted(ranked, number[: len(big)], "left")
+        stops = np.searchsorted(ranked, number[: len(big)], "right")
+        at = order[_ranges(starts, stops)]
+        a, b = np.repeat(big, stops - starts), small[at]
+        cell = small_cells[at]
+        # one cell per pair, and a pair of one class from one end only
+        keep = (cell == np.maximum(first[a], first[b])).all(axis=1) & ((scale[b] < k) | (a < b))
+        found.append(np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)[keep])
+    a, b = np.concatenate(found).T
+    cut = np.less if strict else np.less_equal
+    meet = cut(lo[a], hi[b]).all(axis=1) & cut(lo[b], hi[a]).all(axis=1)
+    a, b = a[meet], b[meet]
+    # int64 is exact where (d+1)! (2E)**d < 2**63 bounds every value, E the
+    # extent of the pair in numerators: E < 2**(bits + 1) with E's float rounded
+    extent = np.maximum(hi[a], hi[b]) - np.minimum(lo[a], lo[b])
+    bits = np.frexp(extent.max(axis=1))[1] + mesh.exponent
+    small = d * (bits + 2) + math.factorial(d + 1).bit_length() <= 62
+    wrapped = (exact & (2**64 - 1)).astype(np.uint64).view(np.int64)
+    bad = [np.zeros(0, dtype=np.int64)]
+    for points, part in ((wrapped, small), (exact, ~small)):
+        rows = np.flatnonzero(part)
+        used, at = np.unique(np.concatenate([a[rows], b[rows]]), return_inverse=True)
+        corners = points[table[used]]
+        normals, offsets = _facet_planes(corners - corners[:, :1])
+        at_a, at_b = at[: len(rows)], at[len(rows) :]
+        for start in range(0, len(rows), 4096):
+            chunk = slice(start, start + 4096)
+            pa, pb = at_a[chunk], at_b[chunk]
+            ya, yb = corners[pb] - corners[pa, :1], corners[pa] - corners[pb, :1]
+            left = ~(_beyond(normals[pa], offsets[pa], ya) | _beyond(normals[pb], offsets[pb], yb))
+            pairs = np.stack([corners[pa[left]], corners[pb[left]]], axis=1) - corners[pa[left], None, :1]
+            bad.append(rows[chunk][left][~_apart(pairs)])
+    bad = np.concatenate(bad)
+    bad = np.stack([a[bad], b[bad]], axis=1)
+    return bad[np.lexsort(bad.T[::-1])]
+
+
+def _facet_planes(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outward facet planes of the simplices with corners y (m, d + 1, d),
+    facet j opposite corner j: normals N (m, d + 1, d) and offsets h (m, d +
+    1), the simplex being {x : N_j . x <= h_j for every j}."""
+    d1 = y.shape[1]
+    faces = [[i for i in range(d1) if i != j] for j in range(d1)]
+    normals = _cross(np.stack([y[:, f[1:]] - y[:, f[:1]] for f in faces], axis=1))
+    offsets = (normals * y[:, [f[0] for f in faces]]).sum(axis=-1)
+    flip = np.where((normals * y).sum(axis=-1) > offsets, -1, 1)  # corner j lies inside
+    return normals * flip[..., None], offsets * flip
+
+
+def _beyond(normals: np.ndarray, offsets: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whether all corners y[p] (d + 1, d) of a simplex lie on or beyond one
+    facet plane (normals[p], offsets[p]) of another."""
+    values = np.matmul(y, np.swapaxes(normals, 1, 2))  # (p, corner, facet)
+    return (values >= offsets[:, None, :]).all(axis=1).any(axis=1)
+
+
+def _apart(y: np.ndarray) -> np.ndarray:
+    """For each pair of simplices y[p] (corner coordinates, shape (2, d + 1,
+    d), int64 or Python ints) whether a candidate normal of
+    overlap_violations parts it: the cofactor vectors of every d - 1 of
+    their edges, 64 at a time."""
+    d1, d = y.shape[2:]
+    ia, ib = np.triu_indices(d1, 1)
+    edges = (y[:, :, ib] - y[:, :, ia]).reshape(len(y), 2 * len(ia), d)
+    count = math.comb(2 * len(ia), d - 1)
+    subsets = np.array(list(combinations(range(2 * len(ia)), d - 1)), dtype=np.int64).reshape(count, d - 1)
+    apart = np.zeros(len(y), dtype=bool)
+    for start in range(0, count, 64):
+        todo = np.flatnonzero(~apart)
+        if not len(todo):
+            break
+        apart[todo] = _parts(y[todo], _cross(edges[todo][:, subsets[start : start + 64]]))
+    return apart
+
+
+def _parts(y: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Whether some nonzero normals[p, c] has max n.x over one simplex of
+    y[p] at most min n.x over the other."""
+    proj = np.matmul(y, np.swapaxes(normals, 1, 2)[:, None])  # (p, 2, d + 1, c)
+    top, low = proj.max(axis=2), proj.min(axis=2)
+    split = (top[:, 0] <= low[:, 1]) | (top[:, 1] <= low[:, 0])
+    return (split & (normals != 0).any(axis=-1)).any(axis=-1)
+
+
+def _cross(v: np.ndarray) -> np.ndarray:
+    """Generalized cross products of the rows of v (..., d - 1, d): the
+    vectors n, n_i = (-1)**i times the minor of v without column i, normal
+    to every row (n = (1) when d = 1)."""
+    d = v.shape[-1]
+    return np.stack([(-1) ** i * _det(np.delete(v, i, axis=-1)) for i in range(d)], axis=-1)
+
+
+def _det(m: np.ndarray) -> np.ndarray:
+    """Determinants of the square matrices m (..., k, k) by cofactor
+    expansion along the first row: ring operations only, so exact in Python
+    ints and exact modulo 2**64 in int64."""
+    k = m.shape[-1]
+    if k == 0:
+        return np.ones(m.shape[:-2], dtype=m.dtype)
+    out = m[..., 0, 0] * _det(m[..., 1:, 1:])
+    for j in range(1, k):
+        term = m[..., 0, j] * _det(np.delete(m[..., 1:, :], j, axis=-1))
+        out = out - term if j % 2 else out + term
+    return out
 
 
 def write_element_report(mesh: SimplicialMesh, dist: ElementDistance, path) -> None:

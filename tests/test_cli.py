@@ -504,13 +504,13 @@ def test_mesh_inside_coordinate_bound_runs(tmp_path, data):
     assert run(tmp_path, "refine", "--mesh", str(path), "--rounds", "0", "--out", "r") == 0
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: overlapping elements that hold no vertex of each other "
-                                       "still load; no load check proves disjoint interiors")
-def test_overlapping_mesh_exits_3(tmp_path):
+def test_overlapping_mesh_exits_3(tmp_path, capsys):
+    # the triangles hold no vertex of each other, yet their interiors meet
     path = tmp_path / "overlap.json"
     path.write_text(json.dumps(_mesh_file([(0, 0), (4, 0), (2, 4), (0, 3), (4, 3), (2, -1)],
                                           [((0, 1, 2), 2), ((3, 4, 5), 2)])))
     assert run(tmp_path, "certify", "--dim", "2", "--degree", "1", "--mesh", str(path), "--rounds", "0", "--out", "x") == 3
+    assert capsys.readouterr().err == "input error: simplices [0, 1, 2] and [3, 4, 5] overlap\n"
 
 
 def test_readme_closure_bench_exits_0(tmp_path):

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import fraction_geometry as fg
 from exact_algebra import evaluate, monomial
@@ -22,6 +23,7 @@ from gradedproj.mesh import (
     hanging_vertex_violations,
     kuhn_initial_mesh,
     marking_policy,
+    overlap_violations,
 )
 from gradedproj.polyspace import LagrangeSpace, reference_element
 
@@ -141,13 +143,138 @@ def test_scans_find_the_defects():
     assert found["2-raw"][0] and found["2-raw"][1]
     assert found["2-t-junction"] == ([], [(3, 0), (4, 0)])
     assert found["2-overlap"] == ([], [])  # not a vertex-in-simplex defect
+    assert overlap_violations(MESHES["2-overlap"](), 10**9) == [(0, 1)]  # but one of interiors
     assert found["2-unused"] == ([(0, (1, 2))], [(3, 0), (4, 0), (6, 0)])
+
+
+# -- disjoint interiors: the separating-axis scan against a linear program --------------
+
+
+def _interiors_meet(a, b):
+    """Whether two simplices (corner rows) share an interior point: the
+    largest t such that one point has every barycentric coordinate at least
+    t in both is positive.  Small integer corners keep a positive optimum
+    far above the solver's tolerance."""
+    d1 = len(a)
+    # variables: the barycentric coordinates of the point in a, then in b, then t
+    eq = np.zeros((len(a[0]) + 2, 2 * d1 + 1))
+    eq[:-2, :d1], eq[:-2, d1:-1] = np.array(a, dtype=float).T, -np.array(b, dtype=float).T
+    eq[-2, :d1] = eq[-1, d1:-1] = 1.0
+    ub = np.hstack([-np.eye(2 * d1), np.ones((2 * d1, 1))])  # t - coordinate <= 0
+    cost = np.zeros(2 * d1 + 1)
+    cost[-1] = -1.0
+    res = linprog(cost, A_ub=ub, b_ub=np.zeros(2 * d1), A_eq=eq, b_eq=np.r_[np.zeros(len(a[0])), 1.0, 1.0],
+                  bounds=[(None, None)] * (2 * d1 + 1))
+    assert res.status == 0
+    return -res.fun > 1e-9
+
+
+def _random_pairs(dim, count, seed):
+    """count pairs of nondegenerate simplices with corners in -2..2, the
+    second sharing 0 .. dim corners with the first, some pairs the first
+    reflected through a shared face."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        a = rng.integers(-2, 3, size=(dim + 1, dim))
+        shared = int(rng.integers(0, dim + 1))
+        b = np.vstack([a[:shared], rng.integers(-2, 3, size=(dim + 1 - shared, dim))])
+        if shared == dim and rng.random() < 0.3:  # reflect the last corner through the shared face's centroid
+            b[-1] = 2 * a[:dim].sum(axis=0) // dim - a[-1] if dim else b[-1]
+        pts = np.vstack([a, b[shared:]])
+        if len({tuple(p) for p in pts.tolist()}) != len(pts):
+            continue
+        if any(np.linalg.matrix_rank((s[1:] - s[0]).astype(float)) < dim for s in (a, b)):
+            continue
+        out.append((a.tolist(), b.tolist(), shared))
+    return out
+
+
+@pytest.mark.parametrize("dim, count", [(1, 60), (2, 150), (3, 120), (4, 60)])
+def test_overlap_scan_matches_linear_program(dim, count):
+    # every pair twice: at exponent 0 in small numerators (int64, exact
+    # float boxes) and scaled by 2**70 at exponent 70, the same points
+    # (Python ints, rounded float boxes)
+    met = 0
+    for a, b, shared in _random_pairs(dim, count, seed=dim):
+        points = a + b[shared:]
+        cells = [tuple(range(dim + 1)), tuple(range(shared)) + tuple(range(dim + 1, 2 * dim + 2 - shared))]
+        want = [(0, 1)] if _interiors_meet(a, b) else []
+        met += bool(want)
+        assert overlap_violations(_raw_mesh(dim, points, cells), 5) == want, (a, b)
+        scaled = [[x << 70 for x in p] for p in points]
+        assert overlap_violations(_raw_mesh(dim, scaled, cells, exponent=70), 5) == want, (a, b)
+    assert 0 < met < count
+
+
+@pytest.mark.parametrize("name", sorted(set(MESHES) - {"2-overlap"}))
+def test_overlap_scan_passes_disjoint_meshes(name):
+    # bisection, with or without closure, keeps interiors disjoint
+    assert overlap_violations(MESHES[name](), 10**9) == []
+
+
+def _crossed(dim, shift):
+    """Two simplices whose nearest parts are crossed lower faces: A's top
+    edge along x_0 at x_d = 0 over a face at x_d = -4, B's bottom face
+    across the middle axes at x_d = shift under an edge along x_0.  No facet
+    plane of either parts them at shift >= 0, only the normal of both
+    faces."""
+    middle = [[-1] * (dim - 2)] + [[2 * (i == j) - 1 for i in range(dim - 2)] for j in range(dim - 2)]
+    a = [[x] + [0] * (dim - 1) for x in (-2, 2)] + [[0] + m + [-4] for m in middle]
+    b = [[0] + [2 * v for v in m] + [shift] for m in middle] + [[x] + [0] * (dim - 2) + [shift + 4] for x in (-1, 1)]
+    return a, b
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("shift", [-2, -1, 0, 1, 2])
+def test_overlap_scan_parts_crossed_faces(dim, shift):
+    a, b = _crossed(dim, shift)
+    mesh = _raw_mesh(dim, a + b, [tuple(range(dim + 1)), tuple(range(dim + 1, 2 * dim + 2))])
+    assert overlap_violations(mesh) == ([(0, 1)] if _interiors_meet(a, b) else [])
+    assert (overlap_violations(mesh) == []) == (shift >= 0)
+
+
+def test_overlap_scan_orders_and_limits_pairs():
+    # three copies of one triangle, shifted: every pair meets
+    points = [(0, 0), (4, 0), (0, 4), (1, 0), (5, 0), (1, 4), (0, 1), (4, 1), (0, 5)]
+    mesh = _raw_mesh(2, points, [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
+    assert overlap_violations(mesh, 10**9) == [(0, 1), (0, 2), (1, 2)]
+    assert overlap_violations(mesh) == [(0, 1)]
+
+
+_STELLA = [(2, 2, 2), (2, -2, -2), (-2, 2, -2), (-2, -2, 2), (-2, -2, -2), (-2, 2, 2), (2, -2, 2), (2, 2, -2)]
+
+
+def _mesh_data(dim, points, cells):
+    return {
+        "version": 1,
+        "dim": dim,
+        "vertices": [[[x, 0] for x in p] for p in points],
+        "simplices": [{"v": list(v), "tag": dim, "level": 0} for v in cells],
+    }
+
+
+def test_crossing_tetrahedra_do_not_load():
+    # the two tetrahedra of a stella octangula: each corner of one lies
+    # outside the other, no face is shared, yet both hold the centre
+    mesh = _raw_mesh(3, _STELLA, [(0, 1, 2, 3), (4, 5, 6, 7)])
+    assert conformity_violations(mesh, 10**9) == [] and hanging_vertex_violations(mesh, 10**9) == []
+    assert overlap_violations(mesh) == [(0, 1)]
+    with pytest.raises(MeshError, match=r"simplices \[0, 1, 2, 3\] and \[4, 5, 6, 7\] overlap"):
+        SimplicialMesh.from_json_dict(_mesh_data(3, _STELLA, [(0, 1, 2, 3), (4, 5, 6, 7)]))
+
+
+def test_face_sharing_tetrahedra_load():
+    # two tetrahedra on either side of their common face
+    points = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    mesh = SimplicialMesh.from_json_dict(_mesh_data(3, points, [(0, 1, 2, 3), (1, 2, 3, 4)]))
+    assert mesh.n_active == 2 and overlap_violations(mesh) == []
 
 
 def test_volumes_match_fraction_determinants(mesh):
     # halved under bisection, and from Bareiss determinants on load
     meshes = [mesh]
-    if not conformity_violations(mesh):
+    if not conformity_violations(mesh) and not overlap_violations(mesh):
         meshes.append(SimplicialMesh.from_json_dict(mesh.to_json_dict()))
     for m in meshes:
         for sid in m.active_ids():
