@@ -486,7 +486,9 @@ class SimplicialMesh:
         a coordinate not below 2**coordinate_bits(d) in magnitude, a
         repeated vertex, a degenerate simplex, bad faces, a face owned by
         more than two simplices, a vertex in the closure of a simplex it is
-        not a corner of) raises MeshError."""
+        not a corner of, two simplices whose interiors meet) raises
+        MeshError.  Bisection keeps interiors disjoint, so only a load tests
+        them (overlap_violations)."""
         version = data.get("version") if isinstance(data, dict) else None
         if version != 1:
             raise MeshError(f"unsupported mesh file version {version!r}")
@@ -1021,7 +1023,8 @@ def conformity_violations(mesh: SimplicialMesh, limit: int = 1) -> list[tuple[in
     An empty list proves that no vertex lies in the closure of an active
     simplex it is not a corner of (no hanging vertex, no vertex on another
     simplex's face).  It does not prove that simplex interiors are disjoint:
-    two overlapping triangles that hold no vertex of each other pass.  Exact:
+    two overlapping triangles that hold no vertex of each other pass, and
+    overlap_violations finds them.  Exact:
     for the vertices in a simplex's bounding box, bareiss gives det times the
     barycentric coordinates, all of the sign of det exactly in the closure."""
     ids = mesh.active_ids()
