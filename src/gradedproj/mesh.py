@@ -1077,19 +1077,24 @@ def _overlapping_rows(mesh: SimplicialMesh, table: np.ndarray) -> np.ndarray:
     table whose interiors intersect (overlap_violations).  The candidates
     come from float bounding boxes, each coordinate rounded once from its
     numerator; rounding is monotone, so boxes that meet still meet.  A box
-    of extent below 2**k touches at most two cells of the grid of step 2**k
-    per axis; each box is joined, on that grid, with the boxes of no larger
-    extent that touch a cell of its own, in the one cell that holds the
-    greatest of their least corners."""
+    of extent below 2**k, or exactly 2**k where the floats are exact,
+    touches at most two cells of the grid of step 2**k per axis; each box is
+    joined, on that grid, with the boxes of no larger extent that touch a
+    cell of its own, in the one cell that holds the greatest of their least
+    corners."""
     d, n = mesh.dim, len(table)
     exact = _point_table(mesh)
     boxes = (exact / (1 << mesh.exponent)).astype(float)[table]
     lo, hi = boxes.min(axis=1), boxes.max(axis=1)
-    scale = np.frexp((hi - lo).max(axis=1))[1]  # extent < 2**scale
     pick = np.array(list(product((0, 1), repeat=d)), dtype=np.int64).reshape(-1, d)
     # interiors meet only where open boxes do, which the floats tell when
     # each is exact: a numerator of at most 53 bits past its trailing zeros
     strict = np.all((exact == 0) | (np.abs(exact) < (exact & -exact) * 2**53))
+    span = hi - lo
+    back = span - hi  # Knuth's two-sum: span is exact where its rounding error is 0
+    exact_span = ((hi - (span - back)) + (-lo - back) == 0).all(axis=1)
+    mantissa, scale = np.frexp(span.max(axis=1))  # extent < 2**scale
+    scale -= strict & exact_span & (mantissa == 0.5)  # extent == 2**scale
     found = []
     for k in np.unique(scale).tolist():
         # an open box ends a cell sooner at a cell boundary, which the scaled
@@ -1118,48 +1123,30 @@ def _overlapping_rows(mesh: SimplicialMesh, table: np.ndarray) -> np.ndarray:
     cut = np.less if strict else np.less_equal
     meet = cut(lo[a], hi[b]).all(axis=1) & cut(lo[b], hi[a]).all(axis=1)
     a, b = a[meet], b[meet]
-    # int64 is exact where (d+1)! (2E)**d < 2**63 bounds every value, E the
-    # extent of the pair in numerators: E < 2**(bits + 1) with E's float rounded
+    # int64 is exact where d! E**d < 2**63 bounds every value (a projection
+    # on a cofactor normal), E the pair's extent in numerators, below
+    # 2**(bits + 1) with its float rounded
     extent = np.maximum(hi[a], hi[b]) - np.minimum(lo[a], lo[b])
     bits = np.frexp(extent.max(axis=1))[1] + mesh.exponent
-    small = d * (bits + 2) + math.factorial(d + 1).bit_length() <= 62
+    small = d * (bits + 1) + math.factorial(d).bit_length() <= 62
     wrapped = (exact & (2**64 - 1)).astype(np.uint64).view(np.int64)
+    faces = [[i for i in range(d + 1) if i != j] for j in range(d + 1)]
     bad = [np.zeros(0, dtype=np.int64)]
     for points, part in ((wrapped, small), (exact, ~small)):
         rows = np.flatnonzero(part)
         used, at = np.unique(np.concatenate([a[rows], b[rows]]), return_inverse=True)
         corners = points[table[used]]
-        normals, offsets = _facet_planes(corners - corners[:, :1])
+        facets = _cross(np.stack([corners[:, f[1:]] - corners[:, f[:1]] for f in faces], axis=1))
         at_a, at_b = at[: len(rows)], at[len(rows) :]
         for start in range(0, len(rows), 4096):
             chunk = slice(start, start + 4096)
             pa, pb = at_a[chunk], at_b[chunk]
-            ya, yb = corners[pb] - corners[pa, :1], corners[pa] - corners[pb, :1]
-            left = ~(_beyond(normals[pa], offsets[pa], ya) | _beyond(normals[pb], offsets[pb], yb))
-            pairs = np.stack([corners[pa[left]], corners[pb[left]]], axis=1) - corners[pa[left], None, :1]
-            bad.append(rows[chunk][left][~_apart(pairs)])
+            y = np.stack([corners[pa], corners[pb]], axis=1) - corners[pa, None, :1]
+            left = ~_parts(y, np.concatenate([facets[pa], facets[pb]], axis=1))
+            bad.append(rows[chunk][left][~_apart(y[left])])
     bad = np.concatenate(bad)
     bad = np.stack([a[bad], b[bad]], axis=1)
     return bad[np.lexsort(bad.T[::-1])]
-
-
-def _facet_planes(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outward facet planes of the simplices with corners y (m, d + 1, d),
-    facet j opposite corner j: normals N (m, d + 1, d) and offsets h (m, d +
-    1), the simplex being {x : N_j . x <= h_j for every j}."""
-    d1 = y.shape[1]
-    faces = [[i for i in range(d1) if i != j] for j in range(d1)]
-    normals = _cross(np.stack([y[:, f[1:]] - y[:, f[:1]] for f in faces], axis=1))
-    offsets = (normals * y[:, [f[0] for f in faces]]).sum(axis=-1)
-    flip = np.where((normals * y).sum(axis=-1) > offsets, -1, 1)  # corner j lies inside
-    return normals * flip[..., None], offsets * flip
-
-
-def _beyond(normals: np.ndarray, offsets: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Whether all corners y[p] (d + 1, d) of a simplex lie on or beyond one
-    facet plane (normals[p], offsets[p]) of another."""
-    values = np.matmul(y, np.swapaxes(normals, 1, 2))  # (p, corner, facet)
-    return (values >= offsets[:, None, :]).all(axis=1).any(axis=1)
 
 
 def _apart(y: np.ndarray) -> np.ndarray:

@@ -190,20 +190,26 @@ def _random_pairs(dim, count, seed):
     return out
 
 
+# the same pairs under maps that keep every verdict: (exponent, numerator map)
+_EXACT_PATHS = [
+    (0, lambda x: x),  # int64 arithmetic, exact float boxes
+    (70, lambda x: x << 70),  # Python ints (large extents), exact float boxes
+    (0, lambda x: x * (2**60 + 1)),  # Python ints, rounded float boxes
+    (0, lambda x: x + 2**60 + 1),  # int64 residues of large numerators, rounded float boxes
+]
+
+
 @pytest.mark.parametrize("dim, count", [(1, 60), (2, 150), (3, 120), (4, 60)])
 def test_overlap_scan_matches_linear_program(dim, count):
-    # every pair twice: at exponent 0 in small numerators (int64, exact
-    # float boxes) and scaled by 2**70 at exponent 70, the same points
-    # (Python ints, rounded float boxes)
     met = 0
     for a, b, shared in _random_pairs(dim, count, seed=dim):
         points = a + b[shared:]
         cells = [tuple(range(dim + 1)), tuple(range(shared)) + tuple(range(dim + 1, 2 * dim + 2 - shared))]
         want = [(0, 1)] if _interiors_meet(a, b) else []
         met += bool(want)
-        assert overlap_violations(_raw_mesh(dim, points, cells), 5) == want, (a, b)
-        scaled = [[x << 70 for x in p] for p in points]
-        assert overlap_violations(_raw_mesh(dim, scaled, cells, exponent=70), 5) == want, (a, b)
+        for exponent, move in _EXACT_PATHS:
+            mesh = _raw_mesh(dim, [[move(x) for x in p] for p in points], cells, exponent=exponent)
+            assert overlap_violations(mesh, 5) == want, (a, b, exponent, move(1))
     assert 0 < met < count
 
 
@@ -239,6 +245,15 @@ def test_overlap_scan_orders_and_limits_pairs():
     points = [(0, 0), (4, 0), (0, 4), (1, 0), (5, 0), (1, 4), (0, 1), (4, 1), (0, 5)]
     mesh = _raw_mesh(2, points, [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
     assert overlap_violations(mesh, 10**9) == [(0, 1), (0, 2), (1, 2)]
+    assert overlap_violations(mesh) == [(0, 1)]
+
+
+def test_overlap_scan_sees_through_rounded_boxes():
+    # [-2**-60, 1 + 3 * 2**-60] and [1 + 2**-60, 2]: the floats round both
+    # ends near 1 to 1.0 and the first extent to exactly 1.0, which must not
+    # shrink its grid step to 1 (the interval would touch three cells)
+    points = [(-1,), (2**60 + 3,), (2**60 + 1,), (2**61,)]
+    mesh = _raw_mesh(1, points, [(0, 1), (2, 3)], exponent=60)
     assert overlap_violations(mesh) == [(0, 1)]
 
 
