@@ -1082,7 +1082,7 @@ def _overlapping_rows(mesh: SimplicialMesh, table: np.ndarray) -> np.ndarray:
     joined, on that grid, with the boxes of no larger extent that touch a
     cell of its own, in the one cell that holds the greatest of their least
     corners."""
-    d, n = mesh.dim, len(table)
+    d = mesh.dim
     exact = _point_table(mesh)
     boxes = (exact / (1 << mesh.exponent)).astype(float)[table]
     lo, hi = boxes.min(axis=1), boxes.max(axis=1)
