@@ -644,7 +644,7 @@ def _boundary_faces(table: np.ndarray) -> set[frozenset[int]]:
     MeshError when a face has more than two owners."""
     faces, face_vertices = element_faces(table)
     owners = np.bincount(faces.ravel())
-    if owners.max() > 2:
+    if owners.max(initial=0) > 2:
         raise MeshError(f"face {face_vertices[np.argmax(owners > 2)].tolist()} is owned by more than two simplices")
     return set(map(frozenset, face_vertices[owners == 1].tolist()))
 
