@@ -1064,44 +1064,31 @@ def overlap_violations(mesh: SimplicialMesh, limit: int = 1) -> list[tuple[int, 
     with A and B swapped.  That is 6 candidate normals in d = 2, 66 in d = 3
     and 1140 in d = 4; only pairs whose bounding boxes meet are tested, the
     facet normals of either simplex first, and every candidate only for the
-    pairs those leave.  The arithmetic is in integers at the mesh exponent,
-    relative to a corner of A: in int64, whose ring operations wrap modulo
-    2**64 but give the exact value wherever a bound from the pair's extent
-    shows that it fits, and in Python ints elsewhere."""
+    pairs those leave.  The arithmetic is in Python ints at the mesh
+    exponent, relative to a corner of A."""
     ids = mesh.active_ids()
     return [(ids[a], ids[b]) for a, b in _overlapping_rows(mesh, vertex_table(mesh, ids))[:limit].tolist()]
 
 
 def _overlapping_rows(mesh: SimplicialMesh, table: np.ndarray) -> np.ndarray:
     """Row pairs (a, b), a < b, ascending, of the simplices of a vertex
-    table whose interiors intersect (overlap_violations).  The candidates
-    come from float bounding boxes, each coordinate rounded once from its
-    numerator; rounding is monotone, so boxes that meet still meet.  A box
-    of extent below 2**k, or exactly 2**k where the floats are exact,
-    touches at most two cells of the grid of step 2**k per axis; each box is
-    joined, on that grid, with the boxes of no larger extent that touch a
-    cell of its own, in the one cell that holds the greatest of their least
-    corners."""
+    table whose interiors intersect (overlap_violations).  Interiors meet
+    only where open bounding boxes do.  An open box of extent at most 2**k
+    numerators touches at most two cells of the grid of step 2**k per axis;
+    each box is joined, on that grid, with the boxes of no larger extent
+    that touch a cell of its own, in the one cell that holds the greatest of
+    their least corners.  Cell numbers are clipped to int64, which only
+    joins more boxes, and boxes are compared on the ranks of their
+    numerators on each axis, which keep every comparison."""
     d = mesh.dim
     exact = _point_table(mesh)
-    boxes = (exact / (1 << mesh.exponent)).astype(float)[table]
-    lo, hi = boxes.min(axis=1), boxes.max(axis=1)
+    corners = exact[table]
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    scale = np.array([(e - 1).bit_length() for e in (hi - lo).max(axis=1).tolist()], dtype=np.int64)
     pick = np.array(list(product((0, 1), repeat=d)), dtype=np.int64).reshape(-1, d)
-    # interiors meet only where open boxes do, which the floats tell when
-    # each is exact: a numerator of at most 53 bits past its trailing zeros
-    strict = np.all((exact == 0) | (np.abs(exact) < (exact & -exact) * 2**53))
-    span = hi - lo
-    back = span - hi  # Knuth's two-sum: span is exact where its rounding error is 0
-    exact_span = ((hi - (span - back)) + (-lo - back) == 0).all(axis=1)
-    mantissa, scale = np.frexp(span.max(axis=1))  # extent < 2**scale
-    scale -= strict & exact_span & (mantissa == 0.5)  # extent == 2**scale
-    found = []
+    found = [np.zeros((0, 2), dtype=np.int64)]
     for k in np.unique(scale).tolist():
-        # an open box ends a cell sooner at a cell boundary, which the scaled
-        # floats tell while n 2**-(exponent + k) cannot underflow
-        high = np.ldexp(hi, -k)
-        ends = np.floor(np.ldexp(lo, -k)), np.ceil(high) - 1 if strict and mesh.exponent + k <= 1022 else np.floor(high)
-        first, last = (np.clip(x, -(2**62), 2**62).astype(np.int64) for x in ends)
+        first, last = (np.clip(x >> k, -(2**62), 2**62).astype(np.int64) for x in (lo, hi - 1))
         sides = []
         for rows in (np.flatnonzero(scale == k), np.flatnonzero(scale <= k)):
             cells = first[rows, None] + pick
@@ -1120,30 +1107,22 @@ def _overlapping_rows(mesh: SimplicialMesh, table: np.ndarray) -> np.ndarray:
         keep = (cell == np.maximum(first[a], first[b])).all(axis=1) & ((scale[b] < k) | (a < b))
         found.append(np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)[keep])
     a, b = np.concatenate(found).T
-    cut = np.less if strict else np.less_equal
-    meet = cut(lo[a], hi[b]).all(axis=1) & cut(lo[b], hi[a]).all(axis=1)
+    rank = np.stack([np.unique(exact[:, i], return_inverse=True)[1] for i in range(d)], axis=-1)[table]
+    lo, hi = rank.min(axis=1), rank.max(axis=1)
+    meet = (lo[a] < hi[b]).all(axis=1) & (lo[b] < hi[a]).all(axis=1)
     a, b = a[meet], b[meet]
-    # int64 is exact where d! E**d < 2**63 bounds every value (a projection
-    # on a cofactor normal), E the pair's extent in numerators, below
-    # 2**(bits + 1) with its float rounded
-    extent = np.maximum(hi[a], hi[b]) - np.minimum(lo[a], lo[b])
-    bits = np.frexp(extent.max(axis=1))[1] + mesh.exponent
-    small = d * (bits + 1) + math.factorial(d).bit_length() <= 62
-    wrapped = (exact & (2**64 - 1)).astype(np.uint64).view(np.int64)
     faces = [[i for i in range(d + 1) if i != j] for j in range(d + 1)]
+    used, at = np.unique(np.concatenate([a, b]), return_inverse=True)
+    corners = corners[used]
+    facets = _cross(np.stack([corners[:, f[1:]] - corners[:, f[:1]] for f in faces], axis=1))
+    at_a, at_b = at[: len(a)], at[len(a) :]
     bad = [np.zeros(0, dtype=np.int64)]
-    for points, part in ((wrapped, small), (exact, ~small)):
-        rows = np.flatnonzero(part)
-        used, at = np.unique(np.concatenate([a[rows], b[rows]]), return_inverse=True)
-        corners = points[table[used]]
-        facets = _cross(np.stack([corners[:, f[1:]] - corners[:, f[:1]] for f in faces], axis=1))
-        at_a, at_b = at[: len(rows)], at[len(rows) :]
-        for start in range(0, len(rows), 4096):
-            chunk = slice(start, start + 4096)
-            pa, pb = at_a[chunk], at_b[chunk]
-            y = np.stack([corners[pa], corners[pb]], axis=1) - corners[pa, None, :1]
-            left = ~_parts(y, np.concatenate([facets[pa], facets[pb]], axis=1))
-            bad.append(rows[chunk][left][~_apart(y[left])])
+    for start in range(0, len(a), 4096):
+        chunk = slice(start, start + 4096)
+        pa, pb = at_a[chunk], at_b[chunk]
+        y = np.stack([corners[pa], corners[pb]], axis=1) - corners[pa, None, :1]
+        left = ~_parts(y, np.concatenate([facets[pa], facets[pb]], axis=1))
+        bad.append(start + np.flatnonzero(left)[~_apart(y[left])])
     bad = np.concatenate(bad)
     bad = np.stack([a[bad], b[bad]], axis=1)
     return bad[np.lexsort(bad.T[::-1])]
@@ -1151,7 +1130,7 @@ def _overlapping_rows(mesh: SimplicialMesh, table: np.ndarray) -> np.ndarray:
 
 def _apart(y: np.ndarray) -> np.ndarray:
     """For each pair of simplices y[p] (corner coordinates, shape (2, d + 1,
-    d), int64 or Python ints) whether a candidate normal of
+    d), Python ints) whether a candidate normal of
     overlap_violations parts it: the cofactor vectors of every d - 1 of
     their edges, 64 at a time."""
     d1, d = y.shape[2:]
@@ -1188,7 +1167,7 @@ def _cross(v: np.ndarray) -> np.ndarray:
 def _det(m: np.ndarray) -> np.ndarray:
     """Determinants of the square matrices m (..., k, k) by cofactor
     expansion along the first row: ring operations only, so exact in Python
-    ints and exact modulo 2**64 in int64."""
+    ints."""
     k = m.shape[-1]
     if k == 0:
         return np.ones(m.shape[:-2], dtype=m.dtype)

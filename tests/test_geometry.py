@@ -192,10 +192,10 @@ def _random_pairs(dim, count, seed):
 
 # the same pairs under maps that keep every verdict: (exponent, numerator map)
 _EXACT_PATHS = [
-    (0, lambda x: x),  # int64 arithmetic, exact float boxes
-    (70, lambda x: x << 70),  # Python ints (large extents), exact float boxes
-    (0, lambda x: x * (2**60 + 1)),  # Python ints, rounded float boxes
-    (0, lambda x: x + 2**60 + 1),  # int64 residues of large numerators, rounded float boxes
+    (0, lambda x: x),
+    (70, lambda x: x << 70),  # a high exponent
+    (0, lambda x: x * (2**60 + 1)),  # extents beyond int64
+    (0, lambda x: x + 2**70 + 1),  # small extents far out: cell numbers beyond int64
 ]
 
 
@@ -248,13 +248,24 @@ def test_overlap_scan_orders_and_limits_pairs():
     assert overlap_violations(mesh) == [(0, 1)]
 
 
-def test_overlap_scan_sees_through_rounded_boxes():
-    # [-2**-60, 1 + 3 * 2**-60] and [1 + 2**-60, 2]: the floats round both
-    # ends near 1 to 1.0 and the first extent to exactly 1.0, which must not
-    # shrink its grid step to 1 (the interval would touch three cells)
+def test_overlap_scan_passes_empty_meshes():
+    for dim in range(1, 5):
+        assert overlap_violations(SimplicialMesh(dim), 10**9) == []
+
+
+def test_overlap_scan_sees_overlaps_below_float_resolution():
+    # [-2**-60, 1 + 3 * 2**-60] and [1 + 2**-60, 2] overlap by 2**-59
     points = [(-1,), (2**60 + 3,), (2**60 + 1,), (2**61,)]
     mesh = _raw_mesh(1, points, [(0, 1), (2, 3)], exponent=60)
     assert overlap_violations(mesh) == [(0, 1)]
+    # [1/2, 1 + 3 * 2**-60] and [1 + 2**-60, 3/2]: the first reaches past
+    # the boundary of its grid cells at 1 by 3 * 2**-60
+    points = [(2**59,), (2**60 + 3,), (2**60 + 1,), (3 * 2**59,)]
+    mesh = _raw_mesh(1, points, [(0, 1), (2, 3)], exponent=60)
+    assert overlap_violations(mesh) == [(0, 1)]
+    # the same pairs touching only: [.., 1] and [1, ..]
+    points = [(-1,), (2**60,), (2**61,)]
+    assert overlap_violations(_raw_mesh(1, points, [(0, 1), (1, 2)], exponent=60)) == []
 
 
 _STELLA = [(2, 2, 2), (2, -2, -2), (-2, 2, -2), (-2, -2, 2), (-2, -2, -2), (-2, 2, 2), (2, -2, 2), (2, 2, -2)]
