@@ -511,10 +511,10 @@ class Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _add_mesh_options(p, rounds_default=4):
+def _add_mesh_options(p):
     p.add_argument("--dim", type=int, default=2, help="space dimension")
     p.add_argument("--cells", type=int, default=1, help="initial cubes per axis")
-    p.add_argument("--rounds", type=int, default=rounds_default, help="marking rounds")
+    p.add_argument("--rounds", type=int, default=4, help="marking rounds")
     p.add_argument("--alpha", type=int, default=1, help="limited-grading parameter (0: plain closure)")
     p.add_argument("--policy", default="corner", help="marking policy: uniform | corner | random:<fraction>")
     p.add_argument("--mesh", default=None, help="initial mesh JSON instead of the Kuhn mesh; --rounds refine it")

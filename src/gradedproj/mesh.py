@@ -125,7 +125,6 @@ class SimplicialMesh:
         self._level_counts: dict[int, int] = {}  # level -> number of active simplices
         self._volumes: dict[int, Fraction] = {}  # simplex id -> level-0 volume, volume * 2**level
         self._edge_mid: dict[tuple[int, int], int] = {}  # edge (a, b), a < b -> midpoint vertex id
-        self._next_simplex = 0
 
     @property
     def gamma_faces(self) -> frozenset[frozenset[int]]:
@@ -195,8 +194,7 @@ class SimplicialMesh:
     def _add_simplex(self, vertices: tuple[int, ...], tag: int, level: int, parent: int | None, volume: Fraction) -> int:
         """Register a new active simplex of a loaded or initial mesh, with the
         next index and its exact volume."""
-        sid = self._next_simplex
-        self._next_simplex += 1
+        sid = len(self.simplices)
         self.simplices[sid] = TaggedSimplex(vertices, tag, level, parent)
         self._active.add(sid)
         self._volumes[sid] = volume * (1 << level)
@@ -227,7 +225,6 @@ class SimplicialMesh:
         self._active = set(self.simplices)
         self._volumes = dict.fromkeys(self.simplices, volume)
         self._level_counts = {0: len(table)} if len(table) else {}
-        self._next_simplex = len(table)
 
     def _rekey(self, hist: dict[int, int], old: int | None, new: int, gain: int) -> None:
         """Move one count of a star histogram off level old (None: none) and
@@ -256,7 +253,6 @@ class SimplicialMesh:
         other._level_counts = dict(self._level_counts)
         other._volumes = dict(self._volumes)
         other._edge_mid = dict(self._edge_mid)
-        other._next_simplex = self._next_simplex
         return other
 
     # -- bisection ---------------------------------------------------------
@@ -290,10 +286,9 @@ class SimplicialMesh:
             self._split_gamma(v, a, b, zid)
         up = level + 1
         tag = k - 1 if k > 1 else self.dim
-        c1 = self._next_simplex
-        c2 = c1 + 1
-        self._next_simplex = c1 + 2
         simplices = self.simplices
+        c1 = len(simplices)
+        c2 = c1 + 1
         simplices[c1] = TaggedSimplex(v[:k] + (zid,) + v[k + 1 :], tag, up, sid)
         simplices[c2] = TaggedSimplex(v[1 : k + 1] + (zid,) + v[k + 1 :], tag, up, sid)
         active = self._active
@@ -460,10 +455,10 @@ class SimplicialMesh:
             rounds += 1
             if rounds > max_rounds:
                 raise ClosureError("limited-grading loop exceeded its round bound")
-            first_new = self._next_simplex
+            first_new = len(self.simplices)
             self.refine_closure(current)
             # every steep star now holds a simplex this closure created
-            new = range(first_new, self._next_simplex)
+            new = range(first_new, len(self.simplices))
             touched = {v for sid in new if sid in self._active for v in self.simplices[sid].vertices}
             current = sorted({s for _, lagging in self._steep_stars(alpha, touched) for s in lagging})
         return self
@@ -1024,19 +1019,17 @@ def conformity_violations(mesh: SimplicialMesh, limit: int = 1) -> list[tuple[in
     simplex it is not a corner of (no hanging vertex, no vertex on another
     simplex's face).  It does not prove that simplex interiors are disjoint:
     two overlapping triangles that hold no vertex of each other pass, and
-    overlap_violations finds them.  Exact:
-    for the vertices in a simplex's bounding box, bareiss gives det times the
-    barycentric coordinates, all of the sign of det exactly in the closure."""
+    overlap_violations finds them.  Exact: the grid join of _box_pairs
+    pairs the closed bounding boxes with every vertex, used or not, as a box
+    of extent 0; for the vertices in a simplex's box, bareiss gives det
+    times the barycentric coordinates, all of the sign of det exactly in the
+    closure."""
     ids = mesh.active_ids()
     table = vertex_table(mesh, ids)
     points = _point_table(mesh)
     corners = points[table]
     lo, hi = corners.min(axis=1), corners.max(axis=1)
-    # candidates: the vertices whose first coordinate lies in the simplex's range
-    order = np.argsort(points[:, 0])
-    first = points[order, 0]
-    starts, stops = np.searchsorted(first, lo[:, 0], "left"), np.searchsorted(first, hi[:, 0], "right")
-    rows, vids = np.repeat(np.arange(len(ids)), stops - starts), order[_ranges(starts, stops)]
+    rows, vids = _box_pairs(lo, hi, points, points).T
     p = points[vids]
     keep = ((p >= lo[rows]) & (p <= hi[rows])).all(axis=1) & (table[rows] != vids[:, None]).all(axis=1)
     rows, vids = rows[keep], vids[keep]
@@ -1073,40 +1066,17 @@ def overlap_violations(mesh: SimplicialMesh, limit: int = 1) -> list[tuple[int, 
 def _overlapping_rows(mesh: SimplicialMesh, table: np.ndarray) -> np.ndarray:
     """Row pairs (a, b), a < b, ascending, of the simplices of a vertex
     table whose interiors intersect (overlap_violations).  Interiors meet
-    only where open bounding boxes do.  An open box of extent at most 2**k
-    numerators touches at most two cells of the grid of step 2**k per axis;
-    each box is joined, on that grid, with the boxes of no larger extent
-    that touch a cell of its own, in the one cell that holds the greatest of
-    their least corners.  Cell numbers are clipped to int64, which only
-    joins more boxes, and boxes are compared on the ranks of their
-    numerators on each axis, which keep every comparison."""
+    only where open bounding boxes do, and on integer numerators the open
+    box (lo, hi) meets another exactly where the closed boxes [lo, hi - 1]
+    do: the grid join of _box_pairs pairs those with themselves.  Its
+    candidates are compared on the ranks of their numerators on each axis,
+    which keep every comparison."""
     d = mesh.dim
     exact = _point_table(mesh)
     corners = exact[table]
     lo, hi = corners.min(axis=1), corners.max(axis=1)
-    scale = np.array([(e - 1).bit_length() for e in (hi - lo).max(axis=1).tolist()], dtype=np.int64)
-    pick = np.array(list(product((0, 1), repeat=d)), dtype=np.int64).reshape(-1, d)
-    found = [np.zeros((0, 2), dtype=np.int64)]
-    for k in np.unique(scale).tolist():
-        first, last = (np.clip(x >> k, -(2**62), 2**62).astype(np.int64) for x in (lo, hi - 1))
-        sides = []
-        for rows in (np.flatnonzero(scale == k), np.flatnonzero(scale <= k)):
-            cells = first[rows, None] + pick
-            touched = (cells <= last[rows, None]).all(axis=2)
-            sides.append((cells[touched], np.repeat(rows, len(pick))[touched.ravel()]))
-        (big_cells, big), (small_cells, small) = sides
-        number = first_appearance(np.concatenate([big_cells, small_cells]))[0]
-        order = np.argsort(number[len(big) :], kind="stable")
-        ranked = number[len(big) :][order]
-        starts = np.searchsorted(ranked, number[: len(big)], "left")
-        stops = np.searchsorted(ranked, number[: len(big)], "right")
-        at = order[_ranges(starts, stops)]
-        a, b = np.repeat(big, stops - starts), small[at]
-        cell = small_cells[at]
-        # one cell per pair, and a pair of one class from one end only
-        keep = (cell == np.maximum(first[a], first[b])).all(axis=1) & ((scale[b] < k) | (a < b))
-        found.append(np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)[keep])
-    a, b = np.concatenate(found).T
+    a, b = _box_pairs(lo, hi - 1, lo, hi - 1).T
+    a, b = a[a < b], b[a < b]
     rank = np.stack([np.unique(exact[:, i], return_inverse=True)[1] for i in range(d)], axis=-1)[table]
     lo, hi = rank.min(axis=1), rank.max(axis=1)
     meet = (lo[a] < hi[b]).all(axis=1) & (lo[b] < hi[a]).all(axis=1)
@@ -1126,6 +1096,37 @@ def _overlapping_rows(mesh: SimplicialMesh, table: np.ndarray) -> np.ndarray:
     bad = np.concatenate(bad)
     bad = np.stack([a[bad], b[bad]], axis=1)
     return bad[np.lexsort(bad.T[::-1])]
+
+
+def _box_pairs(lo: np.ndarray, hi: np.ndarray, lo2: np.ndarray, hi2: np.ndarray) -> np.ndarray:
+    """Index pairs (i, j) of closed integer boxes [lo[i], hi[i]] and [lo2[j],
+    hi2[j]] that share a grid cell, among them each pair that meets, once.
+    A box of extent below 2**k touches at most two cells per axis of the
+    grid of step 2**k; it is joined, on the grid of its own class k, with
+    the boxes of the other set of no larger class (of a smaller one for a
+    box of the second set), in the one cell that holds the greater of their
+    least corners.  Cell numbers are clipped to int64, which only joins
+    more boxes."""
+    scales = [np.array([e.bit_length() for e in (h - l).max(axis=1).tolist()], dtype=np.int64) for l, h in ((lo, hi), (lo2, hi2))]
+    pick = np.array(list(product((0, 1), repeat=lo.shape[1])), dtype=np.int64).reshape(-1, lo.shape[1])
+    found = [np.zeros((0, 2), dtype=np.int64)]
+    for k in np.unique(np.concatenate(scales)).tolist():
+        first, last = ([np.clip(x >> k, -(2**62), 2**62).astype(np.int64) for x in ends] for ends in ((lo, lo2), (hi, hi2)))
+        for rows in ((scales[0] == k, scales[1] <= k), (scales[0] < k, scales[1] == k)):
+            sides = []
+            for f, l, r in zip(first, last, rows):
+                cells = f[r, None] + pick
+                touched = (cells <= l[r, None]).all(axis=2)
+                sides.append((cells[touched], np.repeat(np.flatnonzero(r), len(pick))[touched.ravel()]))
+            (cells, a), (cells2, b) = sides
+            number = first_appearance(np.concatenate([cells, cells2]))[0]
+            order = np.argsort(number[len(a) :], kind="stable")
+            starts, stops = (np.searchsorted(number[len(a) :][order], number[: len(a)], side) for side in ("left", "right"))
+            hit = order[_ranges(starts, stops)]
+            a, b = np.repeat(a, stops - starts), b[hit]
+            keep = (cells2[hit] == np.maximum(first[0][a], first[1][b])).all(axis=1)
+            found.append(np.stack([a[keep], b[keep]], axis=1))
+    return np.concatenate(found)
 
 
 def _apart(y: np.ndarray) -> np.ndarray:

@@ -413,8 +413,6 @@ class LagrangeSpace(_ElementSpace):
     are removed from the space.
     """
 
-    kind = "lagrange"
-
     def __init__(self, mesh: SimplicialMesh, degree: int, zero_trace: bool = False):
         if degree < 1:
             raise PolySpaceError("Lagrange degree must be >= 1")
@@ -456,7 +454,6 @@ class CRSpace(_ElementSpace):
     Local dof j is the face opposite local vertex j; face_keys[f] holds the
     sorted vertex ids of face f (mesh.element_faces)."""
 
-    kind = "cr"
     local_degree = "CR"
 
     def __init__(self, mesh: SimplicialMesh):

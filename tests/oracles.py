@@ -1,7 +1,8 @@
 """Helpers of the mesh, projection and stability layers that only the tests
 use: a one-simplex mesh, saving a mesh file, graph connectivity, the
 per-simplex Kuhn mesh the bulk build replaced, the unfused bisection kernel
-the one-pass bisection replaced, the per-element evaluation and the
+the one-pass bisection replaced, the column search of the conformity
+scan that the grid join of boxes replaced, the per-element evaluation and the
 Fraction norm of elementwise polynomials that the stacked coefficient table
 replaced, the unaccelerated iteration with the Chebyshev error factor it is
 compared against, the masked projection norm over two element sets, the
@@ -29,10 +30,14 @@ from gradedproj.mesh import (
     SimplicialMesh,
     TaggedSimplex,
     _count,
+    _point_table,
+    _ranges,
+    bareiss,
     boundary_faces,
     first_appearance,
     level_gap,
     marking_policy,
+    vertex_table,
 )
 from gradedproj.polyspace import BarycentricPoly, monomial_values, multi_indices
 from gradedproj.projection import (
@@ -90,6 +95,32 @@ def save_mesh(mesh: SimplicialMesh, path) -> None:
         fh.write("\n")
 
 
+def column_conformity_violations(mesh: SimplicialMesh, limit: int = 1) -> list[tuple[int, int]]:
+    """mesh.conformity_violations before the grid join of boxes, verbatim:
+    the candidates of a simplex are the vertices whose first coordinate lies
+    in its range, one column of the mesh, found by a sort and two binary
+    searches."""
+    ids = mesh.active_ids()
+    table = vertex_table(mesh, ids)
+    points = _point_table(mesh)
+    corners = points[table]
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    # candidates: the vertices whose first coordinate lies in the simplex's range
+    order = np.argsort(points[:, 0])
+    first = points[order, 0]
+    starts, stops = np.searchsorted(first, lo[:, 0], "left"), np.searchsorted(first, hi[:, 0], "right")
+    rows, vids = np.repeat(np.arange(len(ids)), stops - starts), order[_ranges(starts, stops)]
+    p = points[vids]
+    keep = ((p >= lo[rows]) & (p <= hi[rows])).all(axis=1) & (table[rows] != vids[:, None]).all(axis=1)
+    rows, vids = rows[keep], vids[keep]
+    # barycentric system: corners as columns over a row of ones, point over a one
+    ones = np.ones((len(rows), 1, mesh.dim + 1), dtype=object)
+    system = np.concatenate([np.swapaxes(corners[rows], 1, 2), ones], axis=1)
+    det, bary = bareiss(system, np.concatenate([points[vids], ones[:, 0, :1]], axis=1)[:, :, None])
+    inside = (det != 0) & (bary[:, :, 0] * det[:, None] >= 0).all(axis=1)
+    return sorted(zip(vids[inside].tolist(), [ids[r] for r in rows[inside].tolist()]))[:limit]
+
+
 def connected(dist: ElementDistance) -> bool:
     return bool(np.all(dist.from_source(dist.ids[0]) != UNREACHABLE)) if dist.n else True
 
@@ -130,8 +161,7 @@ class UnfusedBisectionMesh(SimplicialMesh):
         return self._volumes[sid]
 
     def _add_simplex(self, vertices, tag, level, parent, volume) -> int:
-        sid = self._next_simplex
-        self._next_simplex += 1
+        sid = len(self.simplices)
         self.simplices[sid] = TaggedSimplex(vertices, tag, level, parent)
         self._active.add(sid)
         self._volumes[sid] = volume

@@ -14,10 +14,12 @@ from scipy.optimize import linprog
 import fraction_geometry as fg
 from exact_algebra import evaluate, monomial
 from conftest import randomly_refined
+from oracles import column_conformity_violations
 from gradedproj.mesh import (
     MAX_EXPONENT,
     MeshError,
     SimplicialMesh,
+    _box_pairs,
     bareiss,
     conformity_violations,
     hanging_vertex_violations,
@@ -145,6 +147,61 @@ def test_scans_find_the_defects():
     assert found["2-overlap"] == ([], [])  # not a vertex-in-simplex defect
     assert overlap_violations(MESHES["2-overlap"](), 10**9) == [(0, 1)]  # but one of interiors
     assert found["2-unused"] == ([(0, (1, 2))], [(3, 0), (4, 0), (6, 0)])
+
+
+# -- the grid join of boxes against all pairs --------------------------------------------
+
+
+def _random_boxes(rng, dim, count):
+    """count closed boxes (lo, hi) with corners in -40..40 and extents 0 or
+    next to a power of two, a fifth of them points."""
+    lo = rng.integers(-40, 41, size=(count, dim))
+    extent = rng.choice([0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33], size=(count, dim))
+    extent[rng.random(count) < 0.2] = 0
+    return lo.astype(object), (lo + extent).astype(object)
+
+
+def _meeting(lo, hi, lo2, hi2):
+    """The pairs (i, j) of boxes [lo[i], hi[i]] and [lo2[j], hi2[j]] that meet."""
+    return {(i, j) for i in range(len(lo)) for j in range(len(lo2)) if (lo[i] <= hi2[j]).all() and (lo2[j] <= hi[i]).all()}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_box_join_matches_all_pairs(dim):
+    rng = np.random.default_rng(dim)
+    for count, count2 in [(80, 60), (50, 0), (0, 50), (1, 1)]:
+        a, b = _random_boxes(rng, dim, count), _random_boxes(rng, dim, count2)
+        for move in [lambda x: x, lambda x: x << 60, lambda x: x * (2**60 + 1), lambda x: x + 2**70 + 1,
+                     lambda x: x - 2**64]:
+            first, second = ([move(x) for x in box] for box in (a, b))
+            for boxes in [(*first, *second), (*first, *first)]:  # two sets, and one with itself
+                pairs = list(map(tuple, _box_pairs(*boxes).tolist()))
+                assert len(set(pairs)) == len(pairs) and _meeting(*boxes) <= set(pairs), (count, count2, move(1))
+
+
+@pytest.mark.parametrize("name", ["2-kuhn30-raw400", "3-lg-raw200"])
+def test_conformity_scan_matches_column_search(name):
+    if name == "2-kuhn30-raw400":
+        mesh = _raw_bisected(kuhn_initial_mesh(2, 30), 400, 3)
+    else:
+        mesh = _raw_bisected(randomly_refined(3, 6, seed=11, fraction=0.2), 200, 1)
+    want = column_conformity_violations(mesh, 10**9)
+    assert len(want) == {"2-kuhn30-raw400": 346, "3-lg-raw200": 407}[name]
+    for limit in (1, 2, 10**9):
+        assert conformity_violations(mesh, limit) == want[:limit]
+
+
+def test_conformity_scan_sees_vertices_on_cell_boundaries():
+    # the midpoint (8, 2) of the edge at x = 8 of the first triangle hangs;
+    # that triangle's box [4, 8] x [0, 4] has extent 4 < 2**3, and 8 starts
+    # a cell of step 2**3
+    points = [(4, 0), (8, 0), (8, 4), (12, 0), (8, 2)]
+    cells = [(0, 1, 2), (1, 3, 4), (4, 3, 2)]
+    for exponent, move in [(0, lambda x: x), (70, lambda x: x << 70), (2, lambda x: x + 2**80)]:
+        mesh = _raw_mesh(2, [[move(x) for x in p] for p in points], cells, exponent=exponent)
+        assert conformity_violations(mesh, 10**9) == [(4, 0)]
+        assert hanging_vertex_violations(mesh, 10**9) == [(0, (1, 2))]
+        assert overlap_violations(mesh, 10**9) == []
 
 
 # -- disjoint interiors: the separating-axis scan against a linear program --------------
