@@ -2,7 +2,9 @@
 exponent, one Bareiss elimination) against the Fraction geometry it
 replaced (tests/fraction_geometry.py): the elimination itself, the hanging
 vertex and conformity scans, volumes, the float geometry table, the
-Vandermonde inverse and the JSON form of deep meshes."""
+Vandermonde inverse and the JSON form of deep meshes.  The grid join of
+boxes is checked against all pairs, and the conformity scan against the
+column search it replaced (tests/oracles.py)."""
 
 import json
 from fractions import Fraction
@@ -179,14 +181,19 @@ def test_box_join_matches_all_pairs(dim):
                 assert len(set(pairs)) == len(pairs) and _meeting(*boxes) <= set(pairs), (count, count2, move(1))
 
 
-@pytest.mark.parametrize("name", ["2-kuhn30-raw400", "3-lg-raw200"])
+# meshes with many hanging vertices, and the number of conformity violations of each
+_HANGING = {
+    "2-kuhn30-raw400": (lambda: _raw_bisected(kuhn_initial_mesh(2, 30), 400, 3), 346),
+    "3-lg-raw200": (lambda: _raw_bisected(randomly_refined(3, 6, seed=11, fraction=0.2), 200, 1), 407),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HANGING))
 def test_conformity_scan_matches_column_search(name):
-    if name == "2-kuhn30-raw400":
-        mesh = _raw_bisected(kuhn_initial_mesh(2, 30), 400, 3)
-    else:
-        mesh = _raw_bisected(randomly_refined(3, 6, seed=11, fraction=0.2), 200, 1)
+    make, count = _HANGING[name]
+    mesh = make()
     want = column_conformity_violations(mesh, 10**9)
-    assert len(want) == {"2-kuhn30-raw400": 346, "3-lg-raw200": 407}[name]
+    assert len(want) == count
     for limit in (1, 2, 10**9):
         assert conformity_violations(mesh, limit) == want[:limit]
 
