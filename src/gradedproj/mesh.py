@@ -40,8 +40,8 @@ Topological identity has one kernel, first_appearance, which numbers the
 rows of an integer key table by one stable lexsort.  node_table keys the
 nodes of the element vertex table by vertex ids and weights (Lagrange and
 patch dofs); the weights 1 - e_j key the faces (Crouzeix-Raviart dofs,
-boundary and marked faces).  ElementDistance is one CSR adjacency of the
-elements that share a vertex id or a face number.
+boundary and marked faces).  ElementDistance holds the element graph as its
+incidence: the elements that share a vertex id or a face number, by id.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ class SimplicialMesh:
         other = SimplicialMesh(self.dim)
         other.points = list(self.points)
         other.exponent = self.exponent
-        other.simplices = {sid: TaggedSimplex(s.vertices, s.tag, s.level, s.parent) for sid, s in self.simplices.items()}
+        other.simplices = dict(self.simplices)  # records are never mutated, so both meshes share them
         other._active = set(self._active)
         other._gamma_faces = set(self._gamma_faces)
         other._gamma_vertices = set(self._gamma_vertices)
@@ -698,31 +698,16 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
 
 
-def _shared_id_graph(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR adjacency (indptr, indices) of the rows of an id table: two rows
-    are neighbors when they share an id; each neighbor list ascends."""
-    n, width = table.shape
-    order = np.argsort(table.ravel(), kind="stable")
-    ids, members = table.ravel()[order], order // width  # rows, grouped by id
-    starts = np.flatnonzero(np.diff(ids, prepend=-1))
-    sizes = np.diff(starts, append=len(ids))
-    group_start, group_size = np.repeat(starts, sizes), np.repeat(sizes, sizes)
-    src, dst = np.repeat(members, group_size), members[_ranges(group_start, group_start + group_size)]
-    pairs = np.sort((src * n + dst)[src != dst])
-    src, dst = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], n)
-    return np.r_[0, np.cumsum(np.bincount(src, minlength=n))], dst
-
-
 # -- element distances -------------------------------------------------------
 
 
 class ElementDistance:
-    """Integer geodesic distance on the element graph, one CSR adjacency
-    (indptr, indices) over the rows of ids.
-
-    kind "vertex": neighbors share at least a vertex (so distance 1 means a
-    nonempty intersection on a conforming mesh).  kind "face": neighbors share
-    a full (d-1)-face.  Distances to unreachable elements are UNREACHABLE.
+    """Integer geodesic distance on the element graph, held as its incidence:
+    neighbors share a vertex id (kind "vertex"; distance 1 means a nonempty
+    intersection on a conforming mesh) or a face number (kind "face").  table
+    (n, d+1) holds these ids numbered 0, 1, ... in ascending order, one group
+    per id; (indptr, members) lists each group's members, ascending, in CSR
+    form: O(n (d+1)) entries, nothing per pair.  Unreachable is UNREACHABLE.
 
     The breadth-first row of each source set is computed once and kept,
     read-only, under the set's sorted positions, the way Operators keeps one
@@ -737,12 +722,19 @@ class ElementDistance:
         self.ids = mesh.active_ids()
         self.pos = {sid: i for i, sid in enumerate(self.ids)}
         table = vertex_table(mesh, self.ids)
-        self.indptr, self.indices = _shared_id_graph(element_faces(table)[0] if kind == "face" else table)
-        self._rows: dict[tuple[int, ...], np.ndarray] = {}
+        table = element_faces(table)[0] if kind == "face" else table
+        self.table = np.unique(table, return_inverse=True)[1].reshape(table.shape)
+        self.indptr = np.r_[0, np.cumsum(np.bincount(self.table.ravel()))]
+        self.members = np.argsort(self.table.ravel(), kind="stable") // table.shape[1]
+        self._kept: dict[tuple[int, ...], np.ndarray] = {}
 
     @property
     def n(self) -> int:
         return len(self.ids)
+
+    def _per_group(self, reduce: np.ufunc, values: np.ndarray) -> np.ndarray:
+        """reduce over the members of each group, of values per element."""
+        return reduce.reduceat(values[self.members], self.indptr[:-1])
 
     def from_source(self, sid: int) -> np.ndarray:
         """Distances from sid to every element, in ids order: a copy of the
@@ -752,36 +744,41 @@ class ElementDistance:
     def _row(self, sources: tuple[int, ...]) -> np.ndarray:
         """The read-only row of distances from the nearest of the sources
         (sorted distinct positions), built on first use."""
-        row = self._rows.get(sources)
+        row = self._kept.get(sources)
         if row is None:
-            row = self._rows[sources] = self._bfs(list(sources))
+            row = self._kept[sources] = self._bfs(list(sources))
             row.setflags(write=False)
         return row
 
     def _bfs(self, sources: list[int]) -> np.ndarray:
-        """Distances from the nearest source, one frontier array per level."""
+        """Distances from the nearest source, one frontier array per level:
+        its groups, each expanded once, give their unreached members the level."""
         dist = np.full(self.n, UNREACHABLE, dtype=np.int32)
         dist[sources] = 0
-        frontier, level = np.flatnonzero(dist == 0), 0
+        slot = np.full(len(self.indptr) - 1, -1)  # a group's place in its level's list; -1 until expanded
+        frontier, level = np.asarray(sources, dtype=np.int64), 0
         while len(frontier):
             level += 1
-            nbrs = self.indices[_ranges(self.indptr[frontier], self.indptr[frontier + 1])]
-            dist[nbrs[dist[nbrs] == UNREACHABLE]] = level
-            frontier = np.flatnonzero(dist == level)
+            groups = self.table[frontier].ravel()
+            groups = groups[slot[groups] < 0]
+            slot[groups] = places = np.arange(len(groups))  # of a repeated group, one write lands
+            groups = groups[slot[groups] == places]
+            reached = self.members[_ranges(self.indptr[groups], self.indptr[groups + 1])]
+            frontier = reached[dist[reached] == UNREACHABLE]  # a member of several groups comes more than once
+            dist[frontier] = level
         return dist
 
     @cached_property
     def _components(self) -> np.ndarray:
         """A label per element, equal exactly within a connected component:
-        each round hooks the label of every edge's first end onto the smaller
-        label of its second and then jumps pointers until every label is its
+        each round hooks the label of every element onto the least label of
+        each of its groups and then jumps pointers until every label is its
         own, until no round changes a label.  Labels only shrink, so rounds
-        end; at the end the labels agree across every edge (the graph is
-        symmetric)."""
-        labels, rows = np.arange(self.n), _rows(self)
+        end; at the end every group holds one label."""
+        labels, sizes = np.arange(self.n), np.diff(self.indptr)
         while True:
             hooked = labels.copy()
-            np.minimum.at(hooked, labels[rows], labels[self.indices])
+            np.minimum.at(hooked, labels[self.members], np.repeat(self._per_group(np.minimum, labels), sizes))
             while not np.array_equal(hooked, jumped := hooked[hooked]):
                 hooked = jumped
             if np.array_equal(hooked, labels):
@@ -812,30 +809,26 @@ def element_distance(mesh: SimplicialMesh, kind: str = "vertex") -> ElementDista
 
 def grading_of(values: dict[int, object], dist: ElementDistance):
     """Smallest gamma making the piecewise-constant weight graded, i.e. the
-    largest ratio of values across any distance-1 pair (at least 1).  Every
-    value must be finite and positive; exact values (Fractions) give an
-    exact ratio."""
+    largest ratio of values across any distance-1 pair (at least 1): the
+    largest max / min of a group, bit for bit, as division rounds
+    monotonically.  Every value must be finite and positive; exact values
+    (Fractions) give an exact ratio."""
     for sid, val in values.items():
         if not 0 < val < math.inf:  # false for NaN too
             raise GradingError(f"value {val} on simplex {sid} is not finite and positive")
     vals = np.array([values[sid] for sid in dist.ids])
-    left, right = vals[_rows(dist)], vals[dist.indices]
-    ratios = np.maximum(left, right) / np.minimum(left, right)
+    shared = np.diff(dist.indptr) > 1
+    ratios = dist._per_group(np.maximum, vals)[shared] / dist._per_group(np.minimum, vals)[shared]
     top = np.asarray(ratios.max(initial=1)).tolist()  # a Python float, or an exact Fraction
     return top if top > 1 else 1
-
-
-def _rows(dist: ElementDistance) -> np.ndarray:
-    """The row of each entry of dist.indices."""
-    return np.repeat(np.arange(dist.n), np.diff(dist.indptr))
 
 
 def level_gap(mesh: SimplicialMesh, dist: ElementDistance) -> int:
     """Largest level difference across distance-1 pairs, 0 when there are
     none (exact h-grading: the grading of h = 2**(-level/d) equals
-    2**(gap/d)).  One array pass over the CSR graph."""
+    2**(gap/d)): the largest max - min level of a group."""
     levels = np.array([mesh.simplices[sid].level for sid in dist.ids], dtype=np.int64)
-    return int(np.abs(levels[_rows(dist)] - levels[dist.indices]).max(initial=0))
+    return int((dist._per_group(np.maximum, levels) - dist._per_group(np.minimum, levels)).max(initial=0))
 
 
 def max_operator(values: dict[int, object], gamma, dist: ElementDistance) -> dict[int, object]:
@@ -843,10 +836,11 @@ def max_operator(values: dict[int, object], gamma, dist: ElementDistance) -> dic
 
     Exact when values and gamma are rational.  Computed as the least
     solution of b_T = max(|v_T|, b_T' / gamma over the neighbors T'): each
-    round relaxes, in one array pass, the edges out of the elements whose
-    value grew in the previous round, until none grows.  Every value is then
-    the largest chain of divisions along a walk, as a Dijkstra relaxation
-    would give, bit for bit.  Every value must be finite.
+    round divides the max of each group of an element grown in the previous
+    round once by gamma and relaxes the group's members, until none grows
+    (division rounds monotonically: max(b) / gamma is max(b / gamma)).  So
+    every value is the largest chain of divisions along a walk, as a
+    Dijkstra relaxation would give, bit for bit.  Every value must be finite.
     """
     if not 1 < gamma < math.inf:  # false for NaN too
         raise StabilityError(f"max_operator requires a finite gamma > 1, got {gamma}")
@@ -858,12 +852,13 @@ def max_operator(values: dict[int, object], gamma, dist: ElementDistance) -> dic
         best = best.astype(object)  # ints and Fractions stay exact
     grown = np.arange(dist.n)
     while len(grown):
-        starts, stops = dist.indptr[grown], dist.indptr[grown + 1]
-        relaxed = best[np.repeat(grown, stops - starts)] / gamma
-        targets = dist.indices[_ranges(starts, stops)]
-        up = relaxed > best[targets]
-        np.maximum.at(best, targets[up], relaxed[up])
-        grown = np.flatnonzero(np.bincount(targets[up], minlength=dist.n))
+        groups = np.unique(dist.table[grown])
+        starts, sizes = dist.indptr[groups], np.diff(dist.indptr)[groups]
+        members = dist.members[_ranges(starts, starts + sizes)]
+        relaxed = np.repeat(np.maximum.reduceat(best[members], np.cumsum(sizes) - sizes) / gamma, sizes)
+        up = relaxed > best[members]
+        np.maximum.at(best, members[up], relaxed[up])
+        grown = members[up]
     return dict(zip(dist.ids, best.tolist()))
 
 
@@ -898,10 +893,10 @@ def marking_policy(name: str) -> Callable[[SimplicialMesh, np.random.Generator],
         return lambda mesh, rng: mesh.active_ids()
     if name == "corner":
         def corner(mesh: SimplicialMesh, rng: np.random.Generator) -> list[int]:
-            origin = (0,) * mesh.dim
-            if origin not in mesh.points:
-                raise MeshError("corner policy expects the origin to be a mesh vertex")
-            return sorted(mesh._stars[mesh.points.index(origin)])
+            try:
+                return sorted(mesh._stars[mesh.points.index((0,) * mesh.dim)])
+            except ValueError:
+                raise MeshError("corner policy expects the origin to be a mesh vertex") from None
         return corner
     if name.startswith("random:"):
         try:
@@ -1181,11 +1176,16 @@ def _det(m: np.ndarray) -> np.ndarray:
 
 def write_element_report(mesh: SimplicialMesh, dist: ElementDistance, path) -> None:
     """TSV per-element report of the elements of a vertex-kind graph: id,
-    level, volume, h, min neighbor level (its own level without neighbors)."""
+    level, volume, h, min neighbor level (its own level without neighbors),
+    from each group's lowest and second lowest level (with multiplicity)."""
     levels = np.array([mesh.simplices[sid].level for sid in dist.ids], dtype=np.int64)
-    lowest = np.where(np.diff(dist.indptr) > 0, np.iinfo(np.int64).max, levels)
-    np.minimum.at(lowest, _rows(dist), levels[dist.indices])
+    none, at, starts = np.iinfo(np.int64).max, levels[dist.members], dist.indptr[:-1]
+    lowest = np.minimum.reduceat(at, starts)
+    held = at == np.repeat(lowest, np.diff(dist.indptr))  # members at their group's lowest level
+    second = np.where(np.add.reduceat(held, starts) > 1, lowest, np.minimum.reduceat(np.where(held, none, at), starts))
+    lows = np.where(levels[:, None] == lowest[dist.table], second[dist.table], lowest[dist.table]).min(axis=1)
+    lows = np.where(lows == none, levels, lows)
     with open(path, "w") as fh:
         fh.write("id\tlevel\tvolume\th\tmin_neighbor_level\n")
-        for sid, level, low in zip(dist.ids, levels.tolist(), lowest.tolist()):
+        for sid, level, low in zip(dist.ids, levels.tolist(), lows.tolist()):
             fh.write("%d\t%d\t%.12g\t%.12g\t%d\n" % (sid, level, float(mesh.volume(sid)), 2.0 ** (-level / mesh.dim), low))

@@ -28,9 +28,13 @@ def distance_matrix(dist):
 
 
 def neighbor_lists(dist):
-    """The CSR element graph as one ascending neighbor list per row."""
-    ptr = dist.indptr.tolist()
-    return [dist.indices[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])]
+    """The element graph as one ascending neighbor list per row: the pairs
+    of the pair-list oracle over the graph's id table."""
+    from oracles import shared_id_graph
+
+    indptr, indices = shared_id_graph(dist.table)
+    ptr = indptr.tolist()
+    return [indices[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])]
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,9 @@ Fraction norm of elementwise polynomials that the stacked coefficient table
 replaced, the unaccelerated iteration with the Chebyshev error factor it is
 compared against, the masked projection norm over two element sets, the
 per-shell block decay measurement and source block that the one solve per
-source replaced, the per-call breadth-first set distance, the
+source replaced, the per-call breadth-first set distance, the element
+graph as a list of neighbor pairs and its readers, which the incidence
+groups replaced, the
 Fraction-per-coefficient random polynomial and the per-candidate sampled
 weighted ratio that the kept distance rows, the table of quarters and the
 block solve replaced, the dense weighted-ratio engine the scaled Cholesky
@@ -34,6 +36,7 @@ from gradedproj.mesh import (
     _ranges,
     bareiss,
     boundary_faces,
+    element_faces,
     first_appearance,
     level_gap,
     marking_policy,
@@ -134,6 +137,109 @@ def bfs_dist_sets(dist: ElementDistance, left, right) -> int:
         raise MeshError("element sets must be nonempty")
     vals = dist._bfs(left)[right]
     return UNREACHABLE if np.any(vals == UNREACHABLE) else int(vals.min())
+
+
+def shared_id_graph(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mesh._shared_id_graph before the incidence groups, verbatim: CSR
+    adjacency (indptr, indices) of the rows of an id table: two rows are
+    neighbors when they share an id; each neighbor list ascends."""
+    n, width = table.shape
+    order = np.argsort(table.ravel(), kind="stable")
+    ids, members = table.ravel()[order], order // width  # rows, grouped by id
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    sizes = np.diff(starts, append=len(ids))
+    group_start, group_size = np.repeat(starts, sizes), np.repeat(sizes, sizes)
+    src, dst = np.repeat(members, group_size), members[_ranges(group_start, group_start + group_size)]
+    pairs = np.sort((src * n + dst)[src != dst])
+    src, dst = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], n)
+    return np.r_[0, np.cumsum(np.bincount(src, minlength=n))], dst
+
+
+class PairGraph:
+    """ElementDistance and its readers before the incidence groups,
+    verbatim: the element graph as one CSR list of neighbor pairs (indptr,
+    indices), built from the mesh by shared_id_graph, and the level gap,
+    grading, max operator, breadth-first rows, components and element report
+    read pair by pair."""
+
+    def __init__(self, mesh: SimplicialMesh, kind: str = "vertex"):
+        self.ids = mesh.active_ids()
+        self.pos = {sid: i for i, sid in enumerate(self.ids)}
+        table = vertex_table(mesh, self.ids)
+        self.indptr, self.indices = shared_id_graph(element_faces(table)[0] if kind == "face" else table)
+
+    @property
+    def n(self) -> int:
+        return len(self.ids)
+
+    def rows(self) -> np.ndarray:
+        """The row of each entry of indices."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    def bfs(self, sources: list[int]) -> np.ndarray:
+        dist = np.full(self.n, UNREACHABLE, dtype=np.int32)
+        dist[sources] = 0
+        frontier, level = np.flatnonzero(dist == 0), 0
+        while len(frontier):
+            level += 1
+            nbrs = self.indices[_ranges(self.indptr[frontier], self.indptr[frontier + 1])]
+            dist[nbrs[dist[nbrs] == UNREACHABLE]] = level
+            frontier = np.flatnonzero(dist == level)
+        return dist
+
+    def components(self) -> np.ndarray:
+        labels, rows = np.arange(self.n), self.rows()
+        while True:
+            hooked = labels.copy()
+            np.minimum.at(hooked, labels[rows], labels[self.indices])
+            while not np.array_equal(hooked, jumped := hooked[hooked]):
+                hooked = jumped
+            if np.array_equal(hooked, labels):
+                return labels
+            labels = hooked
+
+    def dist_sets(self, left, right) -> int:
+        left = [self.pos[s] for s in left]
+        right = [self.pos[s] for s in right]
+        labels = self.components()
+        if not np.isin(labels[right], labels[left]).all():
+            return UNREACHABLE
+        vals = self.bfs(sorted(set(right)))[left]
+        return int(vals[vals != UNREACHABLE].min())
+
+    def grading_of(self, values: dict[int, object]):
+        vals = np.array([values[sid] for sid in self.ids])
+        left, right = vals[self.rows()], vals[self.indices]
+        ratios = np.maximum(left, right) / np.minimum(left, right)
+        top = np.asarray(ratios.max(initial=1)).tolist()
+        return top if top > 1 else 1
+
+    def level_gap(self, mesh: SimplicialMesh) -> int:
+        levels = np.array([mesh.simplices[sid].level for sid in self.ids], dtype=np.int64)
+        return int(np.abs(levels[self.rows()] - levels[self.indices]).max(initial=0))
+
+    def max_operator(self, values: dict[int, object], gamma) -> dict[int, object]:
+        best = np.array([abs(values[s]) for s in self.ids])
+        if best.dtype.kind != "f":
+            best = best.astype(object)
+        grown = np.arange(self.n)
+        while len(grown):
+            starts, stops = self.indptr[grown], self.indptr[grown + 1]
+            relaxed = best[np.repeat(grown, stops - starts)] / gamma
+            targets = self.indices[_ranges(starts, stops)]
+            up = relaxed > best[targets]
+            np.maximum.at(best, targets[up], relaxed[up])
+            grown = np.flatnonzero(np.bincount(targets[up], minlength=self.n))
+        return dict(zip(self.ids, best.tolist()))
+
+    def write_element_report(self, mesh: SimplicialMesh, path) -> None:
+        levels = np.array([mesh.simplices[sid].level for sid in self.ids], dtype=np.int64)
+        lowest = np.where(np.diff(self.indptr) > 0, np.iinfo(np.int64).max, levels)
+        np.minimum.at(lowest, self.rows(), levels[self.indices])
+        with open(path, "w") as fh:
+            fh.write("id\tlevel\tvolume\th\tmin_neighbor_level\n")
+            for sid, level, low in zip(self.ids, levels.tolist(), lowest.tolist()):
+                fh.write("%d\t%d\t%.12g\t%.12g\t%d\n" % (sid, level, float(mesh.volume(sid)), 2.0 ** (-level / mesh.dim), low))
 
 
 class UnfusedBisectionMesh(SimplicialMesh):

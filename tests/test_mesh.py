@@ -15,7 +15,6 @@ from gradedproj.mesh import (
     GradingError,
     MeshError,
     SimplicialMesh,
-    TaggedSimplex,
     UNREACHABLE,
     boundary_faces,
     closure_benchmark,
@@ -1052,7 +1051,8 @@ def test_loaded_level_one_triangle_halves():
 
 
 def _mutable_parts(obj) -> set[int]:
-    # ids of the containers and simplex records reachable from obj
+    # ids of the containers reachable from obj (the simplex records are
+    # shared by copy(), since nothing mutates one)
     found, stack = set(), [obj]
     while stack:
         x = stack.pop()
@@ -1062,8 +1062,6 @@ def _mutable_parts(obj) -> set[int]:
         elif isinstance(x, (list, set)):
             found.add(id(x))
             stack.extend(x)
-        elif isinstance(x, TaggedSimplex):
-            found.add(id(x))
     return found
 
 
@@ -1078,6 +1076,7 @@ def test_copy_shares_no_mutable_state():
     assert vars(other).keys() == vars(blank).keys()
     assert vars(other) == vars(mesh)
     assert not _mutable_parts(vars(mesh)) & _mutable_parts(vars(other))
+    assert all(other.simplices[sid] is record for sid, record in mesh.simplices.items())
     before = copy.deepcopy(vars(mesh))
     json_before = mesh.to_json_dict()
     volumes = {sid: mesh.volume(sid) for sid in mesh.simplices}
@@ -1087,3 +1086,26 @@ def test_copy_shares_no_mutable_state():
     assert mesh.to_json_dict() == json_before
     assert {sid: mesh.volume(sid) for sid in mesh.simplices} == volumes
     _assert_level_counts(mesh)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_refining_a_copy_keeps_the_original_file(dim):
+    # copy() shares the simplex records: refining the copy, by closure, by
+    # BiSecLG and uniformly, leaves every byte of the original's mesh file
+    mesh = randomly_refined(dim, 3, seed=dim)
+    data = json.dumps(mesh.to_json_dict(), sort_keys=True)
+    other = mesh.copy()
+    other.refine_closure(other.active_ids()[:3])
+    other.refine_lg(marking_policy("corner")(other, np.random.default_rng(0)), 1)
+    other.refine_uniform(1)
+    assert other.n_active > 2 * mesh.n_active
+    assert json.dumps(mesh.to_json_dict(), sort_keys=True) == data
+
+
+def test_corner_policy_needs_the_origin():
+    shifted = {
+        "version": 1, "dim": 2, "vertices": [[[5, 0], [0, 0]], [[6, 0], [0, 0]], [[5, 0], [1, 0]]],
+        "simplices": [{"v": [0, 1, 2], "tag": 2, "level": 0}], "gamma_faces": [],
+    }
+    with pytest.raises(MeshError, match="^corner policy expects the origin to be a mesh vertex$"):
+        marking_policy("corner")(SimplicialMesh.from_json_dict(shifted), np.random.default_rng(0))

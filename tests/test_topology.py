@@ -32,7 +32,8 @@ from gradedproj.polyspace import CRSpace, LagrangeSpace, reference_element
 from gradedproj.projection import _patch_numbers, _vertex_patches
 from conftest import neighbor_lists, randomly_refined
 from exact_algebra import node_keys
-from oracles import reference_simplex_mesh
+from oracles import PairGraph, reference_simplex_mesh, shared_id_graph
+from test_decay_blocks import _components_mesh
 from test_dofmap import _shuffled, node_key
 
 # -- the replaced implementations, kept as oracles --------------------------------
@@ -325,7 +326,8 @@ def test_graph_and_shells_match_set_adjacency(mesh, kind):
     dist = element_distance(mesh, kind)
     neighbors = set_adjacency(mesh, kind)
     assert neighbor_lists(dist) == neighbors
-    assert dist.ids == mesh.active_ids() and dist.indices.dtype == dist.indptr.dtype == np.int64
+    indptr, indices = shared_id_graph(dist.table)
+    assert dist.ids == mesh.active_ids() and indices.dtype == indptr.dtype == np.int64
     rng = np.random.default_rng(dist.n)
     sources = range(dist.n) if dist.n <= 60 else rng.choice(dist.n, 12, replace=False)
     for s in sources:
@@ -358,3 +360,64 @@ def test_element_report_matches_loop(mesh, tmp_path):
     write_element_report(mesh, element_distance(mesh, "vertex"), tmp_path / "new.tsv")
     loop_element_report(mesh, tmp_path / "old.tsv")
     assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "old.tsv").read_bytes()
+
+
+# -- the incidence groups against the pair list they replaced --------------------------
+
+
+def _corner(dim, rounds):
+    """Corner rounds of BiSecLG(1) on one Kuhn cube: a graded mesh around the
+    origin, with the large vertex stars of the refined corner."""
+    m = kuhn_initial_mesh(dim, 1)
+    pick = marking_policy("corner")
+    for _ in range(rounds):
+        m.refine_lg(pick(m, np.random.default_rng(0)), 1)
+    return m
+
+
+def _assert_readers_match_pair_oracle(mesh, kind, tmp_path):
+    dist, pairs = element_distance(mesh, kind), PairGraph(mesh, kind)
+    # nothing per pair: the id table, its members and one pointer per group
+    held = [a.size for a in vars(dist).values() if isinstance(a, np.ndarray)]
+    assert sum(held) <= 3 * dist.n * (mesh.dim + 1) + 2
+    assert dist.table.dtype == dist.members.dtype == dist.indptr.dtype == np.int64
+    gap = level_gap(mesh, dist)
+    assert type(gap) is int and gap == pairs.level_gap(mesh)
+    rng = np.random.default_rng(dist.n)
+    floats = {s: float(10.0 ** rng.uniform(-6, 6)) for s in dist.ids}  # twelve decades
+    exact = {s: Fraction(int(rng.integers(1, 50)), int(rng.integers(1, 9))) for s in dist.ids}
+    for values in (mesh.h_values(), floats, exact):
+        got, want = grading_of(values, dist), pairs.grading_of(values)
+        assert got == want and type(got) is type(want)
+    signed = {s: -v if i % 3 else v for i, (s, v) in enumerate(floats.items())}
+    for values, gamma in (
+        (mesh.h_values(), 2.0), (floats, 2.0), (floats, 1.7), (signed, 1 + 1e-9), (exact, Fraction(3, 2)),
+    ):
+        got, want = max_operator(values, gamma, dist), pairs.max_operator(values, gamma)
+        assert got == want and [type(v) for v in got.values()] == [type(v) for v in want.values()]
+    for s in range(dist.n):
+        assert np.array_equal(dist.from_source(dist.ids[s]), pairs.bfs([s]))
+    for _ in range(8):
+        left, right = (rng.choice(dist.ids, rng.integers(1, min(5, dist.n) + 1), replace=False).tolist() for _ in "lr")
+        assert dist.dist_sets(left, right) == pairs.dist_sets(left, right)
+    if kind == "vertex":
+        write_element_report(mesh, dist, tmp_path / "groups.tsv")
+        pairs.write_element_report(mesh, tmp_path / "pairs.tsv")
+        assert (tmp_path / "groups.tsv").read_bytes() == (tmp_path / "pairs.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["vertex", "face"])
+def test_incidence_readers_match_pair_oracle(mesh, kind, tmp_path):
+    # level gap, grading, max operator, every distance row, set distances and
+    # the element report equal the pair-list readers bit for bit
+    _assert_readers_match_pair_oracle(mesh, kind, tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["vertex", "face"])
+@pytest.mark.parametrize("which", ["corner", "components"])
+def test_incidence_readers_match_pair_oracle_on_stars_and_pieces(which, kind, tmp_path):
+    # a d=3 corner mesh of level 12 (vertex stars of up to 48 elements) and a
+    # mesh of three separate pieces
+    mesh = _corner(3, 12) if which == "corner" else _components_mesh()
+    assert which != "corner" or mesh.max_level() >= 12
+    _assert_readers_match_pair_oracle(mesh, kind, tmp_path)
