@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from gradedproj.mesh import kuhn_initial_mesh
+from oracles import shared_id_graph
 
 # property tests without their own settings: same examples on every run, no
 # per-example time limit (the suite shares slow hosts)
@@ -30,8 +31,6 @@ def distance_matrix(dist):
 def neighbor_lists(dist):
     """The element graph as one ascending neighbor list per row: the pairs
     of the pair-list oracle over the graph's id table."""
-    from oracles import shared_id_graph
-
     indptr, indices = shared_id_graph(dist.table)
     ptr = indptr.tolist()
     return [indices[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])]

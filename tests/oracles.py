@@ -7,13 +7,13 @@ Fraction norm of elementwise polynomials that the stacked coefficient table
 replaced, the unaccelerated iteration with the Chebyshev error factor it is
 compared against, the masked projection norm over two element sets, the
 per-shell block decay measurement and source block that the one solve per
-source replaced, the per-call breadth-first set distance, the element
-graph as a list of neighbor pairs and its readers, which the incidence
-groups replaced, the
+source replaced, the per-call breadth-first set distance, the
 Fraction-per-coefficient random polynomial and the per-candidate sampled
 weighted ratio that the kept distance rows, the table of quarters and the
 block solve replaced, the dense weighted-ratio engine the scaled Cholesky
-factors replaced, and the volume-decay constants of a weight."""
+factors replaced, the element graph as a list of neighbor pairs with its
+readers that the incidence groups replaced, and the volume-decay constants
+of a weight."""
 
 import json
 import math

@@ -1,10 +1,11 @@
 """Differential tests of the topology kernel (mesh.first_appearance over
-node and face keys, the CSR element graph) against the loops it replaced:
-node_key dictionaries for Lagrange dofs, the frozenset face dictionary for
-Crouzeix-Raviart dofs, face_owners, the set-based adjacency with its deque
-breadth-first search, the np.unique first-appearance numbering of patch
-dofs, and the list-based grading_of, level_gap, max_operator and element
-report.  Every comparison is exact, array for array."""
+node and face keys, the element graph as its incidence) against the loops
+it replaced: node_key dictionaries for Lagrange dofs, the frozenset face
+dictionary for Crouzeix-Raviart dofs, face_owners, the set-based adjacency
+with its deque breadth-first search, the np.unique first-appearance
+numbering of patch dofs, the list-based grading_of, level_gap, max_operator
+and element report, and the pair-list readers (oracles.PairGraph) that the
+incidence groups replaced.  Every comparison is exact, array for array."""
 
 import heapq
 from collections import deque
