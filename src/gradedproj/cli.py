@@ -152,6 +152,8 @@ def make_space(mesh: SimplicialMesh, degree, zero_trace: bool):
         if zero_trace:
             raise CliInputError("zero-trace variant is only available for Lagrange spaces")
         return CRSpace(mesh)
+    if degree == math.inf:
+        raise CliInputError("a finite element space needs a finite degree or CR")
     return LagrangeSpace(mesh, degree, zero_trace)
 
 
@@ -198,8 +200,6 @@ def cmd_certify(args) -> int:
     cfg = config_dict(args)
     tols = effective_tolerances(args)
     degree = parse_degree(args.degree)
-    if degree == math.inf:
-        raise CliInputError("certification needs a finite degree or CR")
     mesh = build_mesh(args)
     space = make_space(mesh, degree, args.zero_trace)
     ops = Operators(space)
@@ -329,8 +329,6 @@ def cmd_stability(args) -> int:
     payload["meta"] = output_meta(cfg)
     failures = []
     if args.measure:
-        if degree == math.inf:
-            raise CliInputError("measurement needs a finite degree or CR")
         import numpy as np
 
         from .mesh import element_distance, max_operator

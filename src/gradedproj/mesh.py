@@ -28,9 +28,11 @@ level) read counts and never scan the mesh.  A bisection is one fused
 update: each vertex of the parent, and the midpoint, has its star and its
 histogram touched once, the histogram moving one count from the parent's
 level to the children's, and the span counts change only when a histogram
-gains or loses a level.  Each simplex stores one exact level-0 volume V_0,
-shared with its descendants, and volume() returns V_0 * 2**-level.  After
-each closure round the limited-grading loop reads only the stars of the
+gains or loses a level.  The simplex records, a list indexed by id, are
+the only per-simplex store: each holds its exact level-0 volume V_0, one
+object shared with its descendants, and volume() returns V_0 * 2**-level.
+A new mesh, Kuhn or loaded, fills every store in one pass.  After each
+closure round the limited-grading loop reads only the stars of the
 simplices that round created.  That is enough: the mesh is limited-graded
 on entry (checked by the span counts), and a steep pair of two older
 simplices would have been steep before the round, so its lagging member was
@@ -48,11 +50,11 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -96,13 +98,14 @@ class GradingError(MeshError):
 
 @dataclass(slots=True)
 class TaggedSimplex:
-    """One simplex, active or bisected: its key in SimplicialMesh.simplices is
-    its id, and membership in the active set says which."""
+    """One simplex, active or bisected: its index in SimplicialMesh.simplices
+    is its id, and membership in the active set says which."""
 
     vertices: tuple[int, ...]  # bisection order
     tag: int
     level: int
     parent: int | None
+    volume0: Fraction  # exact level-0 volume, volume * 2**level; children share their parent's object
 
 
 class SimplicialMesh:
@@ -115,7 +118,7 @@ class SimplicialMesh:
         self.dim = dim
         self.points: list[tuple[int, ...]] = []
         self.exponent = 0
-        self.simplices: dict[int, TaggedSimplex] = {}
+        self.simplices: list[TaggedSimplex] = []  # by id: ids are 0, 1, ... in creation order
         self._active: set[int] = set()
         self._gamma_faces: set[frozenset[int]] = set()
         self._gamma_vertices: set[int] = set()  # vertices of the gamma faces
@@ -123,7 +126,6 @@ class SimplicialMesh:
         self._star_levels: list[dict[int, int]] = []  # vertex id -> {level: count} over its star
         self._span_counts: dict[int, int] = {}  # star level span > 0 -> number of vertices
         self._level_counts: dict[int, int] = {}  # level -> number of active simplices
-        self._volumes: dict[int, Fraction] = {}  # simplex id -> level-0 volume, volume * 2**level
         self._edge_mid: dict[tuple[int, int], int] = {}  # edge (a, b), a < b -> midpoint vertex id
 
     @property
@@ -156,8 +158,9 @@ class SimplicialMesh:
         return len(self._active)
 
     def volume(self, sid: int) -> Fraction:
-        """Exact volume: the stored level-0 volume over 2**level."""
-        return self._volumes[sid] / (1 << self.simplices[sid].level)
+        """Exact volume: the record's level-0 volume over 2**level."""
+        s = self.simplices[sid]
+        return s.volume0 / (1 << s.level)
 
     def float_volumes(self, element_ids: Sequence[int]) -> np.ndarray:
         """float(volume(sid)) for each sid, without a Fraction per element:
@@ -165,8 +168,9 @@ class SimplicialMesh:
         level l of its elements and rounded to a float, then scaled by
         np.ldexp, which is exact in the normal range; a subnormal result is
         rounded from its Fraction instead."""
-        level0 = [self._volumes[sid] for sid in element_ids]
-        levels = np.array([self.simplices[sid].level for sid in element_ids], dtype=np.int64)
+        records = [self.simplices[sid] for sid in element_ids]
+        level0 = [s.volume0 for s in records]
+        levels = np.array([s.level for s in records], dtype=np.int64)
         family: dict[int, int] = {}  # id of a shared level-0 volume -> its number
         codes = np.array([family.setdefault(id(v), len(family)) for v in level0], dtype=np.int64)
         shared = list({id(v): v for v in level0}.values())  # in the order family numbers them
@@ -191,40 +195,31 @@ class SimplicialMesh:
         d = self.dim
         return {s: 2.0 ** (-self.simplices[s].level / d) for s in self._active}
 
-    def _add_simplex(self, vertices: tuple[int, ...], tag: int, level: int, parent: int | None, volume: Fraction) -> int:
-        """Register a new active simplex of a loaded or initial mesh, with the
-        next index and its exact volume."""
-        sid = len(self.simplices)
-        self.simplices[sid] = TaggedSimplex(vertices, tag, level, parent)
-        self._active.add(sid)
-        self._volumes[sid] = volume * (1 << level)
-        _count(self._level_counts, level, 1)
-        for v in vertices:
-            self._stars[v].add(sid)
-            hist = self._star_levels[v]
-            if level in hist:
-                hist[level] += 1
-            else:
-                self._rekey(hist, None, level, 1)
-        return sid
-
-    def _add_level0(self, points: list, table: np.ndarray, tag: int, volume: Fraction) -> None:
+    def _fill(self, points: list, table: np.ndarray, tags: Sequence[int], levels: Sequence[int], volumes: Sequence[Fraction]) -> None:
         """Fill an empty mesh at once: the vertices points, and one active
-        level-0 simplex of the tag and the exact volume (one shared Fraction)
-        per row of the vertex table, numbered in row order.  The stores are
-        those that add_vertex and _add_simplex would fill one at a time; every
-        star holds one level, so no span is counted."""
+        simplex per row of the vertex table, numbered in row order, with the
+        tag, level and level-0 volume (volume * 2**level) at its row.  The
+        stores are those that registering the simplices one at a time would
+        fill, each star gaining its ids in ascending order; one bincount per
+        distinct level gives the star histograms."""
         self.points = [tuple(point) for point in points]
-        simplices, stars = self.simplices, [set() for _ in self.points]
-        for sid, verts in enumerate(map(tuple, table.tolist())):
-            simplices[sid] = TaggedSimplex(verts, tag, 0, None)
+        rows = table.tolist()
+        self.simplices = list(map(TaggedSimplex, map(tuple, rows), tags, levels, repeat(None), volumes))
+        self._active = set(range(len(rows)))
+        stars = self._stars = [set() for _ in self.points]
+        for sid, verts in enumerate(rows):
             for v in verts:
                 stars[v].add(sid)
-        self._stars = stars
-        self._star_levels = [{0: len(star)} if star else {} for star in stars]
-        self._active = set(self.simplices)
-        self._volumes = dict.fromkeys(self.simplices, volume)
-        self._level_counts = {0: len(table)} if len(table) else {}
+        hists = self._star_levels = [{} for _ in self.points]
+        levels = np.asarray(levels, dtype=np.int64)
+        distinct, counts = np.unique(levels, return_counts=True)
+        self._level_counts = dict(zip(distinct.tolist(), counts.tolist()))
+        for level in distinct.tolist():
+            per_vertex = np.bincount(table[levels == level].ravel(), minlength=len(hists))
+            at = np.flatnonzero(per_vertex)
+            for v, n in zip(at.tolist(), per_vertex[at].tolist()):
+                hists[v][level] = n
+        self._span_counts = dict(Counter(max(hist) - min(hist) for hist in hists if len(hist) > 1))
 
     def _rekey(self, hist: dict[int, int], old: int | None, new: int, gain: int) -> None:
         """Move one count of a star histogram off level old (None: none) and
@@ -243,7 +238,7 @@ class SimplicialMesh:
         other = SimplicialMesh(self.dim)
         other.points = list(self.points)
         other.exponent = self.exponent
-        other.simplices = dict(self.simplices)  # records are never mutated, so both meshes share them
+        other.simplices = list(self.simplices)  # records are never mutated, so both meshes share them
         other._active = set(self._active)
         other._gamma_faces = set(self._gamma_faces)
         other._gamma_vertices = set(self._gamma_vertices)
@@ -251,7 +246,6 @@ class SimplicialMesh:
         other._star_levels = [dict(hist) for hist in self._star_levels]
         other._span_counts = dict(self._span_counts)
         other._level_counts = dict(self._level_counts)
-        other._volumes = dict(self._volumes)
         other._edge_mid = dict(self._edge_mid)
         return other
 
@@ -289,14 +283,12 @@ class SimplicialMesh:
         simplices = self.simplices
         c1 = len(simplices)
         c2 = c1 + 1
-        simplices[c1] = TaggedSimplex(v[:k] + (zid,) + v[k + 1 :], tag, up, sid)
-        simplices[c2] = TaggedSimplex(v[1 : k + 1] + (zid,) + v[k + 1 :], tag, up, sid)
+        simplices.append(TaggedSimplex(v[:k] + (zid,) + v[k + 1 :], tag, up, sid, s.volume0))
+        simplices.append(TaggedSimplex(v[1 : k + 1] + (zid,) + v[k + 1 :], tag, up, sid, s.volume0))
         active = self._active
         active.discard(sid)
         active.add(c1)
         active.add(c2)
-        volumes = self._volumes
-        volumes[c1] = volumes[c2] = volumes[sid]
         counts = self._level_counts
         _count(counts, level, -1)
         counts[up] = counts.get(up, 0) + 2
@@ -511,22 +503,26 @@ class SimplicialMesh:
                     raise MeshError(f"vertex {i} has a coordinate of magnitude 2**{abs(n).bit_length() - 1 - k} "
                                     f"or more; coordinates must be below 2**{bits}")
         mesh.exponent = e = max((k for c in vertices for _, k in c), default=0)
-        for c in vertices:
-            mesh.add_vertex(tuple(n << (e - k) for n, k in c))
-        if len(first_appearance(_point_table(mesh))[1]) != len(vertices):
+        points = [tuple(n << (e - k) for n, k in c) for c in vertices]
+        exact = np.array(points, dtype=object).reshape(-1, d)
+        if len(first_appearance(exact)[1]) != len(vertices):
             raise MeshError("mesh file repeats a vertex")
         if not cells:
             raise MeshError("mesh file has no simplices")
         for ids, size in [(verts, d + 1) for verts, _, _ in cells] + [(face, d) for face in gamma]:
             if len(set(ids)) != size:
                 raise MeshError(f"{list(ids)} is not {size} distinct vertices")
-        table = np.array([verts for verts, _, _ in cells], dtype=np.int64)
-        corners = _point_table(mesh)[table]
+        rows, tags, levels = zip(*cells)
+        table = np.array(rows, dtype=np.int64)
+        corners = exact[table]
         dets, _ = bareiss(corners[:, 1:] - corners[:, :1], np.zeros((len(cells), d, 0), dtype=object))
-        for (verts, tag, level), det in zip(cells, dets.tolist()):
+        keys = list(zip(map(abs, dets.tolist()), levels))
+        for verts, (det, _) in zip(rows, keys):
             if det == 0:
                 raise MeshError(f"degenerate simplex {list(verts)}")
-            mesh._add_simplex(verts, tag, level, None, Fraction(abs(det), math.factorial(d) << (d * e)))
+        scale = math.factorial(d) << (d * e)  # volume = |det| / scale
+        level0 = {(det, level): Fraction(det << level, scale) for det, level in dict.fromkeys(keys)}
+        mesh._fill(points, table, tags, levels, [level0[key] for key in keys])
         boundary = _boundary_faces(table)
         for face in gamma:
             if frozenset(face) not in boundary:
@@ -623,9 +619,11 @@ def kuhn_initial_mesh(dim: int, cells_per_axis: int = 1, mark_boundary: bool = T
     paths = np.concatenate([np.zeros((len(steps), 1, dim), dtype=np.int64), np.cumsum(steps, axis=1)], axis=1)
     corners = (offsets[:, None, None, :] + paths[None]).reshape(-1, dim)
     ids, first = first_appearance(corners)
-    mesh._add_level0(corners[first].tolist(), ids.reshape(-1, dim + 1), dim, Fraction(1, math.factorial(dim)))
+    table = ids.reshape(-1, dim + 1)
+    n = len(table)
+    mesh._fill(corners[first].tolist(), table, [dim] * n, [0] * n, [Fraction(1, math.factorial(dim))] * n)
     if mark_boundary:
-        mesh.gamma_faces = _boundary_faces(ids.reshape(-1, dim + 1))
+        mesh.gamma_faces = _boundary_faces(table)
     return mesh
 
 

@@ -582,6 +582,8 @@ class Operators:
     def certify(self) -> SpectralCertificate:
         """Eigenvalue certificate for the approximating operator on its space."""
         n = self.space.n_dofs
+        if n == 0:
+            raise ProjectionError("certification needs a space with dofs")
         if n > DENSE_SOLVE_LIMIT:
             raise ProjectionError("certification limited to dense-solver sizes")
         b = _sym(self.form_matrix.toarray())
@@ -723,21 +725,19 @@ class TwoMeshLink:
 # -- iteration toward the projection ----------------------------------------------------------
 
 
-def accelerated_iterate(ops: Operators, u, nu: int, interval: tuple[float, float] | None = None) -> np.ndarray:
+def accelerated_iterate(ops: Operators, u, nu: int) -> np.ndarray:
     """Chebyshev-accelerated approximation of the projection after nu rounds.
 
     Returns the coefficients of the nu-th optimal-polynomial combination of
     the basic iterates; nu = 0 gives zero.  The relative error against the
     true projection obeys 2 q^nu / (1 + q^(2 nu)) with q from the spectral
-    interval (the certified bounds by default).  Supports grow by at most one
+    interval of the certified bounds.  Supports grow by at most one
     distance layer per round.
     """
     n = ops.space.n_dofs
     if nu == 0:
         return np.zeros(n)
-    lam_min, lam_max = interval if interval is not None else ops.chebyshev_interval()
-    if not 0 < lam_min <= lam_max:
-        raise ProjectionError("invalid spectral interval")
+    lam_min, lam_max = ops.chebyshev_interval()
     f = ops.apply_C(u) if not isinstance(u, np.ndarray) else ops.apply_C_coeffs(u)
     theta = 0.5 * (lam_max + lam_min)
     delta = 0.5 * (lam_max - lam_min)
@@ -781,10 +781,10 @@ def measure_decay(
     right: Sequence[int],
     trials: int = 5,
     seed: int = 0,
-    q: float | None = None,
 ) -> DecayMeasurement:
-    """Exact masked-operator norm against the decay bound min(2 q^(delta-1), 1),
-    plus a random-sampling lower bound as an independent check.
+    """Exact masked-operator norm against the decay bound min(2 q^(delta-1), 1)
+    with q = ops.q_bound(), plus a random-sampling lower bound as an
+    independent check.
 
     Both come from one solve per source.  A function on R = right (L =
     left) has its moments on the dofs S of R, so Q maps it into the span of
@@ -806,8 +806,7 @@ def measure_decay(
     if not left or not right:
         raise ProjectionError("element sets must be nonempty")
     delta = dist.dist_sets(left, right)
-    qq = q if q is not None else ops.q_bound()
-    bound = min(2.0 * qq ** max(delta - 1, 0), 1.0) if delta >= 1 else 1.0
+    bound = min(2.0 * ops.q_bound() ** max(delta - 1, 0), 1.0) if delta >= 1 else 1.0
     rng = np.random.default_rng(seed)
     drawn = [_random_poly(ops.mesh, right, ops.space.degree + 1, rng) for _ in range(trials)]
     live = [(u, norm_u) for u in drawn if (norm_u := u.norm2()) != 0]

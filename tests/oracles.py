@@ -1,6 +1,7 @@
 """Helpers of the mesh, projection and stability layers that only the tests
 use: a one-simplex mesh, saving a mesh file, graph connectivity, the
-per-simplex Kuhn mesh the bulk build replaced, the unfused bisection kernel
+one-at-a-time simplex registration with the per-simplex Kuhn mesh and mesh
+file load that the one fill replaced, the unfused bisection kernel
 the one-pass bisection replaced, the column search of the conformity
 scan that the grid join of boxes replaced, the per-element evaluation and the
 Fraction norm of elementwise polynomials that the stacked coefficient table
@@ -54,6 +55,7 @@ from gradedproj.projection import (
     weighted_stiffness,
 )
 from gradedproj.stability import _weighted_p_norm, layer_decomposition
+from fraction_geometry import det_volume
 
 # -- meshes ---------------------------------------------------------------------------
 
@@ -68,9 +70,43 @@ def reference_simplex_mesh(dim: int, mark_boundary: bool = False) -> SimplicialM
     )
 
 
+def add_simplex(mesh: SimplicialMesh, vertices: tuple[int, ...], tag: int, level: int, parent: int | None, volume: Fraction) -> int:
+    """SimplicialMesh._add_simplex before the one fill, verbatim but for the
+    record: register a new active simplex of a loaded or initial mesh, with
+    the next id and its exact volume, its level-0 volume a Fraction of its
+    own, and step the star histograms of its vertices one at a time."""
+    sid = len(mesh.simplices)
+    mesh.simplices.append(TaggedSimplex(vertices, tag, level, parent, volume * (1 << level)))
+    mesh._active.add(sid)
+    _count(mesh._level_counts, level, 1)
+    for v in vertices:
+        mesh._stars[v].add(sid)
+        hist = mesh._star_levels[v]
+        if level in hist:
+            hist[level] += 1
+        else:
+            mesh._rekey(hist, None, level, 1)
+    return sid
+
+
+def loop_load(data: dict) -> SimplicialMesh:
+    """The mesh of a valid mesh file, without the loader's checks, built one
+    add_vertex per vertex and one add_simplex per simplex, in file order,
+    each volume from the Fraction determinant of det_volume."""
+    d = data["dim"]
+    mesh = SimplicialMesh(d)
+    mesh.exponent = e = max((k for c in data["vertices"] for _, k in c), default=0)
+    for c in data["vertices"]:
+        mesh.add_vertex(tuple(n << (e - k) for n, k in c))
+    for c in data["simplices"]:
+        add_simplex(mesh, tuple(c["v"]), c["tag"], c["level"], None, det_volume(mesh, c["v"]))
+    mesh.gamma_faces = {frozenset(face) for face in data.get("gamma_faces", [])}
+    return mesh
+
+
 def loop_kuhn_initial_mesh(dim: int, cells_per_axis: int = 1, mark_boundary: bool = True) -> SimplicialMesh:
     """mesh.kuhn_initial_mesh before the bulk build, verbatim: one
-    add_vertex per vertex and one _add_simplex, with a Fraction volume of
+    add_vertex per vertex and one add_simplex, with a Fraction volume of
     its own, per simplex."""
     if not 1 <= dim <= 8:
         raise MeshError(f"unsupported dimension {dim}")
@@ -85,7 +121,7 @@ def loop_kuhn_initial_mesh(dim: int, cells_per_axis: int = 1, mark_boundary: boo
     for point in corners[first].tolist():
         mesh.add_vertex(tuple(point))
     for verts in ids.reshape(-1, dim + 1).tolist():
-        mesh._add_simplex(tuple(verts), dim, 0, None, Fraction(1, math.factorial(dim)))
+        add_simplex(mesh, tuple(verts), dim, 0, None, Fraction(1, math.factorial(dim)))
     if mark_boundary:
         mesh.gamma_faces = boundary_faces(mesh)
     return mesh
@@ -244,23 +280,29 @@ class PairGraph:
 
 class UnfusedBisectionMesh(SimplicialMesh):
     """The bisection kernel before the fused step, verbatim: each simplex's
-    exact volume in _volumes (a child gets its parent's divided by 2), the
-    parent deactivated and each child added with one histogram step per
-    vertex (3(d+1) in all), frozenset edge keys, and every face of the
-    parent looked up in the gamma faces.  Closure and grading are inherited,
-    so they run on this kernel."""
+    exact volume in _volumes (a child gets its parent's divided by 2, and
+    its record a level-0 volume of its own), the parent deactivated and each
+    child added with one histogram step per vertex (3(d+1) in all),
+    frozenset edge keys, and every face of the parent looked up in the gamma
+    faces.  Closure and grading are inherited, so they run on this kernel;
+    a loaded one takes its volumes from the records the fill made."""
 
     @classmethod
     def of(cls, mesh: SimplicialMesh) -> "UnfusedBisectionMesh":
         other = mesh.copy()
         other.__class__ = cls
-        other._volumes = {sid: mesh.volume(sid) for sid in mesh.simplices}
+        other._volumes = {sid: mesh.volume(sid) for sid in range(len(mesh.simplices))}
         other._edge_mid = {frozenset(edge): z for edge, z in mesh._edge_mid.items()}
         return other
+
+    def _fill(self, points, table, tags, levels, volumes) -> None:
+        super()._fill(points, table, tags, levels, volumes)
+        self._volumes = {sid: SimplicialMesh.volume(self, sid) for sid in range(len(self.simplices))}
 
     def copy(self) -> "UnfusedBisectionMesh":
         other = super().copy()
         other.__class__ = type(self)
+        other._volumes = dict(self._volumes)
         return other
 
     def volume(self, sid: int) -> Fraction:
@@ -268,7 +310,7 @@ class UnfusedBisectionMesh(SimplicialMesh):
 
     def _add_simplex(self, vertices, tag, level, parent, volume) -> int:
         sid = len(self.simplices)
-        self.simplices[sid] = TaggedSimplex(vertices, tag, level, parent)
+        self.simplices.append(TaggedSimplex(vertices, tag, level, parent, volume * (1 << level)))
         self._active.add(sid)
         self._volumes[sid] = volume
         _count(self._level_counts, level, 1)

@@ -14,7 +14,7 @@ import gradedproj
 from gradedproj.cli import build_mesh, closure_growth, main, round4
 from gradedproj.mesh import SimplicialMesh, kuhn_initial_mesh, marking_policy
 from gradedproj.polyspace import LagrangeSpace
-from oracles import refine_rounds, save_mesh
+from oracles import reference_simplex_mesh, refine_rounds, save_mesh
 
 
 def run(tmp_path, *argv):
@@ -259,6 +259,22 @@ def test_stability_limit_degree(tmp_path):
     assert run(tmp_path, "stability", "--dim", "2", "--degree", "inf", "--out", "si") == 0
     verdict = json.loads((tmp_path / "si" / "stability_verdict.json").read_text())
     assert verdict["degree"] == "inf" and verdict["interval"] == "[1,inf]"
+
+
+@pytest.mark.parametrize("command", [["certify"], ["decay"], ["stability", "--measure"]])
+def test_infinite_degree_builds_no_space(tmp_path, capsys, command):
+    # every command that builds a space refuses K = inf in one line, exit 3
+    assert run(tmp_path, *command, "--dim", "2", "--degree", "inf", "--out", "o") == 3
+    assert capsys.readouterr().err == "input error: a finite element space needs a finite degree or CR\n"
+
+
+@pytest.mark.parametrize("degree", ["1", "2"])
+def test_certify_space_without_dofs_exits_3(tmp_path, capsys, degree):
+    # one triangle whose faces are all gamma faces has no interior P1 or P2 dof
+    save_mesh(reference_simplex_mesh(2, mark_boundary=True), tmp_path / "tri.json")
+    code = run(tmp_path, "certify", "--degree", degree, "--zero-trace", "--rounds", "0", "--mesh", "tri.json", "--out", "c")
+    assert code == 3
+    assert capsys.readouterr().err == "input error: certification needs a space with dofs\n"
 
 
 def test_stability_preset(tmp_path):

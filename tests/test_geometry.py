@@ -16,7 +16,7 @@ from scipy.optimize import linprog
 import fraction_geometry as fg
 from exact_algebra import evaluate, monomial
 from conftest import randomly_refined
-from oracles import column_conformity_violations
+from oracles import add_simplex, column_conformity_violations
 from gradedproj.mesh import (
     MAX_EXPONENT,
     MeshError,
@@ -88,7 +88,7 @@ def _raw_mesh(dim, points, cells, exponent=0):
     for point in points:
         mesh.add_vertex(tuple(point))
     for verts in cells:
-        mesh._add_simplex(tuple(verts), dim, 0, None, fg.det_volume(mesh, verts))
+        add_simplex(mesh, tuple(verts), dim, 0, None, fg.det_volume(mesh, verts))
     return mesh
 
 

@@ -30,7 +30,7 @@ from gradedproj.mesh import (
 from gradedproj.polyspace import LagrangeSpace
 from conftest import distance_matrix, neighbor_lists, randomly_refined
 from fraction_geometry import coord, coord_ids, det_volume, diameter2, midpoint, similarity_classes
-from oracles import UnfusedBisectionMesh, connected, loop_kuhn_initial_mesh, reference_simplex_mesh, save_mesh
+from oracles import UnfusedBisectionMesh, connected, loop_kuhn_initial_mesh, loop_load, reference_simplex_mesh, save_mesh
 
 
 class CoordinateClosureMesh(SimplicialMesh):
@@ -181,10 +181,86 @@ def test_kuhn_bulk_build_matches_simplex_loop(dim, cells, mark_boundary):
     oracle = loop_kuhn_initial_mesh(dim, cells, mark_boundary)
     assert vars(ours) == vars(oracle)
     assert [list(star) for star in ours._stars] == [list(star) for star in oracle._stars]
-    assert {id(v) for v in ours._volumes.values()} == {id(ours._volumes[0])}  # one shared Fraction
+    assert {id(s.volume0) for s in ours.simplices} == {id(ours.simplices[0].volume0)}  # one shared Fraction
     for mesh in (ours, oracle):
         mesh.refine_lg(marking_policy("random:0.3")(mesh, np.random.default_rng(dim + cells)), 1)
     assert vars(ours) == vars(oracle)
+
+
+def _steep_square() -> dict:
+    # two triangles of levels 0 and 3 and tags 2 and 1 on one edge: each
+    # vertex of the edge has a star spanning 3 levels
+    return {
+        "version": 1, "dim": 2, "gamma_faces": [[0, 1], [2, 3]],
+        "vertices": [[[x, 0], [y, 0]] for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]],
+        "simplices": [{"v": [0, 1, 2], "tag": 2, "level": 0}, {"v": [0, 2, 3], "tag": 1, "level": 3}],
+    }
+
+
+def _reloaded(mesh: SimplicialMesh) -> dict:
+    return json.loads(json.dumps(mesh.to_json_dict()))
+
+
+def _corner_closure() -> SimplicialMesh:
+    # plain closure at a corner: stars spanning several levels
+    mesh = kuhn_initial_mesh(2, 2)
+    closure_benchmark(mesh, "corner", 6, alpha=0)
+    return mesh
+
+
+_LOADS = {
+    "d1": lambda: _reloaded(randomly_refined(1, 6, seed=1, fraction=0.4, cells=3)),
+    "d2": lambda: _reloaded(randomly_refined(2, 5, alpha=2, seed=3, cells=2)),
+    "d2-closure": lambda: _reloaded(_corner_closure()),
+    "d3": lambda: _reloaded(randomly_refined(3, 3, seed=5, fraction=0.2)),
+    "d4": lambda: _reloaded(randomly_refined(4, 2, seed=7, fraction=0.1)),
+    "steep": _steep_square,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOADS))
+def test_load_fill_matches_simplex_loop(name):
+    # the loader's one fill leaves every store as registering each vertex
+    # and simplex in turn does, each star iterating alike, with the same
+    # float volumes; closure refinement then goes on alike
+    data = _LOADS[name]()
+    cells = data["simplices"]
+    assert len({c["level"] for c in cells}) > 1 and (len({c["tag"] for c in cells}) > 1 or data["dim"] == 1)
+    ours, oracle = SimplicialMesh.from_json_dict(data), loop_load(data)
+    if name == "steep":
+        assert ours._span_counts == {3: 2} and ours.lg_violation(1) == (0, 1) and ours.lg_violation(3) is None
+    for _ in range(2):
+        assert vars(ours) == vars(oracle)
+        assert [list(star) for star in ours._stars] == [list(star) for star in oracle._stars]
+        ids = range(len(ours.simplices))
+        assert ours.float_volumes(ids).tobytes() == oracle.float_volumes(ids).tobytes()
+        marked = ours.active_ids()[::5]
+        ours.refine_closure(marked)
+        oracle.refine_closure(marked)
+
+
+@pytest.mark.parametrize("name", sorted(_LOADS))
+def test_loaded_mesh_shares_one_level0_volume_per_det_and_level(name):
+    # one Fraction per distinct (|det|, level), and bisection hands it down
+    mesh = SimplicialMesh.from_json_dict(_LOADS[name]())
+    shared: dict[tuple, set[int]] = {}
+    for sid, s in enumerate(mesh.simplices):
+        shared.setdefault((mesh.volume(sid), s.level), set()).add(id(s.volume0))
+    assert all(len(objects) == 1 for objects in shared.values())
+    assert len({id(s.volume0) for s in mesh.simplices}) == len(shared)
+    sid = mesh.active_ids()[0]
+    c1, c2, _ = mesh.bisect(sid)
+    assert mesh.simplices[c1].volume0 is mesh.simplices[c2].volume0 is mesh.simplices[sid].volume0
+
+
+def test_simplex_records_are_the_only_per_simplex_store():
+    # one record per simplex, in a list by id; no second store, no second
+    # registration path
+    for mesh in (kuhn_initial_mesh(2, 2), SimplicialMesh.from_json_dict(_steep_square()), randomly_refined(2, 3)):
+        assert type(mesh.simplices) is list
+        assert all(type(s.volume0) is Fraction for s in mesh.simplices)
+        for name in ("_volumes", "_add_simplex", "_add_level0"):
+            assert not hasattr(mesh, name)
 
 
 def _long_mantissa_triangle(exponent: int) -> SimplicialMesh:
@@ -209,7 +285,7 @@ def test_float_volumes_match_fraction_volumes(build):
     # simplex, levels > 0), and long-mantissa volumes in the normal and the
     # subnormal range: the bits of float(volume(sid)), inactive ids too
     mesh = build()
-    for ids in (mesh.active_ids(), sorted(mesh.simplices), []):
+    for ids in (mesh.active_ids(), range(len(mesh.simplices)), []):
         got = mesh.float_volumes(ids)
         assert got.dtype == np.float64
         assert got.tobytes() == np.array([float(mesh.volume(sid)) for sid in ids], dtype=float).tobytes()
@@ -921,9 +997,9 @@ def _assert_same_meshes(ours: SimplicialMesh, oracle: UnfusedBisectionMesh) -> N
     # volume, the edge map and the incidence counts agree
     assert ours.to_json_dict() == oracle.to_json_dict()
     assert ours.simplices == oracle.simplices
-    volumes = {sid: ours.volume(sid) for sid in ours.simplices}
+    volumes = {sid: ours.volume(sid) for sid in range(len(ours.simplices))}
     assert all(type(v) is Fraction for v in volumes.values())
-    assert volumes == {sid: oracle.volume(sid) for sid in oracle.simplices}
+    assert volumes == {sid: oracle.volume(sid) for sid in range(len(oracle.simplices))}
     assert ours._edge_mid == {tuple(sorted(edge)): z for edge, z in oracle._edge_mid.items()}
     assert ours.gamma_faces == oracle.gamma_faces
     assert ours._gamma_vertices == {v for face in ours.gamma_faces for v in face}
@@ -995,7 +1071,7 @@ def test_loaded_levels_keep_exact_volumes():
         ours.refine_lg(marked, 1)
         oracle.refine_lg(marked, 1)
         _assert_same_meshes(ours, oracle)
-    for sid, s in ours.simplices.items():
+    for sid, s in enumerate(ours.simplices):
         if s.parent is not None:
             assert 2 * ours.volume(sid) == ours.volume(s.parent)
     assert ours.total_volume() == 1
@@ -1044,7 +1120,7 @@ def test_partial_gamma_splits_as_unfused_kernel(build):
 def test_loaded_level_one_triangle_halves():
     # the level-1 triangle of area 1/2 keeps it, its children get 1/4
     mesh = _two_triangles()
-    assert mesh.volume(1) == Fraction(1, 2) and mesh._volumes[1] == 1
+    assert mesh.volume(1) == Fraction(1, 2) and mesh.simplices[1].volume0 == 1
     c1, c2, _ = mesh.bisect(1)
     assert mesh.volume(c1) == mesh.volume(c2) == Fraction(1, 4)
     assert mesh.total_volume() == 1
@@ -1076,15 +1152,15 @@ def test_copy_shares_no_mutable_state():
     assert vars(other).keys() == vars(blank).keys()
     assert vars(other) == vars(mesh)
     assert not _mutable_parts(vars(mesh)) & _mutable_parts(vars(other))
-    assert all(other.simplices[sid] is record for sid, record in mesh.simplices.items())
+    assert all(other.simplices[sid] is record for sid, record in enumerate(mesh.simplices))
     before = copy.deepcopy(vars(mesh))
     json_before = mesh.to_json_dict()
-    volumes = {sid: mesh.volume(sid) for sid in mesh.simplices}
+    volumes = {sid: mesh.volume(sid) for sid in range(len(mesh.simplices))}
     other.refine_uniform(1)
     assert other.n_active > 2 * mesh.n_active
     assert vars(mesh) == before
     assert mesh.to_json_dict() == json_before
-    assert {sid: mesh.volume(sid) for sid in mesh.simplices} == volumes
+    assert {sid: mesh.volume(sid) for sid in range(len(mesh.simplices))} == volumes
     _assert_level_counts(mesh)
 
 
