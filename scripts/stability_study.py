@@ -43,7 +43,7 @@ def weighted_l2_grid(out, seed):
             anchor = dist.ids[int(rng.integers(dist.n))]
             base = {s: 1.0 if s == anchor else 1e-9 for s in dist.ids}
             weight = Weight(max_operator(base, gamma, dist), dist)
-            res = measure_weighted_stability(ops, weight, p=2.0, kind="Lp", fine_sweeps=1, seed=seed)
+            res = measure_weighted_stability(ops, weight, p=2.0, kind="Lp", seed=seed)
             rows.append((dim, gamma, res.measured, res.bound, res.passed))
             print(f"d={dim} gamma={gamma}: measured {res.measured:.4f} <= bound {res.bound:.1f} [{'ok' if res.passed else 'VIOLATION'}]")
     with open(out / "weighted_l2.tsv", "w") as fh:
@@ -72,7 +72,7 @@ def gradient_trends(out, seed):
                 dist_kind = "face" if kind == "cr" else "vertex"
                 dist = element_distance(mesh, dist_kind)
                 weight = Weight({s: 1.0 for s in dist.ids}, dist)
-                res = measure_weighted_stability(ops, weight, p=2.0, kind="W1p", fine_sweeps=1)
+                res = measure_weighted_stability(ops, weight, p=2.0, kind="W1p")
                 ratios.append(res.measured)
                 fh.write(f"{name}\t{r}\t{res.measured:.8f}\n")
             trend_ok = all(ratios[i] <= 1.05 * max(ratios[:i]) for i in range(3, len(ratios)))

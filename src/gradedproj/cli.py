@@ -514,7 +514,7 @@ def _add_mesh_options(p):
     p.add_argument("--cells", type=int, default=1, help="initial cubes per axis")
     p.add_argument("--rounds", type=int, default=4, help="marking rounds")
     p.add_argument("--alpha", type=int, default=1, help="limited-grading parameter (0: plain closure)")
-    p.add_argument("--policy", default="corner", help="marking policy: uniform | corner | random:<fraction>")
+    p.add_argument("--policy", default="corner", help="marking policy: uniform | corner | random:<fraction> | random-count:<n>")
     p.add_argument("--mesh", default=None, help="initial mesh JSON instead of the Kuhn mesh; --rounds refine it")
     p.add_argument("--seed", type=int, default=0, help="seed fixing all randomness")
     p.add_argument("--tolerance", action="append", default=None, metavar="NAME=VALUE",

@@ -157,9 +157,15 @@ class SimplicialMesh:
     def n_active(self) -> int:
         return len(self._active)
 
+    def _record(self, sid: int) -> TaggedSimplex:
+        """The record of simplex sid; an id outside the list is a MeshError."""
+        if not 0 <= sid < len(self.simplices):
+            raise MeshError(f"no simplex {sid}")
+        return self.simplices[sid]
+
     def volume(self, sid: int) -> Fraction:
         """Exact volume: the record's level-0 volume over 2**level."""
-        s = self.simplices[sid]
+        s = self._record(sid)
         return s.volume0 / (1 << s.level)
 
     def float_volumes(self, element_ids: Sequence[int]) -> np.ndarray:
@@ -168,7 +174,7 @@ class SimplicialMesh:
         level l of its elements and rounded to a float, then scaled by
         np.ldexp, which is exact in the normal range; a subnormal result is
         rounded from its Fraction instead."""
-        records = [self.simplices[sid] for sid in element_ids]
+        records = [self._record(sid) for sid in element_ids]
         level0 = [s.volume0 for s in records]
         levels = np.array([s.level for s in records], dtype=np.int64)
         family: dict[int, int] = {}  # id of a shared level-0 volume -> its number
@@ -252,7 +258,7 @@ class SimplicialMesh:
     # -- bisection ---------------------------------------------------------
 
     def refinement_edge(self, sid: int) -> tuple[int, int]:
-        s = self.simplices[sid]
+        s = self._record(sid)
         return s.vertices[0], s.vertices[s.tag]
 
     def bisect(self, sid: int) -> tuple[int, int, int]:
@@ -355,7 +361,7 @@ class SimplicialMesh:
         """First already-split edge of a simplex (its midpoint vertex exists);
         closure bisects the owners of such edges."""
         split = self._edge_mid
-        for a, b in combinations(self.simplices[sid].vertices, 2):
+        for a, b in combinations(self._record(sid).vertices, 2):
             if ((a, b) if a < b else (b, a)) in split:
                 return a, b
         return None
@@ -886,7 +892,7 @@ def regularized_h_grading(mesh: SimplicialMesh, dist: ElementDistance, gamma: fl
 
 
 def marking_policy(name: str) -> Callable[[SimplicialMesh, np.random.Generator], list[int]]:
-    """Deterministic-by-seed marking policies: uniform, corner, random:<fraction>."""
+    """Deterministic-by-seed marking policies: uniform, corner, random:<fraction>, random-count:<n>."""
     if name == "uniform":
         return lambda mesh, rng: mesh.active_ids()
     if name == "corner":

@@ -31,20 +31,18 @@ and
 
 G_i the patch Gram matrix.  For the Crouzeix-Raviart space C u =
 sum_F <u, psi_F> psi_F / ||psi_F||^2, so P = D^-1 with D the diagonal of
-the mass matrix.  Operators builds P and the form matrix B = R^T G^-1 R (R
-= W^T M the patch moment blocks) once, in one stacked pass over the vertex
-patches; apply_C is P times rhs, apply_C_coeffs P times M x.  The patch
+the mass matrix.  Operators builds P once, in one stacked pass over the
+vertex patches; apply_C is P times rhs, apply_C_coeffs P times M x, and the
+form B = M P M, for both kinds of space, is built on first read.  The patch
 table (_vertex_patches) holds every patch at once; one np.bincount fills the
-G of every patch into one flat buffer, another every R, one fancy assignment
-every W; then each patch factors its G and solves it against [R | W^T] by
-one LAPACK potrf and one potrs, called directly.  The blocks R^T G^-1 R and
-W G^-1 W^T become the rows of two stacked CSR matrices, a row per patch and
-block row, and one sparse product with the 0/1 matrix that gathers the rows
-of each global dof sums each.  scipy's product (SMMP, Bank & Douglas 1993)
-adds the terms of an entry from 0 in the stored order of the gather row,
-which is patch order, and drops exact zeros: the bits of B and P rest on
-that order, and the member-loop oracles of the tests pin them.  B is not
-formed as M P M, which rounds differently.
+G of every patch into one flat buffer, one fancy assignment every W; each
+patch factors its G and solves it against W^T by one LAPACK potrf and one
+potrs, called directly.  The blocks W G^-1 W^T become the rows of a stacked
+CSR matrix, a row per patch and block row, and one sparse product with the
+0/1 matrix that gathers the rows of each global dof sums them.  scipy's
+product (SMMP, Bank & Douglas 1993) adds the terms of an entry from 0 in the
+stored order of the gather row, which is patch order, and drops exact zeros:
+the bits of P rest on that order, and the member-loop oracles pin them.
 
 The one integrand kind is ElementwisePoly, a polynomial per element: rhs,
 and through it project and apply_C, integrates it by a rule exact for its
@@ -71,8 +69,8 @@ gathered from L's own elements, and its distance from the one breadth-first
 row that the ElementDistance keeps for the source.
 
 Reference tables and local basis values come from gradedproj.polyspace: the
-exact product tables of the patch Gram and cross matrices, the nodal values
-of the low-degree basis at the high nodes, the gradient products of the
+exact product table of the patch Gram matrices, the nodal values of the
+low-degree basis at the high nodes, the gradient products of the
 weighted stiffness, and the one float evaluator of the Lagrange and
 Crouzeix-Raviart bases; element geometry from the space's float geometry
 table, whose stacked rows make the two-mesh coupling one stacked solve and
@@ -364,30 +362,33 @@ class Operators:
 
     # assembly ----------------------------------------------------------------
 
-    def _assemble_cr(self):
+    @cached_property
+    def form_matrix(self) -> sp.csr_matrix:
+        """B = M P M, the form of C = P M, built on first read (certify reads
+        it); in CSR, each entry is summed in the stored order of M P's row."""
         m = self.mass.tocsr()
-        diag = np.asarray(m.diagonal())
+        return m @ self.patch_matrix @ m
+
+    def _assemble_cr(self):
+        diag = np.asarray(self.mass.diagonal())
         if np.any(diag <= 0):
             raise ProjectionError("singular face basis function")
-        dinv = sp.diags(1.0 / diag)
-        self.form_matrix = (m @ dinv @ m).tocsr()
-        self.patch_matrix = dinv.tocsr()
+        self.patch_matrix = sp.diags(1.0 / diag).tocsr()
 
     def _assemble_patches(self):
         space = self.space
         K, d, n = space.degree, self.dim, space.n_dofs
         # float tables indexed by the patch vertex's local number j
         gram_f = np.array(lambda_nodal_product_table(d, K - 1, K - 1), dtype=float)
-        cross_f = np.array(lambda_nodal_product_table(d, K - 1, K), dtype=float)
         low_at_hi = np.array(nodal_values_at_nodes(d, K - 1, K), dtype=float)
         # nodal[j, m, a]: value of lambda_j psi_a at high node m
         nodal = np.array(space.ref.node_coords, dtype=float).T[:, :, None] * low_at_hi
         t = _vertex_patches(space)
         sizes, n_cols = t.sizes, np.diff(t.col_starts)
-        # G, R and W of every patch, C order, one after another in flat buffers
+        # G (m x m) and W (n_g x m) of every patch, C order, one after another in flat buffers
         g_at = np.cumsum(sizes * sizes) - sizes * sizes
-        r_at = np.cumsum(sizes * n_cols) - sizes * n_cols  # W (n_g x m) takes R's places
-        member_g, member_r = g_at[t.patch, None, None], r_at[t.patch, None, None]
+        w_at = np.cumsum(sizes * n_cols) - sizes * n_cols
+        member_g, member_w = g_at[t.patch, None, None], w_at[t.patch, None, None]
         pids, cpos, m = t.pids, t.cpos, sizes[t.patch, None, None]
         vols = space.geometry.volumes[t.rows, None, None]
         # index -1 (banned patch dof, removed trace dof) is skipped; bincount
@@ -396,14 +397,11 @@ class Operators:
         pairs = (pids[:, :, None] >= 0) & (pids[:, None, :] >= 0)
         at = (member_g + pids[:, :, None] * m + pids[:, None, :])[pairs]
         gbuf = np.bincount(at, (vols * gram_f[t.js])[pairs], minlength=(sizes * sizes).sum())
-        pairs = (pids[:, :, None] >= 0) & (cpos[:, None, :] >= 0)
-        at = (member_r + pids[:, :, None] * n_cols[t.patch, None, None] + cpos[:, None, :])[pairs]
-        rbuf = np.bincount(at, (vols * cross_f[t.js])[pairs], minlength=(sizes * n_cols).sum())
-        pairs = np.swapaxes(pairs, 1, 2)
-        wbuf = np.zeros(len(rbuf))
-        wbuf[(member_r + cpos[:, :, None] * m + pids[:, None, :])[pairs]] = nodal[t.js][pairs]
-        if not (np.isfinite(gbuf).all() and np.isfinite(rbuf).all()):
+        if not np.isfinite(gbuf).all():
             raise ProjectionError("non-finite patch system")
+        pairs = (cpos[:, :, None] >= 0) & (pids[:, None, :] >= 0)
+        wbuf = np.zeros((sizes * n_cols).sum())
+        wbuf[(member_w + cpos[:, :, None] * m + pids[:, None, :])[pairs]] = nodal[t.js][pairs]
         # one stacked row per (live patch, block row): the row of its block
         # over the patch's gcols, owned by the global dof of the block row
         live = sizes > 0
@@ -411,25 +409,21 @@ class Operators:
         first, width = np.repeat(t.col_starts[:-1], n_cols)[stacked], np.repeat(n_cols, n_cols)[stacked]
         indices, indptr, owner = t.cols[_ranges(first, first + width)], np.r_[0, np.cumsum(width)], t.cols[stacked]
         k_at = np.cumsum(n_cols[live] ** 2) - n_cols[live] ** 2
-        vals = [np.empty(len(indices)) for _ in range(2)]  # form and patch blocks, row-major, patch after patch
+        vals = np.empty(len(indices))  # the blocks W G^-1 W^T, row-major, patch after patch
         potrf, potrs = scipy.linalg.lapack.dpotrf, scipy.linalg.lapack.dpotrs
-        spans = zip(*(a[live].tolist() for a in (t.vertices, sizes, n_cols, g_at, r_at)), k_at.tolist())
+        spans = zip(*(a[live].tolist() for a in (t.vertices, sizes, n_cols, g_at, w_at)), k_at.tolist())
         with one_blas_thread():
-            for vertex, m_p, n_g, g0, r0, k0 in spans:
+            for vertex, m_p, n_g, g0, w0, k0 in spans:
                 gmat = gbuf[g0 : g0 + m_p * m_p].reshape(m_p, m_p)
-                rmat = rbuf[r0 : r0 + m_p * n_g].reshape(m_p, n_g)
-                wmat = wbuf[r0 : r0 + m_p * n_g].reshape(n_g, m_p)
+                wmat = wbuf[w0 : w0 + m_p * n_g].reshape(n_g, m_p)
                 gchol, info = potrf(gmat, lower=0, clean=0)
                 if info > 0:
                     raise ProjectionError(f"singular patch system at vertex {vertex}")
-                ginv = potrs(gchol, np.concatenate((rmat, wmat.T), axis=1), lower=0)[0]  # G^-1 [R | W^T]
-                for out, block in zip(vals, (rmat.T @ ginv[:, :n_g], wmat @ ginv[:, n_g:])):
-                    out[k0 : k0 + n_g * n_g] = block.ravel()
+                vals[k0 : k0 + n_g * n_g] = (wmat @ potrs(gchol, wmat.T, lower=0)[0]).ravel()
         # row g of gather picks the stacked rows that g owns, in patch order:
         # the product sums each entry from 0 in that order and drops zeros
         gather = sp.csr_matrix((np.ones(len(owner)), (owner, np.arange(len(owner)))), (n, len(owner)))
-        self.form_matrix, self.patch_matrix = (gather @ sp.csr_matrix((v, indices, indptr), (len(owner), n)) for v in vals)
-        self.form_matrix.sort_indices()
+        self.patch_matrix = gather @ sp.csr_matrix((vals, indices, indptr), (len(owner), n))
         self.patch_matrix.sort_indices()
 
     # solves --------------------------------------------------------------------

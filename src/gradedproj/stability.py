@@ -126,13 +126,12 @@ def _unit_scaled(weight: Weight) -> Weight:
     return Weight({sid: math.ldexp(v, shift) for sid, v in vals.items()}, weight.dist, _gamma=weight.gamma)
 
 
-def fine_link(space, kind: str, fine_sweeps: int = 1) -> TwoMeshLink:
+def fine_link(space, kind: str) -> TwoMeshLink:
     """The coupling of the space with the one the weighted ratio sups over:
-    the same kind of space on fine_sweeps uniform refinements of its mesh,
+    the same kind of space on one uniform refinement of its mesh,
     Lagrange P1 for a Crouzeix-Raviart gradient ratio (the broken gradient of
     the projection against conforming trial functions)."""
-    fine_mesh = space.mesh.copy()
-    fine_mesh.refine_uniform(fine_sweeps)
+    fine_mesh = space.mesh.copy().refine_uniform()
     if isinstance(space, CRSpace):
         fine_space = LagrangeSpace(fine_mesh, 1) if kind == "W1p" else CRSpace(fine_mesh)
     else:
@@ -145,7 +144,6 @@ def measure_weighted_stability(
     weight: Weight,
     p: float = 2.0,
     kind: str = "Lp",
-    fine_sweeps: int = 1,
     samples: int = 20,
     seed: int = 0,
 ) -> WeightedStabilityResult:
@@ -163,7 +161,7 @@ def measure_weighted_stability(
     gamma = float(weight.gamma)
     q = ops.q_bound()
     weight = _unit_scaled(weight)
-    link = fine_link(ops.space, kind, fine_sweeps)
+    link = fine_link(ops.space, kind)
     wc = weight.as_floats()
     wf = _fine_weights(weight, link)
 

@@ -300,7 +300,7 @@ def test_criterion_08_weighted_l2():
             anchor = dist.ids[int(rng.integers(dist.n))]
             base = {s: 1.0 if s == anchor else 1e-9 for s in dist.ids}
             weight = Weight(max_operator(base, gamma, dist), dist)
-            res = measure_weighted_stability(ops, weight, p=2.0, kind="Lp", fine_sweeps=1, seed=seed)
+            res = measure_weighted_stability(ops, weight, p=2.0, kind="Lp", seed=seed)
             runs += 1
             if not res.passed:
                 violations.append((dim, gamma, res.measured, res.bound))

@@ -135,7 +135,7 @@ def test_refine_byte_identical(tmp_path):
 # sha256 of the 19 files the ten README commands write, as listed in CHANGES.md
 README_DIGESTS = {
     "out/bench/closure_bench.tsv": "df7b4a50faea04a6f6f43b2cfb7e9c3a5bb9d0938239258f250fa49af18a46e1",
-    "out/cert/certificate.json": "3b3ad3443ba52c12bf2c19cc685319dc27756617bbd170de460a8c99457eb91b",
+    "out/cert/certificate.json": "1c87065e9f81d0d9c846ad2c6c71c29535bf82dcb85ff3acb8c5facec4f4f708",
     "out/cr/cr_check.json": "86537efa5d5c7da2d22c94caf556771687ae3139893b8af0a71f5a4face19050",
     "out/crcert/certificate.json": "66a83d7c924767f5ecbfbc5c111cb969c5da3f0c4f554d715dc43e35efab93dd",
     "out/decay/decay.tsv": "c20b6438d79603ea832590be1798176039cc6130fac16f0c987e61365f87f20e",

@@ -414,6 +414,15 @@ def assert_apply_C_coeffs_matches(ops, apply_m):
     assert np.abs(ops.apply_C_coeffs(x) - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(initial=1.0)
 
 
+def assert_form_matches(ops, form, patch_m):
+    """The form matrix is B = M P M, bit for bit, from the loops' mass and
+    patch matrices; the loops' R^T G^-1 R, which rounds differently, agrees
+    within 1e-13 relative."""
+    mass = loop_mass(ops.space, ops.space.element_ids)
+    assert_same_csr(ops.form_matrix, mass @ patch_m @ mass)
+    assert np.abs((ops.form_matrix - form).data).max(initial=0.0) <= 1e-13 * np.abs(form.data).max(initial=1.0)
+
+
 def assert_same_csr(got, want):
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
@@ -603,7 +612,7 @@ def test_patch_table_matches_member_loops(meshes, dim, degree, zero_trace, shuff
     space = LagrangeSpace(mesh, degree, zero_trace=zero_trace)
     ops = Operators(space)
     form, apply_m, patch_m, patches = loop_patch_operator(space)
-    assert_same_csr(ops.form_matrix, form)
+    assert_form_matches(ops, form, patch_m)
     assert_apply_C_coeffs_matches(ops, apply_m)
     assert_same_csr(ops.patch_matrix, patch_m)
     u = _random_poly(mesh, mesh.active_ids()[::2], degree + 1, np.random.default_rng(degree))
@@ -629,7 +638,7 @@ def test_patch_table_matches_member_loops_on_graded_meshes(corner_meshes, dim, d
     ops = Operators(space)
     form, apply_m, patch_m, patches = loop_patch_operator(space)
     assert np.count_nonzero(_vertex_patches(space).sizes) == len(patches)
-    assert_same_csr(ops.form_matrix, form)
+    assert_form_matches(ops, form, patch_m)
     assert_apply_C_coeffs_matches(ops, apply_m)
     assert_same_csr(ops.patch_matrix, patch_m)
     u = _random_poly(space.mesh, space.element_ids[::3], degree + 1, np.random.default_rng(degree))
@@ -637,14 +646,14 @@ def test_patch_table_matches_member_loops_on_graded_meshes(corner_meshes, dim, d
 
 
 def test_patch_operator_matches_member_loops_on_mesh_suite():
-    # the form and patch matrices of every criterion-3 mesh, bit for bit:
-    # the product that sums the stacked patch blocks adds each entry in
-    # patch order from 0, as the loops do
+    # the patch matrix of every criterion-3 mesh, bit for bit: the product
+    # that sums the stacked patch blocks adds each entry in patch order from
+    # 0, as the loops do; the form matrix is M P M from the loops' factors
     for dim, degree, alpha, rounds, fraction, seed in MESH_SUITE:
         space = LagrangeSpace(randomly_refined(dim, rounds, alpha=alpha, seed=seed, fraction=fraction), degree)
         ops = Operators(space)
         form, apply_m, patch_m, _ = loop_patch_operator(space)
-        assert_same_csr(ops.form_matrix, form)
+        assert_form_matches(ops, form, patch_m)
         assert_same_csr(ops.patch_matrix, patch_m)
         assert_apply_C_coeffs_matches(ops, apply_m)
 
@@ -657,7 +666,7 @@ def test_patch_table_on_trace_dominated_cells(dim, degree):
     ops = Operators(space)
     form, apply_m, patch_m, patches = loop_patch_operator(space)
     assert space.n_dofs == degree - 1 and np.count_nonzero(_vertex_patches(space).sizes) == len(patches)
-    assert_same_csr(ops.form_matrix, form)
+    assert_form_matches(ops, form, patch_m)
     assert_apply_C_coeffs_matches(ops, apply_m)
     assert_same_csr(ops.patch_matrix, patch_m)
     u = _random_poly(space.mesh, space.element_ids, 2, np.random.default_rng(0))

@@ -1,11 +1,14 @@
-"""The package names the benchmark and the experiment scripts import.
+"""The package names the benchmark and the experiment scripts import, and
+how they call them.
 
 perfbench/ and scripts/ are read with ast, never run or changed: every
-`from gradedproj.<module> import <name>` in them must resolve, so a removal
-from the package that would break them fails here first."""
+`from gradedproj.<module> import <name>` in them must resolve, and every call
+of such a name must bind to its signature, so a removal or a renamed
+parameter that would break them fails here first."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -18,14 +21,23 @@ KEPT = {
 }
 
 
+def _sources():
+    return [(path.name, ast.parse(path.read_text())) for path in sorted(ROOT.glob("perfbench/*.py")) + sorted(ROOT.glob("scripts/*.py"))]
+
+
+def _imports(tree):
+    """{local name: (module, name)} of every `from gradedproj... import name` in the tree."""
+    return {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gradedproj"
+        for alias in node.names
+    }
+
+
 def imported_names():
     """(file, module, name) of every `from gradedproj... import name`."""
-    out = []
-    for path in sorted(ROOT.glob("perfbench/*.py")) + sorted(ROOT.glob("scripts/*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gradedproj":
-                out += [(path.name, node.module, alias.name) for alias in node.names]
-    return out
+    return [(name, module, imported) for name, tree in _sources() for module, imported in _imports(tree).values()]
 
 
 def test_benchmark_and_script_imports_resolve():
@@ -33,3 +45,21 @@ def test_benchmark_and_script_imports_resolve():
     assert KEPT <= {name for _, _, name in found}
     missing = [(f, m, n) for f, m, n in found if not hasattr(importlib.import_module(m), n)]
     assert not missing, missing
+
+
+def test_benchmark_and_script_calls_bind():
+    # each call of an imported name, its positional count and keyword names
+    # bound to the signature with placeholder values
+    calls, unbound = 0, []
+    for file, tree in _sources():
+        names = _imports(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names:
+                module, name = names[node.func.id]
+                signature = inspect.signature(getattr(importlib.import_module(module), name))
+                try:
+                    signature.bind(*[None] * len(node.args), **{kw.arg: None for kw in node.keywords})
+                except TypeError as exc:
+                    unbound.append((file, node.lineno, name, str(exc)))
+                calls += 1
+    assert calls and not unbound, unbound

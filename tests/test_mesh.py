@@ -291,6 +291,22 @@ def test_float_volumes_match_fraction_volumes(build):
         assert got.tobytes() == np.array([float(mesh.volume(sid)) for sid in ids], dtype=float).tobytes()
 
 
+@pytest.mark.parametrize("sid", [-1, -4, 4, 5, 10**6])
+def test_out_of_range_simplex_ids_raise_mesh_error(sid):
+    # simplices is a list by id: an id past either end is a MeshError in each
+    # reader, not a record read from the end or a bare IndexError; the ids
+    # of bisected simplices stay readable
+    mesh = kuhn_initial_mesh(2, 1)
+    mesh.bisect(0)
+    assert len(mesh.simplices) == 4 and 0 not in mesh.active_ids()
+    assert mesh.volume(0) == Fraction(1, 2) and mesh.refinement_edge(3) == (1, 2)
+    assert mesh.float_volumes(range(4)).tolist() == [0.5, 0.5, 0.25, 0.25]
+    reads = (mesh.volume, mesh.refinement_edge, mesh.hanging_edge, lambda s: mesh.float_volumes([0, s]))
+    for read in reads:
+        with pytest.raises(MeshError, match=f"^no simplex {sid}$"):
+            read(sid)
+
+
 def test_kuhn_rejects_bad_input():
     with pytest.raises(MeshError):
         kuhn_initial_mesh(0)

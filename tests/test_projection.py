@@ -445,6 +445,26 @@ def test_decay_source_blocks_are_shared_and_keyed_by_the_set(mesh2d, monkeypatch
     assert solves == [(space.n_dofs, len(ops.source_block(src).dofs)) for src in sources]
 
 
+@pytest.mark.parametrize("kind", ["P2", "CR"])
+def test_form_matrix_is_built_only_when_read(mesh2d, kind):
+    # B = M P M is read by certify alone: assembly, projection, the iterate,
+    # decay and the weighted ratio leave it unbuilt; its first read keeps it
+    from gradedproj.stability import Weight, measure_weighted_stability
+
+    ops = Operators(CRSpace(mesh2d) if kind == "CR" else LagrangeSpace(mesh2d, 2))
+    dist = element_distance(mesh2d, "vertex")
+    u = _random_poly(mesh2d, dist.ids[::2], 2, np.random.default_rng(0))
+    ops.project(u)
+    accelerated_iterate(ops, u, 2)
+    measure_decay(ops, dist, dist.ids[-3:], dist.ids[:2], trials=1)
+    weight = Weight({sid: 1.0 + sid % 3 for sid in dist.ids}, dist)
+    measure_weighted_stability(ops, weight, p=2.0, kind="Lp")
+    measure_weighted_stability(ops, weight, p=3.0, kind="W1p", samples=2)
+    assert "form_matrix" not in vars(ops)
+    ops.certify()
+    assert vars(ops)["form_matrix"] is ops.form_matrix
+
+
 def test_two_mesh_mixed_mass_against_exact_fractions():
     # independent oracle: exact barycentric substitution in rational arithmetic
     coarse = kuhn_initial_mesh(2, 1)

@@ -344,7 +344,7 @@ def test_volume_decay_bounded_over_corner_rounds():
 def test_weighted_stability_constant_weight(mesh2d, dist2d):
     ops = Operators(LagrangeSpace(mesh2d, 1))
     w = Weight({s: 1.0 for s in dist2d.ids}, dist2d)
-    res = measure_weighted_stability(ops, w, p=2.0, kind="Lp", fine_sweeps=1)
+    res = measure_weighted_stability(ops, w, p=2.0, kind="Lp")
     assert res.measured <= 1.0 + 1e-9
     assert res.bound == pytest.approx(6.0 / (1.0 - ops.q_bound()))
     assert res.passed
@@ -355,7 +355,7 @@ def test_weighted_stability_graded_weight(mesh2d, dist2d):
     base = {s: 1.0 if s == dist2d.ids[0] else 1e-9 for s in dist2d.ids}
     w = Weight(max_operator(base, 2.0, dist2d), dist2d)
     assert float(w.gamma) == pytest.approx(2.0)
-    res = measure_weighted_stability(ops, w, p=2.0, kind="Lp", fine_sweeps=1)
+    res = measure_weighted_stability(ops, w, p=2.0, kind="Lp")
     assert res.bound == pytest.approx(6.0 * 8.0 / (1.0 - 2.0 / 3.0))
     assert res.measured <= res.bound + 1e-9
     assert res.passed
@@ -365,7 +365,7 @@ def test_weighted_stability_inadmissible_grading(mesh2d, dist2d):
     ops = Operators(LagrangeSpace(mesh2d, 1))
     base = {s: 1.0 if s == dist2d.ids[0] else 1e-9 for s in dist2d.ids}
     w = Weight(max_operator(base, 4.0, dist2d), dist2d)  # 4 > 1/q = 3
-    res = measure_weighted_stability(ops, w, p=2.0, kind="Lp", fine_sweeps=1)
+    res = measure_weighted_stability(ops, w, p=2.0, kind="Lp")
     assert res.bound is None and not res.bound_applicable
     assert "not applicable" in res.note
 
@@ -373,7 +373,7 @@ def test_weighted_stability_inadmissible_grading(mesh2d, dist2d):
 def test_weighted_stability_gradient_ratio(mesh2d, dist2d):
     ops = Operators(LagrangeSpace(mesh2d, 1))
     w = Weight({s: 1.0 for s in dist2d.ids}, dist2d)
-    res = measure_weighted_stability(ops, w, p=2.0, kind="W1p", fine_sweeps=1)
+    res = measure_weighted_stability(ops, w, p=2.0, kind="W1p")
     assert res.measured < 50  # bounded diagnostic (no hard constant)
     assert res.bound is None
 
@@ -407,7 +407,7 @@ def test_weighted_stability_zero_trace(mesh2d, dist2d):
     ops = Operators(LagrangeSpace(mesh2d, 1, zero_trace=True))
     base = {s: 1.0 if s == dist2d.ids[1] else 1e-9 for s in dist2d.ids}
     w = Weight(max_operator(base, 2.0, dist2d), dist2d)
-    res = measure_weighted_stability(ops, w, p=2.0, kind="Lp", fine_sweeps=1)
+    res = measure_weighted_stability(ops, w, p=2.0, kind="Lp")
     assert res.bound is not None
     assert res.measured <= res.bound + 1e-9
 
@@ -424,7 +424,7 @@ def test_gradient_ratio_bounded_across_refinements():
         dist = element_distance(mesh, "vertex")
         ops = Operators(LagrangeSpace(mesh, 1))
         w = Weight({s: 1.0 for s in dist.ids}, dist)
-        res = measure_weighted_stability(ops, w, p=2.0, kind="W1p", fine_sweeps=1)
+        res = measure_weighted_stability(ops, w, p=2.0, kind="W1p")
         ratios.append(res.measured)
     for i in range(3, len(ratios)):
         assert ratios[i] <= 1.05 * max(ratios[:i]), ratios
@@ -630,7 +630,7 @@ def test_cr_weighted_l2_bound(mesh3d):
     assert gamma * q < 1.0
     base = {s: 1.0 if s == dist.ids[0] else 1e-9 for s in dist.ids}
     w = Weight(max_operator(base, gamma, dist), dist)
-    res = measure_weighted_stability(ops, w, p=2.0, kind="Lp", fine_sweeps=1)
+    res = measure_weighted_stability(ops, w, p=2.0, kind="Lp")
     assert res.passed, (res.measured, res.bound)
 
 
@@ -649,7 +649,7 @@ def test_cr_broken_gradient_ratio_bounded():
             ops = Operators(CRSpace(mesh))
             dist = element_distance(mesh, "face")
             w = Weight({s: 1.0 for s in dist.ids}, dist)
-            res = measure_weighted_stability(ops, w, p=2.0, kind="W1p", fine_sweeps=1)
+            res = measure_weighted_stability(ops, w, p=2.0, kind="W1p")
             ratios.append(res.measured)
         for i in range(3, len(ratios)):
             assert ratios[i] <= 1.05 * max(ratios[:i]), (dim, ratios)
