@@ -509,16 +509,29 @@ class Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _add_mesh_options(p):
-    p.add_argument("--dim", type=int, default=2, help="space dimension")
-    p.add_argument("--cells", type=int, default=1, help="initial cubes per axis")
-    p.add_argument("--rounds", type=int, default=4, help="marking rounds")
-    p.add_argument("--alpha", type=int, default=1, help="limited-grading parameter (0: plain closure)")
-    p.add_argument("--policy", default="corner", help="marking policy: uniform | corner | random:<fraction> | random-count:<n>")
-    p.add_argument("--mesh", default=None, help="initial mesh JSON instead of the Kuhn mesh; --rounds refine it")
-    p.add_argument("--seed", type=int, default=0, help="seed fixing all randomness")
-    p.add_argument("--tolerance", action="append", default=None, metavar="NAME=VALUE",
-                   help="override a named tolerance (repeatable)")
+# the options of two or more subcommands, each with its one help string;
+# every subcommand adds them through _add_options
+SHARED_OPTIONS = {
+    "--dim": {"type": int, "default": 2, "help": "space dimension"},
+    "--cells": {"type": int, "default": 1, "help": "initial cubes per axis"},
+    "--rounds": {"type": int, "help": "marking rounds"},  # default: _add_options's rounds
+    "--alpha": {"type": int, "default": 1, "help": "limited-grading parameter (0: plain closure)"},
+    "--policy": {"default": "corner", "help": "marking policy: uniform | corner | random:<fraction> | random-count:<n>"},
+    "--mesh": {"default": None, "help": "initial mesh JSON instead of the Kuhn mesh; --rounds refine it"},
+    "--seed": {"type": int, "default": 0, "help": "seed fixing all randomness"},
+    "--tolerance": {"action": "append", "default": None, "metavar": "NAME=VALUE", "help": "override a named tolerance (repeatable)"},
+    "--degree": {"default": "1", "help": "polynomial degree or CR"},
+    "--probe-limit": {"type": int, "default": 100, "help": "largest dimension of the Crouzeix-Raviart threshold scan"},
+}
+MESH_OPTIONS = ("--dim", "--cells", "--rounds", "--alpha", "--policy", "--mesh", "--seed", "--tolerance")
+
+
+def _add_options(p, flags, out, rounds=4):
+    """The shared options named by flags, then --out; --rounds defaults to
+    rounds and --out to out."""
+    for flag in flags:
+        p.add_argument(flag, **SHARED_OPTIONS[flag], **({"default": rounds} if flag == "--rounds" else {}))
+    p.add_argument("--out", default=out, help="output directory")
 
 
 def build_parser() -> Parser:
@@ -527,64 +540,43 @@ def build_parser() -> Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("refine", help="generate and refine a mesh, write mesh + grading report")
-    _add_mesh_options(p)
-    p.add_argument("--out", default="out/refine")
+    _add_options(p, MESH_OPTIONS, "out/refine")
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("certify", help="spectral certificate for the approximating operator")
-    _add_mesh_options(p)
-    p.add_argument("--degree", default="1", help="polynomial degree or CR")
+    _add_options(p, MESH_OPTIONS + ("--degree",), "out/certify")
     p.add_argument("--zero-trace", action="store_true", help="zero trace on the marked boundary")
-    p.add_argument("--out", default="out/certify")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("decay", help="masked-norm decay of the projection against the bound")
-    _add_mesh_options(p)
-    p.add_argument("--degree", default="1")
+    _add_options(p, MESH_OPTIONS + ("--degree",), "out/decay")
     p.add_argument("--trials", type=int, default=3, help="random samples per shell")
-    p.add_argument("--out", default="out/decay")
     p.set_defaults(func=cmd_decay)
 
     p = sub.add_parser("tables", help="reproduce the published q and stability-range tables")
-    p.add_argument("--probe-limit", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out/tables")
+    _add_options(p, ("--probe-limit", "--seed"), "out/tables")
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("stability", help="analytic stability verdict, optionally measured")
-    _add_mesh_options(p)
-    p.add_argument("--degree", default="1")
+    _add_options(p, MESH_OPTIONS + ("--degree",), "out/stability")
     p.add_argument("--gamma-h", type=float, default=None, help="mesh size grading (default 2^(alpha/d))")
     p.add_argument("--preset", default=None, help="published grading preset: 2D-RGB | 2D-NVB+ | 2D-NVB- | 2D-RG | 2D-RG-GHS | BiSecLG")
-    p.add_argument("--gamma-rho", type=float, default=1.0)
-    p.add_argument("--kind", choices=["Lp", "W1p"], default="Lp")
-    p.add_argument("--p", default="2")
+    p.add_argument("--gamma-rho", type=float, default=1.0, help="grading of the weight (1: the constant weight)")
+    p.add_argument("--kind", choices=["Lp", "W1p"], default="Lp", help="stability in L^p or in W^{1,p}")
+    p.add_argument("--p", default="2", help="exponent p, a number or inf")
     p.add_argument("--measure", action="store_true", help="also measure the weighted ratio on a mesh")
-    p.add_argument("--out", default="out/stability")
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("cr-check", help="Crouzeix-Raviart certificates and dimension thresholds")
-    p.add_argument("--tolerance", action="append", default=None, metavar="NAME=VALUE",
-                   help="override a named tolerance (repeatable)")
-    p.add_argument("--rounds", type=int, default=3)
-    p.add_argument("--probe-limit", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out/cr")
+    _add_options(p, ("--tolerance", "--rounds", "--probe-limit", "--seed"), "out/cr", rounds=3)
     p.set_defaults(func=cmd_cr_check)
 
     p = sub.add_parser("closure-bench", help="closure-overhead ratio over marking rounds")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--cells", type=int, default=1)
-    p.add_argument("--rounds", type=int, default=8)
-    p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--policy", default="corner")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out/closure")
+    _add_options(p, ("--dim", "--cells", "--rounds", "--alpha", "--policy", "--seed"), "out/closure", rounds=8)
     p.set_defaults(func=cmd_closure_bench)
 
     p = sub.add_parser("grading", help="grading audit of a mesh")
-    _add_mesh_options(p)
-    p.add_argument("--out", default="out/grading")
+    _add_options(p, MESH_OPTIONS, "out/grading")
     p.set_defaults(func=cmd_grading)
 
     return parser

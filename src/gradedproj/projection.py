@@ -29,20 +29,22 @@ and
 
     C u = P <u, b>,   P = sum_i W_i G_i^-1 W_i^T,
 
-G_i the patch Gram matrix.  For the Crouzeix-Raviart space C u =
-sum_F <u, psi_F> psi_F / ||psi_F||^2, so P = D^-1 with D the diagonal of
-the mass matrix.  Operators builds P once, in one stacked pass over the
-vertex patches; apply_C is P times rhs, apply_C_coeffs P times M x, and the
-form B = M P M, for both kinds of space, is built on first read.  The patch
-table (_vertex_patches) holds every patch at once; one np.bincount fills the
-G of every patch into one flat buffer, one fancy assignment every W; each
-patch factors its G and solves it against W^T by one LAPACK potrf and one
-potrs, called directly.  The blocks W G^-1 W^T become the rows of a stacked
-CSR matrix, a row per patch and block row, and one sparse product with the
-0/1 matrix that gathers the rows of each global dof sums them.  scipy's
-product (SMMP, Bank & Douglas 1993) adds the terms of an entry from 0 in the
-stored order of the gather row, which is patch order, and drops exact zeros:
-the bits of P rest on that order, and the member-loop oracles pin them.
+G_i the patch Gram matrix.  For the Crouzeix-Raviart space
+C u = sum_F <u, psi_F> psi_F / ||psi_F||^2, so P = D^-1 with D the diagonal
+of the mass matrix.  Operators keeps the space and M, in CSR; P, the form
+B = M P M (for both kinds of space) and the mass factor are each built on
+first read, so decay and the weighted ratio, which read M^-1 alone, never
+build P.  apply_C is P times rhs and apply_C_coeffs P times M x.  P is built
+in one stacked pass over the vertex patches: the patch table
+(_vertex_patches) holds every patch at once; one np.bincount fills the G of
+every patch into one flat buffer, one fancy assignment every W; each patch
+factors its G and solves it against W^T by one LAPACK potrf and one potrs,
+called directly.  The blocks W G^-1 W^T become the rows of a stacked CSR
+matrix, a row per patch and block row, and one sparse product with the 0/1
+matrix that gathers the rows of each global dof sums them.  scipy's product
+(SMMP, Bank & Douglas 1993) adds the terms of an entry from 0 in the stored
+order of the gather row, which is patch order, and drops exact zeros: the
+bits of P rest on that order, and the member-loop oracles pin them.
 
 The one integrand kind is ElementwisePoly, a polynomial per element: rhs,
 and through it project and apply_C, integrates it by a rule exact for its
@@ -352,30 +354,32 @@ class Operators:
         self.space = space
         self.mesh = space.mesh
         self.dim = space.mesh.dim
-        self.mass = space.mass_matrix().tocsc()
-        self._solver = None
+        self.mass = space.mass_matrix()  # CSR, the space's own
         self._source_blocks: dict[tuple[int, ...], SourceBlock | None] = {}
-        if isinstance(space, CRSpace):
-            self._assemble_cr()
-        else:
-            self._assemble_patches()
 
     # assembly ----------------------------------------------------------------
+
+    @cached_property
+    def patch_matrix(self) -> sp.csr_matrix:
+        """P of C = P M, built on first read: D^-1 for a Crouzeix-Raviart
+        space, W G^-1 W^T summed over the vertex patches for a Lagrange one."""
+        return self._assemble_cr() if isinstance(self.space, CRSpace) else self._assemble_patches()
 
     @cached_property
     def form_matrix(self) -> sp.csr_matrix:
         """B = M P M, the form of C = P M, built on first read (certify reads
         it); in CSR, each entry is summed in the stored order of M P's row."""
-        m = self.mass.tocsr()
-        return m @ self.patch_matrix @ m
+        return self.mass @ self.patch_matrix @ self.mass
 
-    def _assemble_cr(self):
-        diag = np.asarray(self.mass.diagonal())
+    def _assemble_cr(self) -> sp.csr_matrix:
+        diag = self.mass.diagonal()
+        if not np.isfinite(diag).all():
+            raise ProjectionError("non-finite patch system")
         if np.any(diag <= 0):
             raise ProjectionError("singular face basis function")
-        self.patch_matrix = sp.diags(1.0 / diag).tocsr()
+        return sp.diags(1.0 / diag).tocsr()
 
-    def _assemble_patches(self):
+    def _assemble_patches(self) -> sp.csr_matrix:
         space = self.space
         K, d, n = space.degree, self.dim, space.n_dofs
         # float tables indexed by the patch vertex's local number j
@@ -423,50 +427,47 @@ class Operators:
         # row g of gather picks the stacked rows that g owns, in patch order:
         # the product sums each entry from 0 in that order and drops zeros
         gather = sp.csr_matrix((np.ones(len(owner)), (owner, np.arange(len(owner)))), (n, len(owner)))
-        self.patch_matrix = gather @ sp.csr_matrix((vals, indices, indptr), (len(owner), n))
-        self.patch_matrix.sort_indices()
+        patch_matrix = gather @ sp.csr_matrix((vals, indices, indptr), (len(owner), n))
+        patch_matrix.sort_indices()
+        return patch_matrix
 
     # solves --------------------------------------------------------------------
 
-    def _ensure_solver(self):
-        """Factor M once: dense Cholesky up to DENSE_SOLVE_LIMIT dofs, one
-        sparse LU (splu) beyond; either solves a vector or a block of
-        columns.  A direct factorization, because the unscaled mass matrix of
-        a graded mesh is ill conditioned: its diagonal follows the element
+    @cached_property
+    def _solver(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The mass factor, built on first solve: dense Cholesky up to
+        DENSE_SOLVE_LIMIT dofs, one sparse LU (splu) beyond, for a vector or
+        a block of columns.  Direct, because the unscaled mass matrix of a
+        graded mesh is ill conditioned: its diagonal follows the element
         volumes, and spans 1.4e13 on the P3 space (8164 dofs) of a 24x24 Kuhn
-        square after 40 corner rounds, where unpreconditioned CG stalls.
-        The LU orders M symmetrically (minimum degree on M + M^T, diagonal
+        square after 40 corner rounds, where unpreconditioned CG stalls.  The
+        LU orders M symmetrically (minimum degree on M + M^T, diagonal
         pivots): on the d=3 P2 space of 6439 dofs (a 6x6x6 Kuhn cube after 10
         corner rounds of BiSecLG(1)) its L + U hold 1.29M nonzeros against
         3.77M under splu's default column ordering, and it factors about 3x
-        faster.  The dense factor calls LAPACK's potrf and potrs directly, as
-        the patch pass does, with the bits of scipy's cho_factor and
-        cho_solve; a non-finite or indefinite M raises ProjectionError.
-        solve_mass checks the residuals."""
-        if self._solver is not None:
-            return
+        faster.  The dense factor calls LAPACK's potrf and potrs directly,
+        with the bits of scipy's cho_factor and cho_solve; a non-finite or
+        indefinite M raises ProjectionError."""
         n = self.space.n_dofs
         if n == 0:  # potrs rejects an empty system
-            self._solver = lambda b: np.zeros(np.shape(b))
-        elif n <= DENSE_SOLVE_LIMIT:
-            dense = self.mass.toarray()
-            if not np.isfinite(dense).all():
-                raise ProjectionError("non-finite mass matrix")
-            potrf, potrs = scipy.linalg.lapack.dpotrf, scipy.linalg.lapack.dpotrs
-            with one_blas_thread():
-                chol, info = potrf(dense, lower=0, clean=0)
-            if info > 0:
-                raise ProjectionError(f"mass matrix not positive definite (leading minor {info})")
-            self._solver = lambda b: potrs(chol, b, lower=0)[0]
-        else:
-            self._solver = spla.splu(
-                self.mass, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0, options={"SymmetricMode": True}
-            ).solve  # self.mass is CSC
+            return lambda b: np.zeros(np.shape(b))
+        if n > DENSE_SOLVE_LIMIT:
+            return spla.splu(
+                self.mass.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0, options={"SymmetricMode": True}
+            ).solve
+        dense = self.mass.toarray()
+        if not np.isfinite(dense).all():
+            raise ProjectionError("non-finite mass matrix")
+        potrf, potrs = scipy.linalg.lapack.dpotrf, scipy.linalg.lapack.dpotrs
+        with one_blas_thread():
+            chol, info = potrf(dense, lower=0, clean=0)
+        if info > 0:
+            raise ProjectionError(f"mass matrix not positive definite (leading minor {info})")
+        return lambda b: potrs(chol, b, lower=0)[0]
 
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
         """M^-1 rhs for a vector or a block of columns, each column held to
         the residual bound of _checked."""
-        self._ensure_solver()
         return self._checked(self._solver(rhs), rhs)
 
     def _checked(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -680,7 +681,6 @@ class TwoMeshLink:
         self.coarse = coarse_space
         self.fine = fine_space
         self.ancestors = self._ancestor_map()
-        self._mixed = None
 
     def _ancestor_map(self) -> dict[int, int]:
         coarse_ids = set(self.coarse.element_ids)
@@ -694,10 +694,10 @@ class TwoMeshLink:
             out[sid] = cur
         return out
 
+    @cached_property
     def mixed_mass(self) -> sp.csr_matrix:
-        """M_cf[m, n] = <coarse basis m, fine basis n> (polynomial-exact rule)."""
-        if self._mixed is not None:
-            return self._mixed
+        """M_cf[m, n] = <coarse basis m, fine basis n> (polynomial-exact
+        rule), built on first read."""
         coarse, fine = self.coarse, self.fine
         d = coarse.mesh.dim
         deg = coarse.degree + fine.degree
@@ -712,8 +712,7 @@ class TwoMeshLink:
         bary = np.linalg.solve(affine(coarse.geometry.vertices[up]), affine(fine.geometry.vertices))
         cvals = basis_values(d, coarse.local_degree, pts @ np.swapaxes(bary, 1, 2))
         blocks = (fine.geometry.volumes[:, None, None] * (np.swapaxes(cvals, 1, 2) * wts)) @ fine_vals
-        self._mixed = scatter_matrix(coarse.dofs[up], fine.dofs, blocks, (coarse.n_dofs, fine.n_dofs))
-        return self._mixed
+        return scatter_matrix(coarse.dofs[up], fine.dofs, blocks, (coarse.n_dofs, fine.n_dofs))
 
 
 # -- iteration toward the projection ----------------------------------------------------------

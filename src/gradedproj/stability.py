@@ -215,7 +215,7 @@ def _exact_weighted_ratio(ops, link, wc2, wf2, gradient: bool) -> float:
     ProjectionError.
     """
     coarse, fine = link.coarse, link.fine
-    x = ops.solve_mass(link.mixed_mass().toarray())  # projection matrix fine -> coarse coefficients
+    x = ops.solve_mass(link.mixed_mass.toarray())  # projection matrix fine -> coarse coefficients
     form = weighted_stiffness if gradient else weighted_mass
     top = form(coarse, wc2).toarray()
     bot = form(fine, wf2).toarray()
@@ -278,7 +278,7 @@ def _sampled_weighted_ratio(ops, link, weight, wc, wf, p, kind, samples, seed) -
     best = 0.0
     if live:
         # one block solve; a column of it has the bits of its one-column solve
-        qcs = ops.solve_mass(link.mixed_mass() @ np.column_stack([vec for vec, _ in live]))
+        qcs = ops.solve_mass(link.mixed_mass @ np.column_stack([vec for vec, _ in live]))
         for qc, (_, denom) in zip(np.ascontiguousarray(qcs.T), live):
             best = max(best, _weighted_p_norm(ops.space, qc, wc, p, kind) / denom)
     return best

@@ -530,7 +530,7 @@ def _exact_weighted_ratio(ops, link, wc2, wf2, gradient: bool) -> float:
     kernel dropped by a relative cutoff of 1e-12, and every eigenvalue of X^T
     T X on the rest."""
     coarse, fine = link.coarse, link.fine
-    x = ops.solve_mass(link.mixed_mass().toarray())  # projection matrix fine -> coarse coefficients
+    x = ops.solve_mass(link.mixed_mass.toarray())  # projection matrix fine -> coarse coefficients
     form = weighted_stiffness if gradient else weighted_mass
     top = form(coarse, wc2).toarray()
     bot = form(fine, wf2).toarray()
@@ -570,7 +570,7 @@ def loop_sampled_weighted_ratio(ops, link, weight, wc, wf, p, kind, samples, see
         denom = _weighted_p_norm(fine, vec, wf, p, kind)
         if denom <= 0:
             continue
-        qc = ops.solve_mass(link.mixed_mass() @ vec)
+        qc = ops.solve_mass(link.mixed_mass @ vec)
         numer = _weighted_p_norm(ops.space, qc, wc, p, kind)
         best = max(best, numer / denom)
     return best
@@ -580,7 +580,7 @@ def dense_top_rayleigh(ops, link, wc2, wf2, gradient: bool) -> float:
     """The Rayleigh quotient (X u)^T T (X u) / u^T B u of the top eigenvector u
     the dense engine finds, formed directly from the two forms."""
     coarse, fine = link.coarse, link.fine
-    x = ops.solve_mass(link.mixed_mass().toarray())
+    x = ops.solve_mass(link.mixed_mass.toarray())
     form = weighted_stiffness if gradient else weighted_mass
     top = form(coarse, wc2).toarray()
     bot = form(fine, wf2).toarray()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gradedproj
-from gradedproj.cli import build_mesh, closure_growth, main, round4
+from gradedproj.cli import build_mesh, build_parser, closure_growth, main, round4
 from gradedproj.mesh import SimplicialMesh, kuhn_initial_mesh, marking_policy
 from gradedproj.polyspace import LagrangeSpace
 from oracles import reference_simplex_mesh, refine_rounds, save_mesh
@@ -575,6 +575,13 @@ def test_malformed_option_exits_3(tmp_path, capsys, argv):
     assert run(tmp_path, *argv, "--out", "x") == 3
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+
+def test_every_subcommand_option_has_help():
+    # --help says what each option of each subcommand does
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    missing = [(name, a.option_strings) for name, sub in subparsers.choices.items() for a in sub._actions if not a.help]
+    assert not missing, missing
 
 
 def _modules_loaded(tmp_path, statement):

@@ -298,8 +298,8 @@ def test_dense_mass_factor_matches_cho_factor():
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf * 0 in the mass assembly
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_mass_matrix_raises_projection_error(mesh2d, value):
-    # a CR space assembles with a non-finite volume (its diagonal check
-    # passes NaN); the dense mass factor then refuses it
+    # Operators keeps M alone and builds no P, so a CR space with a
+    # non-finite volume gets one; the dense mass factor then refuses it
     space = CRSpace(mesh2d)
     volumes = space.geometry.volumes.copy()
     volumes[-1] = value

@@ -446,23 +446,34 @@ def test_decay_source_blocks_are_shared_and_keyed_by_the_set(mesh2d, monkeypatch
 
 
 @pytest.mark.parametrize("kind", ["P2", "CR"])
-def test_form_matrix_is_built_only_when_read(mesh2d, kind):
-    # B = M P M is read by certify alone: assembly, projection, the iterate,
-    # decay and the weighted ratio leave it unbuilt; its first read keeps it
+def test_form_matrix_is_built_only_when_read(mesh2d, kind, monkeypatch):
+    # P is read by apply_C, the iterate and certify (through B = M P M, which
+    # certify alone reads): assembly, projection, decay and the weighted
+    # ratio build neither; each reader builds P once and keeps it
     from gradedproj.stability import Weight, measure_weighted_stability
 
-    ops = Operators(CRSpace(mesh2d) if kind == "CR" else LagrangeSpace(mesh2d, 2))
+    builds = []
+    assemble = "_assemble_cr" if kind == "CR" else "_assemble_patches"
+    build = getattr(Operators, assemble)
+    monkeypatch.setattr(Operators, assemble, lambda self: builds.append(self) or build(self))
+    space = CRSpace(mesh2d) if kind == "CR" else LagrangeSpace(mesh2d, 2)
     dist = element_distance(mesh2d, "vertex")
     u = _random_poly(mesh2d, dist.ids[::2], 2, np.random.default_rng(0))
-    ops.project(u)
-    accelerated_iterate(ops, u, 2)
-    measure_decay(ops, dist, dist.ids[-3:], dist.ids[:2], trials=1)
     weight = Weight({sid: 1.0 + sid % 3 for sid in dist.ids}, dist)
-    measure_weighted_stability(ops, weight, p=2.0, kind="Lp")
-    measure_weighted_stability(ops, weight, p=3.0, kind="W1p", samples=2)
-    assert "form_matrix" not in vars(ops)
-    ops.certify()
-    assert vars(ops)["form_matrix"] is ops.form_matrix
+    for reader in (lambda ops: ops.apply_C(u), lambda ops: accelerated_iterate(ops, u, 2), Operators.certify):
+        ops = Operators(space)
+        ops.project(u)
+        measure_decay(ops, dist, dist.ids[-3:], dist.ids[:2], trials=1)
+        measure_weighted_stability(ops, weight, p=2.0, kind="Lp")
+        measure_weighted_stability(ops, weight, p=3.0, kind="W1p", samples=2)
+        assert not {"patch_matrix", "form_matrix"} & vars(ops).keys()
+        reader(ops)
+        kept = vars(ops)["patch_matrix"]
+        ops.apply_C(u)
+        accelerated_iterate(ops, u, 2)
+        ops.certify()
+        assert ops.patch_matrix is kept and vars(ops)["form_matrix"] is ops.form_matrix
+        assert builds.count(ops) == 1
 
 
 def test_two_mesh_mixed_mass_against_exact_fractions():
@@ -473,7 +484,7 @@ def test_two_mesh_mixed_mass_against_exact_fractions():
     cs = LagrangeSpace(coarse, 1)
     fs = LagrangeSpace(fine, 1)
     link = TwoMeshLink(cs, fs)
-    mixed = link.mixed_mass().toarray()
+    mixed = link.mixed_mass.toarray()
 
     exact = np.zeros_like(mixed)
     for fsid in fs.element_ids:
@@ -518,7 +529,7 @@ def test_two_mesh_mixed_mass_quadratic_against_substitution():
     cs = LagrangeSpace(coarse, 2)
     fs = LagrangeSpace(fine, 2)
     link = TwoMeshLink(cs, fs)
-    mixed = link.mixed_mass().toarray()
+    mixed = link.mixed_mass.toarray()
     ref = reference_element(2, 2)
 
     exact = np.zeros_like(mixed)
@@ -567,7 +578,7 @@ def test_projection_of_fine_function(mesh2d):
             node = fine_nodes[g]
             bary = barycentric_coordinates(fine, cverts, node)
             xf[g] = sum(float(bary[j]) * coarse_vals[coord(coarse, cverts[j])] for j in range(3))
-    back = ops.solve_mass(link.mixed_mass() @ xf)
+    back = ops.solve_mass(link.mixed_mass @ xf)
     assert np.max(np.abs(back - xc)) < 1e-11
 
 
@@ -581,7 +592,7 @@ def test_iteration_on_refined_function(mesh2d):
     fs = LagrangeSpace(fine, 1)
     ops = Operators(cs)
     u = np.random.default_rng(21).standard_normal(fs.n_dofs)
-    qu = ops.solve_mass(TwoMeshLink(cs, fs).mixed_mass() @ u)
+    qu = ops.solve_mass(TwoMeshLink(cs, fs).mixed_mass @ u)
     qu_norm = math.sqrt(max(qu @ (ops.mass @ qu), 0.0))
     q = ops.q_bound()
     for nu in (1, 4, 8):
@@ -716,18 +727,20 @@ def test_singular_patch_system_names_its_vertex(dim):
     singular = [v for p, v in enumerate(table.vertices.tolist()) if np.isin(table.rows[table.patch == p], rows).all()]
     assert vertex in singular
     with pytest.raises(ProjectionError, match=f"^singular patch system at vertex {singular[0]}$"):
-        Operators(_with_volume(space, rows, 0.0))
+        Operators(_with_volume(space, rows, 0.0)).patch_matrix
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf * 0 in a table product
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("degree", [1, 2, "CR"])
 def test_non_finite_patch_system_raises_projection_error(mesh2d, degree, value):
-    # a non-finite entry in any patch system is a ProjectionError (the CLI's
-    # exit 3), not a bare ValueError from the LAPACK wrappers
-    space = _with_volume(LagrangeSpace(mesh2d, degree), [len(mesh2d.active_ids()) - 1], value)
+    # a non-finite entry in any patch system, or in the Crouzeix-Raviart
+    # diagonal, is a ProjectionError at the first read of P (the CLI's exit
+    # 3), not a bare ValueError from the LAPACK wrappers nor a NaN or zero P
+    space = CRSpace(mesh2d) if degree == "CR" else LagrangeSpace(mesh2d, degree)
+    space = _with_volume(space, [len(mesh2d.active_ids()) - 1], value)
     with pytest.raises(ProjectionError, match="non-finite patch system"):
-        Operators(space)
+        Operators(space).patch_matrix
 
 
 @pytest.mark.parametrize("kind", ["P1", "CR", "P1-sparse", "CR-sparse"])
