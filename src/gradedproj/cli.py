@@ -514,7 +514,7 @@ class Parser(argparse.ArgumentParser):
 SHARED_OPTIONS = {
     "--dim": {"type": int, "default": 2, "help": "space dimension"},
     "--cells": {"type": int, "default": 1, "help": "initial cubes per axis"},
-    "--rounds": {"type": int, "help": "marking rounds"},  # default: _add_options's rounds
+    "--rounds": {"type": int, "default": 4, "help": "marking rounds"},
     "--alpha": {"type": int, "default": 1, "help": "limited-grading parameter (0: plain closure)"},
     "--policy": {"default": "corner", "help": "marking policy: uniform | corner | random:<fraction> | random-count:<n>"},
     "--mesh": {"default": None, "help": "initial mesh JSON instead of the Kuhn mesh; --rounds refine it"},
@@ -526,11 +526,10 @@ SHARED_OPTIONS = {
 MESH_OPTIONS = ("--dim", "--cells", "--rounds", "--alpha", "--policy", "--mesh", "--seed", "--tolerance")
 
 
-def _add_options(p, flags, out, rounds=4):
-    """The shared options named by flags, then --out; --rounds defaults to
-    rounds and --out to out."""
+def _add_options(p, flags, out):
+    """The shared options named by flags, then --out defaulting to out."""
     for flag in flags:
-        p.add_argument(flag, **SHARED_OPTIONS[flag], **({"default": rounds} if flag == "--rounds" else {}))
+        p.add_argument(flag, **SHARED_OPTIONS[flag])
     p.add_argument("--out", default=out, help="output directory")
 
 
@@ -568,12 +567,12 @@ def build_parser() -> Parser:
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("cr-check", help="Crouzeix-Raviart certificates and dimension thresholds")
-    _add_options(p, ("--tolerance", "--rounds", "--probe-limit", "--seed"), "out/cr", rounds=3)
-    p.set_defaults(func=cmd_cr_check)
+    _add_options(p, ("--tolerance", "--rounds", "--probe-limit", "--seed"), "out/cr")
+    p.set_defaults(func=cmd_cr_check, rounds=3)
 
     p = sub.add_parser("closure-bench", help="closure-overhead ratio over marking rounds")
-    _add_options(p, ("--dim", "--cells", "--rounds", "--alpha", "--policy", "--seed"), "out/closure", rounds=8)
-    p.set_defaults(func=cmd_closure_bench)
+    _add_options(p, ("--dim", "--cells", "--rounds", "--alpha", "--policy", "--seed"), "out/closure")
+    p.set_defaults(func=cmd_closure_bench, rounds=8)
 
     p = sub.add_parser("grading", help="grading audit of a mesh")
     _add_options(p, MESH_OPTIONS, "out/grading")

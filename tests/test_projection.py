@@ -468,6 +468,7 @@ def test_form_matrix_is_built_only_when_read(mesh2d, kind, monkeypatch):
         measure_weighted_stability(ops, weight, p=3.0, kind="W1p", samples=2)
         assert not {"patch_matrix", "form_matrix"} & vars(ops).keys()
         reader(ops)
+        assert ("form_matrix" in vars(ops)) == (reader is Operators.certify)
         kept = vars(ops)["patch_matrix"]
         ops.apply_C(u)
         accelerated_iterate(ops, u, 2)
