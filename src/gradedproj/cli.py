@@ -77,6 +77,8 @@ def effective_tolerances(args) -> dict:
             tols[name] = float(value)
         except ValueError as exc:
             raise CliInputError(f"invalid tolerance value in {item!r}") from exc
+        if not math.isfinite(tols[name]):  # a NaN slack passes every gate, and is no JSON
+            raise CliInputError(f"tolerance value in {item!r} is not finite")
     return tols
 
 

@@ -61,9 +61,8 @@ rounds it once per element.  The decay parameter uses the closed-form
 condition bounds (bound_kappa); the spectrum of the local operator S behind
 them is checked by the tests (acceptance criterion 1), not computed here.
 
-Mass solves factor M once: a dense Cholesky by direct LAPACK calls up to
-DENSE_SOLVE_LIMIT dofs, one sparse LU beyond; either solves a block of
-columns, each with the bits of its one-column solve.  The decay
+Mass solves factor M once, by one sparse LU at every size, which solves a
+block of columns, each with the bits of its one-column solve.  The decay
 measurement solves once per source set R, against the columns of the
 identity at the dofs of R, and keeps that block (SourceBlock); each shell L
 then reads the exact masked norm and the sampled bound from one small form
@@ -112,7 +111,7 @@ from .polyspace import (
     simplex_quadrature,
 )
 
-DENSE_SOLVE_LIMIT = 5000
+DENSE_SOLVE_LIMIT = 5000  # the most dofs certify's dense eigensolve takes
 
 
 @contextmanager
@@ -122,21 +121,24 @@ def one_blas_thread() -> Iterator[None]:
 
     Caps both OpenBLAS copies that numpy and scipy bundle, through their own
     thread calls (_openblas_thread_calls), since each has its own count.  A
-    second thread does not pay on the small dense solves, factorizations and
-    eigenproblems of this package.  Measured on 2 cores with OpenBLAS 0.3.31:
-    below order 500 it gains at most 1.1x for eigh and eigvalsh and 1.6x for
-    a Cholesky factor and solve (potrf + potrs, as the patch pass calls them
-    and scipy's cho_factor + cho_solve wrap them) and gemm on an idle
-    machine, and loses up to 2x (gemm) to 6x (factor and solve) when another
-    process keeps the second core busy.  From order 500 two threads win 1.05x
-    to 1.9x on an idle machine; the block is capped whatever its size all the
-    same, as the measured workloads stay below 400 dofs.  Outside these
-    blocks OPENBLAS_NUM_THREADS governs.  Under the cap the results do not
-    depend on that variable; OpenBLAS's threaded kernels can round
-    differently, in the last bits.  Does nothing when no bundled OpenBLAS with these calls
-    is loaded.  The counts are per process: two Python threads inside the
-    block at once can leave them at one afterwards, which changes speed,
-    not correctness.
+    second thread does not pay on the small dense work of this package: the
+    patch factorizations and solves, the eigh of each decay source block and
+    of certify, and the weighted ratios of gradedproj.stability.  The mass
+    factor is a sparse LU and runs outside the cap, except where a source
+    block or a weighted ratio solves inside it.  Measured on 2 cores with
+    OpenBLAS 0.3.31: below order 500 it gains at most 1.1x for eigh and
+    eigvalsh and 1.6x for a Cholesky factor and solve (potrf + potrs, as the
+    patch pass calls them and scipy's cho_factor + cho_solve wrap them) and
+    gemm on an idle machine, and loses up to 2x (gemm) to 6x (factor and
+    solve) when another process keeps the second core busy.  From order 500
+    two threads win 1.05x to 1.9x on an idle machine; the block is capped
+    whatever its size all the same, as the measured workloads stay below 400
+    dofs.  Outside these blocks OPENBLAS_NUM_THREADS governs.  Under the cap
+    the results do not depend on that variable; OpenBLAS's threaded kernels
+    can round differently, in the last bits.  Does nothing when no bundled
+    OpenBLAS with these calls is loaded.  The counts are per process: two
+    Python threads inside the block at once can leave them at one afterwards,
+    which changes speed, not correctness.
     """
     calls = _openblas_thread_calls()
     saved = [get() for get, _ in calls]
@@ -435,35 +437,27 @@ class Operators:
 
     @cached_property
     def _solver(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The mass factor, built on first solve: dense Cholesky up to
-        DENSE_SOLVE_LIMIT dofs, one sparse LU (splu) beyond, for a vector or
-        a block of columns.  Direct, because the unscaled mass matrix of a
-        graded mesh is ill conditioned: its diagonal follows the element
-        volumes, and spans 1.4e13 on the P3 space (8164 dofs) of a 24x24 Kuhn
-        square after 40 corner rounds, where unpreconditioned CG stalls.  The
-        LU orders M symmetrically (minimum degree on M + M^T, diagonal
-        pivots): on the d=3 P2 space of 6439 dofs (a 6x6x6 Kuhn cube after 10
-        corner rounds of BiSecLG(1)) its L + U hold 1.29M nonzeros against
-        3.77M under splu's default column ordering, and it factors about 3x
-        faster.  The dense factor calls LAPACK's potrf and potrs directly,
-        with the bits of scipy's cho_factor and cho_solve; a non-finite or
-        indefinite M raises ProjectionError."""
-        n = self.space.n_dofs
-        if n == 0:  # potrs rejects an empty system
-            return lambda b: np.zeros(np.shape(b))
-        if n > DENSE_SOLVE_LIMIT:
-            return spla.splu(
-                self.mass.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0, options={"SymmetricMode": True}
-            ).solve
-        dense = self.mass.toarray()
-        if not np.isfinite(dense).all():
+        """The mass factor, built on first solve: one sparse LU (splu) of M
+        at every size, for a vector or a block of columns.  Direct, because
+        the unscaled mass matrix of a graded mesh is ill conditioned: its
+        diagonal follows the element volumes, and spans 1.4e13 on the P3
+        space (8164 dofs) of a 24x24 Kuhn square after 40 corner rounds,
+        where unpreconditioned CG stalls.  The LU orders M symmetrically
+        (minimum degree on M + M^T, diagonal pivots): on the d=3 P2 space of
+        6439 dofs (a 6x6x6 Kuhn cube after 10 corner rounds of BiSecLG(1))
+        its L + U hold 1.29M nonzeros against 3.77M under splu's default
+        column ordering, and it factors about 3x faster.  It factors and
+        solves the empty system too.  A non-finite or singular M raises
+        ProjectionError."""
+        if not np.isfinite(self.mass.data).all():
             raise ProjectionError("non-finite mass matrix")
-        potrf, potrs = scipy.linalg.lapack.dpotrf, scipy.linalg.lapack.dpotrs
-        with one_blas_thread():
-            chol, info = potrf(dense, lower=0, clean=0)
-        if info > 0:
-            raise ProjectionError(f"mass matrix not positive definite (leading minor {info})")
-        return lambda b: potrs(chol, b, lower=0)[0]
+        try:
+            lu = spla.splu(
+                self.mass.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0, options={"SymmetricMode": True}
+            )
+        except RuntimeError:  # splu's "Factor is exactly singular"
+            raise ProjectionError("singular mass matrix") from None
+        return lu.solve
 
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
         """M^-1 rhs for a vector or a block of columns, each column held to
@@ -580,7 +574,7 @@ class Operators:
         if n == 0:
             raise ProjectionError("certification needs a space with dofs")
         if n > DENSE_SOLVE_LIMIT:
-            raise ProjectionError("certification limited to dense-solver sizes")
+            raise ProjectionError(f"certification limited to {DENSE_SOLVE_LIMIT} dofs (dense eigensolve), not {n}")
         b = _sym(self.form_matrix.toarray())
         m = _sym(self.mass.toarray())
         with one_blas_thread():
@@ -737,13 +731,9 @@ def accelerated_iterate(ops: Operators, u, nu: int) -> np.ndarray:
     x = np.zeros(n)
     r = f.copy()
     d_vec = r / theta
-    if delta == 0:
-        for _ in range(nu):
-            x = x + d_vec
-            r = r - ops.apply_C_coeffs(d_vec)
-            d_vec = r / theta
-        return x
-    sigma1 = theta / delta
+    # a one-point interval (delta = 0, the d=2 Crouzeix-Raviart one) makes
+    # every step the plain one, r / theta
+    sigma1 = theta / delta if delta else math.inf
     rho = 1.0 / sigma1
     for k in range(nu):
         x = x + d_vec
@@ -751,7 +741,7 @@ def accelerated_iterate(ops: Operators, u, nu: int) -> np.ndarray:
             break
         r = r - ops.apply_C_coeffs(d_vec)
         rho_next = 1.0 / (2.0 * sigma1 - rho)
-        d_vec = rho_next * rho * d_vec + (2.0 * rho_next / delta) * r
+        d_vec = rho_next * rho * d_vec + (2.0 * rho_next / delta) * r if delta else r / theta
         rho = rho_next
     return x
 

@@ -5,8 +5,9 @@ file load that the one fill replaced, the unfused bisection kernel
 the one-pass bisection replaced, the column search of the conformity
 scan that the grid join of boxes replaced, the per-element evaluation and the
 Fraction norm of elementwise polynomials that the stacked coefficient table
-replaced, the unaccelerated iteration with the Chebyshev error factor it is
-compared against, the masked projection norm over two element sets, the
+replaced, the dense Cholesky mass solve that the one sparse LU replaced, the
+unaccelerated iteration with the Chebyshev error factor it is compared
+against, the masked projection norm over two element sets, the
 per-shell block decay measurement and source block that the one solve per
 source replaced, the per-call breadth-first set distance, the
 Fraction-per-coefficient random polynomial and the per-candidate sampled
@@ -24,6 +25,7 @@ from itertools import combinations, permutations, product
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 
 from gradedproj.analytic import ProjectionError, StabilityError, StabilityVerdict, _round_down4, _round_up4, gamma_max_bound
 from gradedproj.mesh import (
@@ -417,6 +419,18 @@ def fraction_norm2(u: ElementwisePoly) -> float:
     for sid, poly in u.polys.items():
         total += float((poly * poly).integral(u.mesh.volume(sid)))
     return math.sqrt(total)
+
+
+# -- mass solves ---------------------------------------------------------------------------
+
+
+def cholesky_mass_solve(ops: Operators, rhs: np.ndarray) -> np.ndarray:
+    """M^-1 rhs by the dense Cholesky factor that Operators used up to
+    DENSE_SOLVE_LIMIT dofs before its one sparse LU: scipy's cho_factor and
+    cho_solve, with the bits of the direct potrf and potrs it called, on one
+    BLAS thread, for a vector or a block of columns."""
+    with one_blas_thread():
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(ops.mass.toarray()), rhs)
 
 
 # -- iteration toward the projection ------------------------------------------------------

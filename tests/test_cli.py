@@ -145,7 +145,7 @@ README_DIGESTS = {
     "out/refine/grading_report.tsv": "19e25a20baa9b4baf6732692346d9e432a4efcbdc8efac868ca2fcf75a19c35e",
     "out/refine/mesh.json": "cdc81591bbbc556726b54fc7af7436b2225a19c4ae6b4bd035161f6dca80e8af",
     "out/stab/stability_verdict.json": "1047f082e8424de7987a5bc99039b8b84dea17441e01612d0cfbea467464d203",
-    "out/stabm/stability_verdict.json": "68f51734acdba442e65e07cdb5105dfc76dec54e3d44063d0cd344212071355a",
+    "out/stabm/stability_verdict.json": "7fcd42407faef5d0099e62b11f3fecd725246001dbfd77683e0fdfd01a1b2c8c",
     "out/tables/cr_thresholds.json": "0903d2e9158560802db0ec47e583699ff99075bf916032a5dd1e9f2c820d35c9",
     "out/tables/published_gradings.json": "4e58253c4ca35a2b16168535ec84b22297ca0411280af363445dba134b1e7f6f",
     "out/tables/table1_qnew.tsv": "d2bbec9bf506c6ae900167382b7620d72f97d90d23fa3d8ceaadd6b78f87d471",
@@ -529,6 +529,18 @@ def test_overlapping_mesh_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == "input error: simplices [0, 1, 2] and [3, 4, 5] overlap\n"
 
 
+def test_singular_mass_matrix_exits_3(tmp_path, capsys):
+    # the 72 x 72 Kuhn square (5329 P1 dofs) scaled by 2^-600: every float
+    # volume underflows to 0, so M is the zero matrix, and the mass factor
+    # refuses it with an input error, not a traceback
+    data = kuhn_initial_mesh(2, 72).to_json_dict()
+    data["vertices"] = [[[n, k + 600] for n, k in point] for point in data["vertices"]]
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps(data))
+    assert run(tmp_path, "decay", "--mesh", str(path), "--rounds", "0", "--degree", "1", "--out", "x") == 3
+    assert capsys.readouterr().err == "input error: singular mass matrix\n"
+
+
 def test_readme_closure_bench_exits_0(tmp_path):
     assert run(tmp_path, *"closure-bench --dim 2 --rounds 40 --policy random-count:4 --out out/bench".split()) == 0
 
@@ -568,6 +580,8 @@ def test_readme_closure_bench_exits_0(tmp_path):
         ["refine", "--tolerance", "bogus=1"],
         ["grading", "--tolerance", "kappa_slack=abc"],
         ["stability", "--tolerance", "bogus=2"],
+        ["certify", "--tolerance", "kappa_slack=nan"],
+        ["decay", "--tolerance", "decay_slack=inf"],
     ],
     ids=lambda argv: " ".join(argv[1:]),
 )

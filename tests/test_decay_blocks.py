@@ -2,7 +2,8 @@
 sampled weighted ratio against the per-shell, per-candidate and per-call
 code they replaced (kept verbatim in oracles.py): the kept distance rows of
 ElementDistance, the one solve per source of measure_decay, the block solve
-of _sampled_weighted_ratio, the block mass solve and the dense mass factor.
+of _sampled_weighted_ratio and the dense Cholesky mass factor that the one
+sparse LU replaced; and the block mass solve against its column solves.
 
 measure_decay is held to the per-shell block code (oracles.
 block_measure_decay) to 1e-12 relative, not bit for bit: the per-source
@@ -15,7 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import gradedproj.projection as projection
 from gradedproj.cli import build_mesh, build_parser
@@ -24,7 +24,7 @@ from gradedproj.polyspace import BarycentricPoly, CRSpace, LagrangeSpace
 from gradedproj.projection import Operators, ProjectionError, _random_poly, measure_decay, one_blas_thread
 from gradedproj.stability import Weight, _fine_weights, _sampled_weighted_ratio, _unit_scaled, fine_link
 from conftest import randomly_refined
-from oracles import bfs_dist_sets, block_measure_decay, fraction_random_poly, loop_sampled_weighted_ratio
+from oracles import bfs_dist_sets, block_measure_decay, cholesky_mass_solve, fraction_random_poly, loop_sampled_weighted_ratio
 
 # the stability workload's cases (name, d, degree, kind, p, target elements)
 STABILITY_CASES = [
@@ -267,12 +267,8 @@ def _solver_spaces():
     return spaces + [LagrangeSpace(mesh, 2), LagrangeSpace(mesh, 3), LagrangeSpace(mesh, 2, zero_trace=True)]
 
 
-@pytest.mark.parametrize("path", ["dense", "sparse"])
-def test_block_mass_solve_equals_column_solves(path, monkeypatch):
-    # a k-column solve has, in each column, the bits of its one-column
-    # solve, on the dense Cholesky path and (limit 0) the sparse LU one
-    if path == "sparse":
-        monkeypatch.setattr(projection, "DENSE_SOLVE_LIMIT", 0)
+def test_block_mass_solve_equals_column_solves():
+    # a k-column solve has, in each column, the bits of its one-column solve
     rng = np.random.default_rng(0)
     for space in _solver_spaces():
         ops = Operators(space)
@@ -283,23 +279,24 @@ def test_block_mass_solve_equals_column_solves(path, monkeypatch):
                 assert np.array_equal(got[:, j], ops.solve_mass(np.ascontiguousarray(block[:, j])))
 
 
-def test_dense_mass_factor_matches_cho_factor():
-    # the direct potrf and potrs give the bits of scipy's cho_factor and
-    # cho_solve, for one column and a block
+def test_mass_solve_matches_cho_factor():
+    # the sparse LU agrees with the dense Cholesky solve it replaced to
+    # 1e-12 relative, for one column and a block
     rng = np.random.default_rng(1)
     for space in _solver_spaces():
         ops = Operators(space)
-        with one_blas_thread():
-            chol = scipy.linalg.cho_factor(ops.mass.toarray())
         for rhs in (rng.standard_normal(space.n_dofs), rng.standard_normal((space.n_dofs, 2))):
-            assert np.array_equal(ops.solve_mass(rhs), scipy.linalg.cho_solve(chol, rhs))
+            want = cholesky_mass_solve(ops, rhs)
+            got = ops.solve_mass(rhs)
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf * 0 in the mass assembly
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_mass_matrix_raises_projection_error(mesh2d, value):
     # Operators keeps M alone and builds no P, so a CR space with a
-    # non-finite volume gets one; the dense mass factor then refuses it
+    # non-finite volume gets one; the mass factor then refuses it
     space = CRSpace(mesh2d)
     volumes = space.geometry.volumes.copy()
     volumes[-1] = value
@@ -315,13 +312,6 @@ def test_non_finite_right_hand_side_raises_projection_error(mesh2d):
     rhs[3, 1] = np.nan
     with pytest.raises(ProjectionError, match="non-finite"):
         ops.solve_mass(rhs)
-
-
-def test_indefinite_mass_matrix_raises_projection_error(mesh2d):
-    ops = Operators(LagrangeSpace(mesh2d, 1))
-    ops.mass = -ops.mass
-    with pytest.raises(ProjectionError, match="not positive definite"):
-        ops.solve_mass(np.ones(ops.space.n_dofs))
 
 
 def test_rhs_names_the_least_element_outside_the_space(mesh2d):

@@ -26,7 +26,7 @@ from gradedproj.projection import (
     _random_poly,
 )
 from conftest import randomly_refined
-from oracles import basic_iterate, chebyshev_error_bound, masked_projection_norm, reference_simplex_mesh
+from oracles import basic_iterate, chebyshev_error_bound, cholesky_mass_solve, masked_projection_norm, reference_simplex_mesh
 
 
 def test_q_new_values():
@@ -676,34 +676,27 @@ def _corner_graded_mesh(dim=2, rounds=20):
 
 @pytest.mark.parametrize("kind", ["P2", "CR", "P1z", "P1-graded", "P2-graded-3d"])
 def test_sparse_mass_path_matches_dense_cholesky(mesh2d, kind, monkeypatch):
-    # past DENSE_SOLVE_LIMIT dofs the mass solves run one sparse LU of M
-    # (symmetric ordering, diagonal pivots), for a vector and a block alike,
-    # and certify refuses; a limit of 0 takes that path on a small mesh
+    # the mass solves run one sparse LU of M (symmetric ordering, diagonal
+    # pivots) at every size: on graded meshes too it agrees with the dense
+    # Cholesky solve it replaced, for a vector and a block alike; certify
+    # refuses past DENSE_SOLVE_LIMIT dofs, which a limit of 0 shows
     mesh = {"P1-graded": _corner_graded_mesh, "P2-graded-3d": lambda: _corner_graded_mesh(3, 8)}.get(kind, lambda: mesh2d)()
-
-    def space():
-        if kind == "CR":
-            return CRSpace(mesh)
-        return LagrangeSpace(mesh, int(kind[1]), zero_trace=kind == "P1z")
-
-    dense = Operators(space())
+    space = CRSpace(mesh) if kind == "CR" else LagrangeSpace(mesh, int(kind[1]), zero_trace=kind == "P1z")
+    ops = Operators(space)
     if kind == "P1-graded":
-        assert dense.space.n_dofs == 148
+        assert space.n_dofs == 148
     if kind == "P2-graded-3d":
-        volumes = dense.space.geometry.volumes
-        assert dense.space.n_dofs == 581 and volumes.max() / volumes.min() == 16.0
+        volumes = space.geometry.volumes
+        assert space.n_dofs == 581 and volumes.max() / volumes.min() == 16.0
     rng = np.random.default_rng(5)
-    rhs = rng.standard_normal((dense.space.n_dofs, 3))
-    want_one, want_block = dense.solve_mass(rhs[:, 0]), dense.solve_mass(rhs)
+    rhs = rng.standard_normal((space.n_dofs, 3))
+    for b in (rhs[:, 0], rhs):
+        want, got = cholesky_mass_solve(ops, b), ops.solve_mass(b)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     monkeypatch.setattr(projection, "DENSE_SOLVE_LIMIT", 0)
-    sparse = Operators(space())
-    got_one, got_block = sparse.solve_mass(rhs[:, 0]), sparse.solve_mass(rhs)
-    assert got_one.shape == want_one.shape
-    assert np.linalg.norm(got_one - want_one) <= 1e-12 * np.linalg.norm(want_one)
-    assert got_block.shape == want_block.shape
-    assert np.linalg.norm(got_block - want_block) <= 1e-12 * np.linalg.norm(want_block)
-    with pytest.raises(ProjectionError):
-        sparse.certify()
+    with pytest.raises(ProjectionError, match=f"^certification limited to 0 dofs \\(dense eigensolve\\), not {space.n_dofs}$"):
+        ops.certify()
 
 
 def _with_volume(space, rows, value):
@@ -744,14 +737,11 @@ def test_non_finite_patch_system_raises_projection_error(mesh2d, degree, value):
         Operators(space).patch_matrix
 
 
-@pytest.mark.parametrize("kind", ["P1", "CR", "P1-sparse", "CR-sparse"])
-def test_dense_mass_solves_check_every_column(mesh2d, kind, monkeypatch):
+@pytest.mark.parametrize("kind", ["P1", "CR"])
+def test_dense_mass_solves_check_every_column(mesh2d, kind):
     # a wrong solver is caught in the block solve as in the vector one, in
-    # any column, on the dense path and (limit 0) the sparse one; a zero
-    # right-hand side passes with a zero solution
-    if kind.endswith("-sparse"):
-        monkeypatch.setattr(projection, "DENSE_SOLVE_LIMIT", 0)
-    ops = Operators(CRSpace(mesh2d) if kind.startswith("CR") else LagrangeSpace(mesh2d, 1))
+    # any column; a zero right-hand side passes with a zero solution
+    ops = Operators(CRSpace(mesh2d) if kind == "CR" else LagrangeSpace(mesh2d, 1))
     rhs = np.random.default_rng(2).standard_normal((ops.space.n_dofs, 3))
     rhs[:, 1] = 0.0
     exact = ops.solve_mass(rhs)
