@@ -267,13 +267,25 @@ def _solver_spaces():
     return spaces + [LagrangeSpace(mesh, 2), LagrangeSpace(mesh, 3), LagrangeSpace(mesh, 2, zero_trace=True)]
 
 
-def test_block_mass_solve_equals_column_solves():
-    # a k-column solve has, in each column, the bits of its one-column solve
+def _rhs_block(rng, n, k, pattern):
+    """An n x k right-hand side block: normal entries ("dense"), or unit
+    columns at distinct random dofs ("sparse"), the kind source_block solves."""
+    if pattern == "dense":
+        return rng.standard_normal((n, k))
+    block = np.zeros((n, k))
+    block[rng.choice(n, size=k, replace=False), np.arange(k)] = 1.0
+    return block
+
+
+@pytest.mark.parametrize("pattern", ["dense", "sparse"])
+def test_block_mass_solve_equals_column_solves(pattern):
+    # a k-column solve has, in each column, the bits of its one-column
+    # solve, for normal right-hand sides and for unit columns alike
     rng = np.random.default_rng(0)
     for space in _solver_spaces():
         ops = Operators(space)
         for k in (2, 3, 7):
-            block = rng.standard_normal((space.n_dofs, k))
+            block = _rhs_block(rng, space.n_dofs, k, pattern)
             got = ops.solve_mass(block)
             for j in range(k):
                 assert np.array_equal(got[:, j], ops.solve_mass(np.ascontiguousarray(block[:, j])))

@@ -737,12 +737,18 @@ def test_non_finite_patch_system_raises_projection_error(mesh2d, degree, value):
         Operators(space).patch_matrix
 
 
-@pytest.mark.parametrize("kind", ["P1", "CR"])
+@pytest.mark.parametrize("kind", ["P1", "CR", "P1-sparse", "CR-sparse"])
 def test_dense_mass_solves_check_every_column(mesh2d, kind):
     # a wrong solver is caught in the block solve as in the vector one, in
-    # any column; a zero right-hand side passes with a zero solution
-    ops = Operators(CRSpace(mesh2d) if kind == "CR" else LagrangeSpace(mesh2d, 1))
-    rhs = np.random.default_rng(2).standard_normal((ops.space.n_dofs, 3))
+    # any column, for normal right-hand sides and (-sparse) unit columns as
+    # source_block solves; a zero right-hand side passes with a zero solution
+    ops = Operators(CRSpace(mesh2d) if kind.startswith("CR") else LagrangeSpace(mesh2d, 1))
+    rng = np.random.default_rng(2)
+    if kind.endswith("-sparse"):
+        rhs = np.zeros((ops.space.n_dofs, 3))
+        rhs[rng.choice(ops.space.n_dofs, size=3, replace=False), np.arange(3)] = 1.0
+    else:
+        rhs = rng.standard_normal((ops.space.n_dofs, 3))
     rhs[:, 1] = 0.0
     exact = ops.solve_mass(rhs)
     assert not np.any(exact[:, 1])
