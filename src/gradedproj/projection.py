@@ -62,7 +62,10 @@ condition bounds (bound_kappa); the spectrum of the local operator S behind
 them is checked by the tests (acceptance criterion 1), not computed here.
 
 Mass solves factor M once, by one sparse LU at every size, which solves a
-block of columns, each with the bits of its one-column solve.  The decay
+block of columns, each with the bits of its one-column solve.  certify reads
+the two end eigenpairs of (B, M) alone: one dense reduction to tridiagonal
+form, then MRRR for the lowest and the highest eigenpair (_end_eigenpairs),
+up to DENSE_SOLVE_LIMIT dofs.  The decay
 measurement solves once per source set R, against the columns of the
 identity at the dofs of R, and keeps that block (SourceBlock); each shell L
 then reads the exact masked norm and the sampled bound from one small form
@@ -111,7 +114,7 @@ from .polyspace import (
     simplex_quadrature,
 )
 
-DENSE_SOLVE_LIMIT = 5000  # the most dofs certify's dense eigensolve takes
+DENSE_SOLVE_LIMIT = 5000  # the most dofs certify's dense tridiagonal reduction takes
 
 
 @contextmanager
@@ -122,8 +125,8 @@ def one_blas_thread() -> Iterator[None]:
     Caps both OpenBLAS copies that numpy and scipy bundle, through their own
     thread calls (_openblas_thread_calls), since each has its own count.  A
     second thread does not pay on the small dense work of this package: the
-    patch factorizations and solves, the eigh of each decay source block and
-    of certify, and the weighted ratios of gradedproj.stability.  The mass
+    patch factorizations and solves, the eigh of each decay source block,
+    the reduction of certify and the weighted ratios of stability.  The mass
     factor is a sparse LU and runs outside the cap, except where a source
     block or a weighted ratio solves inside it.  Measured on 2 cores with
     OpenBLAS 0.3.31: below order 500 it gains at most 1.1x for eigh and
@@ -575,16 +578,12 @@ class Operators:
             raise ProjectionError("certification needs a space with dofs")
         if n > DENSE_SOLVE_LIMIT:
             raise ProjectionError(f"certification limited to {DENSE_SOLVE_LIMIT} dofs (dense eigensolve), not {n}")
-        b = _sym(self.form_matrix.toarray())
-        m = _sym(self.mass.toarray())
         with one_blas_thread():
-            w, vecs = scipy.linalg.eigh(b, m)
-            lam_min, lam_max = float(w[0]), float(w[-1])
-            residual = 0.0
-            for pos in (0, n - 1):
-                x = vecs[:, pos]
-                r = b @ x - w[pos] * (m @ x)
-                residual = max(residual, float(np.linalg.norm(r) / max(np.linalg.norm(b @ x), 1e-30)))
+            w, x = _end_eigenpairs(_sym(self.form_matrix.toarray()), _sym(self.mass.toarray()))
+        lam_min, lam_max = float(w[0]), float(w[1])
+        bx = self.form_matrix @ x
+        r = bx - w * (self.mass @ x)
+        residual = float(max(np.linalg.norm(r, axis=0) / np.maximum(np.linalg.norm(bx, axis=0), 1e-30)))
         if lam_min <= 0:
             raise ProjectionError(f"operator not elliptic: lambda_min={lam_min}")
         kappa = lam_max / lam_min
@@ -608,6 +607,29 @@ class Operators:
 
 def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
+
+
+def _end_eigenpairs(b: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lowest and the highest eigenpair (w, x) of the symmetric pencil
+    (b, m): m = L L^T and T = Q^T L^-1 b L^-T Q by potrf, sygst and a blocked
+    sytrd (Parlett 1980), in place on b and m, whose transposes are the same
+    matrices in Fortran order; MRRR (stemr; Dhillon & Parlett 2004) for one
+    eigenpair y of T at each end; x = L^-T Q y.  Raises ProjectionError when
+    m is not positive definite or stemr fails."""
+    n, lapack = len(b), scipy.linalg.lapack
+    low, info = lapack.dpotrf(m.T, lower=1, overwrite_a=1)
+    if info != 0:
+        raise ProjectionError(f"mass matrix not positive definite (potrf info={info})")
+    t = lapack.dsygst(b.T, low, itype=1, lower=1, overwrite_a=1)[0]
+    t, d, e, tau, _ = lapack.dsytrd(t, lower=1, lwork=int(lapack.dsytrd_lwork(n, lower=1)[0]), overwrite_a=1)
+    try:
+        ends = [scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(k, k), lapack_driver="stemr") for k in (0, n - 1)]
+    except np.linalg.LinAlgError as exc:
+        raise ProjectionError(f"tridiagonal eigensolve failed: {exc}") from exc
+    w, y = (np.hstack(parts) for parts in zip(*ends))
+    if n > 1:  # Q = diag(1, Q'), Q' in geqrf form below the subdiagonal
+        y[1:] = lapack.dormqr("L", "N", t[1:, :-1], tau, y[1:], lwork=2)[0]
+    return w, scipy.linalg.solve_triangular(low, y, lower=True, trans="T")
 
 
 class PatchTable(NamedTuple):

@@ -6,6 +6,7 @@ the one-pass bisection replaced, the column search of the conformity
 scan that the grid join of boxes replaced, the per-element evaluation and the
 Fraction norm of elementwise polynomials that the stacked coefficient table
 replaced, the dense Cholesky mass solve that the one sparse LU replaced, the
+dense eigensolve of the certificate that its two end eigenpairs replaced, the
 unaccelerated iteration with the Chebyshev error factor it is compared
 against, the masked projection norm over two element sets, the
 per-shell block decay measurement and source block that the one solve per
@@ -431,6 +432,26 @@ def cholesky_mass_solve(ops: Operators, rhs: np.ndarray) -> np.ndarray:
     BLAS thread, for a vector or a block of columns."""
     with one_blas_thread():
         return scipy.linalg.cho_solve(scipy.linalg.cho_factor(ops.mass.toarray()), rhs)
+
+
+# -- spectral certificate ------------------------------------------------------------------
+
+
+def dense_certificate(ops: Operators) -> tuple[float, float, float]:
+    """(lambda_min, lambda_max, residual) of the pencil (B, M) as certify
+    computed them before it reduced to tridiagonal form once for its two end
+    eigenpairs: scipy.linalg.eigh(b, m) with all n eigenvectors, on one BLAS
+    thread, and the larger relative residual ||b x - lambda m x|| / ||b x||
+    of the two end eigenvectors on the dense forms."""
+    b = _sym(ops.form_matrix.toarray())
+    m = _sym(ops.mass.toarray())
+    with one_blas_thread():
+        w, vecs = scipy.linalg.eigh(b, m)
+    residual = 0.0
+    for pos in (0, len(w) - 1):
+        x = vecs[:, pos]
+        residual = max(residual, float(np.linalg.norm(b @ x - w[pos] * (m @ x)) / max(np.linalg.norm(b @ x), 1e-30)))
+    return float(w[0]), float(w[-1]), residual
 
 
 # -- iteration toward the projection ------------------------------------------------------

@@ -135,9 +135,9 @@ def test_refine_byte_identical(tmp_path):
 # sha256 of the 19 files the ten README commands write, as listed in CHANGES.md
 README_DIGESTS = {
     "out/bench/closure_bench.tsv": "df7b4a50faea04a6f6f43b2cfb7e9c3a5bb9d0938239258f250fa49af18a46e1",
-    "out/cert/certificate.json": "1c87065e9f81d0d9c846ad2c6c71c29535bf82dcb85ff3acb8c5facec4f4f708",
-    "out/cr/cr_check.json": "86537efa5d5c7da2d22c94caf556771687ae3139893b8af0a71f5a4face19050",
-    "out/crcert/certificate.json": "66a83d7c924767f5ecbfbc5c111cb969c5da3f0c4f554d715dc43e35efab93dd",
+    "out/cert/certificate.json": "4ddab7f281c817b9009f37c9bb603ff0ae0600b82ab89120c13d52161b9755fd",
+    "out/cr/cr_check.json": "3ad3a630853da5ce15a8c34ea3fb861e2cd731af0b48fc9bed6c0b3448efb934",
+    "out/crcert/certificate.json": "179ea8351ab5b1d2448fc9837cd265b665dd9886235b2c86b43af4e1438a7e2f",
     "out/decay/decay.tsv": "c20b6438d79603ea832590be1798176039cc6130fac16f0c987e61365f87f20e",
     "out/grading/elements.tsv": "6cde48d781d2540cac63e47501974372eefce2290ccb74f677c1a6ff6d4bdff7",
     "out/grading/grading.json": "0e97d3c114d47e31dabfb529f347d6ad2f781c92bd0894db65273e2da5f1fe65",
