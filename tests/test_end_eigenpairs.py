@@ -3,15 +3,15 @@ against the dense eigensolve of all n eigenvectors that they replaced
 (oracles.dense_certificate): lambda_min and lambda_max within 1e-13
 relative and a residual of at most 1e-12, on uniform Kuhn meshes where
 lambda_min is multiple, the d=2 Crouzeix-Raviart space whose every
-eigenvalue is 1, spaces of one and two dofs, graded meshes, and meshes
-grown as the certify workload grows them.  The workload meshes on which
-bisection (stebz) failed to converge pin the MRRR driver (stemr)."""
+eigenvalue is 1, spaces of one and two dofs, and meshes grown as the
+certify workload grows them; test_certificate_bound_on_meshes holds it to
+the same oracle on graded meshes.  The workload meshes on which bisection
+(stebz) failed to converge pin the MRRR driver (stemr)."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-import gradedproj.projection as projection
 from gradedproj.analytic import ProjectionError
 from gradedproj.mesh import kuhn_initial_mesh
 from gradedproj.polyspace import CRSpace, LagrangeSpace
@@ -85,12 +85,6 @@ def test_spaces_of_one_and_two_dofs(space, n):
     assert_matches_dense(ops)
 
 
-def test_graded_meshes(mesh2d, mesh3d):
-    # the meshes of test_certificate_bound_on_meshes
-    for mesh, K in ((mesh2d, 1), (mesh2d, 2), (mesh3d, 1)):
-        assert_matches_dense(Operators(LagrangeSpace(mesh, K)))
-
-
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("index", range(len(CERTIFY_CASES)))
 def test_certify_workload_meshes(seed, index):
@@ -147,6 +141,6 @@ def test_failed_tridiagonal_eigensolve_raises_projection_error(mesh2d, monkeypat
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("stemr (eigh_tridiagonal) exited with info=2")
 
-    monkeypatch.setattr(projection.scipy.linalg, "eigh_tridiagonal", fail)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
     with pytest.raises(ProjectionError, match="tridiagonal eigensolve failed"):
         Operators(LagrangeSpace(mesh2d, 1)).certify()

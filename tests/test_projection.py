@@ -26,7 +26,7 @@ from gradedproj.projection import (
     _random_poly,
 )
 from conftest import randomly_refined
-from oracles import basic_iterate, chebyshev_error_bound, cholesky_mass_solve, masked_projection_norm, reference_simplex_mesh
+from oracles import basic_iterate, chebyshev_error_bound, cholesky_mass_solve, dense_certificate, masked_projection_norm, reference_simplex_mesh
 
 
 def test_q_new_values():
@@ -260,11 +260,15 @@ def test_certificate_dimension_four():
 
 
 def test_certificate_bound_on_meshes(mesh2d, mesh3d):
+    # the two end eigenpairs agree with the dense eigh of all eigenvectors
     for mesh, K in ((mesh2d, 1), (mesh2d, 2), (mesh3d, 1)):
         ops = Operators(LagrangeSpace(mesh, K))
         cert = ops.certify()
         assert cert.kappa <= cert.bound_kappa + 1e-8
         assert cert.lambda_max <= 1 + 1e-9
+        lam_min, lam_max, _ = dense_certificate(ops)
+        assert abs(cert.lambda_min - lam_min) <= 1e-13 * lam_min and abs(cert.lambda_max - lam_max) <= 1e-13 * lam_max
+        assert cert.residual <= 1e-12
 
 
 def test_certificate_zero_trace(mesh2d):
